@@ -20,7 +20,7 @@ from .derivations import (derivation_algebra, extend_even_der,
                           extend_odd_eta, grade_derivations,
                           inner_derivation_algebra, odd_der_char3,
                           odd_der_eta, span_of_maps, stable_der_double)
-from .field import FieldSpec
+from .field import FieldSpec, is_odd_prime
 from .linalg import Subspace, amod, inverse, iszero, rank
 from .superalg import (LinearMap, annihilator, center_even,
                        check_jordan_super, check_super_lie,
@@ -40,17 +40,6 @@ GENERIC_DER_MAX_P = 7
 GROUPS = ("jordan", "props", "dims", "s4", "coord", "tkk")
 
 DEFAULT_MAX_P = 13
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def field_label(f: FieldSpec) -> str:
@@ -98,7 +87,7 @@ class RunContext:
     """
 
     def __init__(self, p: int):
-        if not _is_prime(p) or p == 2:
+        if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
         self.base = FieldSpec(p)

@@ -17,9 +17,10 @@ from pathlib import Path
 
 from . import __version__
 from .battery import (DEFAULT_MAX_P, GENERIC_DER_MAX_P, GROUPS, RunContext,
-                      _is_prime, field_label, run_battery)
+                      field_label, run_battery)
 from .constructions import differential_to_json
 from .derivations import grade_derivations
+from .field import is_odd_prime
 from .tkk import so3, tkk_3graded
 
 ALGEBRA_NAMES = ("Z", "K", "jck_w", "jck_v", "so3", "tkk_K", "ck_lie")
@@ -37,7 +38,7 @@ def _max_p(parser: argparse.ArgumentParser) -> int:
 
 def _check_p(p: int, parser: argparse.ArgumentParser) -> int:
     bound = _max_p(parser)
-    if p == 2 or not _is_prime(p):
+    if not is_odd_prime(p):
         parser.error(f"p must be an odd prime, got {p}")
     if p > bound:
         parser.error(f"p = {p} exceeds the bound {bound} "

@@ -21,8 +21,8 @@ import numpy as np
 
 from .constructions import ChengKac, KantorDouble
 from .linalg import Eliminator, Subspace, amod, kernel, solve_right
-from .superalg import (LinearMap, SuperAlgebra, is_derivation,
-                       super_commutator)
+from .superalg import (LinearMap, SuperAlgebra, inner_derivation_rows,
+                       is_derivation, super_commutator_rows)
 
 
 class DerivationSpace:
@@ -51,6 +51,7 @@ class DerivationSpace:
                         f"basis element fails the Leibniz rule: {v.witness}")
         self._even_sub = None
         self._odd_sub = None
+        self._brackets = None
 
     def _canon(self, maps, parity):
         maps = list(maps)
@@ -84,6 +85,34 @@ class DerivationSpace:
             else:
                 self._odd_sub = cached
         return cached
+
+    def structure_constants(self):
+        """The bracket of the space in its own basis, even elements
+        first: c[s, t, u] is the coordinate on basis element u of the
+        super commutator of basis elements s and t.  Raises when the
+        space is not closed under the bracket.  The array is computed
+        once per space and is read-only."""
+        if self._brackets is not None:
+            return self._brackets
+        f = self.algebra.field
+        basis = self.even_basis + self.odd_basis
+        m0, m = len(self.even_basis), len(basis)
+        c = np.zeros((m, m, m), dtype=np.complex128)
+        if m:
+            mats = np.stack([d.matrix for d in basis])
+            par = np.asarray([d.parity for d in basis])
+            for s, rows, par_st in super_commutator_rows(
+                    f, mats if f.ext else mats.real, par):
+                for parity, off in ((0, 0), (1, m0)):
+                    sel = par_st == parity
+                    co = self.subspace(parity).coords_of(rows[sel])
+                    if co is None:
+                        raise ValueError(
+                            "derivation space is not bracket closed")
+                    c[s, sel, off:off + co.shape[1]] = co
+        c.flags.writeable = False
+        self._brackets = c
+        return c
 
     def contains_map(self, d: LinearMap) -> bool:
         return self.subspace(d.parity).contains_vector(d.flatten())
@@ -182,23 +211,14 @@ def derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
 def inner_derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
     """Span of all D(e_i, e_j) = [L_i, L_j].
 
-    The commutators are batched over j for each fixed i, in the field's
-    work dtype, and the rows stream straight into per-parity
+    The rows of inner_derivation_rows stream straight into per-parity
     eliminators, so memory stays at a few matrices of shape (n, n, n)
     even when n * n rows are fed.
     """
-    t = a.work_tensor()
     n = a.n
-    lmats = amod(a.field, t.transpose(0, 2, 1))
-    par = a.parities
     elims = {0: Eliminator(a.field, n * n), 1: Eliminator(a.field, n * n)}
-    for i in range(n):
-        li = lmats[i]
-        sign = np.where((par[i] * par) == 1, -1.0, 1.0)
-        d = np.matmul(li, lmats) - sign[:, None, None] * np.matmul(lmats, li)
-        rows = amod(a.field, d.transpose(0, 2, 1).reshape(n, n * n))
+    for _, rows, par_ij in inner_derivation_rows(a):
         keep = np.any(rows, axis=1)
-        par_ij = (par[i] + par) % 2
         for parity in (0, 1):
             block = rows[keep & (par_ij == parity)]
             if block.size:
@@ -446,10 +466,5 @@ def stable_der_double(kd: KantorDouble, der_k: DerivationSpace,
     supercommutator."""
     ds = DerivationSpace(kd.alg, der_k.even_basis, inder_k.odd_basis,
                          canonicalize=True, validate=True)
-    basis = [(0, m) for m in ds.even_basis] + [(1, m) for m in ds.odd_basis]
-    for _, d1 in basis:
-        for _, d2 in basis:
-            br = super_commutator(d1, d2)
-            if not ds.contains_map(br):
-                raise ValueError("span is not closed under the bracket")
+    ds.structure_constants()  # raises unless the span is bracket closed
     return ds

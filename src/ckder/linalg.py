@@ -245,11 +245,13 @@ class Subspace:
         return iszero(self.residual(v))
 
     def coords_of(self, v):
-        """Coordinates of v in the basis, or None if v is outside."""
+        """Coordinates of v in the basis, or None if v is outside.
+
+        A 2-D v is taken row by row; None then means some row is
+        outside."""
         v = amod(self.field, np.asarray(v, dtype=np.complex128))
-        c = v[np.asarray(self.pivots, dtype=np.intp)] if self.dim else \
-            np.zeros(0, dtype=np.complex128)
-        if not iszero(amod(self.field, (c @ self.basis if self.dim else 0) - v)):
+        c = v[..., np.asarray(self.pivots, dtype=np.intp)]
+        if not iszero(amod(self.field, c @ self.basis - v)):
             return None
         return c
 

@@ -240,9 +240,31 @@ def super_commutator(d1: LinearMap, d2: LinearMap) -> LinearMap:
                      check=False)
 
 
+def super_commutator_rows(field, mats, parities):
+    """Supercommutators of a stack of parity-homogeneous n x n matrices,
+    one left factor at a time.
+
+    Yields (i, rows, parity): rows[j] is [mats[i], mats[j]] flattened
+    column-major and reduced, and parity[j] its parity.  Batching over
+    j keeps memory at a few arrays the size of mats."""
+    k, n = mats.shape[:2]
+    for i in range(k):
+        sign = np.where((parities[i] * parities) == 1, -1.0, 1.0)
+        d = np.matmul(mats[i], mats) - sign[:, None, None] * np.matmul(mats, mats[i])
+        yield i, amod(field, d.transpose(0, 2, 1).reshape(k, n * n)), \
+            (parities[i] + parities) % 2
+
+
 def inner_derivation(a: SuperAlgebra, u, v) -> LinearMap:
     """D(u, v), the supercommutator of the left multiplications."""
     return super_commutator(a.left_mult(u), a.left_mult(v))
+
+
+def inner_derivation_rows(a: SuperAlgebra):
+    """D(e_i, e_j) = [L_i, L_j] for all j, one i at a time, in the
+    field's work dtype; see super_commutator_rows."""
+    lmats = amod(a.field, a.work_tensor().transpose(0, 2, 1))
+    return super_commutator_rows(a.field, lmats, a.parities)
 
 
 # -- identity checks -----------------------------------------------------
@@ -271,19 +293,12 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
     n = a.n
     de = a.dim_even
     t = a.work_tensor()
-    sgn = a.sign_table()
-    l = np.ascontiguousarray(t.transpose(0, 2, 1))  # l[i] = left mult by e_i
     # dd[i, j] is the flattened matrix of D(e_i, e_j), built one i at a
     # time: the all-pairs einsum would need several full (n, n, n, n)
     # temporaries, too much at the larger sizes.
     dd = np.empty((n, n, n * n), dtype=t.dtype)
-    for i in range(n):
-        block = np.matmul(l[i], l) - sgn[i][:, None, None] * np.matmul(l, l[i])
-        if np.iscomplexobj(block):
-            block = (block.real % f.p) + 1j * (block.imag % f.p)
-        else:
-            block %= f.p
-        dd[i] = block.reshape(n, n * n)
+    for i, rows, _ in inner_derivation_rows(a):
+        dd[i] = rows
     # The three-term sum is invariant under cyclic rotation of (x, y, z),
     # so it vanishes on every triple iff it vanishes whenever x is the
     # least index.  Restricting y, z >= x also keeps the witness honest:
@@ -301,7 +316,7 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
         tzx = np.ascontiguousarray(t[x:, x, :] if x < de else -t[x:, x, :])
         txc_even = t[x, x:, :]                       # (y, j), y >= x
         # for odd z the third term carries (-1)^|y| on the y rows
-        pv = np.ones(zc, dtype=sgn.dtype)
+        pv = np.ones(zc)
         pv[max(0, de - x):] = -1
         txc_odd = txc_even * pv[:, None]
         ze = max(0, de - x)                          # even z count in range
@@ -323,10 +338,7 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
                 p3 = np.matmul(txc_odd[None, start - x:stop - x],
                                dd[max(x, de):])
                 acc[:, ze:] += p3.transpose(1, 0, 2)
-            if np.iscomplexobj(acc):
-                acc = (acc.real % f.p) + 1j * (acc.imag % f.p)
-            else:
-                acc %= f.p
+            acc = amod(f, acc)
             if np.any(acc):
                 flat = np.abs(acc).sum(axis=2)
                 bad = np.argwhere(flat != 0)
@@ -349,11 +361,7 @@ def check_super_lie(lie) -> Verdict:
     n = lie.n
     t = lie.work_tensor()
     s = lie.sign_table()
-    anti = t + s[:, :, None] * t.transpose(1, 0, 2)
-    if np.iscomplexobj(anti):
-        anti = (anti.real % f.p) + 1j * (anti.imag % f.p)
-    else:
-        anti %= f.p
+    anti = amod(f, t + s[:, :, None] * t.transpose(1, 0, 2))
     w = _first_bad_pair(anti, lie.labels)
     if w is not None:
         w["identity"] = "anticommutativity"
@@ -379,10 +387,7 @@ def check_super_lie(lie) -> Verdict:
         s_cb = 1.0 - 2.0 * (pb[None, None, :] * pb[None, :, None])
         acc = s_ac[..., None] * j1 + s_ba[..., None] * j2 \
             + s_cb[..., None] * j3
-        if np.iscomplexobj(acc):
-            acc = (acc.real % f.p) + 1j * (acc.imag % f.p)
-        else:
-            acc %= f.p
+        acc = amod(f, acc)
         if np.any(acc):
             flat = np.abs(acc).sum(axis=3)
             bad = np.argwhere(flat != 0)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .derivations import DerivationSpace, grade_derivations
+from .derivations import (DerivationSpace, grade_derivations,
+                          inner_derivation_algebra)
 from .linalg import amod, inverse, iszero, rank, solve_right
-from .superalg import (LinearMap, SuperAlgebra, Verdict, is_homomorphism,
-                       super_commutator)
+from .superalg import (LinearMap, SuperAlgebra, Verdict,
+                       inner_derivation_rows, is_homomorphism)
 from .symmetry import CoordinateAlgebra, CoordinateTransfer, S4Action, \
     conjugate_der
 
@@ -111,25 +112,148 @@ def so3(field) -> LieSuperAlgebra:
     return lie
 
 
-class TitsAlgebra(LieSuperAlgebra):
-    """Bracket structure on (so3 tensor J) + d, with index helpers."""
+class ThreeCopyAlgebra(LieSuperAlgebra):
+    """A Lie superalgebra on three copies of a superalgebra J plus a
+    space of derivations of J, with index helpers.
 
-    def __init__(self, field, dim_even, dim_odd, labels, brackets,
-                 jalg, dspace):
-        super().__init__(field, dim_even, dim_odd, labels, brackets)
+    Basis order: the even part of each copy in turn, the even
+    derivations, then the odd part of each copy in turn, the odd
+    derivations."""
+
+    def __init__(self, field, labels, brackets, grading, jalg, dspace):
+        self._copy, self._der = self.layout(jalg, dspace)
+        n0, n1 = jalg.dim_even, jalg.dim_odd
+        m0, m1 = dspace.dims
+        super().__init__(field, 3 * n0 + m0, 3 * n1 + m1, labels, brackets,
+                         grading)
         self.jalg = jalg
         self.dspace = dspace
 
-    def idx_tensor(self, i: int, a: int) -> int:
-        n0 = self.jalg.dim_even
-        if a < n0:
-            return i * n0 + a
-        return self.dim_even + i * (self.jalg.n - n0) + (a - n0)
+    @staticmethod
+    def layout(jalg, dspace):
+        """Global indices of copy i of basis vector a, as a (3, n)
+        array, and of the derivations, even ones first."""
+        n0, n1 = jalg.dim_even, jalg.dim_odd
+        m0, m1 = dspace.dims
+        dim_even = 3 * n0 + m0
+        a = np.arange(jalg.n)
+        copy = np.stack([np.where(a < n0, i * n0 + a,
+                                  dim_even + i * n1 + a - n0)
+                         for i in range(3)])
+        u = np.arange(m0 + m1)
+        der = np.where(u < m0, 3 * n0 + u, dim_even + 3 * n1 + u - m0)
+        return copy, der
+
+    def idx_copy(self, i: int, a: int) -> int:
+        return int(self._copy[i, a])
 
     def idx_der(self, parity: int, k: int) -> int:
-        if parity == 0:
-            return 3 * self.jalg.dim_even + k
-        return self.dim_even + 3 * (self.jalg.n - self.jalg.dim_even) + k
+        return int(self._der[k + parity * self.dspace.dims[0]])
+
+
+class TitsAlgebra(ThreeCopyAlgebra):
+    """Bracket structure on (so3 tensor J) + d; copy i is E_{i+1}
+    tensor J."""
+
+    def idx_tensor(self, i: int, a: int) -> int:
+        return self.idx_copy(i, a)
+
+
+class TkkAlgebra(ThreeCopyAlgebra):
+    """3-graded bracket structure on J_+1 + (L_J + Inder J) + J_-1; the
+    copies are the +1 copy, the -1 copy and the left multiplications."""
+
+    @property
+    def inder(self):
+        return self.dspace
+
+    def idx_plus(self, a: int) -> int:
+        return self.idx_copy(0, a)
+
+    def idx_minus(self, a: int) -> int:
+        return self.idx_copy(1, a)
+
+    def idx_lmult(self, a: int) -> int:
+        return self.idx_copy(2, a)
+
+
+def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
+                    dcoef, label_fmts, tags=None):
+    """The bracket table on three copies of J plus the derivations ds.
+
+    copies maps an ordered pair of copies (i, j) to (k, s), and dcoef
+    maps it to c: then [(i, a), (j, b)] = s (k, ab) + c D(a, b).  A
+    derivation acts on every copy, [d, (i, a)] = (i, d(a)), and the
+    reverse order follows by super antisymmetry.  label_fmts and tags
+    give each copy's label template and 3-grading tag, if any."""
+    f = jalg.field
+    n = jalg.n
+    par = jalg.parities
+    m0, m1 = ds.dims
+    copy, der = cls.layout(jalg, ds)
+    parts = []  # blocks of (rows, cols, outs, vals), see _coo_brackets
+
+    # D(a, b) in coordinates over ds
+    dco = np.zeros((n, n, m0 + m1), dtype=np.complex128)
+    for a, rows, par_ab in inner_derivation_rows(jalg):
+        for parity, off in ((0, 0), (1, m0)):
+            sel = par_ab == parity
+            co = ds.subspace(parity).coords_of(rows[sel])
+            if co is None:
+                raise ValueError("inner derivation escapes the derivation "
+                                 "space")
+            dco[a, sel, off:off + co.shape[1]] = co
+
+    t = jalg.work_tensor()
+    prod = np.nonzero(t)
+    dnz = np.nonzero(dco)
+    for (i, j), (k, s) in copies.items():
+        parts.append((copy[i, prod[0]], copy[j, prod[1]], copy[k, prod[2]],
+                      s * t[prod]))
+    for (i, j), c in dcoef.items():
+        parts.append((copy[i, dnz[0]], copy[j, dnz[1]], der[dnz[2]],
+                      c * dco[dnz]))
+
+    dbasis = ds.even_basis + ds.odd_basis
+    if dbasis:
+        dmats = np.stack([d.matrix for d in dbasis])
+        u, r, a = np.nonzero(dmats)
+        v = dmats[u, r, a]
+        sgn = np.where((u >= m0) & (par[a] == 1), -1.0, 1.0)
+        for i in range(3):
+            parts.append((der[u], copy[i, a], copy[i, r], v))
+            parts.append((copy[i, a], der[u], copy[i, r], -sgn * v))
+        brk = ds.structure_constants()
+        nz = np.nonzero(brk)
+        parts.append((der[nz[0]], der[nz[1]], der[nz[2]], brk[nz]))
+
+    labels = [""] * (3 * n + m0 + m1)
+    for i in range(3):
+        for a in range(n):
+            labels[copy[i, a]] = label_fmts[i].format(jalg.labels[a])
+    for u in range(m0 + m1):
+        labels[der[u]] = f"d{u}"
+    grading = None
+    if tags is not None:
+        g = np.zeros(len(labels), dtype=int)
+        for i in range(3):
+            g[copy[i]] = tags[i]
+        grading = g.tolist()
+    brackets = _coo_brackets(f, *(np.concatenate(x) for x in zip(*parts)))
+    return cls(f, labels, brackets, grading, jalg, ds)
+
+
+def _coo_brackets(f, rows, cols, outs, vals):
+    """Bracket dict from coordinate lists: [e_row, e_col] has the term
+    val e_out.  Zero terms are dropped; keys come in index order."""
+    vals = amod(f, np.asarray(vals, dtype=np.complex128))
+    keep = np.nonzero(vals)[0]
+    keep = keep[np.lexsort((outs[keep], cols[keep], rows[keep]))]
+    brackets = {}
+    for i, j, k, c in zip(rows[keep].tolist(), cols[keep].tolist(),
+                          outs[keep].tolist(), vals[keep].tolist()):
+        brackets.setdefault((i, j), []).append((k, c))
+    return brackets
 
 
 def tits_construction(jalg: SuperAlgebra, dspace: DerivationSpace,
@@ -143,141 +267,24 @@ def tits_construction(jalg: SuperAlgebra, dspace: DerivationSpace,
     Preconditions checked: the inner derivations sit inside d and d is
     closed under the super commutator.  Either failure raises.
     """
-    from .derivations import inner_derivation_algebra
-    f = jalg.field
-    n = jalg.n
-    n0 = jalg.dim_even
-    n1 = n - n0
     if inder is None:
         inder = inner_derivation_algebra(jalg)
     for par in (0, 1):
         if not dspace.subspace(par).contains(inder.subspace(par)):
             raise ValueError("derivation space misses inner derivations")
-    dbasis = [(0, m) for m in dspace.even_basis] + \
-             [(1, m) for m in dspace.odd_basis]
-    for _, d1 in dbasis:
-        for _, d2 in dbasis:
-            if not dspace.contains_map(super_commutator(d1, d2)):
-                raise ValueError("derivation space is not bracket closed")
-
-    m0, m1 = dspace.dims
-    dim_even = 3 * n0 + m0
-    dim_odd = 3 * n1 + m1
-    labels = [f"E{i + 1}*{jalg.labels[a]}" for i in range(3)
-              for a in range(n0)]
-    labels += [f"d{k}" for k in range(m0)]
-    labels += [f"E{i + 1}*{jalg.labels[a]}" for i in range(3)
-               for a in range(n0, n)]
-    labels += [f"d{m0 + k}" for k in range(m1)]
-
-    def idx_tensor(i, a):
-        return i * n0 + a if a < n0 else dim_even + i * n1 + (a - n0)
-
-    def idx_der(par, k):
-        return 3 * n0 + k if par == 0 else dim_even + 3 * n1 + k
-
-    par_j = jalg.parities
-    so3_bracket = {}
-    for i in range(3):
-        so3_bracket[(i, (i + 1) % 3)] = (((i + 2) % 3), 1)
-        so3_bracket[((i + 1) % 3, i)] = (((i + 2) % 3), -1)
-
-    dcoords = {}
-
-    def der_coords(mat, par):
-        key = (mat.tobytes(), par)
-        if key not in dcoords:
-            flat = mat.flatten(order="F")
-            co = dspace.subspace(par).coords_of(flat)
-            if co is None:
-                raise ValueError("inner derivation escapes the given space")
-            dcoords[key] = co
-        return dcoords[key]
-
-    from .superalg import inner_derivation
-    brackets = {}
-
-    def put(i, j, terms):
-        terms = [(k, c) for k, c in terms if f.reduce(c) != 0]
-        if terms:
-            brackets[(i, j)] = brackets.get((i, j), []) + terms
-
-    for a in range(n):
-        for b in range(n):
-            prod = jalg.products.get((a, b), [])
-            dmap = inner_derivation(jalg, jalg.basis_vector(a),
-                                    jalg.basis_vector(b))
-            par = (par_j[a] + par_j[b]) % 2
-            co = der_coords(amod(f, dmap.matrix), par)
-            dterms = [(idx_der(par, t), -co[t])
-                      for t in range(len(co)) if co[t] != 0]
-            for i in range(3):
-                for j in range(3):
-                    terms = []
-                    if (i, j) in so3_bracket:
-                        kE, sgn = so3_bracket[(i, j)]
-                        terms = [(idx_tensor(kE, k), sgn * c)
-                                 for k, c in prod]
-                    if i == j:
-                        terms = terms + dterms
-                    put(idx_tensor(i, a), idx_tensor(j, b), terms)
-
-    for t, (pd, dmap) in enumerate(dbasis):
-        kd_ = t if pd == 0 else t - m0
-        di = idx_der(pd, kd_)
-        for i in range(3):
-            for a in range(n):
-                col = dmap.matrix[:, a]
-                terms = [(idx_tensor(i, r), col[r])
-                         for r in range(n) if col[r] != 0]
-                put(di, idx_tensor(i, a), terms)
-                sgn = -1.0 if (pd and par_j[a]) else 1.0
-                put(idx_tensor(i, a), di,
-                    [(k, -sgn * c) for k, c in terms])
-
-    for t1, (p1, d1) in enumerate(dbasis):
-        for t2, (p2, d2) in enumerate(dbasis):
-            br = super_commutator(d1, d2)
-            co = der_coords(amod(f, br.matrix), br.parity)
-            i1 = idx_der(p1, t1 if p1 == 0 else t1 - m0)
-            i2 = idx_der(p2, t2 if p2 == 0 else t2 - m0)
-            put(i1, i2, [(idx_der(br.parity, t), c)
-                         for t, c in enumerate(co) if c != 0])
-
-    return TitsAlgebra(f, dim_even, dim_odd, labels, brackets, jalg, dspace)
+    # half the trace form of so3 is -1 on the diagonal
+    copies = {pair: term for pair, (term,) in so3(jalg.field).brackets.items()}
+    dcoef = {(i, i): -1 for i in range(3)}
+    return _three_copy_lie(TitsAlgebra, jalg, dspace, copies, dcoef,
+                           ("E1*{}", "E2*{}", "E3*{}"))
 
 
-class TkkAlgebra(LieSuperAlgebra):
-    """3-graded bracket structure on two shifted copies of J plus its
-    structure algebra, with index helpers."""
-
-    def __init__(self, field, dim_even, dim_odd, labels, brackets,
-                 grading, jalg, inder):
-        super().__init__(field, dim_even, dim_odd, labels, brackets,
-                         grading)
-        self.jalg = jalg
-        self.inder = inder
-
-    def _block(self, which: int, a: int) -> int:
-        n0 = self.jalg.dim_even
-        if a < n0:
-            return which * n0 + a
-        n1 = self.jalg.n - n0
-        return self.dim_even + which * n1 + (a - n0)
-
-    def idx_plus(self, a: int) -> int:
-        return self._block(0, a)
-
-    def idx_minus(self, a: int) -> int:
-        return self._block(1, a)
-
-    def idx_lmult(self, a: int) -> int:
-        return self._block(2, a)
-
-    def idx_der(self, parity: int, k: int) -> int:
-        if parity == 0:
-            return 3 * self.jalg.dim_even + k
-        return self.dim_even + 3 * (self.jalg.n - self.jalg.dim_even) + k
+# copies 0, 1, 2 are J_+1, J_-1 and L_J: [a_+, b_-] = L_ab + D(a, b),
+# [a_-, b_+] = -L_ab + D(a, b), [L_a, b_+-] = +-(ab)_+-,
+# [a_+-, L_b] = -+(ab)_+- and [L_a, L_b] = D(a, b)
+_TKK_COPIES = {(0, 1): (2, 1), (1, 0): (2, -1), (2, 0): (0, 1),
+               (2, 1): (1, -1), (0, 2): (0, -1), (1, 2): (1, 1)}
+_TKK_DCOEF = {(0, 1): 1, (1, 0): 1, (2, 2): 1}
 
 
 def tkk_3graded(jalg: SuperAlgebra,
@@ -289,131 +296,21 @@ def tkk_3graded(jalg: SuperAlgebra,
     kept separate; their intersection is checked to be zero rather
     than assumed (for a unital algebra a left multiplication never
     kills the unit unless it is zero)."""
-    from .derivations import inner_derivation_algebra
-    from .superalg import inner_derivation
     f = jalg.field
     n = jalg.n
-    n0 = jalg.dim_even
-    n1 = n - n0
     if jalg.unit_index is None:
         raise ValueError("the construction needs a unital algebra")
     if inder is None:
         inder = inner_derivation_algebra(jalg)
-    m0, m1 = inder.dims
-
-    lmats = [jalg.left_mult(jalg.basis_vector(a)).matrix for a in range(n)]
-    stacked = np.stack(
-        [m.flatten(order="F") for m in lmats]
-        + [d.flatten() for d in inder.even_basis + inder.odd_basis])
-    if rank(f, stacked) != n + m0 + m1:
+    # row a of the reshaped tensor is L_a flattened column-major
+    stacked = np.vstack([jalg.tensor().reshape(n, n * n)]
+                        + [d.flatten()
+                           for d in inder.even_basis + inder.odd_basis])
+    if rank(f, stacked) != n + inder.dim:
         raise ValueError("multiplication operators overlap the inner "
                          "derivations")
-
-    dim_even = 3 * n0 + m0
-    dim_odd = 3 * n1 + m1
-
-    def idx_plus(a):
-        return a if a < n0 else dim_even + (a - n0)
-
-    def idx_minus(a):
-        return n0 + a if a < n0 else dim_even + n1 + (a - n0)
-
-    def idx_lmult(a):
-        return 2 * n0 + a if a < n0 else dim_even + 2 * n1 + (a - n0)
-
-    def idx_der(par, k):
-        return 3 * n0 + k if par == 0 else dim_even + 3 * n1 + k
-
-    labels = [f"{jalg.labels[a]}(+)" for a in range(n0)]
-    labels += [f"{jalg.labels[a]}(-)" for a in range(n0)]
-    labels += [f"L[{jalg.labels[a]}]" for a in range(n0)]
-    labels += [f"d{k}" for k in range(m0)]
-    labels += [f"{jalg.labels[a]}(+)" for a in range(n0, n)]
-    labels += [f"{jalg.labels[a]}(-)" for a in range(n0, n)]
-    labels += [f"L[{jalg.labels[a]}]" for a in range(n0, n)]
-    labels += [f"d{m0 + k}" for k in range(m1)]
-    grading = [0] * (dim_even + dim_odd)
-    for a in range(n):
-        grading[idx_plus(a)] = 1
-        grading[idx_minus(a)] = -1
-
-    par_j = jalg.parities
-    dbasis = [(0, m) for m in inder.even_basis] + \
-             [(1, m) for m in inder.odd_basis]
-
-    dcoords = {}
-
-    def der_coords(mat, par):
-        key = (mat.tobytes(), par)
-        if key not in dcoords:
-            co = inder.subspace(par).coords_of(mat.flatten(order="F"))
-            if co is None:
-                raise ValueError("bracket escapes the inner derivations")
-            dcoords[key] = co
-        return dcoords[key]
-
-    brackets = {}
-
-    def put(i, j, terms):
-        terms = [(k, c) for k, c in terms if f.reduce(c) != 0]
-        if terms:
-            brackets[(i, j)] = brackets.get((i, j), []) + terms
-
-    for a in range(n):
-        for b in range(n):
-            sgn_ab = -1.0 if (par_j[a] and par_j[b]) else 1.0
-            prod = jalg.products.get((a, b), [])
-            # [a_+, b_-] = L_{ab} + D(a, b), and the flipped order
-            dmap = inner_derivation(jalg, jalg.basis_vector(a),
-                                    jalg.basis_vector(b))
-            par = (par_j[a] + par_j[b]) % 2
-            co = der_coords(amod(f, dmap.matrix), par)
-            terms = [(idx_lmult(k), c) for k, c in prod]
-            terms += [(idx_der(par, t), co[t])
-                      for t in range(len(co)) if co[t] != 0]
-            put(idx_plus(a), idx_minus(b), terms)
-            put(idx_minus(b), idx_plus(a),
-                [(k, -sgn_ab * c) for k, c in terms])
-            # [L_a, b_+] = (ab)_+ and [L_a, b_-] = -(ab)_-
-            plus_terms = [(idx_plus(k), c) for k, c in prod]
-            minus_terms = [(idx_minus(k), -c) for k, c in prod]
-            put(idx_lmult(a), idx_plus(b), plus_terms)
-            put(idx_plus(b), idx_lmult(a),
-                [(k, -sgn_ab * c) for k, c in plus_terms])
-            put(idx_lmult(a), idx_minus(b), minus_terms)
-            put(idx_minus(b), idx_lmult(a),
-                [(k, -sgn_ab * c) for k, c in minus_terms])
-            # [L_a, L_b] = D(a, b)
-            put(idx_lmult(a), idx_lmult(b),
-                [(idx_der(par, t), co[t])
-                 for t in range(len(co)) if co[t] != 0])
-
-    for t, (pd, dmap) in enumerate(dbasis):
-        kk = t if pd == 0 else t - m0
-        di = idx_der(pd, kk)
-        for a in range(n):
-            col = dmap.matrix[:, a]
-            sgn = -1.0 if (pd and par_j[a]) else 1.0
-            for mk, idx in ((idx_plus, idx_plus), (idx_minus, idx_minus)):
-                terms = [(idx(r), col[r]) for r in range(n) if col[r] != 0]
-                put(di, mk(a), terms)
-                put(mk(a), di, [(k, -sgn * c) for k, c in terms])
-            lterms = [(idx_lmult(r), col[r]) for r in range(n)
-                      if col[r] != 0]
-            put(di, idx_lmult(a), lterms)
-            put(idx_lmult(a), di, [(k, -sgn * c) for k, c in lterms])
-
-    for t1, (p1, d1) in enumerate(dbasis):
-        for t2, (p2, d2) in enumerate(dbasis):
-            br = super_commutator(d1, d2)
-            co = der_coords(amod(f, br.matrix), br.parity)
-            put(idx_der(p1, t1 if p1 == 0 else t1 - m0),
-                idx_der(p2, t2 if p2 == 0 else t2 - m0),
-                [(idx_der(br.parity, t), c)
-                 for t, c in enumerate(co) if c != 0])
-
-    return TkkAlgebra(f, dim_even, dim_odd, labels, brackets, grading,
-                      jalg, inder)
+    return _three_copy_lie(TkkAlgebra, jalg, inder, _TKK_COPIES, _TKK_DCOEF,
+                           ("{}(+)", "{}(-)", "L[{}]"), tags=(1, -1, 0))
 
 
 @dataclass
@@ -498,23 +395,12 @@ def sl2_identification(tits: TitsAlgebra, tkk: TkkAlgebra) -> ExplicitIso:
 def lie_from_derivations(ds: DerivationSpace) -> LieSuperAlgebra:
     """A derivation space as an abstract Lie superalgebra over its
     canonical basis, brackets expressed in coordinates."""
-    f = ds.algebra.field
     m0, m1 = ds.dims
-    basis = [(0, m) for m in ds.even_basis] + [(1, m) for m in ds.odd_basis]
-    brackets = {}
-    for t1, (_, d1) in enumerate(basis):
-        for t2, (_, d2) in enumerate(basis):
-            br = super_commutator(d1, d2)
-            co = ds.subspace(br.parity).coords_of(
-                amod(f, br.matrix).flatten(order="F"))
-            if co is None:
-                raise ValueError("derivation space is not bracket closed")
-            off = 0 if br.parity == 0 else m0
-            terms = [(off + t, c) for t, c in enumerate(co) if c != 0]
-            if terms:
-                brackets[(t1, t2)] = terms
-    labels = [f"D{k}" for k in range(m0 + m1)]
-    lie = LieSuperAlgebra(f, m0, m1, labels, brackets)
+    c = ds.structure_constants()
+    nz = np.nonzero(c)
+    lie = LieSuperAlgebra(ds.algebra.field, m0, m1,
+                          [f"D{k}" for k in range(m0 + m1)],
+                          _coo_brackets(ds.algebra.field, *nz, c[nz]))
     lie.space = ds
     return lie
 

@@ -85,6 +85,10 @@ def test_subspace_operations_frozen():
     co = a.coords_of([2, 3, 0])
     assert np.array_equal(co, [2, 3])
     assert a.coords_of([0, 0, 1]) is None
+    # rows are taken one by one, and one row outside is enough for None
+    assert np.array_equal(a.coords_of([[2, 3, 0], [0, 1, 0]]), [[2, 3], [0, 1]])
+    assert a.coords_of([[2, 3, 0], [0, 0, 1]]) is None
+    assert Subspace(F5, 3).coords_of([[0, 0, 0]]).shape == (1, 0)
 
 
 @pytest.mark.parametrize("field", [FieldSpec(3), F5, FieldSpec(13), F9])

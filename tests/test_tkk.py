@@ -7,11 +7,12 @@ import pytest
 
 from ckder import (FieldSpec, DerivationSpace, amod, build_s4, cheng_kac,
                    check_3grading, check_super_lie, coordinate_algebra,
-                   derivation_algebra, find_sl2_triple,
+                   derivation_algebra, find_sl2_triple, inner_derivation,
                    inner_derivation_algebra, kantor_double,
                    lie_from_derivations, phi_iso, phi_star, der_as_tkk,
                    sl2_identification, so3, stable_der_double,
-                   tits_construction, tkk_3graded, truncated_poly)
+                   super_commutator, tits_construction, tkk_3graded,
+                   truncated_poly)
 from ckder.tkk import LieSuperAlgebra
 
 F3 = FieldSpec(3)
@@ -116,6 +117,8 @@ def test_tensor_construction_needs_inner_derivations(kd3):
     empty = DerivationSpace(kd3.alg, [], [])
     with pytest.raises(ValueError, match="misses inner"):
         tits_construction(kd3.alg, empty)
+    with pytest.raises(ValueError, match="escapes"):
+        tkk_3graded(kd3.alg, empty)
 
 
 def test_three_graded_double(kd3, tkk3):
@@ -150,6 +153,118 @@ def test_three_graded_big_algebra():
     assert sum(1 for g in tags if g == 1) == 24
     assert sum(1 for g in tags if g == -1) == 24
     assert sum(1 for g in tags if g == 0) == 48
+
+
+def _perturbed(lie, i, j, both_orders):
+    """lie with one constant of [e_i, e_j] raised by one, and [e_j, e_i]
+    rewritten to match by super antisymmetry when both_orders is set."""
+    brackets = {key: list(terms) for key, terms in lie.brackets.items()}
+    k, c = brackets[(i, j)][0]
+    brackets[(i, j)][0] = (k, c + 1)
+    if both_orders:
+        sign = -1 if lie.parity(i) and lie.parity(j) else 1
+        brackets[(j, i)] = [(k, -sign * c) for k, c in brackets[(i, j)]]
+    return LieSuperAlgebra(lie.field, lie.dim_even, lie.dim_odd, lie.labels,
+                           brackets, lie.grading)
+
+
+def test_super_lie_check_catches_a_perturbed_constant(kd3, tkk3):
+    u = kd3.alg.unit_index
+    i, j = tkk3.idx_plus(u), tkk3.idx_minus(u)
+    v = check_super_lie(_perturbed(tkk3, i, j, both_orders=True))
+    assert not v
+    assert v.witness["identity"] == "jacobi"
+    assert len(v.witness["triple"]) == 3
+    v = check_super_lie(_perturbed(tkk3, i, j, both_orders=False))
+    assert not v
+    assert v.witness["identity"] == "anticommutativity"
+    assert v.witness["pair"] == [i, j]
+
+
+def _cross(i, j):
+    """E_i x E_j over the cyclic basis, as (k, sign), or None."""
+    e = np.eye(3, dtype=int)
+    v = np.cross(e[i], e[j])
+    return None if not v.any() else (int(np.flatnonzero(v)[0]),
+                                     int(v.sum()))
+
+
+# [(i, a), (j, b)] = s (k, ab) + c D(a, b), keyed by the copy pair (i, j)
+# and valued ((k, s) or None, c), read off the defining formulas
+TITS_FORMULAS = {(i, j): (_cross(i, j), -1 if i == j else 0)
+                 for i in range(3) for j in range(3)}
+PLUS, MINUS, LMULT = 0, 1, 2
+TKK_FORMULAS = {
+    (PLUS, MINUS): ((LMULT, 1), 1), (MINUS, PLUS): ((LMULT, -1), 1),
+    (LMULT, PLUS): ((PLUS, 1), 0), (LMULT, MINUS): ((MINUS, -1), 0),
+    (PLUS, LMULT): ((PLUS, -1), 0), (MINUS, LMULT): ((MINUS, 1), 0),
+    (LMULT, LMULT): (None, 1),
+    (PLUS, PLUS): (None, 0), (MINUS, MINUS): (None, 0),
+}
+
+
+def _assert_brackets_follow(lie, ds, formulas):
+    """Every bracket of a three-copy construction, entry by entry,
+    against the formulas evaluated with the dense primitives."""
+    jalg, f = lie.jalg, lie.field
+    n = jalg.n
+    dbasis = ds.even_basis + ds.odd_basis
+
+    def copy_vec(i, x):
+        v = np.zeros(lie.n, dtype=np.complex128)
+        for a in range(n):
+            v[lie.idx_copy(i, a)] = x[a]
+        return v
+
+    def der_vec(d):
+        co = ds.subspace(d.parity).coords_of(d.flatten())
+        assert co is not None
+        v = np.zeros(lie.n, dtype=np.complex128)
+        for t, c in enumerate(co):
+            v[lie.idx_der(d.parity, t)] = c
+        return v
+
+    elems = [(lie.idx_copy(i, a), ("copy", i, a))
+             for i in range(3) for a in range(n)]
+    elems += [(lie.idx_der(d.parity, t - d.parity * len(ds.even_basis)),
+               ("der", d)) for t, d in enumerate(dbasis)]
+    assert sorted(x for x, _ in elems) == list(range(lie.n))
+    for x, ex in elems:
+        for y, ey in elems:
+            if ex[0] == "copy" and ey[0] == "copy":
+                (_, i, a), (_, j, b) = ex, ey
+                prod, c = formulas[(i, j)]
+                ea, eb = jalg.basis_vector(a), jalg.basis_vector(b)
+                want = c * der_vec(inner_derivation(jalg, ea, eb))
+                if prod is not None:
+                    k, s = prod
+                    want = want + s * copy_vec(k, jalg.multiply(ea, eb))
+            elif ex[0] == "der" and ey[0] == "copy":
+                d, (_, i, a) = ex[1], ey
+                want = copy_vec(i, d(jalg.basis_vector(a)))
+            elif ex[0] == "copy":
+                (_, i, a), d = ex, ey[1]
+                sign = -1 if d.parity and jalg.parity(a) else 1
+                want = -sign * copy_vec(i, d(jalg.basis_vector(a)))
+            else:
+                want = der_vec(super_commutator(ex[1], ey[1]))
+            got = lie.multiply(basis_vec(lie, x), basis_vec(lie, y))
+            assert np.array_equal(got, amod(f, want)), \
+                (lie.labels[x], lie.labels[y])
+
+
+@pytest.mark.parametrize("field", [F3, F9], ids=str)
+def test_brackets_follow_the_defining_formulas(field):
+    """Both constructions over the double, every bracket checked: the
+    tensor one over the full derivation algebra (odd excess included),
+    the 3-graded one over the inner derivations."""
+    kd = kantor_double(truncated_poly(field))
+    der = derivation_algebra(kd.alg)
+    inder = inner_derivation_algebra(kd.alg)
+    _assert_brackets_follow(tits_construction(kd.alg, der, inder=inder),
+                            der, TITS_FORMULAS)
+    _assert_brackets_follow(tkk_3graded(kd.alg, inder), inder,
+                            TKK_FORMULAS)
 
 
 def test_grading_check_flags_violations(tkk3):
