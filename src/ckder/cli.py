@@ -19,7 +19,6 @@ from . import __version__
 from .battery import (DEFAULT_MAX_P, GENERIC_DER_MAX_P, GROUPS, RunContext,
                       field_label, run_battery)
 from .constructions import differential_to_json
-from .derivations import grade_derivations
 from .field import is_odd_prime
 from .tkk import so3, tkk_3graded
 
@@ -106,9 +105,8 @@ def cmd_dims(args, parser) -> int:
     der_k = ctx.der_k(f)
     inder_k = ctx.inder_k(f)
     inder_j = ctx.inder_j(f, "w")
-    capped = p > GENERIC_DER_MAX_P
-    der_j = inder_j if capped else ctx.der_j(f, "w")[0]
-    graded = grade_derivations(der_j)
+    der_j, how = ctx.der_j(f, "w")
+    graded = ctx.graded_j(f, "w")
 
     print(f"p = {p}  (base field {field_label(f)}, "
           f"sqrt field {field_label(ctx.sqrt)})")
@@ -117,7 +115,7 @@ def cmd_dims(args, parser) -> int:
     print(f"Der(K)   = {_fmt_dims(der_k.dims)}    "
           f"Inder(K) = {_fmt_dims(inder_k.dims)}")
     der_j_note = "  (inner span; full solve capped at "\
-        f"p <= {GENERIC_DER_MAX_P})" if capped else ""
+        f"p <= {GENERIC_DER_MAX_P})" if how == "inner-span" else ""
     print(f"Der(J)   = {_fmt_dims(der_j.dims)}{der_j_note}")
     print(f"Inder(J) = {_fmt_dims(inder_j.dims)}")
     print("fine components of Der(J), w basis:")

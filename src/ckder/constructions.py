@@ -76,9 +76,9 @@ def truncated_poly(field: FieldSpec, p: int | None = None) -> DifferentialAlgebr
     for i in range(p):
         for j in range(p):
             if i + j < p:
-                products[(i, j)] = [(i + j, 1.0 + 0j)]
+                products[(i, j)] = [(i + j, 1)]
     z = SuperAlgebra(field, p, 0, labels, products, unit_index=0)
-    dm = np.zeros((p, p), dtype=np.complex128)
+    dm = np.zeros((p, p), dtype=field.dtype)
     for k in range(1, p):
         dm[k - 1, k] = k % field.p
     delta = LinearMap(z, z, 0, dm)
@@ -94,9 +94,9 @@ def quadratic_jordan(field: FieldSpec) -> SuperAlgebra:
     """The Jordan algebra F1 + Fw1 + Fw2 + Fw3 of the quadratic form
     with w1^2 = w2^2 = 1 = -w3^2 and wi wj = 0 for i != j."""
     labels = ["1", "w1", "w2", "w3"]
-    products = {(0, i): [(i, 1.0 + 0j)] for i in range(4)}
+    products = {(0, i): [(i, 1)] for i in range(4)}
     for i in range(1, 4):
-        products[(i, 0)] = [(i, 1.0 + 0j)]
+        products[(i, 0)] = [(i, 1)]
         products[(i, i)] = [(0, field.reduce(_QUAD_SQUARES[i - 1]))]
     return SuperAlgebra(field, 4, 0, labels, products, unit_index=0)
 
@@ -263,7 +263,7 @@ def cheng_kac(dalg: DifferentialAlgebra, basis: str = "w") -> ChengKac:
 
     for i in range(dz):
         for j in range(dz):
-            fg = _vecmul(z, _basis(dz, i), j)
+            fg = z.tensor()[i, j]                   # f g
             dfg = _vecmul(z, dm[:, i], j)           # delta(f) g
             # even * even
             put(ei(0, i), ei(0, j), vec_terms(fg, lambda k: ei(0, k)))
@@ -308,12 +308,6 @@ def cheng_kac(dalg: DifferentialAlgebra, basis: str = "w") -> ChengKac:
     return ChengKac(alg, dalg, basis)
 
 
-def _basis(n, i):
-    v = np.zeros(n, dtype=np.complex128)
-    v[i] = 1.0
-    return v
-
-
 def w_to_v_change(ck_w: ChengKac, ck_v: ChengKac | None = None) -> LinearMap:
     """The isomorphism from the w-basis algebra to the v-basis algebra
     over the same field: 1 -> 1, w_1 -> -i v_1, w_2 -> -i v_2,
@@ -335,7 +329,7 @@ def w_to_v_change(ck_w: ChengKac, ck_v: ChengKac | None = None) -> LinearMap:
     coeffs_even = [f.one, mi, mi, f.one]
     coeffs_odd = [f.one, mi, mi, f.one]
     n = ck_w.alg.n
-    m = np.zeros((n, n), dtype=np.complex128)
+    m = np.zeros((n, n), dtype=f.dtype)
     for fam in range(4):
         for k in range(dz):
             m[ck_v.even_index(fam, k), ck_w.even_index(fam, k)] = \
@@ -365,7 +359,7 @@ def odd_part_squares_to_even(a: SuperAlgebra) -> Verdict:
     odd = t[n0:, n0:, :]
     span = Subspace(a.field, a.n, odd.reshape(-1, a.n))
     want = Subspace(a.field, a.n,
-                    np.eye(a.n, dtype=np.complex128)[:n0])
+                    np.eye(a.n, dtype=a.field.dtype)[:n0])
     ok = span.equals(want)
     return Verdict(ok, None if ok else {"got_dim": span.dim,
                                         "want_dim": n0})

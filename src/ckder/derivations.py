@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .linalg import Eliminator, Subspace, amod, kernel, solve_right
+from .linalg import Eliminator, Subspace, amod, asfield, kernel, solve_right
 from .superalg import (LinearMap, SuperAlgebra, inner_derivation_rows,
                        is_derivation, super_commutator_rows)
 
@@ -36,8 +36,6 @@ class DerivationSpace:
     def __init__(self, algebra: SuperAlgebra, even_maps, odd_maps,
                  canonicalize: bool = True, validate: bool = True):
         self.algebra = algebra
-        f = algebra.field
-        n = algebra.n
         if canonicalize:
             even_maps = self._canon(even_maps, 0)
             odd_maps = self._canon(odd_maps, 1)
@@ -97,12 +95,11 @@ class DerivationSpace:
         f = self.algebra.field
         basis = self.even_basis + self.odd_basis
         m0, m = len(self.even_basis), len(basis)
-        c = np.zeros((m, m, m), dtype=np.complex128)
+        c = np.zeros((m, m, m), dtype=f.dtype)
         if m:
             mats = np.stack([d.matrix for d in basis])
             par = np.asarray([d.parity for d in basis])
-            for s, rows, par_st in super_commutator_rows(
-                    f, mats if f.ext else mats.real, par):
+            for s, rows, par_st in super_commutator_rows(f, mats, par):
                 for parity, off in ((0, 0), (1, m0)):
                     sel = par_st == parity
                     co = self.subspace(parity).coords_of(rows[sel])
@@ -152,39 +149,34 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
         nonlocal flushed
         if not buf_rows:
             return
-        block = np.zeros((len(buf_rows), nu),
-                         dtype=np.float64 if not f.ext else np.complex128)
+        block = np.zeros((len(buf_rows), nu), dtype=f.dtype)
         for t, row in enumerate(buf_rows):
             for u, c in row.items():
-                block[t, u] = c if f.ext else c.real
+                block[t, u] = c
         elim.add_rows(block)
         buf_rows.clear()
         flushed += 1
 
     limit = schedule[0]
-    real = not f.ext
     for i in range(n):
         si = -1.0 if (parity and par[i]) else 1.0
         for j in range(n):
             rows: dict[int, dict] = {}
             for k, c in a.products.get((i, j), []):
-                cc = c.real if real else c
                 for r in targets_for[k]:
                     rows.setdefault(r, {})
                     u = uidx[(r, k)]
-                    rows[r][u] = rows[r].get(u, 0) + cc
+                    rows[r][u] = rows[r].get(u, 0) + c
             for m in targets_for[i]:
                 for r, c in a.products.get((m, j), []):
-                    cc = c.real if real else c
                     rows.setdefault(r, {})
                     u = uidx[(m, i)]
-                    rows[r][u] = rows[r].get(u, 0) - cc
+                    rows[r][u] = rows[r].get(u, 0) - c
             for m in targets_for[j]:
                 for r, c in a.products.get((i, m), []):
-                    cc = c.real if real else c
                     rows.setdefault(r, {})
                     u = uidx[(m, j)]
-                    rows[r][u] = rows[r].get(u, 0) - si * cc
+                    rows[r][u] = rows[r].get(u, 0) - si * c
             for r in sorted(rows):
                 buf_rows.append(rows[r])
             if len(buf_rows) >= limit:
@@ -194,7 +186,7 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     kern = elim.kernel_rows()
     maps = []
     for row in kern:
-        flat = np.zeros(n * n, dtype=np.complex128)
+        flat = np.zeros(n * n, dtype=f.dtype)
         for t, (r, c) in enumerate(allowed):
             flat[c * n + r] = row[t]
         maps.append(LinearMap.from_flat(a, a, parity, flat, check=False))
@@ -237,7 +229,7 @@ def inner_derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
 
 def _mult_matrix(z: SuperAlgebra, a):
     """Multiplication by the element a of the commutative algebra Z."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = asfield(z.field, a)
     return amod(z.field, np.einsum("i,icr->rc", a, z.tensor()))
 
 
@@ -250,7 +242,7 @@ def lift_even_der(kd: KantorDouble, mu) -> LinearMap:
     """
     z = kd.dalg.z
     f = z.field
-    mu = amod(f, np.asarray(mu, dtype=np.complex128))
+    mu = asfield(f, mu)
     v = is_derivation(z, LinearMap(z, z, 0, mu))
     if not v:
         raise ValueError(f"mu is not a derivation of Z: {v.witness}")
@@ -258,12 +250,12 @@ def lift_even_der(kd: KantorDouble, mu) -> LinearMap:
     comm = amod(f, mu @ dm - dm @ mu)
     dz = z.n
     cols = np.stack([
-        amod(f, 2.0 * _mult_matrix(z, _unit_vec(dz, k)) @ dm).flatten(order="F")
+        amod(f, 2.0 * z.tensor()[k].T @ dm).flatten(order="F")
         for k in range(dz)], axis=1)
     avec = solve_right(f, cols, comm.flatten(order="F"))
     if avec is None:
         raise ValueError("[mu, delta] is not in 2 Z delta")
-    m = np.zeros((2 * dz, 2 * dz), dtype=np.complex128)
+    m = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
     m[:dz, :dz] = mu
     m[dz:, dz:] = amod(f, mu + _mult_matrix(z, avec))
     out = LinearMap(kd.alg, kd.alg, 0, m)
@@ -275,7 +267,7 @@ def odd_der_eta(kd: KantorDouble, a) -> LinearMap:
     """The odd derivation vanishing on Z with x -> a, fx -> f a."""
     z = kd.dalg.z
     dz = z.n
-    m = np.zeros((2 * dz, 2 * dz), dtype=np.complex128)
+    m = np.zeros((2 * dz, 2 * dz), dtype=z.field.dtype)
     m[:dz, dz:] = _mult_matrix(z, a)
     out = LinearMap(kd.alg, kd.alg, 1, m)
     _assert_der(kd.alg, out)
@@ -295,27 +287,21 @@ def odd_der_char3(kd: KantorDouble, mu, check: bool = True) -> LinearMap:
     f = z.field
     if f.p != 3:
         raise ValueError("this derivation exists only in characteristic 3")
-    mu = amod(f, np.asarray(mu, dtype=np.complex128))
+    mu = asfield(f, mu)
     dm = kd.dalg.delta.matrix
     dz = z.n
     cols = np.stack([
-        amod(f, _mult_matrix(z, _unit_vec(dz, k)) @ dm).flatten(order="F")
+        amod(f, z.tensor()[k].T @ dm).flatten(order="F")
         for k in range(dz)], axis=1)
     if solve_right(f, cols, mu.flatten(order="F")) is None:
         raise ValueError("mu is not in Z delta")
-    m = np.zeros((2 * dz, 2 * dz), dtype=np.complex128)
+    m = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
     m[dz:, :dz] = mu
     m[:dz, dz:] = amod(f, dm @ mu)
     out = LinearMap(kd.alg, kd.alg, 1, m)
     if check:
         _assert_der(kd.alg, out)
     return out
-
-
-def _unit_vec(n, k):
-    v = np.zeros(n, dtype=np.complex128)
-    v[k] = 1.0
-    return v
 
 
 def _assert_der(a, d):
@@ -342,7 +328,7 @@ def extend_even_der(ck: ChengKac, dk: LinearMap) -> LinearMap:
     avec = amod(f, dk.matrix[dz:, dz + z.unit_index])
     ma = _mult_matrix(z, avec)
     n = ck.alg.n
-    m = np.zeros((n, n), dtype=np.complex128)
+    m = np.zeros((n, n), dtype=f.dtype)
     for fam in range(4):
         rows = np.asarray(ck.even_family(fam), dtype=np.intp)
         m[np.ix_(rows, rows)] = mu
@@ -363,7 +349,7 @@ def extend_odd_eta(ck: ChengKac, a) -> LinearMap:
     f = z.field
     ma = _mult_matrix(z, a)
     n = ck.alg.n
-    m = np.zeros((n, n), dtype=np.complex128)
+    m = np.zeros((n, n), dtype=f.dtype)
     zrows = np.asarray(ck.even_family(0), dtype=np.intp)
     xcols = np.asarray(ck.odd_family(0), dtype=np.intp)
     m[np.ix_(zrows, xcols)] = ma
@@ -432,7 +418,7 @@ def grade_derivations(ds: DerivationSpace) -> GradedDerivations:
             if banned:
                 lam = solve_kernel_rows(f, v[:, np.asarray(banned, dtype=np.intp)])
             else:
-                lam = np.eye(len(maps), dtype=np.complex128)
+                lam = np.eye(len(maps), dtype=f.dtype)
             rows = amod(f, lam @ v)
             e = Eliminator(f, n * n)
             e.add_rows(rows)

@@ -1,13 +1,22 @@
 """Arithmetic in F_p and F_p[u]/(u^2+1) for odd primes p.
 
-Scalars are Gaussian integers stored as Python/NumPy complex values: the
-residue a0 + a1*u is the complex number a0 + a1j with both components
-canonically reduced into {0, ..., p-1}.  Complex multiplication computes
-(a0*b0 - a1*b1) + (a0*b1 + a1*b0)j, which is exactly the product in
-F_p[u]/(u^2+1) before reduction.  Components of any intermediate value in
-this package stay far below 2**53, so float64 components are exact, and
-complex128 arrays give exact field arithmetic and fast BLAS contractions
-at the same time.
+The field decides how its elements are stored, once: FieldSpec.dtype is
+float64 for F_p and complex128 for F_p[u]/(u^2+1), and every array the
+package builds holds elements in that dtype.  Scalars follow the same
+rule: a prime-field element is a Python float, an extension element a
+Python complex, so a scalar can be stored into a field array without a
+cast.
+
+Components are canonically reduced into {0, ..., p-1}.  The extension
+element a0 + a1*u is the complex number a0 + a1j, and complex
+multiplication computes (a0*b0 - a1*b1) + (a0*b1 + a1*b0)j, which is
+exactly the product in F_p[u]/(u^2+1) before reduction.  Components of
+any intermediate value in this package stay far below 2**53, so float64
+components are exact, and these arrays give exact field arithmetic and
+fast BLAS contractions at the same time.
+
+FieldSpec.array is the one place where input of another dtype is cast:
+it refuses a nonzero u component headed for a prime field.
 
 The quadratic extension is only offered when u^2 = -1 is irreducible,
 i.e. p = 3 (mod 4); for p = 1 (mod 4) the base field already contains a
@@ -17,6 +26,8 @@ square root of -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -56,49 +67,72 @@ class FieldSpec:
     def __str__(self):
         return f"F{self.p}[u]" if self.ext else f"F{self.p}"
 
+    # -- element type ----------------------------------------------------
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The array dtype holding elements of this field."""
+        return np.dtype(np.complex128 if self.ext else np.float64)
+
+    def array(self, a) -> np.ndarray:
+        """a as an array of this field's dtype, not yet reduced mod p.
+
+        Raises FieldError when a nonzero u component (mod p) would reach
+        a prime field."""
+        a = np.asarray(a)
+        if a.dtype == self.dtype:
+            return a
+        if not self.ext and a.dtype.kind == "c":
+            if np.any(np.round(a.imag) % self.p):
+                raise FieldError(f"{self} has no u component")
+            a = a.real
+        return a.astype(self.dtype)
+
     # -- scalar construction and canonical form --------------------------
 
-    def scalar(self, a0: int, a1: int = 0) -> complex:
-        if a1 % self.p and not self.ext:
+    def scalar(self, a0: int, a1: int = 0) -> float | complex:
+        if self.ext:
+            return complex(a0 % self.p, a1 % self.p)
+        if a1 % self.p:
             raise FieldError(f"{self} has no u component")
-        return complex(a0 % self.p, a1 % self.p)
+        return float(a0 % self.p)
 
-    def reduce(self, x) -> complex:
+    def reduce(self, x) -> float | complex:
         x = complex(x)
-        return complex(round(x.real) % self.p, round(x.imag) % self.p)
+        return self.scalar(round(x.real), round(x.imag))
 
     @property
-    def zero(self) -> complex:
-        return 0j
+    def zero(self) -> float | complex:
+        return self.scalar(0)
 
     @property
-    def one(self) -> complex:
-        return complex(1)
+    def one(self) -> float | complex:
+        return self.scalar(1)
 
     def elements(self):
         rng = range(self.p)
         if self.ext:
-            return (complex(a, b) for a in rng for b in rng)
-        return (complex(a) for a in rng)
+            return (self.scalar(a, b) for a in rng for b in rng)
+        return (self.scalar(a) for a in rng)
 
     # -- arithmetic ------------------------------------------------------
 
-    def add(self, x, y) -> complex:
+    def add(self, x, y) -> float | complex:
         return self.reduce(complex(x) + complex(y))
 
-    def sub(self, x, y) -> complex:
+    def sub(self, x, y) -> float | complex:
         return self.reduce(complex(x) - complex(y))
 
-    def mul(self, x, y) -> complex:
+    def mul(self, x, y) -> float | complex:
         return self.reduce(complex(x) * complex(y))
 
-    def neg(self, x) -> complex:
+    def neg(self, x) -> float | complex:
         return self.reduce(-complex(x))
 
     def eq(self, x, y) -> bool:
         return self.reduce(x) == self.reduce(y)
 
-    def inv(self, x) -> complex:
+    def inv(self, x) -> float | complex:
         """Multiplicative inverse, via (a+bu)^-1 = (a-bu)/(a^2+b^2)."""
         x = self.reduce(x)
         a0, a1 = round(x.real), round(x.imag)
@@ -106,9 +140,9 @@ class FieldSpec:
         if n == 0:
             raise ZeroDivisionError(f"inverse of zero in {self}")
         ninv = pow(n, -1, self.p)
-        return complex((a0 * ninv) % self.p, (-a1 * ninv) % self.p)
+        return self.scalar(a0 * ninv, -a1 * ninv)
 
-    def sqrt_minus_one(self) -> complex:
+    def sqrt_minus_one(self) -> float | complex:
         """The canonical square root of -1.
 
         For p = 1 (mod 4) this is the representative in {1,...,(p-1)/2};
@@ -122,7 +156,7 @@ class FieldSpec:
                 f"-1 is not a square in {self}; use the quadratic extension")
         for i in range(1, (self.p - 1) // 2 + 1):
             if (i * i + 1) % self.p == 0:
-                return complex(i)
+                return self.scalar(i)
         raise AssertionError("unreachable for prime p = 1 (mod 4)")
 
     # -- serialization ---------------------------------------------------
@@ -140,7 +174,7 @@ class FieldSpec:
             return [round(x.real), round(x.imag)]
         return [round(x.real)]
 
-    def scalar_from_json(self, obj) -> complex:
+    def scalar_from_json(self, obj) -> float | complex:
         if len(obj) == 1:
             return self.scalar(int(obj[0]))
         return self.scalar(int(obj[0]), int(obj[1]))

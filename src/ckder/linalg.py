@@ -1,16 +1,19 @@
 """Exact dense/blocked linear algebra over FieldSpec scalars.
 
-Matrices are NumPy arrays of Gaussian-integer values, reduced mod p
-after every operation.  Prime fields run on float64 internally (all
-imaginary parts are zero there); the quadratic extension runs on
-complex128.  Either way the arithmetic is exact: components are bounded
-by p**2 times the contraction length, far below 2**53.
+Matrices are NumPy arrays in the dtype their field picks
+(FieldSpec.dtype), reduced mod p after every operation.  Every array
+made or returned here, from eliminator rows to subspace bases and
+solutions, has that dtype, and no routine branches on it.  The
+arithmetic is exact: components are bounded by p**2 times the
+contraction length, far below 2**53.
 
-amod is the one reduction routine.  It reduces float components with
-r = x - p*floor(x*(1/p)) and one correction step each way, which is exact
-while every component satisfies |x| < 2**52 before reduction: the
-floored quotient is then off by at most one, and every product and
-difference in the formula is an integer below 2**53.
+asfield is the one coercion routine: it casts arbitrary input to the
+field's dtype and reduces it, and refuses a nonzero u component headed
+for a prime field.  amod is the one reduction routine.  It reduces float
+components with r = x - p*floor(x*(1/p)) and one correction step each
+way, which is exact while every component satisfies |x| < 2**52 before
+reduction: the floored quotient is then off by at most one, and every
+product and difference in the formula is an integer below 2**53.
 
 Every reported basis is in canonical reduced row echelon form (pivots 1,
 pivot columns strictly increasing and cleared above and below), so equal
@@ -57,8 +60,10 @@ def mm(field: FieldSpec, a, b):
     return amod(field, np.asarray(a) @ np.asarray(b))
 
 
-def as_complex(a):
-    return np.ascontiguousarray(np.asarray(a), dtype=np.complex128)
+def asfield(field: FieldSpec, a):
+    """a cast to the field's dtype and reduced mod p; raises FieldError
+    when a nonzero u component would reach a prime field."""
+    return amod(field, field.array(a))
 
 
 class Eliminator:
@@ -77,22 +82,16 @@ class Eliminator:
     def __init__(self, field: FieldSpec, ncols: int):
         self.field = field
         self.ncols = ncols
-        self.real = not field.ext
-        self.dtype = np.float64 if self.real else np.complex128
-        self._rows = np.zeros((min(128, max(ncols, 1)), ncols), dtype=self.dtype)
+        self._rows = np.zeros((min(128, max(ncols, 1)), ncols),
+                              dtype=field.dtype)
         self.rank = 0
         self.pivcols: list[int] = []
 
     # -- internals -------------------------------------------------------
 
     def _coerce(self, rows):
-        rows = np.asarray(rows)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if self.real and np.iscomplexobj(rows):
-            rows = np.ascontiguousarray(rows.real)
-        rows = np.asarray(rows, dtype=self.dtype)
-        return amod(self.field, rows)
+        rows = asfield(self.field, rows)
+        return rows[None, :] if rows.ndim == 1 else rows
 
     def _ensure_capacity(self, need: int):
         cap = self._rows.shape[0]
@@ -100,7 +99,7 @@ class Eliminator:
             return
         while cap < need:
             cap = min(max(cap * 2, 128), max(self.ncols, need))
-        grown = np.zeros((cap, self.ncols), dtype=self.dtype)
+        grown = np.zeros((cap, self.ncols), dtype=self.field.dtype)
         grown[:self.rank] = self._rows[:self.rank]
         self._rows = grown
 
@@ -122,8 +121,6 @@ class Eliminator:
             r = int(np.argmin(lead))
             c = int(lead[r])
             ival = self.field.inv(chunk[r, c])
-            if self.real:
-                ival = ival.real
             prow = amod(self.field, chunk[r] * ival)
             keep = np.ones(chunk.shape[0], dtype=bool)
             keep[r] = False
@@ -162,20 +159,20 @@ class Eliminator:
     # -- results ---------------------------------------------------------
 
     def rref(self):
-        """Canonical RREF of everything fed in, as complex128."""
+        """Canonical RREF of everything fed in, and its pivot columns."""
         order = np.argsort(np.asarray(self.pivcols, dtype=np.intp)) \
             if self.pivcols else np.zeros(0, dtype=np.intp)
         out = self._rows[:self.rank][order]
         piv = [self.pivcols[i] for i in order]
-        return as_complex(out), piv
+        return out, piv
 
     def kernel_rows(self):
         """Canonical RREF basis of the kernel of the fed row system."""
         r, piv = self.rref()
         free = [c for c in range(self.ncols) if c not in set(piv)]
+        k = np.zeros((len(free), self.ncols), dtype=self.field.dtype)
         if not free:
-            return np.zeros((0, self.ncols), dtype=np.complex128)
-        k = np.zeros((len(free), self.ncols), dtype=np.complex128)
+            return k
         for t, c in enumerate(free):
             k[t, c] = 1.0
         if piv:
@@ -214,12 +211,12 @@ class Subspace:
         self.field = field
         self.ambient = ambient
         if rows is None:
-            rows = np.zeros((0, ambient), dtype=np.complex128)
+            rows = np.zeros((0, ambient), dtype=field.dtype)
         rows = np.asarray(rows)
         if rows.size and rows.shape[1] != ambient:
             raise ValueError("row length does not match ambient dimension")
         if _canonical:
-            self.basis = as_complex(rows)
+            self.basis = rows
             self.pivots = [int((r != 0).argmax()) for r in self.basis]
         else:
             r, _, piv = rref(field, rows.reshape(-1, ambient))
@@ -235,7 +232,7 @@ class Subspace:
 
     def residual(self, v):
         """v reduced against the basis; zero iff v is in the subspace."""
-        v = amod(self.field, np.asarray(v, dtype=np.complex128))
+        v = asfield(self.field, v)
         if self.dim:
             piv = np.asarray(self.pivots, dtype=np.intp)
             v = amod(self.field, v - v[..., piv] @ self.basis)
@@ -249,7 +246,7 @@ class Subspace:
 
         A 2-D v is taken row by row; None then means some row is
         outside."""
-        v = amod(self.field, np.asarray(v, dtype=np.complex128))
+        v = asfield(self.field, v)
         c = v[..., np.asarray(self.pivots, dtype=np.intp)]
         if not iszero(amod(self.field, c @ self.basis - v)):
             return None
@@ -283,12 +280,12 @@ class Subspace:
 
 def solve_right(field: FieldSpec, a, b):
     """One solution x of a x = b (free variables zero), or None."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128).reshape(a.shape[0], -1)
+    a = asfield(field, a)
+    b = asfield(field, b).reshape(a.shape[0], -1)
     aug = np.hstack([a, b])
     r, _, piv = rref(field, aug)
     ncols = a.shape[1]
-    x = np.zeros((ncols, b.shape[1]), dtype=np.complex128)
+    x = np.zeros((ncols, b.shape[1]), dtype=field.dtype)
     for row, c in enumerate(piv):
         if c >= ncols:
             return None
@@ -299,21 +296,21 @@ def solve_right(field: FieldSpec, a, b):
 
 
 def inverse(field: FieldSpec, m):
-    m = np.asarray(m, dtype=np.complex128)
+    m = asfield(field, m)
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("inverse of a non-square matrix")
-    r, rk, _ = rref(field, np.hstack([m, np.eye(n, dtype=np.complex128)]))
+    r, rk, _ = rref(field, np.hstack([m, np.eye(n, dtype=field.dtype)]))
     if rk < n or not iszero(amod(field, r[:, :n] - np.eye(n))):
         raise ValueError("matrix is singular")
     return r[:, n:]
 
 
 def matrix_to_json(field: FieldSpec, m) -> list:
-    m = amod(field, np.asarray(m, dtype=np.complex128))
+    m = asfield(field, m)
     return [[field.scalar_to_json(x) for x in row] for row in m]
 
 
 def matrix_from_json(field: FieldSpec, obj) -> np.ndarray:
     rows = [[field.scalar_from_json(x) for x in row] for row in obj]
-    return np.asarray(rows, dtype=np.complex128).reshape(len(obj), -1)
+    return asfield(field, rows).reshape(len(obj), -1)

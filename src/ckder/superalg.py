@@ -4,7 +4,8 @@ in operator form, the super Jacobi identity, the Leibniz rule, and
 homomorphism/automorphism verification.
 
 All checks run on a dense structure tensor T[i,j,k] (coefficient of e_k
-in e_i e_j) with blocked BLAS contractions, and report the first
+in e_i e_j), held in the dtype of the algebra's field like every other
+array here, with blocked BLAS contractions, and report the first
 violating pair or triple in lexicographic basis order.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldSpec
-from .linalg import Subspace, amod, as_complex, iszero, kernel, mm, rank
+from .linalg import Subspace, amod, asfield, iszero, kernel, mm, rank
 
 
 @dataclass
@@ -80,34 +81,29 @@ class SuperAlgebra:
         return int(self.parities[i])
 
     def basis_vector(self, i: int):
-        v = np.zeros(self.n, dtype=np.complex128)
-        v[i] = 1.0
+        v = np.zeros(self.n, dtype=self.field.dtype)
+        v[i] = 1
         return v
 
     def tensor(self):
-        """Dense structure tensor T[i,j,k], complex128, cached."""
+        """Dense structure tensor T[i,j,k] in the field's dtype, cached
+        and read-only."""
         if self._tensor is None:
-            t = np.zeros((self.n, self.n, self.n), dtype=np.complex128)
+            t = np.zeros((self.n, self.n, self.n), dtype=self.field.dtype)
             for (i, j), terms in self.products.items():
                 for k, c in terms:
                     t[i, j, k] = c
+            t.flags.writeable = False
             self._tensor = t
         return self._tensor
 
-    def work_tensor(self):
-        """Structure tensor in the cheapest exact dtype for this field."""
-        t = self.tensor()
-        return np.ascontiguousarray(t.real) if not self.field.ext else t
-
     def multiply(self, u, v):
-        t = self.tensor()
-        u = np.asarray(u, dtype=np.complex128)
-        v = np.asarray(v, dtype=np.complex128)
-        return amod(self.field, np.einsum("i,j,ijk->k", u, v, t))
+        u, v = asfield(self.field, u), asfield(self.field, v)
+        return amod(self.field, np.einsum("i,j,ijk->k", u, v, self.tensor()))
 
     def left_mult(self, a) -> "LinearMap":
         """The operator x -> a x for homogeneous a."""
-        a = np.asarray(a, dtype=np.complex128)
+        a = asfield(self.field, a)
         par = vector_parity(self, a)
         m = amod(self.field, np.einsum("i,icr->rc", a, self.tensor()))
         return LinearMap(self, self, par, m)
@@ -196,7 +192,7 @@ class LinearMap:
         self.source = source
         self.target = target
         self.parity = int(parity)
-        self.matrix = as_complex(amod(source.field, matrix))
+        self.matrix = asfield(source.field, matrix)
         if self.matrix.shape != (target.n, source.n):
             raise ValueError("matrix shape does not match carriers")
         if check:
@@ -211,7 +207,7 @@ class LinearMap:
         return self.source.field
 
     def __call__(self, v):
-        return amod(self.field, self.matrix @ np.asarray(v, dtype=np.complex128))
+        return amod(self.field, self.matrix @ asfield(self.field, v))
 
     def flatten(self):
         """Column-major flattening; the canonical span coordinate order."""
@@ -219,8 +215,7 @@ class LinearMap:
 
     @classmethod
     def from_flat(cls, source, target, parity, flat, check=True):
-        m = np.asarray(flat, dtype=np.complex128).reshape(
-            (target.n, source.n), order="F")
+        m = np.asarray(flat).reshape((target.n, source.n), order="F")
         return cls(source, target, parity, m, check=check)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -261,9 +256,9 @@ def inner_derivation(a: SuperAlgebra, u, v) -> LinearMap:
 
 
 def inner_derivation_rows(a: SuperAlgebra):
-    """D(e_i, e_j) = [L_i, L_j] for all j, one i at a time, in the
-    field's work dtype; see super_commutator_rows."""
-    lmats = amod(a.field, a.work_tensor().transpose(0, 2, 1))
+    """D(e_i, e_j) = [L_i, L_j] for all j, one i at a time; see
+    super_commutator_rows."""
+    lmats = np.ascontiguousarray(a.tensor().transpose(0, 2, 1))
     return super_commutator_rows(a.field, lmats, a.parities)
 
 
@@ -292,7 +287,7 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
     f = a.field
     n = a.n
     de = a.dim_even
-    t = a.work_tensor()
+    t = a.tensor()
     # dd[i, j] is the flattened matrix of D(e_i, e_j), built one i at a
     # time: the all-pairs einsum would need several full (n, n, n, n)
     # temporaries, too much at the larger sizes.
@@ -359,7 +354,7 @@ def check_super_lie(lie) -> Verdict:
     on all basis triples, via blocked tensor contractions."""
     f = lie.field
     n = lie.n
-    t = lie.work_tensor()
+    t = lie.tensor()
     s = lie.sign_table()
     anti = amod(f, t + s[:, :, None] * t.transpose(1, 0, 2))
     w = _first_bad_pair(anti, lie.labels)
@@ -403,9 +398,8 @@ def is_derivation(a: SuperAlgebra, d: LinearMap) -> Verdict:
     """Super Leibniz rule d(xy) = d(x)y + (-1)^(|d||x|) x d(y) on all
     basis pairs."""
     f = a.field
-    n = a.n
-    t = a.work_tensor()
-    dm = d.matrix.real if not f.ext else d.matrix
+    t = a.tensor()
+    dm = d.matrix
     lhs = np.einsum("ijk,rk->ijr", t, dm, optimize=True)
     rhs1 = np.einsum("mi,mjr->ijr", dm, t, optimize=True)
     rhs2 = np.einsum("imr,mj->ijr", t, dm, optimize=True)
@@ -459,10 +453,10 @@ def annihilator(a: SuperAlgebra, vectors) -> Subspace:
     t = a.tensor()
     rows = []
     for s in vectors:
-        s = np.asarray(s, dtype=np.complex128)
+        s = asfield(a.field, s)
         rows.append(amod(a.field, np.einsum("i,cir->rc", s, t)))
     if not rows:
-        return Subspace(a.field, a.n, np.eye(a.n, dtype=np.complex128))
+        return Subspace(a.field, a.n, np.eye(a.n, dtype=a.field.dtype))
     return kernel(a.field, np.vstack(rows))
 
 

@@ -8,12 +8,13 @@ subalgebra through that coordinate structure.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
 from .derivations import DerivationSpace, grade_derivations, span_of_maps
-from .linalg import amod, inverse, iszero, rref
+from .linalg import amod, asfield, inverse, iszero, rref
 from .superalg import (LinearMap, SuperAlgebra, inner_derivation,
                        is_automorphism, is_homomorphism, super_commutator)
 
@@ -35,7 +36,7 @@ def _family_matrix(ck: ChengKac, even_images, odd_images):
     the identity on the polynomial coefficients."""
     n = ck.alg.n
     dz = ck.dz
-    m = np.zeros((n, n), dtype=np.complex128)
+    m = np.zeros((n, n), dtype=ck.alg.field.dtype)
     for fam, (sgn, tgt) in even_images.items():
         for k in range(dz):
             m[ck.even_index(tgt, k), ck.even_index(fam, k)] = sgn
@@ -52,22 +53,19 @@ def group_closure(field, mats, bound=30):
     than `bound` distinct elements show up, as a guard against a broken
     generator sneaking in an infinite group.
     """
-    def key(m):
-        return amod(field, m).tobytes()
-
+    mats = [asfield(field, g) for g in mats]
     elems = {}
     queue = []
     for g in mats:
-        g = amod(field, np.asarray(g, dtype=np.complex128))
-        k = key(g)
+        k = g.tobytes()
         if k not in elems:
             elems[k] = g
             queue.append(g)
     while queue:
         h = queue.pop(0)
         for g in mats:
-            prod = amod(field, h @ np.asarray(g, dtype=np.complex128))
-            k = key(prod)
+            prod = amod(field, h @ g)
+            k = prod.tobytes()
             if k not in elems:
                 elems[k] = prod
                 queue.append(prod)
@@ -96,8 +94,8 @@ def build_s4(ck: ChengKac) -> S4Action:
     d2 = np.diag([(-1.0) ** g[1] for g in fine])
     cycle = {0: (1, 0), 1: (1, 2), 2: (1, 3), 3: (1, 1)}
     swap = {0: (1, 0), 1: (-1, 2), 2: (-1, 1), 3: (-1, 3)}
-    tau1 = LinearMap(a, a, 0, amod(f, d1.astype(np.complex128)))
-    tau2 = LinearMap(a, a, 0, amod(f, d2.astype(np.complex128)))
+    tau1 = LinearMap(a, a, 0, d1)
+    tau2 = LinearMap(a, a, 0, d2)
     phi = LinearMap(a, a, 0, _family_matrix(ck, cycle, cycle))
     tau = LinearMap(a, a, 0, _family_matrix(ck, swap, swap))
     for name, g in (("tau1", tau1), ("tau2", tau2),
@@ -132,7 +130,7 @@ def coxeter_witness(act: S4Action) -> dict:
     s3 = amod(f, act.tau1.matrix @ act.tau.matrix)
 
     def power(m, e):
-        out = np.eye(n, dtype=np.complex128)
+        out = np.eye(n, dtype=f.dtype)
         for _ in range(e):
             out = amod(f, out @ m)
         return out
@@ -165,7 +163,11 @@ def conjugate_der(g: LinearMap, d: LinearMap) -> LinearMap:
 class CoordinateAlgebra:
     """Product structure induced on the [1,1] fine component of the
     derivation algebra by twisting the supercommutator with the
-    symmetry action."""
+    symmetry action.
+
+    coords maps a flattened matrix to its coordinates over the carrier
+    basis, even maps first, and raises once the matrix escapes the
+    carrier span."""
 
     component: DerivationSpace
     carrier_even: list
@@ -173,6 +175,7 @@ class CoordinateAlgebra:
     alg: SuperAlgebra
     involution: np.ndarray
     unital: bool
+    coords: Callable
 
     def carrier(self):
         return self.carrier_even + self.carrier_odd
@@ -181,9 +184,9 @@ class CoordinateAlgebra:
         """The derivation a coordinate vector stands for."""
         a = self.component.algebra
         maps = self.carrier()
-        m = np.zeros((a.n, a.n), dtype=np.complex128)
+        m = np.zeros((a.n, a.n), dtype=a.field.dtype)
         par = None
-        for c, lm in zip(np.asarray(coords, dtype=np.complex128), maps):
+        for c, lm in zip(asfield(a.field, coords), maps):
             if c != 0:
                 m = m + c * lm.matrix
                 par = lm.parity if par is None else par
@@ -203,7 +206,6 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     """
     a = ck.alg
     f = a.field
-    n = a.n
     dz = ck.dz
     comp = grade_derivations(der_j).component((1, 1))
 
@@ -234,7 +236,7 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     def coords(x_flat):
         c = amod(f, minv @ x_flat[piv])
         if not iszero(amod(f, c @ flat - x_flat)):
-            raise ValueError("product escapes the carrier span")
+            raise ValueError("map escapes the carrier span")
         return c
 
     fm = act.phi.matrix
@@ -262,7 +264,7 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
             if terms:
                 products[(i, j)] = terms
 
-    invo = np.zeros((2 * dz, 2 * dz), dtype=np.complex128)
+    invo = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
     for i, m in enumerate(maps):
         invo[:, i] = coords(amod(f, -conj(tm, tminv, m.matrix))
                             .flatten(order="F"))
@@ -275,7 +277,7 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     alg = SuperAlgebra(f, dz, dz, labels, products,
                        unit_index=0 if unital else None)
     return CoordinateAlgebra(comp, carrier_even, carrier_odd, alg,
-                             invo, unital)
+                             invo, unital, coords)
 
 
 def phi_iso(kd: KantorDouble, coord: CoordinateAlgebra) -> LinearMap:
@@ -290,11 +292,11 @@ def phi_iso(kd: KantorDouble, coord: CoordinateAlgebra) -> LinearMap:
     dz = kd.dz
     if coord.alg.n != 2 * dz:
         raise ValueError("dimension mismatch with the coordinate algebra")
-    m = np.zeros((2 * dz, 2 * dz), dtype=np.complex128)
+    m = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
     for k in range(dz):
-        m[k, k] = 1.0
+        m[k, k] = 1
         m[dz + k, dz + k] = i
-    out = LinearMap(k_alg, coord.alg, 0, amod(f, m))
+    out = LinearMap(k_alg, coord.alg, 0, m)
     v = is_homomorphism(out)
     if not v:
         raise ValueError(f"transport map is not a homomorphism: {v.witness}")
@@ -317,30 +319,18 @@ class CoordinateTransfer:
         f = ck.alg.field
         self.field = f
         self._phi_inv = inverse(f, phi.matrix)
-        maps = coord.carrier()
-        self._flat = np.stack([m.flatten() for m in maps])
-        _, rk, piv = rref(f, self._flat)
-        self._piv = np.asarray(piv, dtype=np.intp)
-        self._minv = inverse(f, self._flat[:, self._piv].T)
         # images of the double's basis under phi, as actual derivations
         self._images = [coord.as_map(phi.matrix[:, j])
                         for j in range(kd.alg.n)]
-
-    def _coords(self, x_flat):
-        f = self.field
-        c = amod(f, self._minv @ x_flat[self._piv])
-        if not iszero(amod(f, c @ self._flat - x_flat)):
-            raise ValueError("bracket escapes the carrier span")
-        return c
 
     def apply(self, d: LinearMap) -> LinearMap:
         """The transferred derivation of the rank-2 double."""
         f = self.field
         n_k = self.kd.alg.n
-        out = np.zeros((n_k, n_k), dtype=np.complex128)
+        out = np.zeros((n_k, n_k), dtype=f.dtype)
         for j in range(n_k):
             br = super_commutator(d, self._images[j])
-            c = self._coords(br.flatten())
+            c = self.coord.coords(br.flatten())
             out[:, j] = self._phi_inv @ c
         return LinearMap(self.kd.alg, self.kd.alg, d.parity, amod(f, out))
 

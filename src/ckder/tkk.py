@@ -15,7 +15,7 @@ import numpy as np
 from .constructions import ChengKac, KantorDouble
 from .derivations import (DerivationSpace, grade_derivations,
                           inner_derivation_algebra)
-from .linalg import amod, inverse, iszero, rank, solve_right
+from .linalg import amod, asfield, inverse, iszero, rank, solve_right
 from .superalg import (LinearMap, SuperAlgebra, Verdict,
                        inner_derivation_rows, is_homomorphism)
 from .symmetry import CoordinateAlgebra, CoordinateTransfer, S4Action, \
@@ -74,9 +74,9 @@ def check_3grading(lie: LieSuperAlgebra) -> Verdict:
 
 
 _E_MATRICES = (
-    np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=np.complex128),
-    np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=np.complex128),
-    np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=np.complex128),
+    np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]]),
+    np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+    np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
 )
 
 
@@ -95,7 +95,7 @@ def so3(field) -> LieSuperAlgebra:
         brackets[(j, i)] = [(k, -1)]
     lie = LieSuperAlgebra(field, 3, 0, ["E1", "E2", "E3"], brackets)
     lie.matrices = _E_MATRICES
-    tf = np.zeros((3, 3), dtype=np.complex128)
+    tf = np.zeros((3, 3), dtype=int)
     for i in range(3):
         for j in range(3):
             tf[i, j] = np.trace(_E_MATRICES[i] @ _E_MATRICES[j])
@@ -108,7 +108,7 @@ def so3(field) -> LieSuperAlgebra:
                 raise AssertionError("matrix model broke its own table")
     if not np.array_equal(tf, -2 * np.eye(3)):
         raise AssertionError("trace form is not -2 times the identity")
-    lie.trace_form = amod(field, tf)
+    lie.trace_form = asfield(field, tf)
     return lie
 
 
@@ -194,7 +194,7 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
     parts = []  # blocks of (rows, cols, outs, vals), see _coo_brackets
 
     # D(a, b) in coordinates over ds
-    dco = np.zeros((n, n, m0 + m1), dtype=np.complex128)
+    dco = np.zeros((n, n, m0 + m1), dtype=f.dtype)
     for a, rows, par_ab in inner_derivation_rows(jalg):
         for parity, off in ((0, 0), (1, m0)):
             sel = par_ab == parity
@@ -204,7 +204,7 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
                                  "space")
             dco[a, sel, off:off + co.shape[1]] = co
 
-    t = jalg.work_tensor()
+    t = jalg.tensor()
     prod = np.nonzero(t)
     dnz = np.nonzero(dco)
     for (i, j), (k, s) in copies.items():
@@ -246,7 +246,7 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
 def _coo_brackets(f, rows, cols, outs, vals):
     """Bracket dict from coordinate lists: [e_row, e_col] has the term
     val e_out.  Zero terms are dropped; keys come in index order."""
-    vals = amod(f, np.asarray(vals, dtype=np.complex128))
+    vals = asfield(f, vals)
     keep = np.nonzero(vals)[0]
     keep = keep[np.lexsort((outs[keep], cols[keep], rows[keep]))]
     brackets = {}
@@ -336,17 +336,16 @@ def find_sl2_triple(field) -> dict:
         return amod(field, np.einsum("i,j,ijk->k", u, v, t))
 
     candidates = [(
-        np.array([0, 0, 2 * i], dtype=np.complex128),
-        np.array([-i, 1, 0], dtype=np.complex128),
-        np.array([-i, -1, 0], dtype=np.complex128),
+        asfield(field, [0, 0, 2 * i]),
+        asfield(field, [-i, 1, 0]),
+        asfield(field, [-i, -1, 0]),
     )]
     for h, e, fv in candidates:
         ok = (iszero(amod(field, br(h, e) - 2 * e))
               and iszero(amod(field, br(h, fv) + 2 * fv))
               and iszero(amod(field, br(e, fv) - h)))
         if ok:
-            return {"h": amod(field, h), "e": amod(field, e),
-                    "f": amod(field, fv)}
+            return {"h": h, "e": e, "f": fv}
     raise ValueError("no split sl2 triple found")
 
 
@@ -370,7 +369,7 @@ def sl2_identification(tits: TitsAlgebra, tkk: TkkAlgebra) -> ExplicitIso:
 
     n = jalg.n
     total = tits.n
-    m = np.zeros((total, total), dtype=np.complex128)
+    m = np.zeros((total, total), dtype=f.dtype)
     for i in range(3):
         ch, ce, cf = binv[0, i], binv[1, i], binv[2, i]
         for a in range(n):
@@ -408,12 +407,11 @@ def lie_from_derivations(ds: DerivationSpace) -> LieSuperAlgebra:
 def _der_lie_coords(lie: LieSuperAlgebra, dmap: LinearMap):
     """Coordinates of a derivation in the abstract copy of its space."""
     ds = lie.space
-    co = ds.subspace(dmap.parity).coords_of(
-        amod(lie.field, dmap.matrix).flatten(order="F"))
+    co = ds.subspace(dmap.parity).coords_of(dmap.flatten())
     if co is None:
         raise ValueError("map lies outside the derivation space")
     m0 = ds.dims[0]
-    out = np.zeros(lie.n, dtype=np.complex128)
+    out = np.zeros(lie.n, dtype=lie.field.dtype)
     off = 0 if dmap.parity == 0 else m0
     out[off:off + len(co)] = co
     return out
@@ -447,7 +445,7 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
         }
         n_k = kd.alg.n
         total = tits.n
-        m = np.zeros((lie.n, total), dtype=np.complex128)
+        m = np.zeros((lie.n, total), dtype=f.dtype)
         for j in range(n_k):
             base = coord.as_map(phi.matrix[:, j])
             iota = {

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ckder import FieldSpec
+from ckder import (FieldError, FieldSpec, LinearMap, inner_derivation_algebra,
+                   kantor_double, truncated_poly)
 from ckder.linalg import (Eliminator, Subspace, amod, inverse, kernel,
                           matrix_from_json, matrix_to_json, rank, rref,
                           solve_right)
@@ -218,3 +219,54 @@ def test_matrix_json_round_trip():
         a = rand_mat(rng, field, 3, 4)
         blob = matrix_to_json(field, a)
         assert np.array_equal(matrix_from_json(field, blob), amod(field, a))
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec(3), FieldSpec(7, ext=True)],
+                         ids=str)
+def test_every_result_has_the_field_dtype(field):
+    """The field picks the dtype once: float64 over F_p, complex128 over
+    F_p[u].  Integer input is cast to it, and every array handed back
+    has it, whatever the input held."""
+    want = np.float64 if not field.ext else np.complex128
+    a = kantor_double(truncated_poly(field)).alg
+    n = a.n
+    assert a.tensor().dtype == want
+    assert LinearMap(a, a, 0, np.eye(n, dtype=int)).matrix.dtype == want
+    assert a.left_mult(a.basis_vector(1)).matrix.dtype == want
+    m = [[1, 2, 0], [0, 1, 1]]
+    assert Subspace(field, 3, m).basis.dtype == want
+    assert Subspace(field, 3).basis.dtype == want
+    assert rref(field, m)[0].dtype == want
+    assert kernel(field, m).basis.dtype == want
+    assert inverse(field, [[1, 1], [0, 1]]).dtype == want
+    assert solve_right(field, [[1, 2], [0, 1]], [0, 1]).dtype == want
+    e = Eliminator(field, 3)
+    e.add_rows(np.asarray(m, dtype=np.float64))
+    assert e.rref()[0].dtype == want
+    assert e.kernel_rows().dtype == want
+    assert inner_derivation_algebra(a).structure_constants().dtype == want
+    assert field.dtype == want
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec(3)], ids=str)
+def test_prime_field_refuses_a_u_component(field):
+    """A nonzero u component reaching a prime field is an error, never
+    silently dropped; one that vanishes mod p is no u component."""
+    row = np.asarray([[1, 1j, 0]])
+    with pytest.raises(FieldError):
+        Eliminator(field, 3).add_rows(row)
+    with pytest.raises(FieldError):
+        Subspace(field, 3, row)
+    sub = Subspace(field, 3, [[1, 0, 0]])
+    with pytest.raises(FieldError):
+        sub.coords_of(row)
+    with pytest.raises(FieldError):
+        sub.residual(row)
+    z = truncated_poly(field).z
+    bad = np.eye(z.n, dtype=np.complex128)
+    bad[0, 0] = 1j
+    with pytest.raises(FieldError):
+        LinearMap(z, z, 0, bad)
+    e = Eliminator(field, 3)
+    e.add_rows(np.asarray([[1, field.p * 1j, 0]]))
+    assert e.rank == 1 and e.rref()[0].dtype == np.float64

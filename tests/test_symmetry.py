@@ -10,6 +10,7 @@ from ckder import (FieldSpec, LinearMap, amod, build_s4, cheng_kac,
                    inner_derivation_algebra, is_automorphism, is_derivation,
                    kantor_double, odd_der_eta, phi_iso, phi_star,
                    truncated_poly)
+from ckder.battery import RunContext, check_transfer_iso
 from ckder.symmetry import group_closure
 
 F5 = FieldSpec(5)
@@ -234,3 +235,27 @@ def test_transfer_eta_identity_smallest_case(coord5):
                        check=False)
     assert np.array_equal(tr.apply(scaled).matrix,
                           odd_der_eta(kd, avec).matrix)
+
+
+def test_transfer_check_catches_swapped_images(monkeypatch):
+    """A planted defect only the bracket clause of transfer_iso_stable
+    can see: the images of two even basis elements swapped leave the
+    image span and the rank as they were."""
+    ctx = RunContext(3)
+    assert check_transfer_iso(ctx)[0] == "pass"
+    tr = ctx.transfer()
+    comp = grade_derivations(ctx.der_j(ctx.sqrt, "v")[0]).component((0, 0))
+    d0, d1 = comp.even_basis[:2]
+
+    class Swapped:
+        def apply(self, d):
+            if np.array_equal(d.matrix, d0.matrix):
+                d = d1
+            elif np.array_equal(d.matrix, d1.matrix):
+                d = d0
+            return tr.apply(d)
+
+    monkeypatch.setattr(ctx, "transfer", Swapped)
+    status, _, witness = check_transfer_iso(ctx)
+    assert status == "fail"
+    assert witness["reason"] == "bracket not preserved"
