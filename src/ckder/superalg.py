@@ -3,10 +3,15 @@ exact checks used on them: supercommutativity, the Jordan superidentity
 in operator form, the super Jacobi identity, the Leibniz rule, and
 homomorphism/automorphism verification.
 
-All checks run on a dense structure tensor T[i,j,k] (coefficient of e_k
-in e_i e_j), held in the dtype of the algebra's field like every other
-array here, with blocked BLAS contractions, and report the first
-violating pair or triple in lexicographic basis order.
+A superalgebra keeps its structure constants in two read-only views of
+the products dict, both in the dtype of the algebra's field like every
+other array here: coo(), the nonzero constants as index and value
+arrays, and tensor(), the dense tensor T[i,j,k] (coefficient of e_k in
+e_i e_j).  The two symmetry checks and the super Jacobi identity run
+on coo() as joins over the nonzero constants, summed per key; the
+Jordan, Leibniz and homomorphism checks run blocked BLAS contractions
+on tensor().  Every check reports the first violating pair or triple in
+lexicographic basis order.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ class SuperAlgebra:
                     cleaned.append((int(k), c))
             if cleaned:
                 self.products[(int(i), int(j))] = cleaned
+        self._coo = None
         self._tensor = None
         self._validate()
 
@@ -84,6 +90,25 @@ class SuperAlgebra:
         v = np.zeros(self.n, dtype=self.field.dtype)
         v[i] = 1
         return v
+
+    def coo(self):
+        """The nonzero structure constants as read-only arrays (i, j, k,
+        c): c[t] is the coefficient of e_k[t] in e_i[t] e_j[t].  Indices
+        are int64, values in the field's dtype, and entries run in
+        lexicographic (i, j, k) order; cached."""
+        if self._coo is None:
+            keys = sorted(self.products)
+            terms = [self.products[key] for key in keys]
+            counts = [len(t) for t in terms]
+            ij = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+            flat = [e for t in terms for e in t]
+            arrays = (np.repeat(ij[0], counts), np.repeat(ij[1], counts),
+                      np.array([e[0] for e in flat], dtype=np.int64),
+                      np.array([e[1] for e in flat], dtype=self.field.dtype))
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._coo = arrays
+        return self._coo
 
     def tensor(self):
         """Dense structure tensor T[i,j,k] in the field's dtype, cached
@@ -107,11 +132,6 @@ class SuperAlgebra:
         par = vector_parity(self, a)
         m = amod(self.field, np.einsum("i,icr->rc", a, self.tensor()))
         return LinearMap(self, self, par, m)
-
-    def sign_table(self):
-        """(-1)^(|i||j|) as an (n, n) float array."""
-        p = self.parities
-        return 1.0 - 2.0 * (p[:, None] * p[None, :])
 
     # -- validation ------------------------------------------------------
 
@@ -265,11 +285,50 @@ def inner_derivation_rows(a: SuperAlgebra):
 # -- identity checks -----------------------------------------------------
 
 
+def _first_nonzero_key(field: FieldSpec, keys, vals):
+    """Least key whose values sum to a nonzero element, or None.
+
+    The values are summed per integer key with np.unique and np.bincount,
+    componentwise over F_{p^2}, and the sums are reduced with amod.  Each
+    value must be a reduced field element, or a product of two, up to
+    sign, so a key with m terms sums to components of magnitude at most
+    m (p-1)^2, or 2 m (p-1)^2 over F_{p^2}.  Raises ValueError when that
+    bound reaches 2**52, where amod stops being exact."""
+    if not keys.size:
+        return None
+    uniq, inv = np.unique(keys, return_inverse=True)
+    terms = int(np.bincount(inv).max())
+    bound = terms * (2 if field.ext else 1) * (field.p - 1) ** 2
+    if bound >= 2 ** 52:
+        raise ValueError(
+            f"{terms} terms on one key over {field} can reach {bound}, "
+            "beyond the exact range 2**52 of the reduction")
+    sums = np.zeros(uniq.size, dtype=field.dtype)
+    sums.real = np.bincount(inv, weights=vals.real, minlength=uniq.size)
+    if field.ext:
+        sums.imag = np.bincount(inv, weights=vals.imag, minlength=uniq.size)
+    bad = np.flatnonzero(amod(field, sums))
+    return int(uniq[bad[0]]) if bad.size else None
+
+
+def _first_asymmetric_pair(a: SuperAlgebra, sign: float):
+    """First (i, j) in lexicographic order with e_i e_j different from
+    sign (-1)^(|i||j|) e_j e_i, as a witness dict, or None."""
+    n = a.n
+    i, j, k, c = a.coo()
+    s = 1.0 - 2.0 * (a.parities[i] * a.parities[j])
+    key = _first_nonzero_key(
+        a.field, np.concatenate([(i * n + j) * n + k, (j * n + i) * n + k]),
+        np.concatenate([c, -sign * s * c]))
+    if key is None:
+        return None
+    x, y = divmod(key // n, n)
+    return {"pair": [x, y], "labels": [a.labels[x], a.labels[y]]}
+
+
 def check_supercommutative(a: SuperAlgebra) -> Verdict:
-    t = a.tensor()
-    s = a.sign_table()
-    diff = amod(a.field, t - s[:, :, None] * t.transpose(1, 0, 2))
-    w = _first_bad_pair(diff, a.labels)
+    """e_i e_j = (-1)^(|i||j|) e_j e_i on all basis pairs."""
+    w = _first_asymmetric_pair(a, 1.0)
     return Verdict(w is None, w)
 
 
@@ -345,53 +404,62 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
     return Verdict(True, None)
 
 
+def _jacobi_terms(lie):
+    """Keys ((a*n + b)*n + c)*n + q and signed values of every term of
+    the super Jacobi sum J(a,b,c)_q with a the least of a, b, c.
+
+    Every product T[x,y,m] T[m,z,q] of two constants, one join on m, is
+    a term of J1[x,y,z,q] = [[e_x,e_y],e_z]_q.  The three cyclic terms of
+    J at (a, b, c) are J1 at (a, b, c), (b, c, a) and (c, a, b), each
+    with the sign (-1)^(|x||z|) of its own (x, z), so each product,
+    signed once, is keyed to the triples (x,y,z), (z,x,y) and (y,z,x).
+    J(a,b,c) does not change when (a, b, c) is rotated, so its zeros
+    are known from the rotations that start with their least index, and
+    only those keys are kept."""
+    n = lie.n
+    i, j, k, c = lie.coo()
+    # right factors of a left entry (x, y, m): the entries with i == m,
+    # a contiguous run since coo() is sorted by i
+    lo = np.searchsorted(i, k, "left")
+    counts = np.searchsorted(i, k, "right") - lo
+    left = np.repeat(np.arange(i.size), counts)
+    right = np.arange(counts.sum()) \
+        + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    x, y, z, q = i[left], j[left], j[right], k[right]
+    v = c[left] * c[right] * (1.0 - 2.0 * (lie.parities[x] * lie.parities[z]))
+    keys, vals = [], []
+    for a, b, d in ((x, y, z), (z, x, y), (y, z, x)):
+        keep = (a <= b) & (a <= d)
+        keys.append(((a[keep] * n + b[keep]) * n + d[keep]) * n + q[keep])
+        vals.append(v[keep])
+    return np.concatenate(keys), np.concatenate(vals)
+
+
 def check_super_lie(lie) -> Verdict:
     """Super anticommutativity and the graded Jacobi identity
 
         (-1)^(|a||c|) [[a,b],c] + (-1)^(|b||a|) [[b,c],a]
             + (-1)^(|c||b|) [[c,a],b] = 0
 
-    on all basis triples, via blocked tensor contractions."""
-    f = lie.field
-    n = lie.n
-    t = lie.tensor()
-    s = lie.sign_table()
-    anti = amod(f, t + s[:, :, None] * t.transpose(1, 0, 2))
-    w = _first_bad_pair(anti, lie.labels)
+    on all basis triples, as joins over the nonzero structure constants
+    (see _jacobi_terms).  Anticommutativity fails at the first pair
+    (a, b) where [a,b] + (-1)^(|a||b|) [b,a] is nonzero.  The triples
+    where the Jacobi sum fails are closed under rotation, so the first
+    one in lexicographic order starts with its least index; it is the
+    witness."""
+    w = _first_asymmetric_pair(lie, -1.0)
     if w is not None:
         w["identity"] = "anticommutativity"
         return Verdict(False, w)
-    t2 = np.ascontiguousarray(t.reshape(n * n, n))   # ((i j), m)
-    tm = np.ascontiguousarray(t.reshape(n, n * n))   # (m, (j k))
-    chunk = max(1, min(n, (2 << 27) // (3 * n * n * n * t.itemsize)))
-    for start in range(0, n, chunk):
-        cs = slice(start, min(start + chunk, n))
-        m = min(start + chunk, n) - start
-        # j1[a,b,c,k] = sum_m t[a,b,m] t[m,c,k]
-        j1 = (t[cs].reshape(m * n, n) @ tm).reshape(m, n, n, n)
-        # j2[a,b,c,k] = sum_m t[b,c,m] t[m,a,k]
-        j2 = (t2 @ np.ascontiguousarray(t[:, cs, :]).reshape(n, m * n))
-        j2 = j2.reshape(n, n, m, n).transpose(2, 0, 1, 3)
-        # j3[a,b,c,k] = sum_m t[c,a,m] t[m,b,k]
-        j3 = (np.ascontiguousarray(t[:, cs, :]).reshape(n * m, n) @ tm)
-        j3 = j3.reshape(n, m, n, n).transpose(1, 2, 0, 3)
-        pa = lie.parities[cs]
-        pb = lie.parities
-        s_ac = 1.0 - 2.0 * (pa[:, None, None] * pb[None, None, :])
-        s_ba = 1.0 - 2.0 * (pb[None, :, None] * pa[:, None, None])
-        s_cb = 1.0 - 2.0 * (pb[None, None, :] * pb[None, :, None])
-        acc = s_ac[..., None] * j1 + s_ba[..., None] * j2 \
-            + s_cb[..., None] * j3
-        acc = amod(f, acc)
-        if np.any(acc):
-            flat = np.abs(acc).sum(axis=3)
-            bad = np.argwhere(flat != 0)
-            a_, b_, c_ = min((int(x), int(y), int(z)) for x, y, z in bad)
-            a_ += start
-            return Verdict(False, {
-                "triple": [a_, b_, c_], "identity": "jacobi",
-                "labels": [lie.labels[a_], lie.labels[b_], lie.labels[c_]]})
-    return Verdict(True, None)
+    n = lie.n
+    key = _first_nonzero_key(lie.field, *_jacobi_terms(lie))
+    if key is None:
+        return Verdict(True, None)
+    ab, c = divmod(key // n, n)
+    a, b = divmod(ab, n)
+    return Verdict(False, {
+        "triple": [a, b, c], "identity": "jacobi",
+        "labels": [lie.labels[a], lie.labels[b], lie.labels[c]]})
 
 
 def is_derivation(a: SuperAlgebra, d: LinearMap) -> Verdict:
