@@ -24,8 +24,9 @@ from .field import FieldSpec, is_odd_prime
 from .linalg import Subspace, amod, asfield, inverse, iszero, rank
 from .superalg import (LinearMap, annihilator, center_even,
                        check_jordan_super, check_super_lie,
-                       check_supercommutative, inner_derivation,
-                       is_homomorphism, super_commutator_rows)
+                       check_supercommutative, grading_violation,
+                       inner_derivation, is_homomorphism,
+                       super_commutator_rows)
 from .symmetry import (build_s4, coordinate_algebra, coxeter_witness,
                        phi_iso, phi_star)
 from .tkk import (check_3grading, der_as_tkk, so3,
@@ -299,15 +300,12 @@ def check_even_center(ctx):
 def check_fine_grading(ctx):
     f = ctx.base
     a = ctx.ck(f, "w").alg
-    lab = a.fine_label
-    for (i, j), terms in a.products.items():
-        want = ((lab[i][0] + lab[j][0]) % 2, (lab[i][1] + lab[j][1]) % 2)
-        for k, _ in terms:
-            if lab[k] != want:
-                return ("fail", field_label(f),
-                        {"pair": [a.labels[i], a.labels[j]],
-                         "lands_on": a.labels[k]})
-    return ("pass", field_label(f), None)
+    bad = grading_violation(a, a.fine_label)
+    if bad is None:
+        return ("pass", field_label(f), None)
+    i, j, k = bad
+    return ("fail", field_label(f), {"pair": [a.labels[i], a.labels[j]],
+                                     "lands_on": a.labels[k]})
 
 
 def check_double_der_dims(ctx):

@@ -72,12 +72,9 @@ def truncated_poly(field: FieldSpec, p: int | None = None) -> DifferentialAlgebr
     if p != field.p:
         raise ValueError("truncation exponent must equal the characteristic")
     labels = [f"t^{k}" for k in range(p)]
-    products = {}
-    for i in range(p):
-        for j in range(p):
-            if i + j < p:
-                products[(i, j)] = [(i + j, 1)]
-    z = SuperAlgebra(field, p, 0, labels, products, unit_index=0)
+    i, j = np.nonzero(np.add.outer(np.arange(p), np.arange(p)) < p)
+    z = SuperAlgebra(field, p, 0, labels, (i, j, i + j, np.ones(i.size)),
+                     unit_index=0)
     dm = np.zeros((p, p), dtype=field.dtype)
     for k in range(1, p):
         dm[k - 1, k] = k % field.p
@@ -94,22 +91,18 @@ def quadratic_jordan(field: FieldSpec) -> SuperAlgebra:
     """The Jordan algebra F1 + Fw1 + Fw2 + Fw3 of the quadratic form
     with w1^2 = w2^2 = 1 = -w3^2 and wi wj = 0 for i != j."""
     labels = ["1", "w1", "w2", "w3"]
-    products = {(0, i): [(i, 1)] for i in range(4)}
-    for i in range(1, 4):
-        products[(i, 0)] = [(i, 1)]
-        products[(i, i)] = [(0, field.reduce(_QUAD_SQUARES[i - 1]))]
-    return SuperAlgebra(field, 4, 0, labels, products, unit_index=0)
+    # 1 w_i = w_i = w_i 1 for i = 0..3, then w_i^2 for i = 1..3
+    table = ([0, 0, 0, 0, 1, 2, 3, 1, 2, 3],
+             [0, 1, 2, 3, 0, 0, 0, 1, 2, 3],
+             [0, 1, 2, 3, 1, 2, 3, 0, 0, 0],
+             [1, 1, 1, 1, 1, 1, 1, *_QUAD_SQUARES])
+    return SuperAlgebra(field, 4, 0, labels, table, unit_index=0)
 
 
-def _zmul(z: SuperAlgebra, i: int, j: int):
-    """Structure constants of e_i e_j in Z as a list of (k, c)."""
-    return z.products.get((i, j), [])
-
-
-def _vecmul(z: SuperAlgebra, vec, j: int):
-    """Coordinates of (vec) * e_j in Z."""
-    t = z.tensor()
-    return amod(z.field, vec @ t[:, j, :])
+def _delta_table(dalg: DifferentialAlgebra):
+    """D[i, j, k]: the coefficient of e_k in delta(e_i) e_j in Z."""
+    return amod(dalg.field, np.einsum("ai,ajk->ijk", dalg.delta.matrix,
+                                      dalg.z.tensor()))
 
 
 @dataclass
@@ -134,23 +127,17 @@ def kantor_double(dalg: DifferentialAlgebra) -> KantorDouble:
     """The double K = Z + Zx of (Z, delta)."""
     z = dalg.z
     dz = z.n
-    f = z.field
-    dm = dalg.delta.matrix
     labels = list(z.labels) + [f"{lb}*x" for lb in z.labels]
-    products: dict = {}
-    for (i, j), terms in z.products.items():
-        products[(i, j)] = list(terms)                      # f g
-        products[(i, dz + j)] = [(dz + k, c) for k, c in terms]  # f (gx)
-        products[(dz + j, i)] = [(dz + k, c) for k, c in terms]  # (gx) f
-    for i in range(dz):
-        for j in range(dz):
-            # (fx)(gx) = delta(f) g - f delta(g)
-            vec = _vecmul(z, dm[:, i], j) - _vecmul(z, dm[:, j], i)
-            vec = amod(f, vec)
-            terms = [(k, vec[k]) for k in np.nonzero(vec)[0]]
-            if terms:
-                products[(dz + i, dz + j)] = terms
-    alg = SuperAlgebra(f, dz, dz, labels, products, unit_index=z.unit_index)
+    i, j, k, c = z.coo()
+    # (fx)(gx) = delta(f) g - f delta(g)
+    d = _delta_table(dalg)
+    xi, xj, xk = np.nonzero(amod(z.field, d - d.transpose(1, 0, 2)))
+    table = (np.concatenate([i, i, dz + j, dz + xi]),     # f g, f (gx), (gx) f
+             np.concatenate([j, dz + j, i, dz + xj]),
+             np.concatenate([k, dz + k, dz + k, xk]),
+             np.concatenate([c, c, c, d[xi, xj, xk] - d[xj, xi, xk]]))
+    alg = SuperAlgebra(z.field, dz, dz, labels, table,
+                       unit_index=z.unit_index)
     return KantorDouble(alg, dalg)
 
 
@@ -234,12 +221,6 @@ def cheng_kac(dalg: DifferentialAlgebra, basis: str = "w") -> ChengKac:
     odd_names = ["x", "x1", "x2", "x3"] if basis == "w" else \
         ["y", "y1", "y2", "y3"]
 
-    def ei(fam, k):
-        return fam * dz + k
-
-    def oi(fam, k):
-        return 4 * dz + fam * dz + k
-
     labels = []
     for fam in range(4):
         for k in range(dz):
@@ -249,53 +230,42 @@ def cheng_kac(dalg: DifferentialAlgebra, basis: str = "w") -> ChengKac:
         for k in range(dz):
             labels.append(f"{z.labels[k]}*{odd_names[fam]}")
 
-    dm = dalg.delta.matrix
-    products: dict = {}
+    t = z.tensor()                      # t[i, j]: f g
+    d = _delta_table(dalg)              # d[i, j]: delta(f) g
+    table = ([], [], [], [])
 
-    def put(i, j, terms):
-        terms = [(k, f.reduce(c)) for k, c in terms if f.reduce(c) != 0]
-        if terms:
-            products[(i, j)] = terms
+    def put(left, right, out, block):
+        """Products (f left)(g right) = block[f, g] out, each of left,
+        right and out a family index: 0..3 even, 4..7 odd."""
+        i, j, k = np.nonzero(amod(f, block))
+        for part, idx in zip(table, (i + left * dz, j + right * dz,
+                                     k + out * dz, block[i, j, k])):
+            part.append(idx)
 
-    def vec_terms(vec, to_index):
-        vec = amod(f, vec)
-        return [(to_index(k), vec[k]) for k in np.nonzero(vec)[0]]
-
-    for i in range(dz):
-        for j in range(dz):
-            fg = z.tensor()[i, j]                   # f g
-            dfg = _vecmul(z, dm[:, i], j)           # delta(f) g
-            # even * even
-            put(ei(0, i), ei(0, j), vec_terms(fg, lambda k: ei(0, k)))
-            for a in range(1, 4):
-                put(ei(0, i), ei(a, j), vec_terms(fg, lambda k, a=a: ei(a, k)))
-                put(ei(a, i), ei(0, j), vec_terms(fg, lambda k, a=a: ei(a, k)))
-                put(ei(a, i), ei(a, j),
-                    vec_terms(squares[a - 1] * fg, lambda k: ei(0, k)))
-            # even * odd and odd * even (even and odd parts commute)
-            for b in range(4):
-                put(ei(0, i), oi(b, j), vec_terms(fg, lambda k, b=b: oi(b, k)))
-                put(oi(b, j), ei(0, i), vec_terms(fg, lambda k, b=b: oi(b, k)))
-            for a in range(1, 4):
-                # (f w_a)(g x) = (delta(f) g) x_a
-                put(ei(a, i), oi(0, j), vec_terms(dfg, lambda k, a=a: oi(a, k)))
-                put(oi(0, j), ei(a, i), vec_terms(dfg, lambda k, a=a: oi(a, k)))
-                for b in range(1, 4):
-                    if a == b:
-                        continue
-                    sgn, c = cross[(a, b)]
-                    coeff = cross_sign * sgn
-                    put(ei(a, i), oi(b, j),
-                        vec_terms(coeff * fg, lambda k, c=c: oi(c, k)))
-                    put(oi(b, j), ei(a, i),
-                        vec_terms(coeff * fg, lambda k, c=c: oi(c, k)))
-            # odd * odd
-            gdf = _vecmul(z, dm[:, j], i)           # f delta(g), as g df
-            put(oi(0, i), oi(0, j),
-                vec_terms(dfg - gdf, lambda k: ei(0, k)))
-            for b in range(1, 4):
-                put(oi(0, i), oi(b, j), vec_terms(-fg, lambda k, b=b: ei(b, k)))
-                put(oi(b, i), oi(0, j), vec_terms(fg, lambda k, b=b: ei(b, k)))
+    tt, dt = t.transpose(1, 0, 2), d.transpose(1, 0, 2)
+    put(0, 0, 0, t)
+    for a in range(1, 4):
+        # even * even
+        put(0, a, a, t)
+        put(a, 0, a, t)
+        put(a, a, 0, squares[a - 1] * t)
+        # (f w_a)(g x) = (delta(f) g) x_a, and the reverse order
+        put(a, 4, 4 + a, d)
+        put(4, a, 4 + a, dt)
+        for b in range(1, 4):
+            if a != b:
+                sgn, c = cross[(a, b)]
+                put(a, 4 + b, 4 + c, cross_sign * sgn * t)
+                put(4 + b, a, 4 + c, cross_sign * sgn * tt)
+    # even and odd parts commute through the scalar family
+    for b in range(4):
+        put(0, 4 + b, 4 + b, t)
+        put(4 + b, 0, 4 + b, tt)
+    # odd * odd: (fx)(gx) = delta(f) g - f delta(g)
+    put(4, 4, 0, d - dt)
+    for b in range(1, 4):
+        put(4, 4 + b, b, -t)
+        put(4 + b, 4, b, t)
 
     fine = []
     for fam in range(4):
@@ -303,7 +273,8 @@ def cheng_kac(dalg: DifferentialAlgebra, basis: str = "w") -> ChengKac:
     for fam in range(4):
         fine += [_FINE[fam]] * dz
 
-    alg = SuperAlgebra(f, 4 * dz, 4 * dz, labels, products,
+    alg = SuperAlgebra(f, 4 * dz, 4 * dz, labels,
+                       [np.concatenate(part) for part in table],
                        unit_index=z.unit_index, fine_label=fine)
     return ChengKac(alg, dalg, basis)
 

@@ -21,8 +21,9 @@ import numpy as np
 
 from .constructions import ChengKac, KantorDouble
 from .linalg import Eliminator, Subspace, amod, asfield, kernel, solve_right
-from .superalg import (LinearMap, SuperAlgebra, inner_derivation_rows,
-                       is_derivation, super_commutator_rows)
+from .superalg import (LinearMap, SuperAlgebra, expand_runs,
+                       inner_derivation_rows, is_derivation,
+                       super_commutator_rows)
 
 
 class DerivationSpace:
@@ -128,69 +129,77 @@ def span_of_maps(algebra: SuperAlgebra, maps) -> Subspace:
                     np.stack([m.flatten() for m in maps]))
 
 
+def _fan_out(a: SuperAlgebra, q):
+    """Pairs (t, r) with r over the basis vectors of parity q[t]: one
+    contiguous run per t, since the even basis comes first."""
+    de = a.dim_even
+    return expand_runs(np.where(q == 0, 0, de), np.where(q == 0, de, a.n - de))
+
+
 def _leibniz_kernel(a: SuperAlgebra, parity: int):
-    """Canonical basis of the parity-homogeneous derivations of a."""
+    """Canonical basis of the parity-homogeneous derivations of a.
+
+    The unknowns are the parity-allowed entries (r, c) of the map, in
+    column-major order; the equation at (i, j, r) is coordinate r of
+    D(e_i e_j) - D(e_i) e_j - s_i e_i D(e_j) = 0, s_i = (-1)^(|D||i|).
+    Every structure constant feeds three term families of it, built as
+    index arrays from coo() and summed per (equation, unknown) cell;
+    the equations go to the eliminator in (i, j, r) order, in blocks of
+    a growing size."""
     f = a.field
     n = a.n
     par = a.parities
-    # Unknowns: allowed entries (r, c) in column-major order.
-    allowed = [(r, c) for c in range(n) for r in range(n)
-               if par[r] == (par[c] + parity) % 2]
-    uidx = {rc: t for t, rc in enumerate(allowed)}
-    nu = len(allowed)
-    targets_for = [[r for r in range(n) if par[r] == (par[k] + parity) % 2]
-                   for k in range(n)]
+    allowed = np.flatnonzero((par[None, :] == (par[:, None] + parity) % 2)
+                             .ravel())          # c * n + r, column-major
+    nu = allowed.size
+    uidx = np.full(n * n, -1, dtype=np.int64)
+    uidx[allowed] = np.arange(nu)
+    i, j, k, c = a.coo()
+    keys, cells, vals = [], [], []
+    # D(e_i e_j): entry (i, j, k, c) adds c at (i, j, r), unknown (r, k)
+    t, r = _fan_out(a, par[k] ^ parity)
+    keys.append((i[t] * n + j[t]) * n + r)
+    cells.append(uidx[k[t] * n + r])
+    vals.append(c[t])
+    # D(e_i) e_j: entry (m, j, r, c) adds -c at (i, j, r), unknown (m, i)
+    t, x = _fan_out(a, par[i] ^ parity)
+    keys.append((x * n + j[t]) * n + k[t])
+    cells.append(uidx[x * n + i[t]])
+    vals.append(-c[t])
+    # s_i e_i D(e_j): entry (i, m, r, c) adds -s_i c at (i, j, r),
+    # unknown (m, j)
+    t, y = _fan_out(a, par[j] ^ parity)
+    keys.append((i[t] * n + y) * n + k[t])
+    cells.append(uidx[y * n + j[t]])
+    vals.append(-(1.0 - 2.0 * parity * par[i[t]]) * c[t])
+    vals = np.concatenate(vals)
+    uniq, inv = np.unique(np.concatenate(keys) * nu + np.concatenate(cells),
+                          return_inverse=True)
+    sums = np.zeros(uniq.size, dtype=f.dtype)
+    sums.real = np.bincount(inv, weights=vals.real, minlength=uniq.size)
+    if f.ext:
+        sums.imag = np.bincount(inv, weights=vals.imag, minlength=uniq.size)
+    rows, row_of = np.unique(uniq // nu, return_inverse=True)
+    col_of = uniq % nu
+
+    def dense(start, stop):
+        """Equations start .. stop-1 as rows of a dense block."""
+        lo, hi = np.searchsorted(row_of, (start, stop))
+        block = np.zeros((stop - start, nu), dtype=f.dtype)
+        block[row_of[lo:hi] - start, col_of[lo:hi]] = sums[lo:hi]
+        return block
+
     elim = Eliminator(f, nu)
-    buf_rows: list[dict] = []
-    flushed = 0
-    schedule = [512, 1024, 2048, 4096]
-
-    def flush():
-        nonlocal flushed
-        if not buf_rows:
-            return
-        block = np.zeros((len(buf_rows), nu), dtype=f.dtype)
-        for t, row in enumerate(buf_rows):
-            for u, c in row.items():
-                block[t, u] = c
-        elim.add_rows(block)
-        buf_rows.clear()
-        flushed += 1
-
-    limit = schedule[0]
-    for i in range(n):
-        si = -1.0 if (parity and par[i]) else 1.0
-        for j in range(n):
-            rows: dict[int, dict] = {}
-            for k, c in a.products.get((i, j), []):
-                for r in targets_for[k]:
-                    rows.setdefault(r, {})
-                    u = uidx[(r, k)]
-                    rows[r][u] = rows[r].get(u, 0) + c
-            for m in targets_for[i]:
-                for r, c in a.products.get((m, j), []):
-                    rows.setdefault(r, {})
-                    u = uidx[(m, i)]
-                    rows[r][u] = rows[r].get(u, 0) - c
-            for m in targets_for[j]:
-                for r, c in a.products.get((i, m), []):
-                    rows.setdefault(r, {})
-                    u = uidx[(m, j)]
-                    rows[r][u] = rows[r].get(u, 0) - si * c
-            for r in sorted(rows):
-                buf_rows.append(rows[r])
-            if len(buf_rows) >= limit:
-                flush()
-                limit = schedule[min(flushed, len(schedule) - 1)]
-    flush()
+    sizes, start = iter((512, 1024, 2048)), 0
+    while start < rows.size:
+        stop = min(start + next(sizes, 4096), rows.size)
+        elim.add_rows(dense(start, stop))
+        start = stop
     kern = elim.kernel_rows()
-    maps = []
-    for row in kern:
-        flat = np.zeros(n * n, dtype=f.dtype)
-        for t, (r, c) in enumerate(allowed):
-            flat[c * n + r] = row[t]
-        maps.append(LinearMap.from_flat(a, a, parity, flat, check=False))
-    return maps
+    flat = np.zeros((len(kern), n * n), dtype=f.dtype)
+    flat[:, allowed] = kern
+    return [LinearMap.from_flat(a, a, parity, row, check=False)
+            for row in flat]
 
 
 def derivation_algebra(a: SuperAlgebra) -> DerivationSpace:

@@ -129,9 +129,6 @@ class FieldSpec:
     def neg(self, x) -> float | complex:
         return self.reduce(-complex(x))
 
-    def eq(self, x, y) -> bool:
-        return self.reduce(x) == self.reduce(y)
-
     def inv(self, x) -> float | complex:
         """Multiplicative inverse, via (a+bu)^-1 = (a-bu)/(a^2+b^2)."""
         x = self.reduce(x)

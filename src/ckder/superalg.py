@@ -3,20 +3,23 @@ exact checks used on them: supercommutativity, the Jordan superidentity
 in operator form, the super Jacobi identity, the Leibniz rule, and
 homomorphism/automorphism verification.
 
-A superalgebra keeps its structure constants in two read-only views of
-the products dict, both in the dtype of the algebra's field like every
-other array here: coo(), the nonzero constants as index and value
-arrays, and tensor(), the dense tensor T[i,j,k] (coefficient of e_k in
-e_i e_j).  The two symmetry checks and the super Jacobi identity run
-on coo() as joins over the nonzero constants, summed per key; the
-Jordan, Leibniz and homomorphism checks run blocked BLAS contractions
-on tensor().  Every check reports the first violating pair or triple in
-lexicographic basis order.
+A superalgebra stores its structure constants once, as the COO arrays
+of coo(): the nonzero constants as sorted index and value arrays, in the
+dtype of the algebra's field like every other array here.  Two views
+are derived from them on demand: tensor(), the dense tensor T[i,j,k]
+(coefficient of e_k in e_i e_j), for the checks that still contract it,
+and products, the constants grouped by pair, for to_json.  The two
+symmetry checks and the super Jacobi identity run on coo() as joins
+over the nonzero constants, summed per key; the Jordan, Leibniz and
+homomorphism checks run blocked BLAS contractions on tensor().  Every
+check reports the first violating pair or triple in lexicographic basis
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,15 +51,19 @@ def _first_bad_pair(diff, labels):
 class SuperAlgebra:
     """A superalgebra given by basis labels and structure constants.
 
-    products maps (i, j) to a list of (k, scalar) pairs; both orders
-    (i, j) and (j, i) are stored explicitly.  Basis vectors 0 ..
-    dim_even-1 are even, the rest odd.  Structure constants must be
-    parity homogeneous; a declared unit must act as one; declared fine
-    Z2 x Z2 labels must be additive on products.
+    The table is stored once, as the four read-only arrays of coo():
+    one entry (i, j, k, c) per nonzero constant, c the coefficient of
+    e_k in e_i e_j, with both orders (i, j) and (j, i) stored
+    explicitly.  The constructor takes such a quadruple in any order,
+    with zero or unreduced values, and rejects an index outside [0, n)
+    and a repeated (i, j, k).  Basis vectors 0 .. dim_even-1 are even,
+    the rest odd.  Structure constants must be parity homogeneous; a
+    declared unit must act as one; declared fine Z2 x Z2 labels must be
+    additive on products.
     """
 
     def __init__(self, field: FieldSpec, dim_even: int, dim_odd: int,
-                 labels, products, unit_index=None, fine_label=None):
+                 labels, table, unit_index=None, fine_label=None):
         self.field = field
         self.dim_even = dim_even
         self.dim_odd = dim_odd
@@ -68,18 +75,39 @@ class SuperAlgebra:
         self.fine_label = [tuple(t) for t in fine_label] if fine_label else None
         self.parities = np.zeros(self.n, dtype=np.int64)
         self.parities[dim_even:] = 1
-        self.products = {}
-        for (i, j), terms in products.items():
-            cleaned = []
-            for k, c in sorted(terms):
-                c = field.reduce(c)
-                if c != 0:
-                    cleaned.append((int(k), c))
-            if cleaned:
-                self.products[(int(i), int(j))] = cleaned
-        self._coo = None
+        self._coo = self._normalize(table)
+        self._products = None
         self._tensor = None
         self._validate()
+
+    def _normalize(self, table):
+        """The read-only, reduced, nonzero, lexicographically sorted
+        arrays of an (i, j, k, c) quadruple."""
+        n = self.n
+        i, j, k, c = table
+        i, j, k = (np.asarray(x, dtype=np.int64).ravel() for x in (i, j, k))
+        c = asfield(self.field, np.asarray(c).ravel())
+        if not i.size == j.size == k.size == c.size:
+            raise ValueError("table arrays differ in length")
+        out = np.flatnonzero((np.minimum(np.minimum(i, j), k) < 0)
+                             | (np.maximum(np.maximum(i, j), k) >= n))
+        if out.size:
+            t = out[0]
+            raise ValueError(f"the term e_{k[t]} of the pair ({i[t]}, "
+                             f"{j[t]}) has an index outside [0, {n})")
+        order = np.lexsort((k, j, i))
+        i, j, k, c = i[order], j[order], k[order], c[order]
+        twice = np.flatnonzero((np.diff(i) == 0) & (np.diff(j) == 0)
+                               & (np.diff(k) == 0))
+        if twice.size:
+            t = twice[0]
+            raise ValueError(f"the pair ({i[t]}, {j[t]}) names e_{k[t]} "
+                             "twice")
+        keep = c != 0
+        arrays = (i[keep], j[keep], k[keep], c[keep])
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     # -- basics ----------------------------------------------------------
 
@@ -92,32 +120,32 @@ class SuperAlgebra:
         return v
 
     def coo(self):
-        """The nonzero structure constants as read-only arrays (i, j, k,
-        c): c[t] is the coefficient of e_k[t] in e_i[t] e_j[t].  Indices
-        are int64, values in the field's dtype, and entries run in
-        lexicographic (i, j, k) order; cached."""
-        if self._coo is None:
-            keys = sorted(self.products)
-            terms = [self.products[key] for key in keys]
-            counts = [len(t) for t in terms]
-            ij = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-            flat = [e for t in terms for e in t]
-            arrays = (np.repeat(ij[0], counts), np.repeat(ij[1], counts),
-                      np.array([e[0] for e in flat], dtype=np.int64),
-                      np.array([e[1] for e in flat], dtype=self.field.dtype))
-            for arr in arrays:
-                arr.flags.writeable = False
-            self._coo = arrays
+        """The stored table: read-only arrays (i, j, k, c) of the nonzero
+        constants, c[t] the coefficient of e_k[t] in e_i[t] e_j[t].
+        Indices are int64, values reduced in the field's dtype, and
+        entries run in lexicographic (i, j, k) order."""
         return self._coo
 
+    @property
+    def products(self):
+        """coo() grouped by pair, {(i, j): ((k, c), ...)} in index
+        order, as a read-only mapping; built once, for to_json."""
+        if self._products is None:
+            i, j, k, c = self._coo
+            grouped = {}
+            for key, term in zip(zip(i.tolist(), j.tolist()),
+                                 zip(k.tolist(), c.tolist())):
+                grouped.setdefault(key, []).append(term)
+            self._products = MappingProxyType(
+                {key: tuple(terms) for key, terms in grouped.items()})
+        return self._products
+
     def tensor(self):
-        """Dense structure tensor T[i,j,k] in the field's dtype, cached
+        """Dense structure tensor T[i,j,k], scattered from coo(); cached
         and read-only."""
         if self._tensor is None:
             t = np.zeros((self.n, self.n, self.n), dtype=self.field.dtype)
-            for (i, j), terms in self.products.items():
-                for k, c in terms:
-                    t[i, j, k] = c
+            t[self._coo[:3]] = self._coo[3]
             t.flags.writeable = False
             self._tensor = t
         return self._tensor
@@ -136,37 +164,35 @@ class SuperAlgebra:
     # -- validation ------------------------------------------------------
 
     def _validate(self):
-        par = self.parities
-        for (i, j), terms in self.products.items():
-            want = (par[i] + par[j]) % 2
-            for k, _ in terms:
-                if par[k] != want:
-                    raise ValueError(
-                        f"product {self.labels[i]} * {self.labels[j]} is not "
-                        "parity homogeneous")
-            if self.fine_label is not None:
-                fi, fj = self.fine_label[i], self.fine_label[j]
-                want_f = ((fi[0] + fj[0]) % 2, (fi[1] + fj[1]) % 2)
-                for k, _ in terms:
-                    if self.fine_label[k] != want_f:
-                        raise ValueError(
-                            f"product {self.labels[i]} * {self.labels[j]} "
-                            "breaks the fine grading")
+        bad = grading_violation(self, self.parities[:, None])
+        if bad is not None:
+            raise ValueError(f"product {self.labels[bad[0]]} * "
+                             f"{self.labels[bad[1]]} is not parity "
+                             "homogeneous")
+        if self.fine_label is not None:
+            bad = grading_violation(self, self.fine_label)
+            if bad is not None:
+                raise ValueError(f"product {self.labels[bad[0]]} * "
+                                 f"{self.labels[bad[1]]} breaks the fine "
+                                 "grading")
         if self.unit_index is not None:
-            u = self.basis_vector(self.unit_index)
-            t = self.tensor()
-            left = amod(self.field, np.einsum("i,icr->cr", u, t))
-            right = amod(self.field, np.einsum("j,cjr->cr", u, t))
-            eye = np.eye(self.n)
-            if not (iszero(left - eye) and iszero(right - eye)):
-                raise ValueError("declared unit does not act as a unit")
+            # e_u e_c = e_c = e_c e_u: the entries with i = u, sorted by
+            # j, and those with j = u, sorted by i, are exactly (c, c, 1)
+            i, j, k, c = self._coo
+            every = np.arange(self.n)
+            for sel, other in ((i == self.unit_index, j),
+                               (j == self.unit_index, i)):
+                if not (np.array_equal(other[sel], every)
+                        and np.array_equal(k[sel], every)
+                        and np.all(c[sel] == 1)):
+                    raise ValueError("declared unit does not act as a unit")
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
         f = self.field
         prods = [[i, j, [[k, f.scalar_to_json(c)] for k, c in terms]]
-                 for (i, j), terms in sorted(self.products.items())]
+                 for (i, j), terms in self.products.items()]
         return {
             "field": f.to_json(),
             "dim_even": self.dim_even,
@@ -181,12 +207,31 @@ class SuperAlgebra:
     @classmethod
     def from_json(cls, obj: dict) -> "SuperAlgebra":
         f = FieldSpec.from_json(obj["field"])
-        prods = {(int(i), int(j)): [(int(k), f.scalar_from_json(c))
-                                    for k, c in terms]
-                 for i, j, terms in obj["products"]}
         return cls(f, int(obj["dim_even"]), int(obj["dim_odd"]),
-                   obj["labels"], prods, obj.get("unit"),
-                   obj.get("fine_label"))
+                   obj["labels"], table_from_json(f, obj["products"]),
+                   obj.get("unit"), obj.get("fine_label"))
+
+
+def table_from_json(field: FieldSpec, rows):
+    """The (i, j, k, c) quadruple of a JSON table [[i, j, [[k, c], ...]],
+    ...], c in the field's JSON scalar form."""
+    terms = [(i, j, k, c) for i, j, ts in rows for k, c in ts]
+    i, j, k, c = zip(*terms) if terms else ((),) * 4
+    return i, j, k, [field.scalar_from_json(x) for x in c]
+
+
+def grading_violation(a: SuperAlgebra, grades):
+    """The first structure constant in lexicographic order that breaks
+    a Z2^r grading, as (i, j, k), or None.  grades gives each basis
+    vector an r-tuple of bits, its parity or its fine label, and e_i e_j
+    must land on grades[i] + grades[j] mod 2."""
+    g = np.asarray(grades, dtype=np.int64).reshape(a.n, -1)
+    i, j, k, _ = a.coo()
+    bad = np.flatnonzero(np.any(g[k] != (g[i] + g[j]) % 2, axis=1))
+    if not bad.size:
+        return None
+    t = bad[0]
+    return int(i[t]), int(j[t]), int(k[t])
 
 
 def vector_parity(a: SuperAlgebra, v) -> int:
@@ -404,6 +449,14 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
     return Verdict(True, None)
 
 
+def expand_runs(starts, counts):
+    """Index pairs (t, starts[t] + s) for every t and s < counts[t], as
+    two arrays, in t order."""
+    t = np.repeat(np.arange(counts.size), counts)
+    offset = starts - (np.cumsum(counts) - counts)
+    return t, np.arange(t.size) + np.repeat(offset, counts)
+
+
 def _jacobi_terms(lie):
     """Keys ((a*n + b)*n + c)*n + q and signed values of every term of
     the super Jacobi sum J(a,b,c)_q with a the least of a, b, c.
@@ -421,10 +474,7 @@ def _jacobi_terms(lie):
     # right factors of a left entry (x, y, m): the entries with i == m,
     # a contiguous run since coo() is sorted by i
     lo = np.searchsorted(i, k, "left")
-    counts = np.searchsorted(i, k, "right") - lo
-    left = np.repeat(np.arange(i.size), counts)
-    right = np.arange(counts.sum()) \
-        + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    left, right = expand_runs(lo, np.searchsorted(i, k, "right") - lo)
     x, y, z, q = i[left], j[left], j[right], k[right]
     v = c[left] * c[right] * (1.0 - 2.0 * (lie.parities[x] * lie.parities[z]))
     keys, vals = [], []

@@ -252,29 +252,27 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     left = [conj(fm, fminv, m.matrix) for m in maps]
     right = [conj(f2, f2inv, m.matrix) for m in maps]
 
-    products = {}
+    # prods[i, j] holds the coordinates of the product of carriers i, j
+    prods = np.zeros((2 * dz, 2 * dz, 2 * dz), dtype=f.dtype)
     for i in range(2 * dz):
         for j in range(2 * dz):
             li = LinearMap(a, a, pars[i], left[i], check=False)
             rj = LinearMap(a, a, pars[j], right[j], check=False)
             br = super_commutator(li, rj)
             prod = amod(f, -conj(tm, tminv, br.matrix))
-            c = coords(prod.flatten(order="F"))
-            terms = [(k, c[k]) for k in range(2 * dz) if c[k] != 0]
-            if terms:
-                products[(i, j)] = terms
+            prods[i, j] = coords(prod.flatten(order="F"))
 
     invo = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
     for i, m in enumerate(maps):
         invo[:, i] = coords(amod(f, -conj(tm, tminv, m.matrix))
                             .flatten(order="F"))
 
-    unital = all(
-        products.get((0, j)) == [(j, 1)] and products.get((j, 0)) == [(j, 1)]
-        for j in range(2 * dz))
+    eye = np.eye(2 * dz)
+    unital = np.array_equal(prods[0], eye) and np.array_equal(prods[:, 0], eye)
     labels = [f"D(v1,t^{k} v2)" for k in range(dz)] + \
              [f"D(v3,t^{k} y)" for k in range(dz)]
-    alg = SuperAlgebra(f, dz, dz, labels, products,
+    nz = np.nonzero(prods)
+    alg = SuperAlgebra(f, dz, dz, labels, (*nz, prods[nz]),
                        unit_index=0 if unital else None)
     return CoordinateAlgebra(comp, carrier_even, carrier_odd, alg,
                              invo, unital, coords)
@@ -333,13 +331,6 @@ class CoordinateTransfer:
             c = self.coord.coords(br.flatten())
             out[:, j] = self._phi_inv @ c
         return LinearMap(self.kd.alg, self.kd.alg, d.parity, amod(f, out))
-
-    def image_space(self, source: DerivationSpace,
-                    validate: bool = True) -> DerivationSpace:
-        """The transferred span of a derivation space."""
-        ev = [self.apply(d) for d in source.even_basis]
-        od = [self.apply(d) for d in source.odd_basis]
-        return DerivationSpace(self.kd.alg, ev, od, validate=validate)
 
 
 def phi_star(ck: ChengKac, kd: KantorDouble, coord: CoordinateAlgebra,

@@ -17,7 +17,8 @@ from .derivations import (DerivationSpace, grade_derivations,
                           inner_derivation_algebra)
 from .linalg import amod, asfield, inverse, iszero, rank, solve_right
 from .superalg import (LinearMap, SuperAlgebra, Verdict,
-                       inner_derivation_rows, is_homomorphism)
+                       inner_derivation_rows, is_homomorphism,
+                       table_from_json)
 from .symmetry import CoordinateAlgebra, CoordinateTransfer, S4Action, \
     conjugate_der
 
@@ -26,14 +27,10 @@ class LieSuperAlgebra(SuperAlgebra):
     """A superalgebra whose product is a super bracket, with an
     optional 3-grading tag (-1, 0, +1) per basis vector."""
 
-    def __init__(self, field, dim_even, dim_odd, labels, brackets,
+    def __init__(self, field, dim_even, dim_odd, labels, table,
                  grading=None):
-        super().__init__(field, dim_even, dim_odd, labels, brackets)
+        super().__init__(field, dim_even, dim_odd, labels, table)
         self.grading = list(grading) if grading is not None else None
-
-    @property
-    def brackets(self):
-        return self.products
 
     def to_json(self) -> dict:
         obj = super().to_json()
@@ -47,30 +44,29 @@ class LieSuperAlgebra(SuperAlgebra):
     def from_json(cls, obj: dict) -> "LieSuperAlgebra":
         from .field import FieldSpec
         f = FieldSpec.from_json(obj["field"])
-        brs = {(int(i), int(j)): [(int(k), f.scalar_from_json(c))
-                                  for k, c in terms]
-               for i, j, terms in obj["brackets"]}
         return cls(f, int(obj["dim_even"]), int(obj["dim_odd"]),
-                   obj["labels"], brs, obj.get("grading"))
+                   obj["labels"], table_from_json(f, obj["brackets"]),
+                   obj.get("grading"))
 
 
 def check_3grading(lie: LieSuperAlgebra) -> Verdict:
     """Brackets of tagged vectors must land in the summed tag, and be
-    zero once the sum leaves {-1, 0, 1}."""
+    zero once the sum leaves {-1, 0, 1}.  The witness is the first
+    offending pair in lexicographic order."""
     if lie.grading is None:
         return Verdict(False, {"reason": "no grading tags"})
-    g = lie.grading
-    for (i, j), terms in lie.products.items():
-        s = g[i] + g[j]
-        if abs(s) > 1 and terms:
-            return Verdict(False, {"pair": (lie.labels[i], lie.labels[j]),
-                                   "reason": "nonzero bracket outside the "
-                                   "grading range"})
-        for k, _ in terms:
-            if g[k] != s:
-                return Verdict(False, {"pair": (lie.labels[i], lie.labels[j]),
-                                       "lands_on": lie.labels[k]})
-    return Verdict(True)
+    g = np.asarray(lie.grading)
+    i, j, k, _ = lie.coo()
+    s = g[i] + g[j]
+    bad = np.flatnonzero((np.abs(s) > 1) | (g[k] != s))
+    if not bad.size:
+        return Verdict(True)
+    t = bad[0]
+    pair = (lie.labels[i[t]], lie.labels[j[t]])
+    if abs(s[t]) > 1:
+        return Verdict(False, {"pair": pair, "reason": "nonzero bracket "
+                               "outside the grading range"})
+    return Verdict(False, {"pair": pair, "lands_on": lie.labels[k[t]]})
 
 
 _E_MATRICES = (
@@ -87,25 +83,20 @@ def so3(field) -> LieSuperAlgebra:
     The returned algebra carries the concrete matrices and the trace
     form, which is -2 times the identity; both facts are rechecked on
     every call."""
-    brackets = {}
-    for i in range(3):
-        j = (i + 1) % 3
-        k = (i + 2) % 3
-        brackets[(i, j)] = [(k, 1)]
-        brackets[(j, i)] = [(k, -1)]
-    lie = LieSuperAlgebra(field, 3, 0, ["E1", "E2", "E3"], brackets)
+    # [E_i, E_{i+1}] = E_{i+2} and [E_{i+1}, E_i] = -E_{i+2}, indices mod 3
+    i, j, k = np.arange(3), np.arange(1, 4) % 3, np.arange(2, 5) % 3
+    lie = LieSuperAlgebra(field, 3, 0, ["E1", "E2", "E3"],
+                          (np.r_[i, j], np.r_[j, i], np.r_[k, k],
+                           [1, 1, 1, -1, -1, -1]))
     lie.matrices = _E_MATRICES
-    tf = np.zeros((3, 3), dtype=int)
-    for i in range(3):
-        for j in range(3):
-            tf[i, j] = np.trace(_E_MATRICES[i] @ _E_MATRICES[j])
-            comm = _E_MATRICES[i] @ _E_MATRICES[j] \
-                - _E_MATRICES[j] @ _E_MATRICES[i]
-            want = sum(c * _E_MATRICES[k]
-                       for k, c in brackets.get((i, j), []))
-            if not np.array_equal(comm, want if brackets.get((i, j))
-                                  else np.zeros((3, 3))):
-                raise AssertionError("matrix model broke its own table")
+    e = np.stack(_E_MATRICES)
+    i, j, k, c = lie.coo()
+    want = np.zeros((3, 3, 3, 3), dtype=field.dtype)
+    want[i, j] = c[:, None, None] * e[k]
+    comm = np.einsum("iab,jbc->ijac", e, e) - np.einsum("jab,ibc->ijac", e, e)
+    if np.any(amod(field, comm - want)):
+        raise AssertionError("matrix model broke its own table")
+    tf = np.einsum("iab,jba->ij", e, e)
     if not np.array_equal(tf, -2 * np.eye(3)):
         raise AssertionError("trace form is not -2 times the identity")
     lie.trace_form = asfield(field, tf)
@@ -120,11 +111,11 @@ class ThreeCopyAlgebra(LieSuperAlgebra):
     derivations, then the odd part of each copy in turn, the odd
     derivations."""
 
-    def __init__(self, field, labels, brackets, grading, jalg, dspace):
+    def __init__(self, field, labels, table, grading, jalg, dspace):
         self._copy, self._der = self.layout(jalg, dspace)
         n0, n1 = jalg.dim_even, jalg.dim_odd
         m0, m1 = dspace.dims
-        super().__init__(field, 3 * n0 + m0, 3 * n1 + m1, labels, brackets,
+        super().__init__(field, 3 * n0 + m0, 3 * n1 + m1, labels, table,
                          grading)
         self.jalg = jalg
         self.dspace = dspace
@@ -191,7 +182,7 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
     par = jalg.parities
     m0, m1 = ds.dims
     copy, der = cls.layout(jalg, ds)
-    parts = []  # blocks of (rows, cols, outs, vals), see _coo_brackets
+    parts = []  # blocks of (i, j, k, c) table entries
 
     # D(a, b) in coordinates over ds
     dco = np.zeros((n, n, m0 + m1), dtype=f.dtype)
@@ -204,12 +195,10 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
                                  "space")
             dco[a, sel, off:off + co.shape[1]] = co
 
-    t = jalg.tensor()
-    prod = np.nonzero(t)
+    ji, jj, jk, jc = jalg.coo()
     dnz = np.nonzero(dco)
     for (i, j), (k, s) in copies.items():
-        parts.append((copy[i, prod[0]], copy[j, prod[1]], copy[k, prod[2]],
-                      s * t[prod]))
+        parts.append((copy[i, ji], copy[j, jj], copy[k, jk], s * jc))
     for (i, j), c in dcoef.items():
         parts.append((copy[i, dnz[0]], copy[j, dnz[1]], der[dnz[2]],
                       c * dco[dnz]))
@@ -239,21 +228,8 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
         for i in range(3):
             g[copy[i]] = tags[i]
         grading = g.tolist()
-    brackets = _coo_brackets(f, *(np.concatenate(x) for x in zip(*parts)))
-    return cls(f, labels, brackets, grading, jalg, ds)
-
-
-def _coo_brackets(f, rows, cols, outs, vals):
-    """Bracket dict from coordinate lists: [e_row, e_col] has the term
-    val e_out.  Zero terms are dropped; keys come in index order."""
-    vals = asfield(f, vals)
-    keep = np.nonzero(vals)[0]
-    keep = keep[np.lexsort((outs[keep], cols[keep], rows[keep]))]
-    brackets = {}
-    for i, j, k, c in zip(rows[keep].tolist(), cols[keep].tolist(),
-                          outs[keep].tolist(), vals[keep].tolist()):
-        brackets.setdefault((i, j), []).append((k, c))
-    return brackets
+    table = [np.concatenate(x) for x in zip(*parts)]
+    return cls(f, labels, table, grading, jalg, ds)
 
 
 def tits_construction(jalg: SuperAlgebra, dspace: DerivationSpace,
@@ -273,7 +249,8 @@ def tits_construction(jalg: SuperAlgebra, dspace: DerivationSpace,
         if not dspace.subspace(par).contains(inder.subspace(par)):
             raise ValueError("derivation space misses inner derivations")
     # half the trace form of so3 is -1 on the diagonal
-    copies = {pair: term for pair, (term,) in so3(jalg.field).brackets.items()}
+    i, j, k, c = (x.tolist() for x in so3(jalg.field).coo())
+    copies = {(a, b): term for a, b, *term in zip(i, j, k, c)}
     dcoef = {(i, i): -1 for i in range(3)}
     return _three_copy_lie(TitsAlgebra, jalg, dspace, copies, dcoef,
                            ("E1*{}", "E2*{}", "E3*{}"))
@@ -398,8 +375,7 @@ def lie_from_derivations(ds: DerivationSpace) -> LieSuperAlgebra:
     c = ds.structure_constants()
     nz = np.nonzero(c)
     lie = LieSuperAlgebra(ds.algebra.field, m0, m1,
-                          [f"D{k}" for k in range(m0 + m1)],
-                          _coo_brackets(ds.algebra.field, *nz, c[nz]))
+                          [f"D{k}" for k in range(m0 + m1)], (*nz, c[nz]))
     lie.space = ds
     return lie
 

@@ -1,0 +1,55 @@
+"""Golden bytes: the JSON report and the exported tables at p = 3.
+
+The sha256 digests below were taken from the code as it stood before
+structure tables were stored as COO arrays (the commit before that
+change), by running
+
+    python -m ckder verify --p 3 --format json
+    python -m ckder export --p 3 --algebra A --out FILE
+
+and hashing stdout and FILE.  A change that only reorganises the code
+must leave every digest as it is.  A change that means to alter a
+report or an export updates the digest here and says why."""
+
+import hashlib
+
+import pytest
+
+from ckder.cli import ALGEBRA_NAMES, main
+
+VERIFY_P3 = "1eb7442d4fba1845fd398255f8197f2f85de117265adc65e057742b722d45122"
+
+EXPORT_P3 = {
+    "Z": "28492f25092ccc0797d63551c774ca818c382efec632f9587e37c0064b10f02c",
+    "K": "62c610d91325c91f109344a9659e32c7589642a443cddd91bc802c570b40f548",
+    "jck_w":
+        "64381f90ad21da9160f71ff43053c7c6ccd10e5f6d0abf1cff4da3f00dbbdfa7",
+    "jck_v":
+        "c6cf41e70408d2450c0702d2954d1513a529524704a2ec83079699ff062beb8c",
+    "so3": "7d8de2c3b17db42def03d9559cd4146c1b0b259c55f8e9223b7c20d6ba3f1d21",
+    "tkk_K":
+        "2c39de20dfa2e5422dfda402e7190449533234e528a5e1c354798f26af46b5f8",
+    "ck_lie":
+        "22e8c3fe460420360d84f9ef210bc3f93fa91305c020a46ea6e5e790907f0f96",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_verify_report_bytes(capsys):
+    assert main(["verify", "--p", "3", "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P3
+
+
+def test_every_algebra_name_is_pinned():
+    assert sorted(EXPORT_P3) == sorted(ALGEBRA_NAMES)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_export_bytes(tmp_path, name):
+    out = tmp_path / f"{name}.json"
+    assert main(["export", "--p", "3", "--algebra", name,
+                 "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == EXPORT_P3[name]

@@ -1,10 +1,14 @@
-"""The sparse symmetry and super Jacobi checks against dense oracles.
+"""The sparse symmetry and super Jacobi checks against dense oracles,
+and the stored COO table against its dense view.
 
 check_supercommutative and check_super_lie run as joins over the nonzero
 structure constants.  The oracles below are the dense blocked
 contractions they replaced, kept here only: on real tables, on planted
 single-constant defects and on random sparse tables, the two must agree
-on the verdict and on the witness dict, key order included."""
+on the verdict and on the witness dict, key order included.  The same
+real and random tables check that the constructor stores one canonical
+table whatever the presentation of its input, and that tensor() is the
+scatter of it."""
 
 import numpy as np
 import pytest
@@ -128,14 +132,25 @@ def _perturbed(lie, i, j, t, both_orders):
     """lie with the t-th constant of [e_i, e_j] raised by one, and
     [e_j, e_i] rewritten to match by super antisymmetry when both_orders
     is set."""
-    brackets = {key: list(terms) for key, terms in lie.brackets.items()}
+    brackets = {key: list(terms) for key, terms in lie.products.items()}
     k, c = brackets[(i, j)][t]
     brackets[(i, j)][t] = (k, c + 1)
     if both_orders:
         sign = -1 if lie.parity(i) and lie.parity(j) else 1
         brackets[(j, i)] = [(k, -sign * c) for k, c in brackets[(i, j)]]
     return LieSuperAlgebra(lie.field, lie.dim_even, lie.dim_odd, lie.labels,
-                           brackets, lie.grading)
+                           _table(brackets), lie.grading)
+
+
+def _table(grouped):
+    """The (i, j, k, c) lists of a table grouped as {(i, j): [(k, c)]}."""
+    return _columns([(i, j, k, c) for (i, j), ts in grouped.items()
+                     for k, c in ts])
+
+
+def _columns(terms):
+    """The (i, j, k, c) lists of a list of entries (i, j, k, c)."""
+    return tuple(map(list, zip(*terms))) if terms else ([],) * 4
 
 
 @pytest.mark.parametrize("both_orders", [False, True], ids=["one", "both"])
@@ -143,7 +158,7 @@ def test_every_perturbed_constant_agrees_with_the_dense_oracle(ctx3,
                                                                both_orders):
     lie = ctx3.tits_double(F3)
     caught = 0
-    for (i, j), terms in sorted(lie.brackets.items()):
+    for (i, j), terms in lie.products.items():
         for t in range(len(terms)):
             bad = _perturbed(lie, i, j, t, both_orders)
             v = check_super_lie(bad)
@@ -161,7 +176,7 @@ def test_supercommutative_check_catches_a_planted_defect(ctx3):
     prods = {key: list(terms) for key, terms in a.products.items()}
     k, c = prods[(i, j)][0]
     prods[(i, j)][0] = (k, c + 1)
-    bad = SuperAlgebra(F3, a.dim_even, a.dim_odd, a.labels, prods)
+    bad = SuperAlgebra(F3, a.dim_even, a.dim_odd, a.labels, _table(prods))
     v = check_supercommutative(bad)
     assert not v
     assert v.witness["pair"] == [i, j]
@@ -174,7 +189,11 @@ def test_supercommutative_check_catches_a_planted_defect(ctx3):
 @st.composite
 def super_tables(draw):
     """A random sparse parity-homogeneous table with n <= 8, made
-    super symmetric (+1), super antisymmetric (-1) or left as drawn."""
+    super symmetric (+1), super antisymmetric (-1) or left as drawn.
+
+    Returns the algebra and a second presentation of its entries: in a
+    drawn order, with values shifted by multiples of p and with entries
+    of value zero (mod p) on keys the table does not use."""
     field = draw(st.sampled_from([F3, F9]))
     n = draw(st.integers(2, 8))
     dim_even = draw(st.integers(0, n))
@@ -197,17 +216,69 @@ def super_tables(draw):
                 continue
             prods.setdefault((j, i), {})[k] = symmetry * s * c
         prods.setdefault((i, j), {})[k] = c
-    return SuperAlgebra(field, dim_even, n - dim_even,
-                        [f"e{i}" for i in range(n)],
-                        {key: list(terms.items())
-                         for key, terms in prods.items()})
+    grouped = {key: list(terms.items()) for key, terms in prods.items()}
+    a = SuperAlgebra(field, dim_even, n - dim_even,
+                     [f"e{i}" for i in range(n)], _table(grouped))
+    shift = st.integers(-3, 3)
+    terms = [(i, j, k, c + field.p * complex(draw(shift),
+                                             draw(shift) if field.ext else 0))
+             for (i, j), ts in grouped.items() for k, c in ts]
+    index = st.integers(0, n - 1)
+    for i, j, k, m in draw(st.lists(st.tuples(index, index, index, shift),
+                                    max_size=n)):
+        if k not in prods.get((i, j), {}):
+            terms.append((i, j, k, field.p * m))
+            prods.setdefault((i, j), {})[k] = 0
+    terms = [terms[t] for t in draw(st.permutations(range(len(terms))))]
+    return a, _columns(terms)
 
 
 @settings(max_examples=300)
 @given(super_tables())
-def test_random_tables_agree_with_the_dense_oracles(a):
+def test_random_tables_agree_with_the_dense_oracles(table):
+    a, _ = table
     assert_same(check_supercommutative(a), dense_supercommutative(a))
     assert_same(check_super_lie(a), dense_super_lie(a))
+
+
+def assert_tensor_scatters_coo(a):
+    """tensor() holds the coo() values at their keys, and nothing else."""
+    i, j, k, c = a.coo()
+    t = a.tensor()
+    assert np.array_equal(t[i, j, k], c)
+    assert np.count_nonzero(t) == c.size
+
+
+@settings(max_examples=300)
+@given(super_tables())
+def test_any_presentation_gives_the_same_stored_table(table):
+    a, scrambled = table
+    b = SuperAlgebra(a.field, a.dim_even, a.dim_odd, a.labels, scrambled)
+    for got, want in zip(b.coo(), a.coo()):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert_tensor_scatters_coo(b)
+
+
+BATTERY_TABLES = {
+    "Z": lambda ctx, f: ctx.dalg(f).z,
+    "K": lambda ctx, f: ctx.kd(f).alg,
+    "J_w": lambda ctx, f: ctx.ck(f, "w").alg,
+    "J_v": lambda ctx, f: ctx.ck(f, "v").alg,
+    "coordinate": lambda ctx, f: ctx.coord().alg,
+    "so3": lambda ctx, f: so3(f),
+    "tits_double": lambda ctx, f: ctx.tits_double(f),
+    "tkk_big": lambda ctx, f: ctx.tkk_big(f),
+}
+
+
+@pytest.mark.parametrize("name,field", [
+    (name, field) for name in BATTERY_TABLES for field in (F3, F9)
+    # the v basis and the coordinate algebra need sqrt(-1), so F9 only
+    if field.ext or name not in ("J_v", "coordinate")])
+def test_battery_tables_are_the_scatter_of_their_coo(ctx3, name, field):
+    assert_tensor_scatters_coo(BATTERY_TABLES[name](ctx3, field))
 
 
 # -- the helper ----------------------------------------------------------

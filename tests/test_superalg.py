@@ -17,8 +17,8 @@ F5 = FieldSpec(5)
 
 def dual_numbers(field):
     """F[t]/(t^2) as a purely even test algebra with basis (1, t)."""
-    prods = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)]}
-    return SuperAlgebra(field, 2, 0, ["1", "t"], prods, unit_index=0)
+    table = ([0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 1, 1])
+    return SuperAlgebra(field, 2, 0, ["1", "t"], table, unit_index=0)
 
 
 def test_multiply_and_left_mult():
@@ -34,18 +34,36 @@ def test_multiply_and_left_mult():
 
 def test_validation_rejects_bad_tables():
     # a declared unit that does not act as one
-    prods = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)]}
+    table = ([0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 1, 1])
     with pytest.raises(ValueError, match="unit"):
-        SuperAlgebra(F5, 2, 0, ["1", "t"], prods, unit_index=1)
+        SuperAlgebra(F5, 2, 0, ["1", "t"], table, unit_index=1)
     # even * even landing in the odd part
     with pytest.raises(ValueError, match="parity"):
-        SuperAlgebra(F5, 1, 1, ["a", "b"], {(0, 0): [(1, 1)]})
+        SuperAlgebra(F5, 1, 1, ["a", "b"], ([0], [0], [1], [1]))
     # a product term that breaks a declared fine grading
     with pytest.raises(ValueError, match="grading"):
-        SuperAlgebra(F5, 2, 0, ["a", "b"], {(0, 0): [(1, 1)]},
+        SuperAlgebra(F5, 2, 0, ["a", "b"], ([0], [0], [1], [1]),
                      fine_label=[(0, 0), (1, 0)])
     with pytest.raises(ValueError, match="label count"):
-        SuperAlgebra(F5, 2, 0, ["a"], {})
+        SuperAlgebra(F5, 2, 0, ["a"], ([], [], [], []))
+    # the same (i, j, k) twice, even with values that add up to zero
+    for vals in ([1, 1], [1, 4]):
+        with pytest.raises(ValueError, match=r"\(0, 0\) names e_1 twice"):
+            SuperAlgebra(F5, 2, 0, ["a", "b"], ([0, 0], [0, 0], [1, 1], vals))
+    # an index outside [0, n), on either side of the range
+    for k in (-1, 2):
+        with pytest.raises(ValueError, match=r"\(0, 0\).*outside \[0, 2\)"):
+            SuperAlgebra(F5, 2, 0, ["a", "b"], ([0], [0], [k], [1]))
+    with pytest.raises(ValueError, match=r"\(0, 2\).*outside"):
+        SuperAlgebra(F5, 2, 0, ["a", "b"], ([0], [2], [0], [1]))
+    # the same faults arriving through JSON
+    obj = dual_numbers(F5).to_json()
+    obj["products"][0][2].append([0, [2]])
+    with pytest.raises(ValueError, match="twice"):
+        SuperAlgebra.from_json(obj)
+    obj["products"][0][2][-1][0] = 5
+    with pytest.raises(ValueError, match="outside"):
+        SuperAlgebra.from_json(obj)
 
 
 def test_vector_parity():
@@ -62,8 +80,8 @@ def test_vector_parity():
 def test_supercommutative_check_and_witness():
     assert check_supercommutative(dual_numbers(F5))
     # tamper with one order of one product
-    prods = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 2)]}
-    bad = SuperAlgebra(F5, 2, 0, ["1", "t"], prods)
+    bad = SuperAlgebra(F5, 2, 0, ["1", "t"],
+                       ([0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 1, 2]))
     v = check_supercommutative(bad)
     assert not v
     assert v.witness["pair"] == [0, 1]
@@ -198,6 +216,8 @@ def test_json_round_trip_preserves_products():
     kd = kantor_double(truncated_poly(F5))
     back = SuperAlgebra.from_json(kd.alg.to_json())
     assert back.products == kd.alg.products
+    for got, want in zip(back.coo(), kd.alg.coo()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert back.labels == kd.alg.labels
     assert back.unit_index == kd.alg.unit_index
     assert back.dim_even == kd.alg.dim_even and back.dim_odd == kd.alg.dim_odd

@@ -63,13 +63,13 @@ def test_cyclic_matrix_model():
     assert lie.labels == ["E1", "E2", "E3"]
     assert (lie.dim_even, lie.dim_odd) == (3, 0)
     def reduced(key):
-        return [(k, F5.reduce(c)) for k, c in lie.brackets[key]]
+        return [(k, F5.reduce(c)) for k, c in lie.products[key]]
 
     assert reduced((0, 1)) == [(2, 1)]
     assert reduced((1, 0)) == [(2, 4)]
     assert reduced((1, 2)) == [(0, 1)]
     assert reduced((2, 0)) == [(1, 1)]
-    assert (0, 0) not in lie.brackets
+    assert (0, 0) not in lie.products
     assert np.array_equal(lie.trace_form, amod(F5, -2 * np.eye(3)))
     # the attached matrices really are the cross-product generators
     for i, m in enumerate(lie.matrices):
@@ -91,9 +91,9 @@ def test_bracket_table_json_round_trip(tkk3):
     back = LieSuperAlgebra.from_json(blob)
     assert back.labels == tkk3.labels
     assert back.grading == tkk3.grading
-    assert set(back.brackets) == set(tkk3.brackets)
-    for key, terms in tkk3.brackets.items():
-        got = [(k, F3.reduce(c)) for k, c in back.brackets[key]]
+    assert set(back.products) == set(tkk3.products)
+    for key, terms in tkk3.products.items():
+        got = [(k, F3.reduce(c)) for k, c in back.products[key]]
         want = [(k, F3.reduce(c)) for k, c in terms]
         assert got == want
 
@@ -158,14 +158,15 @@ def test_three_graded_big_algebra():
 def _perturbed(lie, i, j, both_orders):
     """lie with one constant of [e_i, e_j] raised by one, and [e_j, e_i]
     rewritten to match by super antisymmetry when both_orders is set."""
-    brackets = {key: list(terms) for key, terms in lie.brackets.items()}
+    brackets = {key: list(terms) for key, terms in lie.products.items()}
     k, c = brackets[(i, j)][0]
     brackets[(i, j)][0] = (k, c + 1)
     if both_orders:
         sign = -1 if lie.parity(i) and lie.parity(j) else 1
         brackets[(j, i)] = [(k, -sign * c) for k, c in brackets[(i, j)]]
+    terms = [(a, b, k, c) for (a, b), ts in brackets.items() for k, c in ts]
     return LieSuperAlgebra(lie.field, lie.dim_even, lie.dim_odd, lie.labels,
-                           brackets, lie.grading)
+                           tuple(zip(*terms)), lie.grading)
 
 
 def test_super_lie_check_catches_a_perturbed_constant(kd3, tkk3):
@@ -269,12 +270,12 @@ def test_brackets_follow_the_defining_formulas(field):
 
 def test_grading_check_flags_violations(tkk3):
     broken = LieSuperAlgebra(F3, tkk3.dim_even, tkk3.dim_odd, tkk3.labels,
-                             tkk3.brackets, grading=None)
+                             tkk3.coo(), grading=None)
     assert not check_3grading(broken)
     tags = list(tkk3.grading)
     tags[tkk3.idx_plus(0)] = -1
     broken = LieSuperAlgebra(F3, tkk3.dim_even, tkk3.dim_odd, tkk3.labels,
-                             tkk3.brackets, grading=tags)
+                             tkk3.coo(), grading=tags)
     v = check_3grading(broken)
     assert not v
     assert "pair" in v.witness
