@@ -32,11 +32,11 @@ from .symmetry import (build_s4, coordinate_algebra, coxeter_witness,
 from .tkk import (check_3grading, der_as_tkk, so3,
                   sl2_identification, tits_construction, tkk_3graded)
 
-# Generic derivation solves on the rank-8 algebra grow too costly past
-# this characteristic; larger primes fall back to the inner span, which
-# is the same space for truncated coefficients (machine-verified below
-# the cap, proved in general).
-GENERIC_DER_MAX_P = 7
+# Two checks still contract dense tables of the rank-8 algebra and its
+# Lie realisations: the exhaustive Jordan operator identity and the
+# homomorphism check of the sl2 bridge.  Their arrays grow as n^3, so
+# past this characteristic both are skipped.
+DENSE_CHECK_MAX_P = 7
 
 GROUPS = ("jordan", "props", "dims", "s4", "coord", "tkk")
 
@@ -140,18 +140,17 @@ class RunContext:
             lambda: inner_derivation_algebra(self.ck(f, basis).alg))
 
     def der_j(self, f, basis):
-        """(space, how): the full derivation solve below the cap, the
-        inner span above it."""
-        def make():
-            if f.p <= GENERIC_DER_MAX_P:
-                return (derivation_algebra(self.ck(f, basis).alg), "solved")
-            return (self.inder_j(f, basis), "inner-span")
-        return self._get(("der_j", f.p, f.ext, basis), make)
+        """The Leibniz solve of the big algebra, at every p.  The checks
+        built on it report it as "how": "solved", a fixed field of their
+        witnesses in the report format."""
+        return self._get(
+            ("der_j", f.p, f.ext, basis),
+            lambda: derivation_algebra(self.ck(f, basis).alg))
 
     def graded_j(self, f, basis):
         return self._get(
             ("graded_j", f.p, f.ext, basis),
-            lambda: grade_derivations(self.der_j(f, basis)[0]))
+            lambda: grade_derivations(self.der_j(f, basis)))
 
     # -- symmetry layer (sqrt field, v basis) ----------------------------
 
@@ -162,7 +161,7 @@ class RunContext:
         return self._get(
             ("coord",),
             lambda: coordinate_algebra(self.ck(self.sqrt, "v"),
-                                       self.der_j(self.sqrt, "v")[0],
+                                       self.der_j(self.sqrt, "v"),
                                        self.act()))
 
     def phi(self):
@@ -233,10 +232,10 @@ def check_big_w_supercommutative(ctx):
 
 
 def _big_jordan_capped(ctx, f):
-    if ctx.p > GENERIC_DER_MAX_P:
+    if ctx.p > DENSE_CHECK_MAX_P:
         return ("skipped", field_label(f),
                 {"reason": f"operator identity on dimension {8 * ctx.p} "
-                           f"capped at p <= {GENERIC_DER_MAX_P}"})
+                           f"capped at p <= {DENSE_CHECK_MAX_P}"})
     return None
 
 
@@ -359,15 +358,12 @@ def check_big_inder_dims(ctx):
 
 def check_big_der_equals_inder(ctx):
     f = ctx.base
-    if ctx.p > GENERIC_DER_MAX_P:
-        return ("skipped", field_label(f),
-                {"reason": f"full derivation solve capped at "
-                           f"p <= {GENERIC_DER_MAX_P}"})
-    der, how = ctx.der_j(f, "w")
+    der = ctx.der_j(f, "w")
     inder = ctx.inder_j(f, "w")
     ok = der.equals(inder)
     return ("pass" if ok else "fail", field_label(f),
-            {"der": list(der.dims), "inder": list(inder.dims), "how": how})
+            {"der": list(der.dims), "inder": list(inder.dims),
+             "how": "solved"})
 
 
 def check_graded_component_dims(ctx):
@@ -467,16 +463,15 @@ def check_s4_coxeter(ctx):
 
 def check_s4_fixes_scalar_component(ctx):
     f = ctx.sqrt
-    der, how = ctx.der_j(f, "v")
-    comp = grade_derivations(der).component((0, 0))
+    comp = ctx.graded_j(f, "v").component((0, 0))
     mats = [d.matrix for d in comp.even_basis + comp.odd_basis]
     for g in ctx.act().elements:
         gi = inverse(f, g.matrix)
         for dm in mats:
             if not iszero(amod(f, g.matrix @ dm @ gi - dm)):
-                return ("fail", field_label(f), {"how": how})
+                return ("fail", field_label(f), {"how": "solved"})
     return ("pass", field_label(f),
-            {"component_dims": list(comp.dims), "how": how})
+            {"component_dims": list(comp.dims), "how": "solved"})
 
 
 def check_coordinate_involution(ctx):
@@ -527,8 +522,7 @@ def check_transfer_iso(ctx):
     double."""
     f = ctx.sqrt
     tr = ctx.transfer()
-    der, how = ctx.der_j(f, "v")
-    comp = grade_derivations(der).component((0, 0))
+    comp = ctx.graded_j(f, "v").component((0, 0))
     bar = ctx.bar_k(f)
     even_imgs = [tr.apply(d) for d in comp.even_basis]
     odd_imgs = [tr.apply(d) for d in comp.odd_basis]
@@ -555,7 +549,7 @@ def check_transfer_iso(ctx):
                     {"reason": "bracket not preserved",
                      "pair": [s, int(bad[0])]})
     return ("pass", field_label(f),
-            {"dims": list(comp.dims), "how": how})
+            {"dims": list(comp.dims), "how": "solved"})
 
 
 def check_transfer_inner(ctx):
@@ -629,36 +623,19 @@ def check_tits_double_stable_lie(ctx):
     return _verdict_check(check_super_lie(lie), f, {"dim": lie.n})
 
 
-def _big_lie_capped(ctx):
-    if ctx.p > GENERIC_DER_MAX_P:
-        return ("skipped", field_label(ctx.base),
-                {"reason": f"bracket table of dimension {32 * ctx.p} "
-                           f"capped at p <= {GENERIC_DER_MAX_P}"})
-    return None
-
-
 def check_tits_big_lie(ctx):
-    capped = _big_lie_capped(ctx)
-    if capped:
-        return capped
     f = ctx.base
     lie = ctx.tits_big(f)
     return _verdict_check(check_super_lie(lie), f, {"dim": lie.n})
 
 
 def check_tkk_big_lie(ctx):
-    capped = _big_lie_capped(ctx)
-    if capped:
-        return capped
     f = ctx.base
     lie = ctx.tkk_big(f)
     return _verdict_check(check_super_lie(lie), f, {"dim": lie.n})
 
 
 def check_tkk_big_dims(ctx):
-    capped = _big_lie_capped(ctx)
-    if capped:
-        return capped
     f = ctx.base
     p = ctx.p
     lie = ctx.tkk_big(f)
@@ -670,18 +647,17 @@ def check_tkk_big_dims(ctx):
 
 
 def check_tkk_big_3graded(ctx):
-    capped = _big_lie_capped(ctx)
-    if capped:
-        return capped
     f = ctx.base
     return _verdict_check(check_3grading(ctx.tkk_big(f)), f)
 
 
 def check_tkk_sl2_bridge(ctx):
-    capped = _big_lie_capped(ctx)
-    if capped:
-        return capped
     f = ctx.sqrt
+    if ctx.p > DENSE_CHECK_MAX_P:
+        return ("skipped", field_label(f),
+                {"reason": f"dense homomorphism check on dimension "
+                           f"{32 * ctx.p} capped at p <= "
+                           f"{DENSE_CHECK_MAX_P}"})
     iso = sl2_identification(ctx.tits_big(f), ctx.tkk_big(f))
     wit = {"sl2": iso.detail["sl2"]} if iso.detail else None
     return _verdict_check(iso.verified, f, wit)
@@ -689,7 +665,7 @@ def check_tkk_sl2_bridge(ctx):
 
 def check_der_as_tits_double(ctx):
     f = ctx.sqrt
-    der, how = ctx.der_j(f, "v")
+    der = ctx.der_j(f, "v")
     full, inner = der_as_tkk(
         ctx.ck(f, "v"), ctx.kd(f), ctx.act(), ctx.coord(), ctx.phi(),
         ctx.transfer(), der, ctx.inder_j(f, "v"), ctx.bar_k(f),
@@ -703,7 +679,7 @@ def check_der_as_tits_double(ctx):
                        {"witness": inner.verified.witness}))
     return ("pass", field_label(f),
             {"full_dim": full.map.source.n, "inner_dim": inner.map.source.n,
-             "how": how})
+             "how": "solved"})
 
 
 @dataclass
@@ -778,14 +754,9 @@ def _notes(ctx, groups):
             "the inner ones by exactly one line, spanned by the map "
             "attached to the coefficient derivative; multiples by "
             "non-constant coefficients fail the Leibniz rule")
-    if ctx.p > GENERIC_DER_MAX_P:
+    if ctx.p > DENSE_CHECK_MAX_P and "jordan" in groups:
         notes.append(
-            f"p > {GENERIC_DER_MAX_P}: big-algebra derivations taken as "
-            "the inner span (equal to the full space for truncated "
-            "coefficients; machine-verified below the cap)")
-    if ctx.p > GENERIC_DER_MAX_P and "jordan" in groups:
-        notes.append(
-            f"p > {GENERIC_DER_MAX_P}: the exhaustive operator identity "
+            f"p > {DENSE_CHECK_MAX_P}: the exhaustive operator identity "
             "on the rank-8 algebra is skipped at this size; "
             "supercommutativity and the rank-2 double still run in full")
     return notes
@@ -803,7 +774,7 @@ def _dims_block(ctx):
     return {
         "der_K": dims_of(("der_k", ctx.base.p, ctx.base.ext)),
         "inder_K": dims_of(("inder_k", ctx.base.p, ctx.base.ext)),
-        "der_J_dim": None if der_j is None else der_j[0].dim,
+        "der_J_dim": None if der_j is None else der_j.dim,
         "inder_J_dim": None if inder_j is None else inder_j.dim,
         "tkk_dim": None if tkk is None else tkk.n,
     }

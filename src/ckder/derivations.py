@@ -1,12 +1,14 @@
 """Derivation superalgebras by exact linear algebra.
 
-derivation_algebra solves the super Leibniz rule as one large linear
-system per parity.  Unknowns are the parity-allowed matrix entries of a
+derivation_algebra solves the super Leibniz rule as one linear system
+per parity.  Unknowns are the parity-allowed matrix entries of a
 candidate map in column-major order; equations are generated sparsely
-(one per basis pair and output coordinate) and eliminated in blocks.
+(one per basis pair and output coordinate), and the system is solved
+one connected block of equations and unknowns at a time.
 inner_derivation_algebra spans the supercommutators of left
 multiplications.  Both return canonical RREF bases of flattened
-matrices, so results are deterministic and directly comparable.
+matrices, so results are deterministic and directly comparable, and
+grade_derivations splits such a basis along the fine grading.
 
 The named derivations of the double K = Z + Zx and their forced
 extensions to the big superalgebra are built from the closed formulas
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .linalg import Eliminator, Subspace, amod, asfield, kernel, solve_right
+from .linalg import Eliminator, Subspace, amod, asfield, solve_right
 from .superalg import (LinearMap, SuperAlgebra, expand_runs,
                        inner_derivation_rows, is_derivation,
                        super_commutator_rows)
@@ -137,15 +139,22 @@ def _fan_out(a: SuperAlgebra, q):
 
 
 def _leibniz_kernel(a: SuperAlgebra, parity: int):
-    """Canonical basis of the parity-homogeneous derivations of a.
+    """A basis of the parity-homogeneous derivations of a, one block
+    after another, each block's part in canonical RREF; the caller
+    canonicalizes the whole.
 
     The unknowns are the parity-allowed entries (r, c) of the map, in
     column-major order; the equation at (i, j, r) is coordinate r of
     D(e_i e_j) - D(e_i) e_j - s_i e_i D(e_j) = 0, s_i = (-1)^(|D||i|).
     Every structure constant feeds three term families of it, built as
-    index arrays from coo() and summed per (equation, unknown) cell;
-    the equations go to the eliminator in (i, j, r) order, in blocks of
-    a growing size."""
+    index arrays from coo() and summed per (equation, unknown) cell.
+
+    The cells that stay nonzero mod p link equations and unknowns into
+    a bipartite graph.  Each connected component is an independent
+    block: its equations involve only its unknowns, so the kernel of
+    the system is the direct sum of the block kernels.  Each block gets
+    its own eliminator, and an unknown in no equation is a block with a
+    free kernel."""
     f = a.field
     n = a.n
     par = a.parities
@@ -179,27 +188,49 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     sums.real = np.bincount(inv, weights=vals.real, minlength=uniq.size)
     if f.ext:
         sums.imag = np.bincount(inv, weights=vals.imag, minlength=uniq.size)
-    rows, row_of = np.unique(uniq // nu, return_inverse=True)
-    col_of = uniq % nu
+    sums = amod(f, sums)
+    keep = sums != 0
+    eq = np.unique(uniq[keep] // nu, return_inverse=True)[1]
+    col, sums = uniq[keep] % nu, sums[keep]
+    label = _components(eq, col, nu)
+    blocks = np.unique(label)
+    order = np.argsort(label[col])
+    bounds = np.searchsorted(label[col[order]], np.r_[blocks, nu])
+    maps = []
+    for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        u = np.flatnonzero(label == b)
+        t = order[lo:hi]
+        eqs, row = np.unique(eq[t], return_inverse=True)
+        block = np.zeros((eqs.size, u.size), dtype=f.dtype)
+        block[row, np.searchsorted(u, col[t])] = sums[t]
+        elim = Eliminator(f, u.size)
+        elim.add_rows(block)
+        kern = elim.kernel_rows()
+        flat = np.zeros((len(kern), n * n), dtype=f.dtype)
+        flat[:, allowed[u]] = kern
+        maps += [LinearMap.from_flat(a, a, parity, v, check=False)
+                 for v in flat]
+    return maps
 
-    def dense(start, stop):
-        """Equations start .. stop-1 as rows of a dense block."""
-        lo, hi = np.searchsorted(row_of, (start, stop))
-        block = np.zeros((stop - start, nu), dtype=f.dtype)
-        block[row_of[lo:hi] - start, col_of[lo:hi]] = sums[lo:hi]
-        return block
 
-    elim = Eliminator(f, nu)
-    sizes, start = iter((512, 1024, 2048)), 0
-    while start < rows.size:
-        stop = min(start + next(sizes, 4096), rows.size)
-        elim.add_rows(dense(start, stop))
-        start = stop
-    kern = elim.kernel_rows()
-    flat = np.zeros((len(kern), n * n), dtype=f.dtype)
-    flat[:, allowed] = kern
-    return [LinearMap.from_flat(a, a, parity, row, check=False)
-            for row in flat]
+def _components(eq, col, nu):
+    """Block label of each unknown: the least unknown of its connected
+    component in the bipartite graph with an edge (eq[t], col[t]) per
+    nonzero cell.  Each round gives every equation the least label of
+    its unknowns, hands that back to them, and then replaces each label
+    by the label of its label; labels only fall, and the loop stops
+    when a round changes none."""
+    label = np.arange(nu)
+    low = np.empty(eq.size and eq.max() + 1, dtype=np.int64)
+    while True:
+        low.fill(nu)
+        np.minimum.at(low, eq, label[col])
+        new = label.copy()
+        np.minimum.at(new, col, low[eq])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
@@ -375,8 +406,7 @@ def restrict_to_k(ck: ChengKac, d: LinearMap, kd: KantorDouble) -> LinearMap:
     """Restriction of a derivation of the big superalgebra to the
     embedded double K = Z1 + Zx.  Raises when K is not preserved."""
     idx = np.asarray(ck.k_indices(), dtype=np.intp)
-    outside = np.asarray([t for t in range(ck.alg.n) if t not in set(ck.k_indices())],
-                         dtype=np.intp)
+    outside = np.setdiff1d(np.arange(ck.alg.n), idx)
     if outside.size and np.any(d.matrix[np.ix_(outside, idx)]):
         raise ValueError("map does not preserve the embedded double")
     sub = d.matrix[np.ix_(idx, idx)]
@@ -391,8 +421,8 @@ GRADES = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 @dataclass
 class GradedDerivations:
-    """Fine-degree components of a derivation space; the components
-    direct-sum to the whole space (validated on construction)."""
+    """Fine-degree components of a derivation space; their bases
+    partition the canonical basis of the space."""
 
     space: DerivationSpace
     components: dict
@@ -405,53 +435,31 @@ class GradedDerivations:
 
 
 def grade_derivations(ds: DerivationSpace) -> GradedDerivations:
-    """Split a derivation space along the fine grading of its algebra."""
+    """Split a derivation space along the fine grading of its algebra.
+
+    The entry (r, c) of a map has fine degree fine[r] - fine[c].  The
+    canonical RREF of a direct sum of spaces on disjoint coordinates is
+    the union of their RREFs, so a space is graded exactly when every
+    map of its canonical basis is homogeneous; the components are then
+    that basis sorted by degree.  Raises ValueError on a basis map with
+    entries in two fine degrees."""
     a = ds.algebra
     if a.fine_label is None:
         raise ValueError("algebra carries no fine grading")
-    f = a.field
-    n = a.n
-    fine = a.fine_label
-    comps = {}
-    for g in GRADES:
-        parts = {}
-        for parity in (0, 1):
-            maps = ds.even_basis if parity == 0 else ds.odd_basis
-            if not maps:
-                parts[parity] = []
-                continue
-            v = np.stack([m.flatten() for m in maps])
-            banned = [c * n + r for c in range(n) for r in range(n)
-                      if ((fine[r][0] - fine[c][0]) % 2,
-                          (fine[r][1] - fine[c][1]) % 2) != g]
-            if banned:
-                lam = solve_kernel_rows(f, v[:, np.asarray(banned, dtype=np.intp)])
-            else:
-                lam = np.eye(len(maps), dtype=f.dtype)
-            rows = amod(f, lam @ v)
-            e = Eliminator(f, n * n)
-            e.add_rows(rows)
-            parts[parity] = [LinearMap.from_flat(a, a, parity, r, check=False)
-                             for r in e.rref()[0]]
-        comps[g] = DerivationSpace(a, parts[0], parts[1],
-                                   canonicalize=False, validate=False)
-    gd = GradedDerivations(ds, comps)
-    for parity in (0, 1):
-        total = sum(c.dims[parity] for c in comps.values())
-        if total != ds.dims[parity]:
-            raise ValueError("fine components do not sum to the whole space")
-        acc = None
-        for g in GRADES:
-            s = comps[g].subspace(parity)
-            acc = s if acc is None else acc.sum(s)
-        if not acc.equals(ds.subspace(parity)):
-            raise ValueError("fine components do not span the space")
-    return gd
-
-
-def solve_kernel_rows(f, m):
-    """Rows lam with lam @ m = 0, canonical."""
-    return kernel(f, m.T).basis
+    fine = np.asarray(a.fine_label)
+    deg = (fine[:, None, :] - fine[None, :, :]) % 2
+    grade_of = deg[..., 0] + 2 * deg[..., 1]   # index into GRADES
+    parts = {g: ([], []) for g in GRADES}
+    for d in ds.even_basis + ds.odd_basis:
+        found = np.unique(grade_of[d.matrix != 0])
+        if found.size != 1:
+            raise ValueError("a basis map has entries in the fine degrees "
+                             f"{[GRADES[t] for t in found]}: the space is "
+                             "not graded")
+        parts[GRADES[found[0]]][d.parity].append(d)
+    return GradedDerivations(ds, {
+        g: DerivationSpace(a, even, odd, canonicalize=False, validate=False)
+        for g, (even, odd) in parts.items()})
 
 
 def stable_der_double(kd: KantorDouble, der_k: DerivationSpace,

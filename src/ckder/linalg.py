@@ -169,7 +169,8 @@ class Eliminator:
     def kernel_rows(self):
         """Canonical RREF basis of the kernel of the fed row system."""
         r, piv = self.rref()
-        free = [c for c in range(self.ncols) if c not in set(piv)]
+        pivots = set(piv)
+        free = [c for c in range(self.ncols) if c not in pivots]
         k = np.zeros((len(free), self.ncols), dtype=self.field.dtype)
         if not free:
             return k

@@ -79,6 +79,19 @@ def test_verify_skips_heavy_identity_above_cap(capsys):
     assert any("operator identity" in n for n in report["notes"])
 
 
+def test_verify_solves_big_derivations_above_the_dense_cap(capsys):
+    rc, out, _ = run(["verify", "--p", "11", "--checks", "dims",
+                      "--format", "json"], capsys)
+    assert rc == 0
+    report = json.loads(out)
+    assert report["summary"]["skipped"] == 0
+    assert report["summary"]["fail"] == 0
+    by_name = {c["name"]: c for c in report["checks"]}
+    check = by_name["big_der_equals_inder"]
+    assert check["status"] == "pass"
+    assert check["witness"]["der"] == check["witness"]["inder"] == [44, 44]
+
+
 def test_dimension_table(capsys):
     rc, out, _ = run(["dims", "--p", "3"], capsys)
     assert rc == 0

@@ -3,17 +3,21 @@ characteristic-3 anomaly, gradings, restriction and extension."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from ckder import (FieldSpec, amod, cheng_kac, derivation_algebra,
-                   extend_even_der, extend_odd_eta, grade_derivations,
-                   inner_derivation, inner_derivation_algebra, is_derivation,
-                   kantor_double, kernel, lift_even_der, odd_der_char3,
-                   odd_der_eta, quadratic_jordan, restrict_to_k,
-                   stable_der_double, truncated_poly)
+from ckder import (DerivationSpace, FieldSpec, LinearMap, amod, cheng_kac,
+                   derivation_algebra, extend_even_der, extend_odd_eta,
+                   grade_derivations, inner_derivation,
+                   inner_derivation_algebra, is_derivation, kantor_double,
+                   kernel, lift_even_der, odd_der_char3, odd_der_eta,
+                   quadratic_jordan, restrict_to_k, stable_der_double,
+                   truncated_poly)
 from ckder.derivations import _mult_matrix, span_of_maps
+from test_sparse_checks import super_tables
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
+F9 = FieldSpec(3, ext=True)
 
 
 def tdelta(kd):
@@ -74,6 +78,69 @@ def test_double_derivation_dims_match_slow_solver_p3():
     kd = kantor_double(truncated_poly(F3))
     assert slow_derivation_dims(kd.alg) == (3, 4)
     assert derivation_algebra(kd.alg).dims == (3, 4)
+
+
+def dense_leibniz_kernel(a, parity):
+    """Canonical basis, as flattened column-major matrices, of the
+    parity-homogeneous derivations of a: the whole Leibniz matrix,
+    built from tensor() by einsum, and its kernel.  Shares nothing with
+    the block solver except the row reducer."""
+    n = a.n
+    f = a.field
+    t = a.tensor()
+    par = a.parities
+    eye = np.eye(n)
+    sign = 1.0 - 2.0 * parity * par
+    allowed = np.flatnonzero(
+        (par[None, :] == (par[:, None] + parity) % 2).ravel())
+    flat = np.zeros((0, n * n), dtype=f.dtype)
+    if not allowed.size:
+        return flat
+    rows = []
+    for i in range(n):
+        # coefficient of the unknown d[m, c] in coordinate r of
+        # d(e_i e_j) - d(e_i) e_j - s_i e_i d(e_j), at [j, r, c, m]
+        m = (np.einsum("jc,rm->jrcm", t[i], eye)
+             - np.einsum("c,mjr->jrcm", eye[i], t)
+             - sign[i] * np.einsum("cj,mr->jrcm", eye, t[i]))
+        rows.append(amod(f, m.reshape(n * n, n * n)[:, allowed]))
+    m = np.concatenate(rows)
+    basis = kernel(f, m[m.any(axis=1)]).basis
+    flat = np.zeros((len(basis), n * n), dtype=f.dtype)
+    flat[:, allowed] = basis
+    return flat
+
+
+def assert_solve_matches_dense_oracle(a):
+    ds = derivation_algebra(a)
+    for parity, maps in ((0, ds.even_basis), (1, ds.odd_basis)):
+        want = dense_leibniz_kernel(a, parity)
+        got = np.zeros((0, a.n * a.n), dtype=a.field.dtype)
+        if maps:
+            got = np.stack([d.flatten() for d in maps])
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+ORACLE_TABLES = {
+    "K_F3": lambda: kantor_double(truncated_poly(F3)).alg,
+    "K_F5": lambda: kantor_double(truncated_poly(F5)).alg,
+    "Jw_F3": lambda: cheng_kac(truncated_poly(F3), basis="w").alg,
+    "Jv_F9": lambda: cheng_kac(truncated_poly(F9), basis="v").alg,
+    "quadratic_jordan": lambda: quadratic_jordan(F5),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_TABLES)
+def test_block_solve_matches_the_dense_oracle(name):
+    assert_solve_matches_dense_oracle(ORACLE_TABLES[name]())
+
+
+@settings(max_examples=150)
+@given(super_tables())
+def test_block_solve_matches_the_dense_oracle_on_random_tables(table):
+    assert_solve_matches_dense_oracle(table[0])
 
 
 def _rank_mod(rows, p):
@@ -294,6 +361,17 @@ def test_graded_components_of_the_inner_algebra():
         s = comp.subspace(0).sum(comp.subspace(1))
         flat = s if flat is None else flat.sum(s)
     assert flat.dim == inder.dim
+
+
+def test_grading_rejects_a_map_across_two_fine_components():
+    ck = cheng_kac(truncated_poly(F3))
+    graded = grade_derivations(inner_derivation_algebra(ck.alg))
+    d1 = graded.component((0, 0)).even_basis[0]
+    d2 = graded.component((1, 0)).even_basis[0]
+    mixed = LinearMap(ck.alg, ck.alg, 0,
+                      amod(F3, d1.matrix + d2.matrix))
+    with pytest.raises(ValueError, match="not graded"):
+        grade_derivations(DerivationSpace(ck.alg, [mixed], []))
 
 
 def test_stable_subalgebra_of_the_double():

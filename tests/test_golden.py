@@ -1,10 +1,12 @@
-"""Golden bytes: the JSON report and the exported tables at p = 3.
+"""Golden bytes: the JSON reports at p = 3 and 5 and the exported
+tables at p = 3.
 
-The sha256 digests below were taken from the code as it stood before
+The p = 3 digests below were taken from the code as it stood before
 structure tables were stored as COO arrays (the commit before that
-change), by running
+change), and the p = 5 report digest from the code before the Leibniz
+system was solved block by block, by running
 
-    python -m ckder verify --p 3 --format json
+    python -m ckder verify --p P --format json
     python -m ckder export --p 3 --algebra A --out FILE
 
 and hashing stdout and FILE.  A change that only reorganises the code
@@ -18,6 +20,7 @@ import pytest
 from ckder.cli import ALGEBRA_NAMES, main
 
 VERIFY_P3 = "1eb7442d4fba1845fd398255f8197f2f85de117265adc65e057742b722d45122"
+VERIFY_P5 = "d9e855c316fb8ec9f4c43cf4546c5528eb2c78eb4f1b7079f8e8f297adff704a"
 
 EXPORT_P3 = {
     "Z": "28492f25092ccc0797d63551c774ca818c382efec632f9587e37c0064b10f02c",
@@ -41,6 +44,11 @@ def sha256(data: bytes) -> str:
 def test_verify_report_bytes(capsys):
     assert main(["verify", "--p", "3", "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P3
+
+
+def test_verify_report_bytes_p5(capsys):
+    assert main(["verify", "--p", "5", "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P5
 
 
 def test_every_algebra_name_is_pinned():

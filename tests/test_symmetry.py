@@ -244,7 +244,7 @@ def test_transfer_check_catches_swapped_images(monkeypatch):
     ctx = RunContext(3)
     assert check_transfer_iso(ctx)[0] == "pass"
     tr = ctx.transfer()
-    comp = grade_derivations(ctx.der_j(ctx.sqrt, "v")[0]).component((0, 0))
+    comp = grade_derivations(ctx.der_j(ctx.sqrt, "v")).component((0, 0))
     d0, d1 = comp.even_basis[:2]
 
     class Swapped:
