@@ -32,12 +32,6 @@ from .symmetry import (build_s4, coordinate_algebra, coxeter_witness,
 from .tkk import (check_3grading, der_as_tkk, so3,
                   sl2_identification, tits_construction, tkk_3graded)
 
-# Two checks still contract dense tables of the rank-8 algebra and its
-# Lie realisations: the exhaustive Jordan operator identity and the
-# homomorphism check of the sl2 bridge.  Their arrays grow as n^3, so
-# past this characteristic both are skipped.
-DENSE_CHECK_MAX_P = 7
-
 GROUPS = ("jordan", "props", "dims", "s4", "coord", "tkk")
 
 DEFAULT_MAX_P = 13
@@ -231,19 +225,8 @@ def check_big_w_supercommutative(ctx):
     return _verdict_check(check_supercommutative(ctx.ck(f, "w").alg), f)
 
 
-def _big_jordan_capped(ctx, f):
-    if ctx.p > DENSE_CHECK_MAX_P:
-        return ("skipped", field_label(f),
-                {"reason": f"operator identity on dimension {8 * ctx.p} "
-                           f"capped at p <= {DENSE_CHECK_MAX_P}"})
-    return None
-
-
 def check_big_w_jordan_identity(ctx):
     f = ctx.base
-    capped = _big_jordan_capped(ctx, f)
-    if capped:
-        return capped
     return _verdict_check(check_jordan_super(ctx.ck(f, "w").alg), f)
 
 
@@ -254,9 +237,6 @@ def check_big_v_supercommutative(ctx):
 
 def check_big_v_jordan_identity(ctx):
     f = ctx.sqrt
-    capped = _big_jordan_capped(ctx, f)
-    if capped:
-        return capped
     return _verdict_check(check_jordan_super(ctx.ck(f, "v").alg), f)
 
 
@@ -653,11 +633,6 @@ def check_tkk_big_3graded(ctx):
 
 def check_tkk_sl2_bridge(ctx):
     f = ctx.sqrt
-    if ctx.p > DENSE_CHECK_MAX_P:
-        return ("skipped", field_label(f),
-                {"reason": f"dense homomorphism check on dimension "
-                           f"{32 * ctx.p} capped at p <= "
-                           f"{DENSE_CHECK_MAX_P}"})
     iso = sl2_identification(ctx.tits_big(f), ctx.tkk_big(f))
     wit = {"sl2": iso.detail["sl2"]} if iso.detail else None
     return _verdict_check(iso.verified, f, wit)
@@ -754,11 +729,6 @@ def _notes(ctx, groups):
             "the inner ones by exactly one line, spanned by the map "
             "attached to the coefficient derivative; multiples by "
             "non-constant coefficients fail the Leibniz rule")
-    if ctx.p > DENSE_CHECK_MAX_P and "jordan" in groups:
-        notes.append(
-            f"p > {DENSE_CHECK_MAX_P}: the exhaustive operator identity "
-            "on the rank-8 algebra is skipped at this size; "
-            "supercommutativity and the rank-2 double still run in full")
     return notes
 
 

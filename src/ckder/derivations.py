@@ -25,6 +25,7 @@ from .constructions import ChengKac, KantorDouble
 from .linalg import Eliminator, Subspace, amod, asfield, solve_right
 from .superalg import (LinearMap, SuperAlgebra, expand_runs,
                        inner_derivation_rows, is_derivation,
+                       leibniz_violation, sum_per_key,
                        super_commutator_rows)
 
 
@@ -33,7 +34,8 @@ class DerivationSpace:
 
     Bases are canonicalized: the flattened matrices (column-major) of
     each parity form a reduced-row-echelon set.  Every basis element is
-    checked against the Leibniz rule on construction.
+    checked against the Leibniz rule on construction, all of them in
+    one join (see leibniz_violation).
     """
 
     def __init__(self, algebra: SuperAlgebra, even_maps, odd_maps,
@@ -45,11 +47,12 @@ class DerivationSpace:
         self.even_basis = list(even_maps)
         self.odd_basis = list(odd_maps)
         if validate:
-            for d in self.even_basis + self.odd_basis:
-                v = is_derivation(algebra, d)
-                if not v:
-                    raise ValueError(
-                        f"basis element fails the Leibniz rule: {v.witness}")
+            bad = leibniz_violation(algebra, self.even_basis + self.odd_basis)
+            if bad is not None:
+                s, i, j = bad
+                raise ValueError(
+                    f"basis element {s} fails the Leibniz rule on the pair "
+                    f"({algebra.labels[i]}, {algebra.labels[j]})")
         self._even_sub = None
         self._odd_sub = None
         self._brackets = None
@@ -147,7 +150,8 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     column-major order; the equation at (i, j, r) is coordinate r of
     D(e_i e_j) - D(e_i) e_j - s_i e_i D(e_j) = 0, s_i = (-1)^(|D||i|).
     Every structure constant feeds three term families of it, built as
-    index arrays from coo() and summed per (equation, unknown) cell.
+    index arrays from coo() and summed per (equation, unknown) cell by
+    sum_per_key.
 
     The cells that stay nonzero mod p link equations and unknowns into
     a bipartite graph.  Each connected component is an independent
@@ -181,17 +185,11 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     keys.append((i[t] * n + y) * n + k[t])
     cells.append(uidx[y * n + j[t]])
     vals.append(-(1.0 - 2.0 * parity * par[i[t]]) * c[t])
-    vals = np.concatenate(vals)
-    uniq, inv = np.unique(np.concatenate(keys) * nu + np.concatenate(cells),
-                          return_inverse=True)
-    sums = np.zeros(uniq.size, dtype=f.dtype)
-    sums.real = np.bincount(inv, weights=vals.real, minlength=uniq.size)
-    if f.ext:
-        sums.imag = np.bincount(inv, weights=vals.imag, minlength=uniq.size)
-    sums = amod(f, sums)
-    keep = sums != 0
-    eq = np.unique(uniq[keep] // nu, return_inverse=True)[1]
-    col, sums = uniq[keep] % nu, sums[keep]
+    uniq, sums = sum_per_key(
+        f, np.concatenate(keys) * nu + np.concatenate(cells),
+        np.concatenate(vals))
+    eq = np.unique(uniq // nu, return_inverse=True)[1]
+    col = uniq % nu
     label = _components(eq, col, nu)
     blocks = np.unique(label)
     order = np.argsort(label[col])

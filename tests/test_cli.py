@@ -64,19 +64,18 @@ def test_verify_text_summary(capsys):
     assert "double_jordan_identity" in out
 
 
-def test_verify_skips_heavy_identity_above_cap(capsys):
+def test_verify_runs_every_jordan_check_at_p_11(capsys):
     rc, out, _ = run(["verify", "--p", "11", "--checks", "jordan",
                       "--format", "json"], capsys)
     assert rc == 0
     report = json.loads(out)
-    by_name = {c["name"]: c for c in report["checks"]}
-    assert by_name["double_jordan_identity"]["status"] == "pass"
-    assert by_name["big_w_supercommutative"]["status"] == "pass"
-    for name in ("big_w_jordan_identity", "big_v_jordan_identity"):
-        assert by_name[name]["status"] == "skipped"
-        assert "capped" in by_name[name]["witness"]["reason"]
+    assert report["summary"]["skipped"] == 0
     assert report["summary"]["fail"] == 0
-    assert any("operator identity" in n for n in report["notes"])
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("big_w_jordan_identity", "big_v_jordan_identity"):
+        assert by_name[name]["status"] == "pass"
+    assert not any("operator identity" in n or "capped" in n
+                   for n in report["notes"])
 
 
 def test_verify_solves_big_derivations_above_the_dense_cap(capsys):

@@ -1,24 +1,28 @@
-"""The sparse symmetry and super Jacobi checks against dense oracles,
-and the stored COO table against its dense view.
+"""The sparse identity checks against dense oracles, and the stored COO
+table against its dense view.
 
-check_supercommutative and check_super_lie run as joins over the nonzero
-structure constants.  The oracles below are the dense blocked
-contractions they replaced, kept here only: on real tables, on planted
-single-constant defects and on random sparse tables, the two must agree
-on the verdict and on the witness dict, key order included.  The same
-real and random tables check that the constructor stores one canonical
-table whatever the presentation of its input, and that tensor() is the
-scatter of it."""
+check_supercommutative, check_super_lie, check_jordan_super,
+is_derivation and is_homomorphism run as joins over the nonzero
+structure constants.  The oracles below are the dense contractions they
+replaced, kept here only: on real tables and maps, on planted
+single-constant or single-entry defects and on random sparse tables,
+the two must agree on the verdict and on the witness dict, key order
+included.  The same real and random tables check that the constructor
+stores one canonical table whatever the presentation of its input, and
+that tensor() is the scatter of it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckder import (FieldSpec, SuperAlgebra, check_super_lie,
-                   check_supercommutative, so3)
+from ckder import (DerivationSpace, FieldSpec, LinearMap, SuperAlgebra,
+                   check_jordan_super, check_super_lie,
+                   check_supercommutative, is_derivation, is_homomorphism,
+                   sl2_identification, so3, w_to_v_change)
 from ckder.battery import RunContext
+from ckder.derivations import _leibniz_kernel
 from ckder.linalg import amod
-from ckder.superalg import _first_nonzero_key
+from ckder.superalg import _first_nonzero_key, inner_derivation_rows
 from ckder.tkk import LieSuperAlgebra
 
 F3 = FieldSpec(3)
@@ -91,6 +95,77 @@ def dense_super_lie(lie):
                 "triple": [a_, b_, c_], "identity": "jacobi",
                 "labels": [lie.labels[a_], lie.labels[b_], lie.labels[c_]]}
     return True, None
+
+
+def dense_jordan_super(a):
+    """The Jordan operator identity on all triples with x least, by
+    blocked contractions of the dense operator table D(e_i, e_j)."""
+    f = a.field
+    n = a.n
+    de = a.dim_even
+    t = a.tensor()
+    # dd[i, j] is the flattened matrix of D(e_i, e_j)
+    dd = np.empty((n, n, n * n), dtype=t.dtype)
+    for i, rows, _ in inner_derivation_rows(a):
+        dd[i] = rows
+    # with y and z at least x the signs are constant on each parity
+    # block, so they fold into the structure-tensor factors
+    for x in range(n):
+        zc = n - x
+        tyz = np.ascontiguousarray(t[:, x:, :] if x < de else -t[:, x:, :])
+        tzx = np.ascontiguousarray(t[x:, x, :] if x < de else -t[x:, x, :])
+        txc_even = t[x, x:, :]                       # (y, j), y >= x
+        # for odd z the third term carries (-1)^|y| on the y rows
+        pv = np.ones(zc)
+        pv[max(0, de - x):] = -1
+        txc_odd = txc_even * pv[:, None]
+        ze = max(0, de - x)                          # even z count in range
+        # sgn(x,z) D(x, y z):  sum_j t[y,z,j] dd[x,j,F]
+        acc = (tyz[x:].reshape(zc * zc, n) @ dd[x]).reshape(zc, zc, n * n)
+        # sgn(y,x) D(y, z x):  sum_j t[z,x,j] dd[y,j,F]
+        acc += np.matmul(tzx[None], dd[x:])
+        # sgn(z,y) D(z, x y):  sum_j t[x,y,j] dd[z,j,F]
+        if ze:
+            acc[:, :ze] += np.matmul(txc_even[None], dd[x:de]) \
+                .transpose(1, 0, 2)
+        if max(x, de) < n:
+            acc[:, ze:] += np.matmul(txc_odd[None], dd[max(x, de):]) \
+                .transpose(1, 0, 2)
+        acc = amod(f, acc)
+        if np.any(acc):
+            bad = np.argwhere(np.abs(acc).sum(axis=2) != 0)
+            y, z = min((int(b), int(c)) for b, c in bad)
+            triple = [x, x + y, x + z]
+            return False, {"triple": triple,
+                           "labels": [a.labels[m] for m in triple]}
+    return True, None
+
+
+def dense_is_derivation(a, d):
+    f = a.field
+    t = a.tensor()
+    dm = d.matrix
+    lhs = np.einsum("ijk,rk->ijr", t, dm, optimize=True)
+    rhs1 = np.einsum("mi,mjr->ijr", dm, t, optimize=True)
+    rhs2 = np.einsum("imr,mj->ijr", t, dm, optimize=True)
+    if d.parity:
+        rhs2 = rhs2 * (1.0 - 2.0 * a.parities)[:, None, None]
+    w = _first_bad_pair(amod(f, lhs - rhs1 - rhs2), a.labels)
+    return w is None, w
+
+
+def dense_is_homomorphism(fmap):
+    f = fmap.field
+    ns, nt = fmap.source.n, fmap.target.n
+    fm = fmap.matrix
+    lhs = (fmap.source.tensor().reshape(ns * ns, ns) @ fm.T) \
+        .reshape(ns, ns, nt)
+    u = fm.T @ fmap.target.tensor().reshape(nt, nt * nt)   # (i, (b c))
+    u = u.reshape(ns, nt, nt).transpose(0, 2, 1)            # (i, c, b)
+    rhs = (u.reshape(ns * nt, nt) @ fm).reshape(ns, nt, ns)
+    w = _first_bad_pair(amod(f, lhs - rhs.transpose(0, 2, 1)),
+                        fmap.source.labels)
+    return w is None, w
 
 
 def assert_same(verdict, oracle):
@@ -183,13 +258,160 @@ def test_supercommutative_check_catches_a_planted_defect(ctx3):
     assert_same(v, dense_supercommutative(bad))
 
 
+# -- the Jordan identity -------------------------------------------------
+
+
+JORDAN = {"K": lambda ctx, f: ctx.kd(f).alg,
+          "J_w": lambda ctx, f: ctx.ck(f, "w").alg,
+          "J_v": lambda ctx, f: ctx.ck(f, "v").alg}
+
+
+@pytest.mark.parametrize("name,field", [
+    (name, field) for name in JORDAN for field in (F3, F9)
+    # the v basis needs sqrt(-1), so F9 only
+    if field.ext or name != "J_v"])
+def test_jordan_tables_agree_with_the_dense_oracle(ctx3, name, field):
+    a = JORDAN[name](ctx3, field)
+    v = check_jordan_super(a)
+    assert v
+    assert_same(v, dense_jordan_super(a))
+
+
+def _symmetric_perturbation(a, t):
+    """a, without unit or fine labels, with the t-th stored constant
+    (i, j, k) raised by one and its partner at (j, i, k) rewritten to
+    keep the table supercommutative."""
+    i, j, k, c = (x.tolist() for x in a.coo())
+    c[t] += 1
+    mate = [u for u in range(len(i)) if (i[u], j[u], k[u]) == (j[t], i[t], k[t])]
+    c[mate[0]] = (-1 if a.parity(i[t]) and a.parity(j[t]) else 1) * c[t]
+    return SuperAlgebra(a.field, a.dim_even, a.dim_odd, a.labels,
+                        (i, j, k, c))
+
+
+def test_every_symmetric_perturbation_agrees_with_the_jordan_oracle(ctx3):
+    a = ctx3.ck(F3, "w").alg
+    i, j, _, _ = a.coo()
+    caught = 0
+    for t in np.flatnonzero(i <= j):
+        bad = _symmetric_perturbation(a, t)
+        assert check_supercommutative(bad)
+        v = check_jordan_super(bad)
+        assert_same(v, dense_jordan_super(bad))
+        caught += not v
+    assert caught == np.count_nonzero(i <= j)
+
+
+# -- the Leibniz rule ----------------------------------------------------
+
+
+def _bumped(d, r, c):
+    """d with its entry (r, c) raised by one."""
+    m = d.matrix.copy()
+    m[r, c] += 1
+    return LinearMap(d.source, d.target, d.parity, m)
+
+
+def derivation_bases(ctx):
+    """Der(K) and Inder(J_w) over F3 and F9."""
+    for f in (F3, F9):
+        yield ctx.kd(f).alg, ctx.der_k(f)
+        yield ctx.ck(f, "w").alg, ctx.inder_j(f, "w")
+
+
+def test_derivation_bases_agree_with_the_leibniz_oracle(ctx3):
+    for a, ds in derivation_bases(ctx3):
+        for d in ds.even_basis + ds.odd_basis:
+            v = is_derivation(a, d)
+            assert v
+            assert_same(v, dense_is_derivation(a, d))
+            r, c = np.argwhere(d.matrix)[0]
+            bad = _bumped(d, r, c)
+            assert_same(is_derivation(a, bad), dense_is_derivation(a, bad))
+
+
+def test_validation_checks_the_whole_stack_in_one_pass(ctx3):
+    a, ds = ctx3.kd(F3).alg, ctx3.der_k(F3)
+    maps = list(ds.even_basis)
+    DerivationSpace(a, maps, ds.odd_basis, canonicalize=False)
+    maps[1] = _bumped(maps[1], *np.argwhere(maps[1].matrix)[0])
+    assert not is_derivation(a, maps[1])
+    with pytest.raises(ValueError, match="basis element 1 fails"):
+        DerivationSpace(a, maps, ds.odd_basis, canonicalize=False)
+
+
+BIG = FieldSpec(67108859)
+
+
+def test_leibniz_sums_refuse_terms_beyond_the_exact_range():
+    # e0 e0 = e1: the cell of d[0, 0] in the equation at (0, 0, e1)
+    # takes -1 from d(e0) e0 and -1 from e0 d(e0), two terms
+    def algebra(f):
+        return SuperAlgebra(f, 2, 0, ["e0", "e1"], ([0], [0], [1], [1]))
+
+    # e0 -> a e0 + b e1 and e1 -> 2a e1
+    assert len(_leibniz_kernel(algebra(F3), 0)) == 2
+    with pytest.raises(ValueError, match="exact range"):
+        _leibniz_kernel(algebra(BIG), 0)
+
+
+# -- homomorphisms -------------------------------------------------------
+
+
+def _rescaled_column(fmap, col):
+    """fmap with column col doubled."""
+    m = fmap.matrix.copy()
+    m[:, col] *= 2
+    return LinearMap(fmap.source, fmap.target, fmap.parity, m)
+
+
+def homomorphisms(ctx):
+    """The change of basis J_w -> J_v, the coordinate isomorphism phi and
+    the sl2 bridge over F9, each with the columns worth altering."""
+    change = w_to_v_change(ctx.ck(F9, "w"), ctx.ck(F9, "v"))
+    yield change, range(change.source.n)
+    yield ctx.phi(), range(ctx.phi().source.n)
+    bridge = sl2_identification(ctx.tits_big(F9), ctx.tkk_big(F9)).map
+    yield bridge, range(0, bridge.source.n, 7)
+
+
+def test_homomorphisms_agree_with_the_dense_oracle(ctx3):
+    for fmap, cols in homomorphisms(ctx3):
+        v = is_homomorphism(fmap)
+        assert v
+        assert_same(v, dense_is_homomorphism(fmap))
+        caught = 0
+        for col in cols:
+            bad = _rescaled_column(fmap, col)
+            v = is_homomorphism(bad)
+            assert_same(v, dense_is_homomorphism(bad))
+            caught += not v
+        assert caught > 0
+
+
+def test_homomorphism_join_stays_exact_near_the_bound():
+    # e e = a e, f f = b f and e -> lam f, with lam, b and a = lam b of
+    # size p: lam^2 b is near p^3, far past 2**53, unless f(e) e is
+    # reduced before it meets f a second time
+    lam, b = BIG.p - 2, BIG.p - 1
+    a = lam * b % BIG.p
+
+    def line(c):
+        return SuperAlgebra(BIG, 1, 0, ["e"], ([0], [0], [0], [c]))
+
+    assert is_homomorphism(LinearMap(line(a), line(b), 0, [[lam]]))
+    v = is_homomorphism(LinearMap(line(a + 1), line(b), 0, [[lam]]))
+    assert not v and v.witness["pair"] == [0, 0]
+
+
 # -- random sparse tables ------------------------------------------------
 
 
 @st.composite
-def super_tables(draw):
+def super_tables(draw, symmetries=(-1, 1, None)):
     """A random sparse parity-homogeneous table with n <= 8, made
-    super symmetric (+1), super antisymmetric (-1) or left as drawn.
+    super symmetric (+1), super antisymmetric (-1) or left as drawn,
+    whichever of symmetries is drawn.
 
     Returns the algebra and a second presentation of its entries: in a
     drawn order, with values shifted by multiples of p and with entries
@@ -197,7 +419,7 @@ def super_tables(draw):
     field = draw(st.sampled_from([F3, F9]))
     n = draw(st.integers(2, 8))
     dim_even = draw(st.integers(0, n))
-    symmetry = draw(st.sampled_from([-1, 1, None]))
+    symmetry = draw(st.sampled_from(symmetries))
     par = [0] * dim_even + [1] * (n - dim_even)
     prods = {}
     for i, j, r, a0, a1 in draw(st.lists(st.tuples(
@@ -239,6 +461,13 @@ def test_random_tables_agree_with_the_dense_oracles(table):
     a, _ = table
     assert_same(check_supercommutative(a), dense_supercommutative(a))
     assert_same(check_super_lie(a), dense_super_lie(a))
+
+
+@settings(max_examples=300)
+@given(super_tables(symmetries=(1,)))
+def test_random_symmetric_tables_agree_with_the_jordan_oracle(table):
+    a, _ = table
+    assert_same(check_jordan_super(a), dense_jordan_super(a))
 
 
 def assert_tensor_scatters_coo(a):
