@@ -5,15 +5,17 @@ Matrices are NumPy arrays in the dtype their field picks
 made or returned here, from eliminator rows to subspace bases and
 solutions, has that dtype, and no routine branches on it.  The
 arithmetic is exact: components are bounded by p**2 times the
-contraction length, far below 2**53.
+contraction length, and check_exact_range refuses a contraction of the
+eliminator long enough to reach 2**52.
 
 asfield is the one coercion routine: it casts arbitrary input to the
 field's dtype and reduces it, and refuses a nonzero u component headed
-for a prime field.  amod is the one reduction routine.  It reduces float
-components with r = x - p*floor(x*(1/p)) and one correction step each
-way, which is exact while every component satisfies |x| < 2**52 before
-reduction: the floored quotient is then off by at most one, and every
-product and difference in the formula is an integer below 2**53.
+for a prime field.  amod is the one reduction routine.  It reduces the
+array as one flat run of float64 components, two per F_{p^2} element,
+with r = x - p*floor(x*(1/p)) and one correction step each way, which
+is exact while every component satisfies |x| < 2**52 before reduction:
+the floored quotient is then off by at most one, and every product and
+difference in the formula is an integer below 2**53.
 
 Every reported basis is in canonical reduced row echelon form (pivots 1,
 pivot columns strictly increasing and cleared above and below), so equal
@@ -39,17 +41,26 @@ def _reduce_into(x, p: int, out):
 
 
 def amod(field: FieldSpec, a):
-    """Reduce an array mod p, componentwise on real and imaginary parts."""
+    """Reduce an array mod p in one pass over its float components; a
+    scalar comes back as a scalar, and the input is left unchanged."""
     a = np.asarray(a)
     if a.dtype.kind not in "fc":
         return a % field.p
     out = np.empty(a.shape, dtype=a.dtype)
-    if a.dtype.kind == "c":
-        _reduce_into(a.real, field.p, out.real)
-        _reduce_into(a.imag, field.p, out.imag)
-    else:
-        _reduce_into(a, field.p, out)
+    _reduce_into(a.ravel().view(np.float64), field.p,
+                 out.ravel().view(np.float64))
     return out[()] if out.ndim == 0 else out
+
+
+def check_exact_range(field: FieldSpec, terms: int):
+    """Raise ValueError unless a reduced element plus `terms` products
+    of two, at most terms (p-1)^2 + p, or 2 terms (p-1)^2 + p over
+    F_{p^2}, stays below 2**52, the exact range of amod."""
+    bound = terms * (2 if field.ext else 1) * (field.p - 1) ** 2 + field.p
+    if bound >= 2 ** 52:
+        raise ValueError(
+            f"{terms} terms over {field} can reach {bound}, "
+            "beyond the exact range 2**52 of the reduction")
 
 
 def iszero(a) -> bool:
@@ -71,10 +82,11 @@ class Eliminator:
 
     Rows are fed in blocks.  Each block is first reduced against the
     accumulated pivot rows with one matmul (valid because the pivot
-    columns of the accumulated rows form an identity), surviving rows
-    are then absorbed in small chunks by a plain pivot loop.  The final
-    row set, ordered by pivot column, is the canonical RREF of
-    everything fed in; the result does not depend on feeding order.
+    columns of the accumulated rows form an identity).  The surviving
+    rows are absorbed _CHUNK at a time by Gauss-Jordan in place on the
+    chunk, then one matmul clears the new pivot columns from the
+    accumulated rows.  The final row set, ordered by pivot column, is
+    the canonical RREF of everything fed in, whatever the feeding order.
     """
 
     _CHUNK = 128
@@ -105,6 +117,7 @@ class Eliminator:
 
     def _reduce_block(self, block):
         if self.rank and block.size:
+            check_exact_range(self.field, self.rank)
             piv = np.asarray(self.pivcols, dtype=np.intp)
             block = block - block[:, piv] @ self._rows[:self.rank]
             block = amod(self.field, block)
@@ -112,28 +125,31 @@ class Eliminator:
             block = block[block.any(axis=1)]
         return block
 
-    def _absorb_chunk(self, chunk):
-        """Plain RREF loop on a small chunk; returns new pivot rows."""
-        new_rows = []
-        new_cols = []
-        while chunk.shape[0]:
-            lead = (chunk != 0).argmax(axis=1)
-            r = int(np.argmin(lead))
-            c = int(lead[r])
-            ival = self.field.inv(chunk[r, c])
-            prow = amod(self.field, chunk[r] * ival)
-            keep = np.ones(chunk.shape[0], dtype=bool)
-            keep[r] = False
-            chunk = chunk[keep]
-            if chunk.shape[0]:
-                chunk = amod(self.field, chunk - np.outer(chunk[:, c], prow))
-                chunk = chunk[chunk.any(axis=1)]
-            for i, row in enumerate(new_rows):
-                if row[c]:
-                    new_rows[i] = amod(self.field, row - row[c] * prow)
-            new_rows.append(prow)
-            new_cols.append(c)
-        return new_rows, new_cols
+    def _absorb_chunk(self, m):
+        """Gauss-Jordan in place on a chunk of reduced nonzero rows,
+        with the pivot rows found so far on top, m[:t].  One rank-1
+        update per pivot clears its column from every other row, pivot
+        row or not; rows that vanish are dropped.  Returns the pivot
+        rows, fully reduced, and their columns."""
+        field = self.field
+        cols = []
+        t = 0
+        while t < m.shape[0]:
+            lead = (m[t:] != 0).argmax(axis=1)
+            r = t + int(lead.argmin())
+            c = int(lead[r - t])
+            prow = amod(field, m[r] * field.inv(m[r, c]))
+            m[r] = m[t]
+            m[t] = prow
+            hit = np.flatnonzero(m[:, c])
+            hit = hit[hit != t]
+            m[hit] = amod(field, m[hit] - m[hit, c][:, None] * prow)
+            gone = hit[(hit > t) & ~m[hit].any(axis=1)]
+            if gone.size:
+                m = np.delete(m, gone, axis=0)
+            cols.append(c)
+            t += 1
+        return m, cols
 
     def add_rows(self, rows):
         block = self._reduce_block(self._coerce(rows))
@@ -142,18 +158,16 @@ class Eliminator:
             chunk = self._reduce_block(block[start:start + self._CHUNK])
             if not chunk.shape[0]:
                 continue
-            new_rows, new_cols = self._absorb_chunk(chunk)
-            if not new_rows:
-                continue
-            newmat = np.stack(new_rows)
+            newmat, new_cols = self._absorb_chunk(chunk)
             if self.rank:
+                check_exact_range(self.field, len(new_cols))
                 cols = np.asarray(new_cols, dtype=np.intp)
                 r = self._rows[:self.rank]
                 r -= r[:, cols] @ newmat
                 self._rows[:self.rank] = amod(self.field, r)
-            self._ensure_capacity(self.rank + len(new_rows))
-            self._rows[self.rank:self.rank + len(new_rows)] = newmat
-            self.rank += len(new_rows)
+            self._ensure_capacity(self.rank + len(new_cols))
+            self._rows[self.rank:self.rank + len(new_cols)] = newmat
+            self.rank += len(new_cols)
             self.pivcols.extend(new_cols)
 
     # -- results ---------------------------------------------------------
@@ -247,8 +261,8 @@ class Subspace:
 
         A 2-D v is taken row by row; None then means some row is
         outside."""
-        v = asfield(self.field, v)
-        c = v[..., np.asarray(self.pivots, dtype=np.intp)]
+        v = self.field.array(v)
+        c = amod(self.field, v[..., np.asarray(self.pivots, dtype=np.intp)])
         if not iszero(amod(self.field, c @ self.basis - v)):
             return None
         return c

@@ -23,7 +23,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .field import FieldSpec
-from .linalg import Subspace, amod, asfield, iszero, kernel, mm, rank
+from .linalg import (Subspace, amod, asfield, check_exact_range, iszero,
+                     kernel, mm, rank)
 
 
 @dataclass
@@ -327,15 +328,11 @@ def sum_per_key(field: FieldSpec, keys, vals):
     componentwise over F_{p^2}, and the sums are reduced with amod.  Each
     value must be a reduced field element, or a product of two, up to
     sign, so a key with m terms sums to components of magnitude at most
-    m (p-1)^2, or 2 m (p-1)^2 over F_{p^2}.  Raises ValueError when that
-    bound reaches 2**52, where amod stops being exact."""
+    m (p-1)^2, or 2 m (p-1)^2 over F_{p^2}.  Raises ValueError, through
+    check_exact_range, when that bound can leave the exact range of
+    amod."""
     uniq, inv = np.unique(keys, return_inverse=True)
-    terms = int(np.bincount(inv).max(initial=0))
-    bound = terms * (2 if field.ext else 1) * (field.p - 1) ** 2
-    if bound >= 2 ** 52:
-        raise ValueError(
-            f"{terms} terms on one key over {field} can reach {bound}, "
-            "beyond the exact range 2**52 of the reduction")
+    check_exact_range(field, int(np.bincount(inv).max(initial=0)))
     sums = np.zeros(uniq.size, dtype=field.dtype)
     sums.real = np.bincount(inv, weights=vals.real, minlength=uniq.size)
     if field.ext:

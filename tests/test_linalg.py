@@ -89,6 +89,10 @@ def test_subspace_operations_frozen():
     # rows are taken one by one, and one row outside is enough for None
     assert np.array_equal(a.coords_of([[2, 3, 0], [0, 1, 0]]), [[2, 3], [0, 1]])
     assert a.coords_of([[2, 3, 0], [0, 0, 1]]) is None
+    # unreduced input: reduced coordinates in the span, None outside it
+    co = a.coords_of([7, -2, 10])
+    assert np.array_equal(co, [2, 3]) and co.dtype == np.float64
+    assert a.coords_of([7, -2, 11]) is None
     assert Subspace(F5, 3).coords_of([[0, 0, 0]]).shape == (1, 0)
 
 
@@ -173,6 +177,20 @@ def test_amod_matches_exact_integer_remainder(p):
     # negative zero in, positive zero out; scalars stay scalars
     assert not np.signbit(amod(field, -0.0))
     assert amod(field, complex(-1, -p)) == complex(p - 1, 0)
+    assert np.ndim(amod(field, -1.0)) == 0
+    assert np.ndim(amod(field, complex(-1, -p))) == 0
+
+    # strided input: a transpose, a step slice and a column slice
+    m = z[:z.size // 2 * 2].reshape(-1, 2)
+    want_m = np.asarray([complex(int(v.real) % p, int(v.imag) % p)
+                         for v in m.ravel()]).reshape(m.shape)
+    for view, expect in ((m.T, want_m.T), (z[::2], amod(field, z)[::2]),
+                         (m[:, 1], want_m[:, 1]), (m.real.T, want_m.real.T)):
+        kept = view.copy()
+        got = amod(field, view)
+        assert got.shape == view.shape and got.dtype == view.dtype
+        assert np.array_equal(got, expect)
+        assert np.array_equal(view, kept)
 
 
 def test_eliminator_matches_one_shot_rref():
@@ -190,6 +208,112 @@ def test_eliminator_matches_one_shot_rref():
             r1, _, piv1 = rref(field, a)
             assert np.array_equal(r, r1)
             assert list(piv) == list(piv1)
+
+
+def oracle_rref(field, rows):
+    """Gauss-Jordan mod p on Python ints, one element a0 + a1*u as the
+    pair (a0, a1) with u^2 = -1 (a1 = 0 over F_p); returns the canonical
+    rows as a field array and the pivot columns."""
+    p = field.p
+
+    def mul(x, y):
+        return ((x[0] * y[0] - x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def axpy(a, x, y):   # y - a x
+        out = []
+        for xi, yi in zip(x, y):
+            ax = mul(a, xi)
+            out.append(((yi[0] - ax[0]) % p, (yi[1] - ax[1]) % p))
+        return out
+
+    out, piv = [], []
+    for row in rows:
+        row = [(round(v.real) % p, round(v.imag) % p) for v in row]
+        for prow, c in zip(out, piv):
+            if row[c] != (0, 0):
+                row = axpy(row[c], prow, row)
+        lead = next((c for c, v in enumerate(row) if v != (0, 0)), None)
+        if lead is None:
+            continue
+        inv = field.inv(complex(*row[lead]))
+        row = [mul((round(inv.real), round(inv.imag)), v) for v in row]
+        out = [axpy(r[lead], row, r) if r[lead] != (0, 0) else r
+               for r in out]
+        out.append(row)
+        piv.append(lead)
+    order = sorted(range(len(piv)), key=piv.__getitem__)
+    mat = np.asarray([[complex(*out[i][c]) for c in range(len(rows[0]))]
+                      for i in order], dtype=np.complex128)
+    return field.array(mat.reshape(len(order), len(rows[0]))), \
+        [piv[i] for i in order]
+
+
+def ragged_system(rng, field, m, n=40, k=34):
+    """m rows of length n of rank at most k: row i mixes only the first
+    4 + (k - 4) i / m rows of a base with six zero columns, so new
+    pivots keep turning up late; then some rows are zeroed and some
+    duplicated."""
+    base = rand_mat(rng, field, k, n)
+    base[:, rng.choice(n, size=6, replace=False)] = 0
+    coef = rand_mat(rng, field, m, k)
+    for i in range(m):
+        coef[i, 4 + (k - 4) * i // m:] = 0
+    rows = amod(field, coef @ base)
+    rows[rng.choice(m, size=m // 10, replace=False)] = 0
+    dup = rng.choice(m, size=(m // 10, 2), replace=False)
+    rows[dup[:, 0]] = rows[dup[:, 1]]
+    return rows
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=str)
+@pytest.mark.parametrize("m", [127, 128, 129, 300])
+def test_eliminator_matches_integer_oracle_across_chunks(field, m):
+    """Systems that cross the chunk size of the eliminator, fed in one
+    block, in several blocks and in shuffled order, give bitwise the
+    rows and pivots of a plain integer Gauss-Jordan."""
+    assert Eliminator._CHUNK == 128
+    rng = np.random.default_rng(m)
+    rows = ragged_system(rng, field, m)
+    want, want_piv = oracle_rref(field, rows)
+    assert 0 < len(want_piv) < min(m, rows.shape[1])
+    cuts = sorted(rng.choice(np.arange(1, m), size=4, replace=False))
+    feeds = {"one block": [rows],
+             "blocks": np.split(rows, [1, *cuts]),
+             "shuffled": np.split(rows[rng.permutation(m)], [m // 3])}
+    for how, blocks in feeds.items():
+        elim = Eliminator(field, rows.shape[1])
+        for block in blocks:
+            elim.add_rows(block)
+        got, piv = elim.rref()
+        assert np.array_equal(got, want), how
+        assert got.dtype == field.dtype and list(piv) == want_piv, how
+        assert elim.rank == len(want_piv), how
+
+
+def _fed(field, *blocks):
+    elim = Eliminator(field, 3)
+    for block in blocks:
+        elim.add_rows(block)
+    return elim
+
+
+def test_eliminator_refuses_contractions_beyond_the_exact_range():
+    # (p-1)^2 + p < 2**52 <= 2 (p-1)^2: one product per entry is exact,
+    # two are not, and the contraction length is the rank
+    big = FieldSpec(67108859)
+    elim = _fed(big, [[1, 0, 0], [0, 1, 0]])    # rank 0: no contraction
+    assert elim.rank == 2
+    with pytest.raises(ValueError, match="exact range"):
+        elim.add_rows([[1, 1, 1]])
+    # one pivot row against one new pivot is exact; two new pivots in
+    # the update of the accumulated rows are not
+    assert _fed(big, [[1, 1, 0]], [[big.p - 1, 0, 1]]).rref()[1] == [0, 1]
+    with pytest.raises(ValueError, match="exact range"):
+        _fed(big, [[1, 1, 1]], [[0, 1, 0], [0, 0, 1]])
+    # the same feeds are exact over a small field
+    elim = _fed(FieldSpec(3), [[1, 0, 0], [0, 1, 0]], [[1, 1, 1]])
+    assert elim.rank == 3
 
 
 def test_eliminator_kernel_rows():
