@@ -5,8 +5,10 @@ Matrices are NumPy arrays in the dtype their field picks
 made or returned here, from eliminator rows to subspace bases and
 solutions, has that dtype, and no routine branches on it.  The
 arithmetic is exact: components are bounded by p**2 times the
-contraction length, and check_exact_range refuses a contraction of the
-eliminator long enough to reach 2**52.
+contraction length, and exact_terms is the longest contraction that
+stays below 2**52.  check_exact_range refuses a longer one in mm,
+Subspace.residual, Subspace.coords_of and the eliminator, whose
+Gauss-Jordan rounds make at most exact_terms pivots each.
 
 asfield is the one coercion routine: it casts arbitrary input to the
 field's dtype and reduces it, and refuses a nonzero u component headed
@@ -52,12 +54,19 @@ def amod(field: FieldSpec, a):
     return out[()] if out.ndim == 0 else out
 
 
+def exact_terms(field: FieldSpec) -> int:
+    """The most products of two that a reduced element can take on and
+    stay below 2**52, the exact range of amod: terms (p-1)^2 + p, or
+    2 terms (p-1)^2 + p over F_{p^2}, must be below it."""
+    return (2 ** 52 - 1 - field.p) // ((2 if field.ext else 1)
+                                       * (field.p - 1) ** 2)
+
+
 def check_exact_range(field: FieldSpec, terms: int):
-    """Raise ValueError unless a reduced element plus `terms` products
-    of two, at most terms (p-1)^2 + p, or 2 terms (p-1)^2 + p over
-    F_{p^2}, stays below 2**52, the exact range of amod."""
-    bound = terms * (2 if field.ext else 1) * (field.p - 1) ** 2 + field.p
-    if bound >= 2 ** 52:
+    """Raise ValueError if a contraction of `terms` products of two,
+    added to a reduced element, can leave the exact range of amod."""
+    if terms > exact_terms(field):
+        bound = terms * (2 if field.ext else 1) * (field.p - 1) ** 2 + field.p
         raise ValueError(
             f"{terms} terms over {field} can reach {bound}, "
             "beyond the exact range 2**52 of the reduction")
@@ -68,7 +77,9 @@ def iszero(a) -> bool:
 
 
 def mm(field: FieldSpec, a, b):
-    return amod(field, np.asarray(a) @ np.asarray(b))
+    a = np.asarray(a)
+    check_exact_range(field, a.shape[-1])
+    return amod(field, a @ np.asarray(b))
 
 
 def asfield(field: FieldSpec, a):
@@ -77,16 +88,34 @@ def asfield(field: FieldSpec, a):
     return amod(field, field.array(a))
 
 
+def _unit_triangular_inverse(field: FieldSpec, u):
+    """(I + N)^-1 for a unit upper triangular u = I + N by doubling:
+    the product of the factors I + (-N)^(2^j), taken until the power
+    vanishes.  Its entries must be reduced, and its size within
+    exact_terms."""
+    eye = np.eye(u.shape[0], dtype=field.dtype)
+    power = amod(field, eye - u)
+    inv = eye + power
+    power = amod(field, power @ power)
+    while power.any():
+        inv = amod(field, inv + inv @ power)
+        power = amod(field, power @ power)
+    return inv
+
+
 class Eliminator:
     """Incremental Gaussian elimination with a fully reduced pivot set.
 
     Rows are fed in blocks.  Each block is first reduced against the
     accumulated pivot rows with one matmul (valid because the pivot
     columns of the accumulated rows form an identity).  The surviving
-    rows are absorbed _CHUNK at a time by Gauss-Jordan in place on the
-    chunk, then one matmul clears the new pivot columns from the
-    accumulated rows.  The final row set, ordered by pivot column, is
-    the canonical RREF of everything fed in, whatever the feeding order.
+    rows are absorbed _CHUNK at a time by Gauss-Jordan in rounds: each
+    round makes every distinct leading column of the chunk a pivot at
+    once, up to the exact_terms of the field, and clears those columns
+    from all other rows of the chunk with one matmul each.  One more
+    matmul then clears the new pivot columns from the accumulated rows.
+    The final row set, ordered by pivot column, is the canonical RREF of
+    everything fed in, whatever the feeding order.
     """
 
     _CHUNK = 128
@@ -121,43 +150,51 @@ class Eliminator:
             piv = np.asarray(self.pivcols, dtype=np.intp)
             block = block - block[:, piv] @ self._rows[:self.rank]
             block = amod(self.field, block)
-        if block.size:
-            block = block[block.any(axis=1)]
-        return block
+        return block[block.any(axis=1)]
 
     def _absorb_chunk(self, m):
-        """Gauss-Jordan in place on a chunk of reduced nonzero rows,
-        with the pivot rows found so far on top, m[:t].  One rank-1
-        update per pivot clears its column from every other row, pivot
-        row or not; rows that vanish are dropped.  Returns the pivot
-        rows, fully reduced, and their columns."""
+        """Gauss-Jordan in rounds on a chunk of reduced nonzero rows.
+
+        A round takes one row per distinct leading column of the rows
+        left, the first such row, at most exact_terms of them, and
+        scales each to lead 1.  On those columns the picked rows form a
+        unit upper triangle I + N; multiplying by its inverse makes them
+        an identity there.  One matmul then clears the columns from the
+        pivot rows of earlier rounds, and one from the rows not picked,
+        of which those that vanish are dropped.  Every contraction has
+        at most one term per picked row.  Returns the pivot rows, fully
+        reduced, and their columns."""
         field = self.field
-        cols = []
-        t = 0
-        while t < m.shape[0]:
-            lead = (m[t:] != 0).argmax(axis=1)
-            r = t + int(lead.argmin())
-            c = int(lead[r - t])
-            prow = amod(field, m[r] * field.inv(m[r, c]))
-            m[r] = m[t]
-            m[t] = prow
-            hit = np.flatnonzero(m[:, c])
-            hit = hit[hit != t]
-            m[hit] = amod(field, m[hit] - m[hit, c][:, None] * prow)
-            gone = hit[(hit > t) & ~m[hit].any(axis=1)]
-            if gone.size:
-                m = np.delete(m, gone, axis=0)
-            cols.append(c)
-            t += 1
-        return m, cols
+        most = exact_terms(field)
+        piv, cols, rest = m[:0], [], m
+        while rest.shape[0]:
+            lead = (rest != 0).argmax(axis=1)
+            lc, first = np.unique(lead, return_index=True)
+            lc, first = lc[:most], first[:most]
+            scale = np.array([field.inv(x) for x in rest[first, lc]],
+                             dtype=field.dtype)
+            s = amod(field, rest[first] * scale[:, None])
+            if lc.size > 1:
+                s = amod(field, _unit_triangular_inverse(field, s[:, lc]) @ s)
+            if piv.shape[0]:
+                piv = amod(field, piv - piv[:, lc] @ s)
+            rest = np.delete(rest, first, axis=0)
+            if rest.shape[0]:
+                rest = amod(field, rest - rest[:, lc] @ s)
+                rest = rest[rest.any(axis=1)]
+            piv = np.vstack([piv, s])
+            cols.extend(lc.tolist())
+        return piv, cols
 
     def add_rows(self, rows):
         block = self._reduce_block(self._coerce(rows))
-        n = block.shape[0]
-        for start in range(0, n, self._CHUNK):
-            chunk = self._reduce_block(block[start:start + self._CHUNK])
-            if not chunk.shape[0]:
-                continue
+        for start in range(0, block.shape[0], self._CHUNK):
+            chunk = block[start:start + self._CHUNK]
+            if start:
+                # the pivots of the chunks before this one are new
+                chunk = self._reduce_block(chunk)
+                if not chunk.shape[0]:
+                    continue
             newmat, new_cols = self._absorb_chunk(chunk)
             if self.rank:
                 check_exact_range(self.field, len(new_cols))
@@ -249,6 +286,7 @@ class Subspace:
         """v reduced against the basis; zero iff v is in the subspace."""
         v = asfield(self.field, v)
         if self.dim:
+            check_exact_range(self.field, self.dim)
             piv = np.asarray(self.pivots, dtype=np.intp)
             v = amod(self.field, v - v[..., piv] @ self.basis)
         return v
@@ -261,6 +299,7 @@ class Subspace:
 
         A 2-D v is taken row by row; None then means some row is
         outside."""
+        check_exact_range(self.field, self.dim)
         v = self.field.array(v)
         c = amod(self.field, v[..., np.asarray(self.pivots, dtype=np.intp)])
         if not iszero(amod(self.field, c @ self.basis - v)):

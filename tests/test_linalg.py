@@ -5,9 +5,10 @@ import pytest
 
 from ckder import (FieldError, FieldSpec, LinearMap, inner_derivation_algebra,
                    kantor_double, truncated_poly)
-from ckder.linalg import (Eliminator, Subspace, amod, inverse, kernel,
-                          matrix_from_json, matrix_to_json, rank, rref,
-                          solve_right)
+from ckder import linalg
+from ckder.linalg import (Eliminator, Subspace, amod, exact_terms, inverse,
+                          kernel, matrix_from_json, matrix_to_json, mm, rank,
+                          rref, solve_right)
 
 F5 = FieldSpec(5)
 F9 = FieldSpec(3, ext=True)
@@ -266,22 +267,82 @@ def ragged_system(rng, field, m, n=40, k=34):
     return rows
 
 
+def echelon_rows(rng, field, leads, n, dense=False):
+    """One row per lead: zero before it, a nonzero there and random
+    after it; with dense=True every entry after the lead is nonzero."""
+    rows = rand_mat(rng, field, len(leads), n)
+    if dense:
+        rows = amod(field, rows + field.array(
+            np.where(rows == 0, 1, 0)))
+    for i, c in enumerate(leads):
+        rows[i, :c] = 0
+        if rows[i, c] == 0:
+            rows[i, c] = 1
+    return rows
+
+
+def chunk_system(rng, field, kind, n=100):
+    """Rows made for one kind of first round of the chunk.
+
+    chain-L: L rows with distinct leads whose entries in the lead
+    columns are all nonzero, so that the round inverts a dense unit
+    upper triangle of size L and needs every doubling factor of it,
+    then 30 rows with leads among those columns, left for later rounds,
+    and 20 combinations of the L rows.  vanish: 24 rows with distinct leads, then 40
+    combinations of them, which vanish in the first round, and 10 rows
+    that survive it.  one-round: 60 rows with distinct leads and
+    nothing else, so that all pivots come in one round."""
+    name, _, size = kind.partition("-")
+    if name == "chain":
+        length = int(size)
+        leads = np.sort(rng.choice(n - 1, size=length, replace=False))
+        chain = echelon_rows(rng, field, leads, n, dense=True)
+        late = echelon_rows(rng, field, rng.choice(leads, size=30), n)
+        mix = amod(field, rand_mat(rng, field, 20, length) @ chain)
+        return np.vstack([chain, late, mix])
+    if name == "vanish":
+        leads = np.sort(rng.choice(n, size=24, replace=False))
+        picked = echelon_rows(rng, field, leads, n)
+        combos = amod(field, rand_mat(rng, field, 40, 24) @ picked)
+        survive = echelon_rows(rng, field, rng.choice(leads, size=10), n)
+        return np.vstack([picked, combos, survive])
+    assert name == "one"
+    leads = rng.choice(n, size=60, replace=False)
+    return echelon_rows(rng, field, leads, n)
+
+
+FIRST_ROUND = {"chain-8": 8, "chain-9": 9, "chain-64": 64, "chain-65": 65,
+               "vanish": 24, "one-round": 60}
+
+
 @pytest.mark.parametrize("field", [F5, F9], ids=str)
-@pytest.mark.parametrize("m", [127, 128, 129, 300])
-def test_eliminator_matches_integer_oracle_across_chunks(field, m):
-    """Systems that cross the chunk size of the eliminator, fed in one
-    block, in several blocks and in shuffled order, give bitwise the
-    rows and pivots of a plain integer Gauss-Jordan."""
+@pytest.mark.parametrize("system", [127, 128, 129, 300, *FIRST_ROUND])
+def test_eliminator_matches_integer_oracle_across_chunks(field, system,
+                                                          monkeypatch):
+    """Systems that cross the chunk size of the eliminator, and chunks
+    built for one kind of round, fed in one block, in several blocks
+    and in shuffled order, give bitwise the rows and pivots of a plain
+    integer Gauss-Jordan."""
     assert Eliminator._CHUNK == 128
-    rng = np.random.default_rng(m)
-    rows = ragged_system(rng, field, m)
+    sizes = []
+    inverse_of = linalg._unit_triangular_inverse
+    monkeypatch.setattr(linalg, "_unit_triangular_inverse",
+                        lambda f, u: sizes.append(len(u)) or inverse_of(f, u))
+    if isinstance(system, int):
+        rng = np.random.default_rng(system)
+        rows = ragged_system(rng, field, system)
+    else:
+        rng = np.random.default_rng(list(system.encode()))
+        rows = chunk_system(rng, field, system)
+    m = rows.shape[0]
     want, want_piv = oracle_rref(field, rows)
-    assert 0 < len(want_piv) < min(m, rows.shape[1])
+    assert 0 < len(want_piv) < rows.shape[1]
     cuts = sorted(rng.choice(np.arange(1, m), size=4, replace=False))
     feeds = {"one block": [rows],
              "blocks": np.split(rows, [1, *cuts]),
              "shuffled": np.split(rows[rng.permutation(m)], [m // 3])}
     for how, blocks in feeds.items():
+        sizes.clear()
         elim = Eliminator(field, rows.shape[1])
         for block in blocks:
             elim.add_rows(block)
@@ -289,6 +350,10 @@ def test_eliminator_matches_integer_oracle_across_chunks(field, m):
         assert np.array_equal(got, want), how
         assert got.dtype == field.dtype and list(piv) == want_piv, how
         assert elim.rank == len(want_piv), how
+        if how == "one block" and system in FIRST_ROUND:
+            # the first round picks the rows the system was made for
+            assert sizes[0] == FIRST_ROUND[system], sizes
+            assert system != "one-round" or len(sizes) == 1, sizes
 
 
 def _fed(field, *blocks):
@@ -314,6 +379,78 @@ def test_eliminator_refuses_contractions_beyond_the_exact_range():
     # the same feeds are exact over a small field
     elim = _fed(FieldSpec(3), [[1, 0, 0], [0, 1, 0]], [[1, 1, 1]])
     assert elim.rank == 3
+
+
+def test_eliminator_rounds_stay_within_a_capped_exact_range(monkeypatch):
+    """At p = 38745307 a reduced element takes 3 products and stays
+    exact, so a round makes at most 3 pivots though the chunk has more
+    distinct leads; the result still equals the integer oracle and no
+    value reaching amod leaves the exact range."""
+    field = FieldSpec(38745307)
+    most = exact_terms(field)
+    assert most == 3
+    sizes, peak = [], []
+    inverse_of, reduce = linalg._unit_triangular_inverse, linalg.amod
+    monkeypatch.setattr(linalg, "_unit_triangular_inverse",
+                        lambda f, u: sizes.append(len(u)) or inverse_of(f, u))
+    monkeypatch.setattr(linalg, "amod", lambda f, a: peak.append(
+        np.abs(np.asarray(a).view(np.float64)).max(initial=0)) or reduce(f, a))
+    # rank 6 in 40 x 12, in Python ints: row r mixes the base rows from
+    # 3 + r % 3 on if r < 20, and from r % 6 on otherwise
+    rng = np.random.default_rng(12)
+    p = field.p
+    base = [[0] * (2 * i) + [int(x) for x in rng.integers(1, p, 12 - 2 * i)]
+            for i in range(6)]
+    rows = []
+    for r in range(40):
+        start = 3 + r % 3 if r < 20 else r % 6
+        coef = [0] * start + [int(x) for x in rng.integers(1, p, 6 - start)]
+        rows.append([sum(c * b[j] for c, b in zip(coef, base)) % p
+                     for j in range(12)])
+    rows = np.asarray(rows, dtype=np.float64)
+    rows[[7, 32]] = 0
+    want, want_piv = oracle_rref(field, rows)
+    assert len(want_piv) == 6
+    # one block: six distinct leads, cut into two rounds of three; two
+    # blocks: three new pivots each, against at most three pivot rows
+    for blocks in ([rows], [rows[:20], rows[20:]]):
+        sizes.clear()
+        elim = Eliminator(field, 12)
+        for block in blocks:
+            elim.add_rows(block)
+        got, piv = elim.rref()
+        assert np.array_equal(got, want) and list(piv) == want_piv
+        assert sizes == [most, most], sizes
+    assert max(peak) < 2 ** 52
+    # the other way round, the second block meets six pivot rows
+    elim = Eliminator(field, 12)
+    elim.add_rows(rows[20:])
+    with pytest.raises(ValueError, match="exact range"):
+        elim.add_rows(rows[:20])
+
+
+def test_subspace_and_mm_refuse_contractions_beyond_the_exact_range():
+    # at p = 67108859 one product per entry is exact and two are not;
+    # the contraction length is the subspace dimension, or the inner
+    # dimension of mm
+    big = FieldSpec(67108859)
+    q = big.p - 1
+    one = Subspace(big, 3, [[1, 0, 1]])
+    two = Subspace(big, 3, [[1, 0, 0], [0, 1, 0]])
+    assert two.dim == 2
+    assert np.array_equal(one.residual([q, 2, q]), [0, 2, 0])
+    assert np.array_equal(one.coords_of([q, 0, q]), [q])
+    assert np.array_equal(mm(big, [[q]], [[q, 1]]), [[1, q]])
+    for call in (lambda: two.residual([q, 2, q]),
+                 lambda: two.coords_of([q, q, 0]),
+                 lambda: mm(big, [[q, q]], [[q], [q]])):
+        with pytest.raises(ValueError, match="exact range"):
+            call()
+    # the same calls are exact over a small field
+    f3 = FieldSpec(3)
+    assert Subspace(f3, 3, [[1, 0, 0], [0, 1, 0]]).coords_of(
+        [2, 2, 0]).tolist() == [2, 2]
+    assert mm(f3, [[2, 2]], [[2], [2]]).tolist() == [[2]]
 
 
 def test_eliminator_kernel_rows():
