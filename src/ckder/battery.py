@@ -16,17 +16,18 @@ from . import __version__
 from .constructions import (cheng_kac, kantor_double, map_inverse,
                             odd_part_squares_to_even, truncated_poly,
                             w_to_v_change)
-from .derivations import (derivation_algebra, extend_even_der,
-                          extend_odd_eta, grade_derivations,
-                          inner_derivation_algebra, odd_der_char3,
-                          odd_der_eta, span_of_maps, stable_der_double)
+from .derivations import (combination_mismatch, derivation_algebra,
+                          extend_even_der, extend_odd_eta,
+                          grade_derivations, inner_derivation_algebra,
+                          odd_der_char3, odd_der_eta, span_of_maps,
+                          stable_der_double)
 from .field import FieldSpec, is_odd_prime
 from .linalg import Subspace, amod, asfield, inverse, iszero, rank
-from .superalg import (LinearMap, annihilator, center_even,
-                       check_jordan_super, check_super_lie,
-                       check_supercommutative, grading_violation,
-                       inner_derivation, is_homomorphism,
-                       super_commutator_rows)
+from .superalg import (LinearMap, _commutator_entries, _entries,
+                       annihilator, center_even, check_jordan_super,
+                       check_super_lie, check_supercommutative,
+                       grading_violation, inner_derivation_entries,
+                       is_homomorphism)
 from .symmetry import (build_s4, coordinate_algebra, coxeter_witness,
                        phi_iso, phi_star)
 from .tkk import (check_3grading, der_as_tkk, so3,
@@ -363,61 +364,48 @@ def check_graded_named_spans(ctx):
     f = ctx.base
     ck = ctx.ck(f, "w")
     a = ck.alg
-    dz = ck.dz
     g = ctx.graded_j(f, "w")
-
-    def e(fam, k):
-        return a.basis_vector(ck.even_index(fam, k))
-
-    def o(fam, k):
-        return a.basis_vector(ck.odd_index(fam, k))
-
-    def dspan(pairs):
-        return span_of_maps(a, [inner_derivation(a, u, v) for u, v in pairs])
-
-    even_spans = {
-        (1, 1): dspan([(e(1, 0), e(2, k)) for k in range(dz)]),
-        (1, 0): dspan([(e(2, 0), e(3, k)) for k in range(dz)]),
-        (0, 1): dspan([(e(3, 0), e(1, k)) for k in range(dz)]),
-        (0, 0): dspan([(o(0, 0), o(0, k)) for k in range(dz)]),
-    }
-    odd_spans = {
-        (1, 0): dspan([(e(1, 0), o(0, k)) for k in range(dz)]),
-        (0, 1): dspan([(e(2, 0), o(0, k)) for k in range(dz)]),
-        (1, 1): dspan([(e(3, 0), o(0, k)) for k in range(dz)]),
-        (0, 0): span_of_maps(
-            a, [inner_derivation(a, e(0, i), o(0, j))
-                for i in range(dz) for j in range(dz)]),
-    }
-    for grade, span in even_spans.items():
-        if not span.equals(g.component(grade).subspace(0)):
+    e, o, zs = ck.even_index, ck.odd_index, range(ck.dz)
+    named = [  # (parity, grade, the pairs (u, v) whose D(u, v) span it)
+        (0, (1, 1), [(e(1, 0), e(2, k)) for k in zs]),
+        (0, (1, 0), [(e(2, 0), e(3, k)) for k in zs]),
+        (0, (0, 1), [(e(3, 0), e(1, k)) for k in zs]),
+        (0, (0, 0), [(o(0, 0), o(0, k)) for k in zs]),
+        (1, (1, 0), [(e(1, 0), o(0, k)) for k in zs]),
+        (1, (0, 1), [(e(2, 0), o(0, k)) for k in zs]),
+        (1, (1, 1), [(e(3, 0), o(0, k)) for k in zs]),
+        (1, (0, 0), [(e(0, i), o(0, j)) for i in zs for j in zs]),
+    ]
+    # every D(u, v) named, flattened, one row per pair, in one join
+    every = [pair for *_, pairs in named for pair in pairs]
+    keys, vals = inner_derivation_entries(a, every)
+    rows = np.zeros((len(every), a.n * a.n), dtype=f.dtype)
+    rows.flat[keys] = vals
+    ends = np.cumsum([len(pairs) for *_, pairs in named])
+    for (parity, grade, pairs), end in zip(named, ends):
+        span = Subspace(f, a.n * a.n, rows[end - len(pairs):end])
+        comp = g.component(grade)
+        if not span.equals(comp.subspace(parity)):
             return ("fail", field_label(f),
-                    {"grade": list(grade), "parity": 0,
+                    {"grade": list(grade), "parity": parity,
                      "span_dim": span.dim,
-                     "component_dim": g.component(grade).dims[0]})
-    for grade, span in odd_spans.items():
-        if not span.equals(g.component(grade).subspace(1)):
-            return ("fail", field_label(f),
-                    {"grade": list(grade), "parity": 1,
-                     "span_dim": span.dim,
-                     "component_dim": g.component(grade).dims[1]})
+                     "component_dim": comp.dims[parity]})
     return ("pass", field_label(f), None)
 
 
 def check_dzzx_vanishes(ctx):
+    """D(Z, Z x_fam) = 0 for the three marked odd families; the witness
+    is the first nonzero map in the order family, i, j."""
     f = ctx.base
     ck = ctx.ck(f, "w")
-    a = ck.alg
     dz = ck.dz
-    for fam in (1, 2, 3):
-        for i in range(dz):
-            for j in range(dz):
-                d = inner_derivation(
-                    a, a.basis_vector(ck.even_index(0, i)),
-                    a.basis_vector(ck.odd_index(fam, j)))
-                if not iszero(amod(f, d.matrix)):
-                    return ("fail", field_label(f),
-                            {"family": fam, "powers": [i, j]})
+    pairs = [(ck.even_index(0, i), ck.odd_index(fam, j))
+             for fam in (1, 2, 3) for i in range(dz) for j in range(dz)]
+    keys, _ = inner_derivation_entries(ck.alg, pairs)
+    if keys.size:
+        fam, ij = divmod(int(keys.min()) // ck.alg.n ** 2, dz * dz)
+        return ("fail", field_label(f),
+                {"family": fam + 1, "powers": list(divmod(ij, dz))})
     return ("pass", field_label(f), None)
 
 
@@ -504,13 +492,12 @@ def check_transfer_iso(ctx):
     tr = ctx.transfer()
     comp = ctx.graded_j(f, "v").component((0, 0))
     bar = ctx.bar_k(f)
-    even_imgs = [tr.apply(d) for d in comp.even_basis]
-    odd_imgs = [tr.apply(d) for d in comp.odd_basis]
-    for par, imgs in ((0, even_imgs), (1, odd_imgs)):
-        if not span_of_maps(ctx.kd(f).alg, imgs).equals(bar.subspace(par)):
+    imgs = [tr.apply(d) for d in comp.even_basis + comp.odd_basis]
+    for par in (0, 1):
+        half = [d for d in imgs if d.parity == par]
+        if not span_of_maps(ctx.kd(f).alg, half).equals(bar.subspace(par)):
             return ("fail", field_label(f),
                     {"reason": "image mismatch", "parity": par})
-    imgs = even_imgs + odd_imgs
     flat = np.stack([m.flatten() for m in imgs])
     if rank(f, flat) != len(flat):
         return ("fail", field_label(f), {"reason": "not injective"})
@@ -520,14 +507,17 @@ def check_transfer_iso(ctx):
         return ("fail", field_label(f),
                 {"reason": "bracket leaves the component"})
     # the image of [d_s, d_t] against [image of d_s, image of d_t]
-    for s, rows, _ in super_commutator_rows(
-            f, np.stack([m.matrix for m in imgs]),
-            np.asarray([m.parity for m in imgs])):
-        bad = np.flatnonzero(amod(f, c[s] @ flat - rows).any(axis=1))
-        if bad.size:
-            return ("fail", field_label(f),
-                    {"reason": "bracket not preserved",
-                     "pair": [s, int(bad[0])]})
+    m, nk = len(imgs), ctx.kd(f).alg.n
+    s, r, col, v = _entries(f, np.stack([d.matrix for d in imgs]))
+    q, u = np.nonzero(c.reshape(m * m, m))
+    key = combination_mismatch(
+        f, nk * nk, (q, u, c.reshape(m * m, m)[q, u]), (s, col * nk + r, v),
+        _commutator_entries(f, nk, np.asarray([d.parity for d in imgs]),
+                            s, r, col, v))
+    if key is not None:
+        return ("fail", field_label(f),
+                {"reason": "bracket not preserved",
+                 "pair": list(divmod(key // (nk * nk), m))})
     return ("pass", field_label(f),
             {"dims": list(comp.dims), "how": "solved"})
 

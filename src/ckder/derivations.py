@@ -6,9 +6,12 @@ candidate map in column-major order; equations are generated sparsely
 (one per basis pair and output coordinate), and the system is solved
 one connected block of equations and unknowns at a time.
 inner_derivation_algebra spans the supercommutators of left
-multiplications.  Both return canonical RREF bases of flattened
-matrices, so results are deterministic and directly comparable, and
-grade_derivations splits such a basis along the fine grading.
+multiplications, whose nonzero entries come from one join over the
+structure constants, eliminated block by block in the same way.  Both
+return canonical RREF bases of flattened matrices, so results are
+deterministic and directly comparable, and grade_derivations splits
+such a basis along the fine grading.  The bracket of a space is a join
+too: a coordinate over a canonical basis is the entry at its pivot.
 
 The named derivations of the double K = Z + Zx and their forced
 extensions to the big superalgebra are built from the closed formulas
@@ -22,20 +25,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .linalg import Eliminator, Subspace, amod, asfield, solve_right
-from .superalg import (LinearMap, SuperAlgebra, expand_runs,
-                       inner_derivation_rows, is_derivation,
-                       leibniz_violation, sum_per_key,
-                       super_commutator_rows)
+from .linalg import Eliminator, Subspace, amod, asfield, mm, solve_right
+from .superalg import (LinearMap, SuperAlgebra, _commutator_entries,
+                       _entries, _first_nonzero_key, _match, expand_runs,
+                       inner_derivation_entries, is_derivation,
+                       leibniz_violation, sum_per_key)
 
 
 class DerivationSpace:
     """Bases of the even and odd parts of a space of derivations.
 
-    Bases are canonicalized: the flattened matrices (column-major) of
-    each parity form a reduced-row-echelon set.  Every basis element is
-    checked against the Leibniz rule on construction, all of them in
-    one join (see leibniz_violation).
+    Bases are canonical: the flattened matrices (column-major) of each
+    parity form a reduced-row-echelon set, as coordinates() relies on,
+    and with canonicalize off the caller passes such sets (subsets of
+    the rows of one, say).  Every basis element is checked against the
+    Leibniz rule on construction, all in one join (leibniz_violation).
     """
 
     def __init__(self, algebra: SuperAlgebra, even_maps, odd_maps,
@@ -53,20 +57,13 @@ class DerivationSpace:
                 raise ValueError(
                     f"basis element {s} fails the Leibniz rule on the pair "
                     f"({algebra.labels[i]}, {algebra.labels[j]})")
-        self._even_sub = None
-        self._odd_sub = None
+        self._subspaces = {}
         self._brackets = None
 
     def _canon(self, maps, parity):
-        maps = list(maps)
-        if not maps:
-            return []
         a = self.algebra
-        e = Eliminator(a.field, a.n * a.n)
-        e.add_rows(np.stack([m.flatten() for m in maps]))
-        rows, _ = e.rref()
         return [LinearMap.from_flat(a, a, parity, r, check=False)
-                for r in rows]
+                for r in span_of_maps(a, list(maps)).basis]
 
     @property
     def dims(self):
@@ -78,17 +75,10 @@ class DerivationSpace:
 
     def subspace(self, parity: int) -> Subspace:
         """Canonical flattened-matrix span of one parity part."""
-        cached = self._even_sub if parity == 0 else self._odd_sub
-        if cached is None:
-            maps = self.even_basis if parity == 0 else self.odd_basis
-            n = self.algebra.n
-            rows = np.stack([m.flatten() for m in maps]) if maps else None
-            cached = Subspace(self.algebra.field, n * n, rows)
-            if parity == 0:
-                self._even_sub = cached
-            else:
-                self._odd_sub = cached
-        return cached
+        if parity not in self._subspaces:
+            self._subspaces[parity] = span_of_maps(
+                self.algebra, self.odd_basis if parity else self.even_basis)
+        return self._subspaces[parity]
 
     def structure_constants(self):
         """The bracket of the space in its own basis, even elements
@@ -96,26 +86,45 @@ class DerivationSpace:
         super commutator of basis elements s and t.  Raises when the
         space is not closed under the bracket.  The array is computed
         once per space and is read-only."""
-        if self._brackets is not None:
-            return self._brackets
-        f = self.algebra.field
-        basis = self.even_basis + self.odd_basis
-        m0, m = len(self.even_basis), len(basis)
-        c = np.zeros((m, m, m), dtype=f.dtype)
-        if m:
-            mats = np.stack([d.matrix for d in basis])
-            par = np.asarray([d.parity for d in basis])
-            for s, rows, par_st in super_commutator_rows(f, mats, par):
-                for parity, off in ((0, 0), (1, m0)):
-                    sel = par_st == parity
-                    co = self.subspace(parity).coords_of(rows[sel])
-                    if co is None:
-                        raise ValueError(
-                            "derivation space is not bracket closed")
-                    c[s, sel, off:off + co.shape[1]] = co
-        c.flags.writeable = False
-        self._brackets = c
-        return c
+        if self._brackets is None:
+            a, m = self.algebra, self.dim
+            co = self.coordinates(*_commutator_entries(
+                a.field, a.n, np.repeat([0, 1], self.dims), *self.entries()))
+            if co is None:
+                raise ValueError("derivation space is not bracket closed")
+            c = np.zeros((m * m, m), dtype=a.field.dtype)
+            c[co[0], co[1]] = co[2]
+            self._brackets = c.reshape(m, m, m)
+            self._brackets.flags.writeable = False
+        return self._brackets
+
+    def entries(self):
+        """The nonzero entries (u, r, c, B_u[r, c]) of the basis maps."""
+        a = self.algebra
+        return _entries(a.field, np.reshape(
+            [d.matrix for d in self.even_basis + self.odd_basis],
+            (-1, a.n, a.n)))
+
+    def coordinates(self, keys, vals):
+        """Coordinates (q, u, value) over the basis of the maps q given
+        by their nonzero entries, keyed q n^2 + cell, or None when some
+        map is outside the span.  The basis is canonical RREF, so the
+        coordinate on u is the entry at the pivot of u (even and odd
+        pivots are distinct cells); a second join, coordinates times
+        basis entries, must give the maps back."""
+        a = self.algebra
+        nn = a.n ** 2
+        u, r, c, v = self.entries()
+        pivot = np.full(self.dim, nn, dtype=np.int64)
+        np.minimum.at(pivot, u, c * a.n + r)
+        owner = np.full(nn + 1, -1, dtype=np.int64)
+        owner[pivot] = np.arange(self.dim)
+        at = owner[keys % nn]
+        on = at >= 0
+        co = (keys[on] // nn, at[on], vals[on])
+        bad = combination_mismatch(a.field, nn, co, (u, c * a.n + r, v),
+                                   (keys, vals))
+        return co if bad is None else None
 
     def contains_map(self, d: LinearMap) -> bool:
         return self.subspace(d.parity).contains_vector(d.flatten())
@@ -127,11 +136,22 @@ class DerivationSpace:
 
 def span_of_maps(algebra: SuperAlgebra, maps) -> Subspace:
     """Canonical flattened span of a list of same-parity maps."""
-    n = algebra.n
-    if not maps:
-        return Subspace(algebra.field, n * n)
-    return Subspace(algebra.field, n * n,
-                    np.stack([m.flatten() for m in maps]))
+    nn = algebra.n * algebra.n
+    return Subspace(algebra.field, nn,
+                    np.reshape([m.flatten() for m in maps], (-1, nn)))
+
+
+def combination_mismatch(field, nn: int, coords, basis, target):
+    """The least key q nn + cell at which sum_u x[q, u] B_u differs from
+    the target map q, or None.  coords are the nonzero (q, u, x), basis
+    the nonzero entries (u, cell, value) of the maps B_u, and target the
+    keys q nn + cell and the values of the nonzero target entries; one
+    join on u, summed with the negated target per key."""
+    (q, u, x), (bu, bcell, bv) = coords, basis
+    e, b = _match(u, bu)
+    return _first_nonzero_key(
+        field, np.concatenate([q[e] * nn + bcell[b], target[0]]),
+        np.concatenate([x[e] * bv[b], -target[1]]))
 
 
 def _fan_out(a: SuperAlgebra, q):
@@ -153,12 +173,8 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     index arrays from coo() and summed per (equation, unknown) cell by
     sum_per_key.
 
-    The cells that stay nonzero mod p link equations and unknowns into
-    a bipartite graph.  Each connected component is an independent
-    block: its equations involve only its unknowns, so the kernel of
-    the system is the direct sum of the block kernels.  Each block gets
-    its own eliminator, and an unknown in no equation is a block with a
-    free kernel."""
+    The kernel is the direct sum of the block kernels (see
+    _eliminate_blocks); an unknown in no equation is a free block."""
     f = a.field
     n = a.n
     par = a.parities
@@ -188,27 +204,39 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     uniq, sums = sum_per_key(
         f, np.concatenate(keys) * nu + np.concatenate(cells),
         np.concatenate(vals))
-    eq = np.unique(uniq // nu, return_inverse=True)[1]
-    col = uniq % nu
-    label = _components(eq, col, nu)
+    flat = _eliminate_blocks(f, uniq // nu, uniq % nu, sums, allowed, n * n,
+                             Eliminator.kernel_rows)
+    return [LinearMap.from_flat(a, a, parity, v, check=False) for v in flat]
+
+
+def _eliminate_blocks(field, row, col, vals, where, ambient, take):
+    """take(elim), stacked block after block as rows of length ambient,
+    where elim is an Eliminator fed the rows of one connected block of a
+    sparse row system on its columns, and column c lands at where[c].
+
+    The nonzero cells, vals[t] at (row[t], col[t]), link rows and
+    columns into a bipartite graph.  A connected component is a block:
+    its rows involve only its columns, so the RREF of the system is the
+    union of the block RREFs and its kernel the direct sum of theirs.  A
+    column in no cell is a block without rows."""
+    row = np.unique(row, return_inverse=True)[1]
+    label = _components(row, col, where.size)
     blocks = np.unique(label)
     order = np.argsort(label[col])
-    bounds = np.searchsorted(label[col[order]], np.r_[blocks, nu])
-    maps = []
+    bounds = np.searchsorted(label[col[order]], np.r_[blocks, where.size])
+    out = [np.zeros((0, ambient), dtype=field.dtype)]
     for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
         u = np.flatnonzero(label == b)
         t = order[lo:hi]
-        eqs, row = np.unique(eq[t], return_inverse=True)
-        block = np.zeros((eqs.size, u.size), dtype=f.dtype)
-        block[row, np.searchsorted(u, col[t])] = sums[t]
-        elim = Eliminator(f, u.size)
+        rows, at = np.unique(row[t], return_inverse=True)
+        block = np.zeros((rows.size, u.size), dtype=field.dtype)
+        block[at, np.searchsorted(u, col[t])] = vals[t]
+        elim = Eliminator(field, u.size)
         elim.add_rows(block)
-        kern = elim.kernel_rows()
-        flat = np.zeros((len(kern), n * n), dtype=f.dtype)
-        flat[:, allowed[u]] = kern
-        maps += [LinearMap.from_flat(a, a, parity, v, check=False)
-                 for v in flat]
-    return maps
+        got = take(elim)
+        out.append(np.zeros((len(got), ambient), dtype=field.dtype))
+        out[-1][:, where[u]] = got
+    return np.vstack(out)
 
 
 def _components(eq, col, nu):
@@ -239,27 +267,34 @@ def derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
 
 
 def inner_derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
-    """Span of all D(e_i, e_j) = [L_i, L_j].
+    """Span of all D(e_i, e_j) = [L_i, L_j]; see _inner_span."""
+    return DerivationSpace(a, *_inner_span(a), canonicalize=False,
+                           validate=True)
 
-    The rows of inner_derivation_rows stream straight into per-parity
-    eliminators, so memory stays at a few matrices of shape (n, n, n)
-    even when n * n rows are fed.
-    """
-    n = a.n
-    elims = {0: Eliminator(a.field, n * n), 1: Eliminator(a.field, n * n)}
-    for _, rows, par_ij in inner_derivation_rows(a):
-        keep = np.any(rows, axis=1)
-        for parity in (0, 1):
-            block = rows[keep & (par_ij == parity)]
-            if block.size:
-                elims[parity].add_rows(block)
+
+def _inner_span(a: SuperAlgebra):
+    """The even and the odd maps of the canonical RREF basis of the span
+    of all D(e_i, e_j).
+
+    The nonzero entries of every D(e_i, e_j) come from one join (see
+    inner_derivation_entries).  The rows of each parity are eliminated
+    one connected block at a time on the cells they use, and the block
+    RREFs sorted by pivot are the canonical RREF of the span."""
+    nn = a.n * a.n
+    keys, vals = inner_derivation_entries(a)
+    q, cell = np.divmod(keys, nn)
+    odd = a.parities[q // a.n] ^ a.parities[q % a.n]
 
     def build(parity):
+        sel = odd == parity
+        used, col = np.unique(cell[sel], return_inverse=True)
+        rows = _eliminate_blocks(a.field, q[sel], col, vals[sel], used, nn,
+                                 lambda elim: elim.rref()[0])
+        rows = rows[np.argsort((rows != 0).argmax(axis=1))]
         return [LinearMap.from_flat(a, a, parity, r, check=False)
-                for r in elims[parity].rref()[0]]
+                for r in rows]
 
-    return DerivationSpace(a, build(0), build(1),
-                           canonicalize=False, validate=True)
+    return build(0), build(1)
 
 
 # -- named derivations of the double K = Z + Zx --------------------------
@@ -267,8 +302,15 @@ def inner_derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
 
 def _mult_matrix(z: SuperAlgebra, a):
     """Multiplication by the element a of the commutative algebra Z."""
-    a = asfield(z.field, a)
-    return amod(z.field, np.einsum("i,icr->rc", a, z.tensor()))
+    return z.left_mult(a).matrix
+
+
+def _z_delta(z: SuperAlgebra, dm):
+    """The maps e_k delta, k over the basis of Z, flattened column-major
+    as the columns of one matrix: they span Z delta."""
+    n = z.n
+    return mm(z.field, z.tensor().transpose(0, 2, 1), dm) \
+        .transpose(0, 2, 1).reshape(n, n * n).T
 
 
 def lift_even_der(kd: KantorDouble, mu) -> LinearMap:
@@ -287,10 +329,7 @@ def lift_even_der(kd: KantorDouble, mu) -> LinearMap:
     dm = kd.dalg.delta.matrix
     comm = amod(f, mu @ dm - dm @ mu)
     dz = z.n
-    cols = np.stack([
-        amod(f, 2.0 * z.tensor()[k].T @ dm).flatten(order="F")
-        for k in range(dz)], axis=1)
-    avec = solve_right(f, cols, comm.flatten(order="F"))
+    avec = solve_right(f, 2 * _z_delta(z, dm), comm.flatten(order="F"))
     if avec is None:
         raise ValueError("[mu, delta] is not in 2 Z delta")
     m = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
@@ -328,10 +367,7 @@ def odd_der_char3(kd: KantorDouble, mu, check: bool = True) -> LinearMap:
     mu = asfield(f, mu)
     dm = kd.dalg.delta.matrix
     dz = z.n
-    cols = np.stack([
-        amod(f, z.tensor()[k].T @ dm).flatten(order="F")
-        for k in range(dz)], axis=1)
-    if solve_right(f, cols, mu.flatten(order="F")) is None:
+    if solve_right(f, _z_delta(z, dm), mu.flatten(order="F")) is None:
         raise ValueError("mu is not in Z delta")
     m = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
     m[dz:, :dz] = mu

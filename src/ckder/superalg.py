@@ -7,12 +7,14 @@ A superalgebra stores its structure constants once, as the COO arrays
 of coo(): the nonzero constants as sorted index and value arrays, in the
 dtype of the algebra's field like every other array here.  Two views
 are derived from them on demand: tensor(), the dense tensor T[i,j,k]
-(coefficient of e_k in e_i e_j), for the operator builders that still
-contract it, and products, the constants grouped by pair, for to_json.
-Every identity check runs on coo() as joins over the nonzero constants
-(and the nonzero entries of the maps it is given), summed per key with
-sum_per_key, and reports the first violating pair or triple in
-lexicographic basis order.
+(coefficient of e_k in e_i e_j), which multiply and left_mult contract
+through the guarded mm, and products, the constants grouped by pair,
+for to_json.  Every identity check runs on coo() as joins over the
+nonzero constants (and the nonzero entries of the maps it is given),
+summed per key with sum_per_key, and reports the first violating pair
+or triple in lexicographic basis order.  The supercommutators of a
+stack of sparse maps, the inner derivations D(e_u, e_v) among them,
+are one join as well.
 """
 
 from __future__ import annotations
@@ -141,15 +143,18 @@ class SuperAlgebra:
         return self._tensor
 
     def multiply(self, u, v):
-        u, v = asfield(self.field, u), asfield(self.field, v)
-        return amod(self.field, np.einsum("i,j,ijk->k", u, v, self.tensor()))
+        """u v, as two guarded contractions of two reduced factors; a
+        2-D u or v is taken row by row."""
+        n = self.n
+        ut = mm(self.field, asfield(self.field, u),
+                self.tensor().reshape(n, n * n))
+        return mm(self.field, asfield(self.field, v),
+                  ut.reshape(*np.shape(u)[:-1], n, n))
 
     def left_mult(self, a) -> "LinearMap":
-        """The operator x -> a x for homogeneous a."""
-        a = asfield(self.field, a)
-        par = vector_parity(self, a)
-        m = amod(self.field, np.einsum("i,icr->rc", a, self.tensor()))
-        return LinearMap(self, self, par, m)
+        """The operator x -> a x for homogeneous a: column c is a e_c."""
+        par = vector_parity(self, asfield(self.field, a))
+        return LinearMap(self, self, par, self.multiply(a, np.eye(self.n)).T)
 
     # -- validation ------------------------------------------------------
 
@@ -290,31 +295,51 @@ def super_commutator(d1: LinearMap, d2: LinearMap) -> LinearMap:
                      check=False)
 
 
-def super_commutator_rows(field, mats, parities):
-    """Supercommutators of a stack of parity-homogeneous n x n matrices,
-    one left factor at a time.
-
-    Yields (i, rows, parity): rows[j] is [mats[i], mats[j]] flattened
-    column-major and reduced, and parity[j] its parity.  Batching over
-    j keeps memory at a few arrays the size of mats."""
-    k, n = mats.shape[:2]
-    for i in range(k):
-        sign = np.where((parities[i] * parities) == 1, -1.0, 1.0)
-        d = np.matmul(mats[i], mats) - sign[:, None, None] * np.matmul(mats, mats[i])
-        yield i, amod(field, d.transpose(0, 2, 1).reshape(k, n * n)), \
-            (parities[i] + parities) % 2
-
-
 def inner_derivation(a: SuperAlgebra, u, v) -> LinearMap:
     """D(u, v), the supercommutator of the left multiplications."""
     return super_commutator(a.left_mult(u), a.left_mult(v))
 
 
-def inner_derivation_rows(a: SuperAlgebra):
-    """D(e_i, e_j) = [L_i, L_j] for all j, one i at a time; see
-    super_commutator_rows."""
-    lmats = np.ascontiguousarray(a.tensor().transpose(0, 2, 1))
-    return super_commutator_rows(a.field, lmats, a.parities)
+def inner_derivation_entries(a: SuperAlgebra, pairs=None):
+    """The nonzero entries of D(e_u, e_v), keyed q n^2 + c n + r (the
+    cell column-major, as in LinearMap.flatten), with reduced values: q
+    indexes pairs, or every pair as q = u n + v when pairs is None.
+    L_u[r, c] = T[u, c, r] is read from coo() for each basis vector
+    named, and all commutators come from one join (_commutator_entries)."""
+    n = a.n
+    i, j, k, c = a.coo()
+    if pairs is None:
+        return _commutator_entries(a.field, n, a.parities, i, k, j, c)
+    index = np.unique(pairs)
+    pos = np.searchsorted(index, np.asarray(pairs).reshape(-1, 2))
+    sel = np.isin(i, index)
+    keys, vals = _commutator_entries(a.field, n, a.parities[index],
+                                     np.searchsorted(index, i[sel]), k[sel],
+                                     j[sel], c[sel])
+    st, cell = np.divmod(keys, n * n)
+    e, q = _match(st, pos[:, 0] * index.size + pos[:, 1])
+    return q * n * n + cell[e], vals[e]
+
+
+def _commutator_entries(field: FieldSpec, n: int, parities, s, r, c, v):
+    """The supercommutators [M_s, M_t] = M_s M_t - (-1)^(|s||t|) M_t M_s
+    of a stack of parity-homogeneous n x n maps, given by their nonzero
+    reduced entries M_s[r, c] = v and their parities, as sum_per_key
+    returns them: keys (s k + t) n^2 + c n + r, k the number of maps.
+
+    One join on the shared index m pairs M_s[r, m] with M_t[m, c]: a
+    term of M_s M_t, so of [M_s, M_t] as it stands and of [M_t, M_s]
+    with the sign -(-1)^(|s||t|).  A key takes at most 2n terms, each a
+    product of two reduced elements."""
+    k = len(parities)
+    left, right = _match(c, r)
+    x, y = s[left], s[right]
+    cell = c[right] * n + r[left]
+    prod = v[left] * v[right]
+    sign = 1.0 - 2.0 * (parities[x] * parities[y])
+    return sum_per_key(field, np.concatenate([(x * k + y) * n * n + cell,
+                                              (y * k + x) * n * n + cell]),
+                       np.concatenate([prod, -sign * prod]))
 
 
 # -- identity checks: joins over the nonzero structure constants ---------
@@ -592,15 +617,12 @@ def is_automorphism(fmap: LinearMap) -> Verdict:
 
 
 def annihilator(a: SuperAlgebra, vectors) -> Subspace:
-    """{z : z s = 0 for every s in vectors} as a Subspace of the carrier."""
-    t = a.tensor()
-    rows = []
-    for s in vectors:
-        s = asfield(a.field, s)
-        rows.append(amod(a.field, np.einsum("i,cir->rc", s, t)))
-    if not rows:
+    """{z : z s = 0 for every s in vectors} as a Subspace of the carrier:
+    the kernel of the maps z -> z s stacked."""
+    if not len(vectors):
         return Subspace(a.field, a.n, np.eye(a.n, dtype=a.field.dtype))
-    return kernel(a.field, np.vstack(rows))
+    return kernel(a.field, np.vstack([a.multiply(np.eye(a.n), s).T
+                                      for s in vectors]))
 
 
 def center_even(a: SuperAlgebra) -> Subspace:

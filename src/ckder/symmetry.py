@@ -15,7 +15,7 @@ import numpy as np
 from .constructions import ChengKac, KantorDouble
 from .derivations import DerivationSpace, grade_derivations, span_of_maps
 from .linalg import amod, asfield, inverse, iszero, rref
-from .superalg import (LinearMap, SuperAlgebra, inner_derivation,
+from .superalg import (LinearMap, SuperAlgebra, inner_derivation_entries,
                        is_automorphism, is_homomorphism, super_commutator)
 
 
@@ -209,24 +209,20 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     dz = ck.dz
     comp = grade_derivations(der_j).component((1, 1))
 
-    def evec(fam, k):
-        return a.basis_vector(ck.even_index(fam, k))
-
-    def ovec(fam, k):
-        return a.basis_vector(ck.odd_index(fam, k))
-
-    carrier_even = [inner_derivation(a, evec(1, 0), evec(2, k))
-                    for k in range(dz)]
-    carrier_odd = [inner_derivation(a, evec(3, 0), ovec(0, k))
-                   for k in range(dz)]
-    if not span_of_maps(a, carrier_even).equals(comp.subspace(0)):
-        raise ValueError("even carrier does not span the even component")
-    if not span_of_maps(a, carrier_odd).equals(comp.subspace(1)):
-        raise ValueError("odd carrier does not span the odd component")
-
-    maps = carrier_even + carrier_odd
+    pairs = [(ck.even_index(1, 0), ck.even_index(2, k)) for k in range(dz)] \
+        + [(ck.even_index(3, 0), ck.odd_index(0, k)) for k in range(dz)]
+    keys, vals = inner_derivation_entries(a, pairs)
+    flat = np.zeros((2 * dz, a.n * a.n), dtype=f.dtype)
+    flat.flat[keys] = vals
     pars = [0] * dz + [1] * dz
-    flat = np.stack([m.flatten() for m in maps])
+    maps = [LinearMap.from_flat(a, a, par, r, check=False)
+            for par, r in zip(pars, flat)]
+    carrier_even, carrier_odd = maps[:dz], maps[dz:]
+    for name, par, half in (("even", 0, carrier_even),
+                            ("odd", 1, carrier_odd)):
+        if not span_of_maps(a, half).equals(comp.subspace(par)):
+            raise ValueError(f"{name} carrier does not span the {name} "
+                             "component")
     _, rk, piv = rref(f, flat)
     if rk != 2 * dz:
         raise ValueError("carrier maps are linearly dependent")

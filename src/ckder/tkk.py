@@ -16,8 +16,8 @@ from .constructions import ChengKac, KantorDouble
 from .derivations import (DerivationSpace, grade_derivations,
                           inner_derivation_algebra)
 from .linalg import amod, asfield, inverse, iszero, rank, solve_right
-from .superalg import (LinearMap, SuperAlgebra, Verdict,
-                       inner_derivation_rows, is_homomorphism,
+from .superalg import (LinearMap, SuperAlgebra, Verdict, _entries,
+                       inner_derivation_entries, is_homomorphism,
                        table_from_json)
 from .symmetry import CoordinateAlgebra, CoordinateTransfer, S4Action, \
     conjugate_der
@@ -184,49 +184,35 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
     copy, der = cls.layout(jalg, ds)
     parts = []  # blocks of (i, j, k, c) table entries
 
-    # D(a, b) in coordinates over ds
-    dco = np.zeros((n, n, m0 + m1), dtype=f.dtype)
-    for a, rows, par_ab in inner_derivation_rows(jalg):
-        for parity, off in ((0, 0), (1, m0)):
-            sel = par_ab == parity
-            co = ds.subspace(parity).coords_of(rows[sel])
-            if co is None:
-                raise ValueError("inner derivation escapes the derivation "
-                                 "space")
-            dco[a, sel, off:off + co.shape[1]] = co
-
     ji, jj, jk, jc = jalg.coo()
-    dnz = np.nonzero(dco)
     for (i, j), (k, s) in copies.items():
         parts.append((copy[i, ji], copy[j, jj], copy[k, jk], s * jc))
+    # D(a, b) in coordinates (ab, u, x) over ds, keyed ab = a n + b
+    co = ds.coordinates(*inner_derivation_entries(jalg))
+    if co is None:
+        raise ValueError("inner derivation escapes the derivation space")
     for (i, j), c in dcoef.items():
-        parts.append((copy[i, dnz[0]], copy[j, dnz[1]], der[dnz[2]],
-                      c * dco[dnz]))
+        parts.append((copy[i, co[0] // n], copy[j, co[0] % n], der[co[1]],
+                      c * co[2]))
 
-    dbasis = ds.even_basis + ds.odd_basis
-    if dbasis:
-        dmats = np.stack([d.matrix for d in dbasis])
-        u, r, a = np.nonzero(dmats)
-        v = dmats[u, r, a]
-        sgn = np.where((u >= m0) & (par[a] == 1), -1.0, 1.0)
-        for i in range(3):
-            parts.append((der[u], copy[i, a], copy[i, r], v))
-            parts.append((copy[i, a], der[u], copy[i, r], -sgn * v))
-        brk = ds.structure_constants()
-        nz = np.nonzero(brk)
-        parts.append((der[nz[0]], der[nz[1]], der[nz[2]], brk[nz]))
+    u, r, a, v = ds.entries()
+    sgn = np.where((u >= m0) & (par[a] == 1), -1.0, 1.0)
+    for i in range(3):
+        parts.append((der[u], copy[i, a], copy[i, r], v))
+        parts.append((copy[i, a], der[u], copy[i, r], -sgn * v))
+    brk = ds.structure_constants()
+    nz = np.nonzero(brk)
+    parts.append((der[nz[0]], der[nz[1]], der[nz[2]], brk[nz]))
 
     labels = [""] * (3 * n + m0 + m1)
-    for i in range(3):
-        for a in range(n):
-            labels[copy[i, a]] = label_fmts[i].format(jalg.labels[a])
+    for i, a in np.ndindex(3, n):
+        labels[copy[i, a]] = label_fmts[i].format(jalg.labels[a])
     for u in range(m0 + m1):
         labels[der[u]] = f"d{u}"
     grading = None
     if tags is not None:
         g = np.zeros(len(labels), dtype=int)
-        for i in range(3):
-            g[copy[i]] = tags[i]
+        g[copy] = np.asarray(tags)[:, None]
         grading = g.tolist()
     table = [np.concatenate(x) for x in zip(*parts)]
     return cls(f, labels, table, grading, jalg, ds)
@@ -306,22 +292,12 @@ def find_sl2_triple(field) -> dict:
     [h,e] = 2e, [h,f] = -2f, [e,f] = h is returned, as coefficient
     vectors over the basis.  Requires a square root of -1."""
     i = field.sqrt_minus_one()
-    lie = so3(field)
-    t = lie.tensor()
-
-    def br(u, v):
-        return amod(field, np.einsum("i,j,ijk->k", u, v, t))
-
-    candidates = [(
-        asfield(field, [0, 0, 2 * i]),
-        asfield(field, [-i, 1, 0]),
-        asfield(field, [-i, -1, 0]),
-    )]
+    br = so3(field).multiply
+    candidates = [asfield(field, [[0, 0, 2 * i], [-i, 1, 0], [-i, -1, 0]])]
     for h, e, fv in candidates:
-        ok = (iszero(amod(field, br(h, e) - 2 * e))
-              and iszero(amod(field, br(h, fv) + 2 * fv))
-              and iszero(amod(field, br(e, fv) - h)))
-        if ok:
+        if (iszero(amod(field, br(h, e) - 2 * e))
+                and iszero(amod(field, br(h, fv) + 2 * fv))
+                and iszero(amod(field, br(e, fv) - h))):
             return {"h": h, "e": e, "f": fv}
     raise ValueError("no split sl2 triple found")
 
@@ -380,19 +356,6 @@ def lie_from_derivations(ds: DerivationSpace) -> LieSuperAlgebra:
     return lie
 
 
-def _der_lie_coords(lie: LieSuperAlgebra, dmap: LinearMap):
-    """Coordinates of a derivation in the abstract copy of its space."""
-    ds = lie.space
-    co = ds.subspace(dmap.parity).coords_of(dmap.flatten())
-    if co is None:
-        raise ValueError("map lies outside the derivation space")
-    m0 = ds.dims[0]
-    out = np.zeros(lie.n, dtype=lie.field.dtype)
-    off = 0 if dmap.parity == 0 else m0
-    out[off:off + len(co)] = co
-    return out
-
-
 def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
                coord: CoordinateAlgebra, phi: LinearMap,
                transfer: CoordinateTransfer,
@@ -413,41 +376,33 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
         tits = tits_construction(kd.alg, idspace, inder=inder_k)
         lie = lie_from_derivations(jspace)
         comp00 = grade_derivations(jspace).component((0, 0))
-        arows = {
-            0: np.stack([transfer.apply(b).flatten()
-                         for b in comp00.even_basis]),
-            1: np.stack([transfer.apply(b).flatten()
-                         for b in comp00.odd_basis]),
-        }
-        n_k = kd.alg.n
-        total = tits.n
-        m = np.zeros((lie.n, total), dtype=f.dtype)
-        for j in range(n_k):
+        halves = (comp00.even_basis, comp00.odd_basis)
+        arows = [np.stack([transfer.apply(b).flatten() for b in half])
+                 for half in halves]
+        # the image of each basis vector of tits, as a map of the big
+        # algebra, then all of them in coordinates over jspace at once
+        cols, mats = [], []
+        for j in range(kd.alg.n):
             base = coord.as_map(phi.matrix[:, j])
-            iota = {
-                2: base,
-                0: conjugate_der(act.phi, base),
-            }
-            iota[1] = conjugate_der(act.phi, iota[0])
-            for i in range(3):
-                m[:, tits.idx_tensor(i, j)] = \
-                    _der_lie_coords(lie, iota[i])
-        dbasis = [(0, b) for b in idspace.even_basis] + \
-                 [(1, b) for b in idspace.odd_basis]
-        m0 = idspace.dims[0]
-        for t, (par, b) in enumerate(dbasis):
-            c = solve_right(f, arows[par].T, b.flatten())
-            if c is None:
-                raise ValueError("derivation of the double is outside the "
-                                 "transferred image")
-            parts = (comp00.even_basis if par == 0 else comp00.odd_basis)
-            total_m = sum((ci * p.matrix for ci, p in zip(c, parts)),
-                          np.zeros_like(parts[0].matrix))
-            pre = LinearMap(ck.alg, ck.alg, par, amod(f, total_m),
-                            check=False)
-            m[:, tits.idx_der(par, t if par == 0 else t - m0)] = \
-                _der_lie_coords(lie, pre)
-        m = amod(f, m)
+            first = conjugate_der(act.phi, base)
+            cols += [tits.idx_tensor(i, j) for i in range(3)]
+            mats += [first.matrix, conjugate_der(act.phi, first).matrix,
+                     base.matrix]
+        for par, basis in enumerate((idspace.even_basis, idspace.odd_basis)):
+            for t, b in enumerate(basis):
+                c = solve_right(f, arows[par].T, b.flatten())
+                if c is None:
+                    raise ValueError("derivation of the double is outside "
+                                     "the transferred image")
+                cols.append(tits.idx_der(par, t))
+                mats.append(amod(f, sum(ci * d.matrix for ci, d
+                                        in zip(c, halves[par]))))
+        q, r, col, x = _entries(f, np.stack(mats))
+        co = jspace.coordinates((q * ck.alg.n + col) * ck.alg.n + r, x)
+        if co is None:
+            raise ValueError("map lies outside the derivation space")
+        m = np.zeros((lie.n, tits.n), dtype=f.dtype)
+        m[co[1], np.asarray(cols)[co[0]]] = co[2]
         lm = LinearMap(tits, lie, 0, m)
         v = is_homomorphism(lm)
         if v and (tits.n != lie.n or rank(f, m) != lie.n):

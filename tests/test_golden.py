@@ -1,12 +1,15 @@
-"""Golden bytes: the JSON reports at p = 3 and 5 and the exported
-tables at p = 3.
+"""Golden bytes: the JSON reports at p = 3 and 5, the report of the
+dims checks at p = 7, and the exported tables at p = 3.
 
 The p = 3 digests below were taken from the code as it stood before
 structure tables were stored as COO arrays (the commit before that
-change), and the p = 5 report digest from the code before the Leibniz
-system was solved block by block, by running
+change), the p = 5 report digest from the code before the Leibniz
+system was solved block by block, and the p = 7 dims digest from the
+code before inner derivations and derivation brackets became joins, by
+running
 
     python -m ckder verify --p P --format json
+    python -m ckder verify --p 7 --checks dims --format json
     python -m ckder export --p 3 --algebra A --out FILE
 
 and hashing stdout and FILE.  A change that only reorganises the code
@@ -21,6 +24,8 @@ from ckder.cli import ALGEBRA_NAMES, main
 
 VERIFY_P3 = "1eb7442d4fba1845fd398255f8197f2f85de117265adc65e057742b722d45122"
 VERIFY_P5 = "d9e855c316fb8ec9f4c43cf4546c5528eb2c78eb4f1b7079f8e8f297adff704a"
+VERIFY_P7_DIMS = \
+    "1e6832b24b1d56500e4e8aba972893f55a41c3b7b2548a24954dec4e2eb2c6d3"
 
 EXPORT_P3 = {
     "Z": "28492f25092ccc0797d63551c774ca818c382efec632f9587e37c0064b10f02c",
@@ -49,6 +54,12 @@ def test_verify_report_bytes(capsys):
 def test_verify_report_bytes_p5(capsys):
     assert main(["verify", "--p", "5", "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P5
+
+
+def test_verify_dims_report_bytes_p7(capsys):
+    assert main(["verify", "--p", "7", "--checks", "dims",
+                 "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P7_DIMS
 
 
 def test_every_algebra_name_is_pinned():

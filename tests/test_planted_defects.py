@@ -1,16 +1,32 @@
-"""Planted defects in the battery: each check that runs a sparse identity
-join turns to `fail`, with a witness, when the object it checks is
-broken in one place."""
+"""Planted defects in the battery: each check below turns to `fail`,
+with a witness, when the object it checks, or the join that builds it,
+is broken in one place."""
 
 import dataclasses
 
 import numpy as np
 
-from ckder import LinearMap, check_supercommutative
-from ckder import battery
-from ckder.battery import (RunContext, check_big_w_jordan_identity,
-                           check_tkk_sl2_bridge, check_w_v_equivalence)
+from ckder import LinearMap, check_supercommutative, inner_derivation
+from ckder import battery, derivations, tkk
+from ckder.battery import (RunContext, check_big_inder_dims,
+                           check_big_w_jordan_identity,
+                           check_der_as_tits_double, check_dzzx_vanishes,
+                           check_graded_named_spans, check_tkk_sl2_bridge,
+                           check_w_v_equivalence)
 from test_sparse_checks import _symmetric_perturbation
+
+
+def _dropping(real, lost):
+    """inner_derivation_entries without the maps q for which lost(a,
+    pair) holds, pair the (u, v) of q."""
+    def entries(a, pairs=None):
+        keys, vals = real(a, pairs)
+        q = keys // a.n ** 2
+        named = np.divmod(q, a.n) if pairs is None else \
+            np.asarray(pairs).reshape(-1, 2)[q].T
+        keep = ~lost(a, *named)
+        return keys[keep], vals[keep]
+    return entries
 
 
 def test_big_w_jordan_identity_fails_on_a_perturbed_constant():
@@ -57,4 +73,75 @@ def test_tkk_sl2_bridge_fails_on_an_altered_column(monkeypatch):
                         lambda par, k: real(par, k + ((par, k) == (0, 0))))
     status, field, witness = check_tkk_sl2_bridge(ctx)
     assert (status, field) == ("fail", "F9")
+    assert len(witness["witness"]["pair"]) == 2
+
+
+def test_big_inder_dims_fails_when_the_odd_pairs_are_lost(monkeypatch):
+    # the inner span sees only D(u, v) with u and v both even
+    monkeypatch.setattr(derivations, "inner_derivation_entries", _dropping(
+        derivations.inner_derivation_entries,
+        lambda a, u, v: (a.parities[u] | a.parities[v]) == 1))
+    status, field, witness = check_big_inder_dims(RunContext(3))
+    assert (status, field) == ("fail", "F3")
+    assert witness["dims"][1] == 0 and witness["expected"] == [12, 12]
+
+
+def dense_dzzx_witness(ck):
+    """The first nonzero D(Z, Z x_fam) by dense products, in the order
+    family, i, j."""
+    a = ck.alg
+    for fam in (1, 2, 3):
+        for i in range(ck.dz):
+            for j in range(ck.dz):
+                d = inner_derivation(a, a.basis_vector(ck.even_index(0, i)),
+                                     a.basis_vector(ck.odd_index(fam, j)))
+                if np.any(d.matrix):
+                    return {"family": fam, "powers": [i, j]}
+    return None
+
+
+def test_dzzx_vanishes_fails_with_the_first_witness_in_loop_order():
+    ctx = RunContext(3)
+    f = ctx.base
+    ck = ctx.ck(f, "w")
+    assert check_dzzx_vanishes(ctx)[0] == "pass"
+    # t^2 x2 = t^2 x2 becomes 2 t^2 x2: D(t^2, x1), D(t, x2) and
+    # D(t^2, x3) are nonzero, so the witness tells the loop orders apart
+    i, j, _, _ = ck.alg.coo()
+    t = np.flatnonzero((i == ck.even_index(0, 2))
+                       & (j == ck.odd_index(2, 0)))[0]
+    bad = dataclasses.replace(ck, alg=_symmetric_perturbation(ck.alg, t))
+    ctx._cache[("ck", f.p, f.ext, "w")] = bad
+    status, field, witness = check_dzzx_vanishes(ctx)
+    assert (status, field) == ("fail", "F3")
+    assert witness == {"family": 1, "powers": [2, 0]}
+    assert witness == dense_dzzx_witness(bad)
+
+
+def test_graded_named_spans_fails_when_a_named_pair_is_lost(monkeypatch):
+    ctx = RunContext(3)
+    ck = ctx.ck(ctx.base, "w")
+    gone = (ck.even_index(2, 0), ck.odd_index(0, 1))     # D(w2, t x)
+    monkeypatch.setattr(battery, "inner_derivation_entries", _dropping(
+        battery.inner_derivation_entries,
+        lambda a, u, v: (u == gone[0]) & (v == gone[1])))
+    status, field, witness = check_graded_named_spans(ctx)
+    assert (status, field) == ("fail", "F3")
+    assert witness == {"grade": [0, 1], "parity": 1, "span_dim": 2,
+                       "component_dim": 3}
+
+
+def test_der_as_tits_double_fails_when_a_bracket_coordinate_is_lost(
+        monkeypatch):
+    # the tensor construction over the double loses its first nonzero
+    # D(e_a, e_b) in index order
+    def first_map(a, u, v):
+        q = u * a.n + v
+        return q == q.min()
+
+    monkeypatch.setattr(tkk, "inner_derivation_entries", _dropping(
+        tkk.inner_derivation_entries, first_map))
+    status, field, witness = check_der_as_tits_double(RunContext(3))
+    assert (status, field) == ("fail", "F9")
+    assert witness["which"] == "full"
     assert len(witness["witness"]["pair"]) == 2

@@ -1,5 +1,5 @@
-"""The sparse identity checks against dense oracles, and the stored COO
-table against its dense view.
+"""The sparse identity checks and map brackets against dense oracles,
+and the stored COO table against its dense view.
 
 check_supercommutative, check_super_lie, check_jordan_super,
 is_derivation and is_homomorphism run as joins over the nonzero
@@ -9,7 +9,12 @@ single-constant or single-entry defects and on random sparse tables,
 the two must agree on the verdict and on the witness dict, key order
 included.  The same real and random tables check that the constructor
 stores one canonical table whatever the presentation of its input, and
-that tensor() is the scatter of it."""
+that tensor() is the scatter of it.
+
+The supercommutators of maps are joins as well: the inner span, the
+structure constants of a derivation space and the coordinates of every
+D(a, b) over a space must equal, bitwise, the dense matrix products and
+coords_of calls they replaced."""
 
 import numpy as np
 import pytest
@@ -18,11 +23,13 @@ from hypothesis import given, settings, strategies as st
 from ckder import (DerivationSpace, FieldSpec, LinearMap, SuperAlgebra,
                    check_jordan_super, check_super_lie,
                    check_supercommutative, is_derivation, is_homomorphism,
-                   sl2_identification, so3, w_to_v_change)
+                   sl2_identification, so3, super_commutator, tkk_3graded,
+                   w_to_v_change)
 from ckder.battery import RunContext
-from ckder.derivations import _leibniz_kernel
-from ckder.linalg import amod
-from ckder.superalg import _first_nonzero_key, inner_derivation_rows
+from ckder.derivations import _inner_span, _leibniz_kernel
+from ckder.linalg import Eliminator, amod
+from ckder.superalg import (_commutator_entries, _entries,
+                            _first_nonzero_key, inner_derivation_entries)
 from ckder.tkk import LieSuperAlgebra
 
 F3 = FieldSpec(3)
@@ -97,6 +104,25 @@ def dense_super_lie(lie):
     return True, None
 
 
+def dense_commutator_rows(field, mats, parities):
+    """rows[s, t] = [mats[s], mats[t]] flattened column-major, by dense
+    matrix products, one left factor at a time."""
+    k, n = mats.shape[:2]
+    rows = np.empty((k, k, n * n), dtype=mats.dtype)
+    for s in range(k):
+        sign = np.where(parities[s] * parities == 1, -1.0, 1.0)
+        d = mats[s] @ mats - sign[:, None, None] * (mats @ mats[s])
+        rows[s] = amod(field, d.transpose(0, 2, 1).reshape(k, n * n))
+    return rows
+
+
+def dense_inner_rows(a):
+    """rows[i, j] = D(e_i, e_j) flattened: L_i[r, c] = T[i, c, r]."""
+    return dense_commutator_rows(
+        a.field, np.ascontiguousarray(a.tensor().transpose(0, 2, 1)),
+        a.parities)
+
+
 def dense_jordan_super(a):
     """The Jordan operator identity on all triples with x least, by
     blocked contractions of the dense operator table D(e_i, e_j)."""
@@ -105,9 +131,7 @@ def dense_jordan_super(a):
     de = a.dim_even
     t = a.tensor()
     # dd[i, j] is the flattened matrix of D(e_i, e_j)
-    dd = np.empty((n, n, n * n), dtype=t.dtype)
-    for i, rows, _ in inner_derivation_rows(a):
-        dd[i] = rows
+    dd = dense_inner_rows(a)
     # with y and z at least x the signs are constant on each parity
     # block, so they fold into the structure-tensor factors
     for x in range(n):
@@ -534,3 +558,201 @@ def test_join_sums_refuse_terms_beyond_the_exact_range():
     # the same key count fits over F3, and the sums cancel mod 3
     assert _first_nonzero_key(F3, np.array([3, 3]),
                               np.array([1.0, 2.0])) is None
+
+
+# -- map brackets --------------------------------------------------------
+
+
+def dense_inner_span(a):
+    """The canonical RREF of the D(e_i, e_j) of each parity, every row
+    fed to one eliminator per parity, one left factor at a time."""
+    n = a.n
+    rows = dense_inner_rows(a)
+    elims = [Eliminator(a.field, n * n), Eliminator(a.field, n * n)]
+    for i in range(n):
+        par = (a.parities[i] + a.parities) % 2
+        keep = np.any(rows[i], axis=1)
+        for parity in (0, 1):
+            block = rows[i][keep & (par == parity)]
+            if block.size:
+                elims[parity].add_rows(block)
+    return [e.rref()[0] for e in elims]
+
+
+def _dense_coordinates(ds, rows, parities, message):
+    """coords[s, t] of the maps rows[s, t] of parity parities[s, t] over
+    the basis of ds, even elements first, by coords_of."""
+    m0 = ds.dims[0]
+    coords = np.zeros(rows.shape[:2] + (ds.dim,), dtype=ds.algebra.field.dtype)
+    for s in range(rows.shape[0]):
+        for parity, off in ((0, 0), (1, m0)):
+            sel = parities[s] == parity
+            co = ds.subspace(parity).coords_of(rows[s][sel])
+            if co is None:
+                raise ValueError(message)
+            coords[s, sel, off:off + co.shape[1]] = co
+    return coords
+
+
+def dense_structure_constants(ds):
+    basis = ds.even_basis + ds.odd_basis
+    if not basis:
+        return np.zeros((0, 0, 0), dtype=ds.algebra.field.dtype)
+    par = np.asarray([d.parity for d in basis])
+    rows = dense_commutator_rows(ds.algebra.field,
+                                 np.stack([d.matrix for d in basis]), par)
+    return _dense_coordinates(ds, rows, (par[:, None] + par) % 2,
+                              "derivation space is not bracket closed")
+
+
+def dense_inner_coordinates(a, ds):
+    """The coordinates of every D(e_a, e_b) over ds, as in the tensor
+    and 3-graded constructions."""
+    return _dense_coordinates(
+        ds, dense_inner_rows(a), (a.parities[:, None] + a.parities) % 2,
+        "inner derivation escapes the derivation space")
+
+
+def sparse_inner_coordinates(a, ds):
+    q, u, x = ds.coordinates(*inner_derivation_entries(a))
+    coords = np.zeros((a.n * a.n, ds.dim), dtype=a.field.dtype)
+    coords[q, u] = x
+    return coords.reshape(a.n, a.n, ds.dim)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def flat_basis(maps, a):
+    return np.stack([d.flatten() for d in maps]) if maps else \
+        np.zeros((0, a.n * a.n), dtype=a.field.dtype)
+
+
+def assert_inner_span_matches(a, even, odd):
+    """even and odd, the sparse inner span of a, against the oracle."""
+    for maps, want in zip((even, odd), dense_inner_span(a)):
+        assert_bitwise(flat_basis(maps, a), want)
+
+
+@pytest.fixture(scope="module")
+def ctx5():
+    return RunContext(5)
+
+
+F5 = FieldSpec(5)
+INNER = {
+    "K": lambda ctx, f: (ctx.kd(f).alg, ctx.inder_k(f)),
+    "J_w": lambda ctx, f: (ctx.ck(f, "w").alg, ctx.inder_j(f, "w")),
+    "J_v": lambda ctx, f: (ctx.ck(f, "v").alg, ctx.inder_j(f, "v")),
+}
+INNER_CASES = [(name, field) for name in INNER for field in (F3, F9)
+               # the v basis needs sqrt(-1), so F9 only
+               if field.ext or name != "J_v"] + [("J_w", F5)]
+
+
+@pytest.mark.parametrize("name,field", INNER_CASES,
+                         ids=[f"{n}-{f}" for n, f in INNER_CASES])
+def test_inner_spans_and_coordinates_agree_with_the_dense_oracle(
+        ctx3, ctx5, name, field):
+    a, ds = INNER[name](ctx5 if field.p == 5 else ctx3, field)
+    assert_inner_span_matches(a, ds.even_basis, ds.odd_basis)
+    assert_bitwise(sparse_inner_coordinates(a, ds),
+                   dense_inner_coordinates(a, ds))
+
+
+SPACES = {
+    "Der(K)": lambda ctx, f: ctx.der_k(f),
+    "Inder(J_w)": lambda ctx, f: ctx.inder_j(f, "w"),
+    "stable_der_double": lambda ctx, f: ctx.bar_k(f),
+}
+
+
+@pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
+@pytest.mark.parametrize("name", list(SPACES))
+def test_structure_constants_agree_with_the_dense_oracle(ctx3, name, field):
+    ds = SPACES[name](ctx3, field)
+    got = ds.structure_constants()
+    assert np.any(got)
+    assert_bitwise(got, dense_structure_constants(ds))
+
+
+def test_an_open_space_is_refused_like_the_oracle(ctx3):
+    # the odd derivations of K alone: their brackets are even and
+    # nonzero, and the space has no even part to hold them
+    a, der = ctx3.kd(F3).alg, ctx3.der_k(F3)
+    ds = DerivationSpace(a, [], der.odd_basis, canonicalize=False)
+    for bracket in (ds.structure_constants,
+                    lambda: dense_structure_constants(ds)):
+        with pytest.raises(ValueError, match="not bracket closed"):
+            bracket()
+
+
+def test_an_escaping_inner_derivation_is_refused_like_the_oracle(ctx3):
+    # Inder(J_w) without its first even basis map, which some D(a, b)
+    # needs
+    a, inder = ctx3.ck(F3, "w").alg, ctx3.inder_j(F3, "w")
+    ds = DerivationSpace(a, inder.even_basis[1:], inder.odd_basis,
+                         canonicalize=False)
+    assert ds.coordinates(*inner_derivation_entries(a)) is None
+    for build in (lambda: tkk_3graded(a, inder=ds),
+                  lambda: dense_inner_coordinates(a, ds)):
+        with pytest.raises(ValueError, match="escapes the derivation space"):
+            build()
+
+
+def random_stack(rng, field):
+    """Up to six random sparse maps of mixed parity on a random carrier
+    of dimension at most 7, each entry nonzero with a drawn density."""
+    n = int(rng.integers(1, 8))
+    dim_even = int(rng.integers(0, n + 1))
+    carrier = SuperAlgebra(field, dim_even, n - dim_even,
+                           [f"e{i}" for i in range(n)], ([], [], [], []))
+    par = carrier.parities
+    maps = []
+    for _ in range(int(rng.integers(1, 7))):
+        parity = int(rng.integers(0, 2))
+        allowed = par[:, None] == (par[None, :] + parity) % 2
+        vals = rng.integers(0, field.p, (n, n)) + (
+            1j * rng.integers(0, field.p, (n, n)) if field.ext else 0)
+        vals = vals * (allowed & (rng.random((n, n)) < rng.random()))
+        maps.append(LinearMap(carrier, carrier, parity, vals))
+    return n, maps
+
+
+@pytest.mark.parametrize("field", [F3, F5, F9], ids=["F3", "F5", "F9"])
+@pytest.mark.parametrize("seed", range(20))
+def test_commutator_entries_match_super_commutator(field, seed):
+    n, maps = random_stack(np.random.default_rng(seed), field)
+    k = len(maps)
+    par = np.asarray([d.parity for d in maps])
+    keys, vals = _commutator_entries(
+        field, n, par, *_entries(field, np.stack([d.matrix for d in maps])))
+    assert np.all(np.diff(keys) > 0) and np.all(vals != 0)
+    got = np.zeros((k, k, n * n), dtype=field.dtype)
+    got.flat[keys] = vals
+    for s in range(k):
+        for t in range(k):
+            want = super_commutator(maps[s], maps[t])
+            assert want.parity == (par[s] + par[t]) % 2
+            assert_bitwise(got[s, t], want.flatten())
+
+
+@settings(max_examples=150)
+@given(super_tables())
+def test_random_tables_give_the_dense_brackets(table):
+    a, _ = table
+    even, odd = _inner_span(a)
+    assert_inner_span_matches(a, even, odd)
+    # D(e_a, e_b) need not be a derivation of a random table
+    ds = DerivationSpace(a, even, odd, canonicalize=False, validate=False)
+    assert_bitwise(sparse_inner_coordinates(a, ds),
+                   dense_inner_coordinates(a, ds))
+    try:
+        want = dense_structure_constants(ds)
+    except ValueError:
+        with pytest.raises(ValueError, match="not bracket closed"):
+            ds.structure_constants()
+    else:
+        assert_bitwise(ds.structure_constants(), want)

@@ -10,6 +10,7 @@ from ckder import (FieldSpec, LinearMap, SuperAlgebra, check_jordan_super,
                    is_derivation, is_homomorphism, kantor_double,
                    quadratic_jordan, super_commutator, truncated_poly,
                    vector_parity)
+from ckder.derivations import _mult_matrix
 from ckder.superalg import annihilator, center_even
 
 F5 = FieldSpec(5)
@@ -30,6 +31,35 @@ def test_multiply_and_left_mult():
     assert lt.parity == 0
     assert np.array_equal(lt(one), t)
     assert np.array_equal(lt(t), [0, 0])
+
+
+def test_products_refuse_contractions_beyond_the_exact_range():
+    # at p = 67108859 one product of two reduced elements per entry is
+    # exact and two are not; left_mult and _mult_matrix contract over
+    # the n basis vectors, and multiply twice
+    big = FieldSpec(67108859)
+    q = big.p - 1
+
+    def line(n):
+        # e0 e0 = q e0, and e1 multiplies to zero
+        return SuperAlgebra(big, n, 0, [f"e{i}" for i in range(n)],
+                            ([0], [0], [0], [q]))
+
+    one = line(1)
+    assert one.left_mult([q]).matrix.tolist() == [[1]]
+    assert _mult_matrix(one, [q]).tolist() == [[1]]
+    assert one.multiply([q], [q]).tolist() == [q]
+    two = line(2)
+    for call in (lambda: two.left_mult([q, 0]),
+                 lambda: _mult_matrix(two, [q, 0]),
+                 lambda: two.multiply([q, 0], [1, 0])):
+        with pytest.raises(ValueError, match="exact range"):
+            call()
+    # the same calls are exact over a small field
+    small = SuperAlgebra(F5, 2, 0, ["e0", "e1"], ([0], [0], [0], [4]))
+    assert small.left_mult([4, 0]).matrix.tolist() == [[1, 0], [0, 0]]
+    assert _mult_matrix(small, [4, 0]).tolist() == [[1, 0], [0, 0]]
+    assert small.multiply([4, 0], [4, 0]).tolist() == [4, 0]
 
 
 def test_validation_rejects_bad_tables():
