@@ -3,8 +3,12 @@
 derivation_algebra solves the super Leibniz rule as one linear system
 per parity.  Unknowns are the parity-allowed matrix entries of a
 candidate map in column-major order; equations are generated sparsely
-(one per basis pair and output coordinate), and the system is solved
-one connected block of equations and unknowns at a time.
+(one per basis pair and output coordinate), and over the Cheng-Kac
+tables none has more than three cells.  The system is solved by
+structured Gaussian elimination: vectorized substitution rounds remove
+the equations of one and two cells, and only the equations that
+survive are eliminated, one connected block of equations and unknowns
+at a time.
 inner_derivation_algebra spans the supercommutators of left
 multiplications, whose nonzero entries come from one join over the
 structure constants, eliminated block by block in the same way.  Both
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .linalg import Eliminator, Subspace, amod, asfield, mm, solve_right
+from .linalg import (Eliminator, Subspace, amod, asfield, inverses, mm,
+                     solve_right)
 from .superalg import (LinearMap, SuperAlgebra, _commutator_entries,
                        _entries, _first_nonzero_key, _match, expand_runs,
                        inner_derivation_entries, is_derivation,
@@ -162,19 +167,15 @@ def _fan_out(a: SuperAlgebra, q):
 
 
 def _leibniz_kernel(a: SuperAlgebra, parity: int):
-    """A basis of the parity-homogeneous derivations of a, one block
-    after another, each block's part in canonical RREF; the caller
-    canonicalizes the whole.
+    """A basis of the parity-homogeneous derivations of a, not yet
+    canonical; the caller canonicalizes it.
 
     The unknowns are the parity-allowed entries (r, c) of the map, in
     column-major order; the equation at (i, j, r) is coordinate r of
     D(e_i e_j) - D(e_i) e_j - s_i e_i D(e_j) = 0, s_i = (-1)^(|D||i|).
     Every structure constant feeds three term families of it, built as
     index arrays from coo() and summed per (equation, unknown) cell by
-    sum_per_key.
-
-    The kernel is the direct sum of the block kernels (see
-    _eliminate_blocks); an unknown in no equation is a free block."""
+    sum_per_key, and _sparse_kernel solves the system."""
     f = a.field
     n = a.n
     par = a.parities
@@ -204,9 +205,82 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     uniq, sums = sum_per_key(
         f, np.concatenate(keys) * nu + np.concatenate(cells),
         np.concatenate(vals))
-    flat = _eliminate_blocks(f, uniq // nu, uniq % nu, sums, allowed, n * n,
-                             Eliminator.kernel_rows)
+    basis = _sparse_kernel(f, uniq, sums, nu)
+    flat = np.zeros((basis.shape[0], n * n), dtype=f.dtype)
+    flat[:, allowed] = basis
     return [LinearMap.from_flat(a, a, parity, v, check=False) for v in flat]
+
+
+def _sparse_kernel(field, keys, vals, nu):
+    """A basis, as the rows of a (k, nu) array, of the kernel of a sparse
+    system in nu unknowns given as sum_per_key returns it: increasing
+    keys e nu + u, the cell of equation e on unknown u, and nonzero
+    reduced values.
+
+    This is structured Gaussian elimination: _peel substitutes away the
+    equations of one and two cells, and only the equations that survive
+    are eliminated, block by block (_eliminate_blocks), on the unknowns
+    they use.  Those unknowns are roots, and a root not zero that no
+    surviving equation uses is free.  A kernel vector y on the roots
+    gives the kernel vector x_u = weight[u] y[root[u]] of the whole."""
+    keys, vals, root, weight = _peel(field, keys, vals, nu)
+    eq, col = np.divmod(keys, nu)
+    used, col = np.unique(col, return_inverse=True)
+    free = (root == np.arange(nu)) & (weight != 0)
+    free[used] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, nu), dtype=field.dtype)
+    basis[np.arange(free.size), free] = 1
+    basis = np.vstack([_eliminate_blocks(field, eq, col, vals, used, nu,
+                                         Eliminator.kernel_rows), basis])
+    return amod(field, basis[:, root] * weight)
+
+
+def _peel(field, keys, vals, nu):
+    """Substitution rounds on a sparse system given as _sparse_kernel
+    takes it, until no equation has fewer than three cells.
+
+    In a round an equation of one cell sets its unknown to zero, and an
+    equation c_a x_a + c_b x_b = 0 of two cells, a > b, links a to b:
+    x_a = -c_b c_a^-1 x_b.  Each a takes the first such equation in key
+    order, and an unknown set to zero takes none.  A parent is smaller
+    than its child, so the links form a forest; pointer jumping resolves
+    every chain to its root, and a zeroed root zeroes its whole chain.
+    Every cell is then rewritten onto its root and re-summed through
+    sum_per_key, where the equations used vanish.
+
+    Returns the surviving keys and values, and root and weight with
+    x_u = weight[u] x_root[u] for every u; weight 0 marks an unknown
+    forced to zero."""
+    root = np.arange(nu)
+    weight = np.ones(nu, dtype=field.dtype)
+    while keys.size:
+        eq, col = np.divmod(keys, nu)
+        start = np.flatnonzero(np.r_[True, eq[1:] != eq[:-1]])
+        size = np.diff(np.r_[start, eq.size])
+        zero = np.zeros(nu, dtype=bool)
+        zero[col[start[size == 1]]] = True
+        t = start[size == 2]
+        t = t[~zero[col[t + 1]]]
+        a, first = np.unique(col[t + 1], return_index=True)
+        if not (a.size or zero.any()):
+            break
+        t = t[first]
+        link = np.arange(nu)
+        link[a] = col[t]
+        w = np.ones(nu, dtype=field.dtype)
+        w[a] = amod(field, -vals[t] * inverses(field, vals[t + 1]))
+        while True:
+            up = link[link]
+            if np.array_equal(up, link):
+                break
+            w = amod(field, w * w[link])
+            link = up
+        w[zero[link]] = 0
+        weight = amod(field, weight * w[root])
+        root = link[root]
+        keys, vals = sum_per_key(field, eq * nu + link[col], vals * w[col])
+    return keys, vals, root, weight
 
 
 def _eliminate_blocks(field, row, col, vals, where, ambient, take):
@@ -221,7 +295,7 @@ def _eliminate_blocks(field, row, col, vals, where, ambient, take):
     column in no cell is a block without rows."""
     row = np.unique(row, return_inverse=True)[1]
     label = _components(row, col, where.size)
-    blocks = np.unique(label)
+    blocks = np.flatnonzero(label == np.arange(where.size))
     order = np.argsort(label[col])
     bounds = np.searchsorted(label[col[order]], np.r_[blocks, where.size])
     out = [np.zeros((0, ambient), dtype=field.dtype)]
@@ -440,8 +514,9 @@ def restrict_to_k(ck: ChengKac, d: LinearMap, kd: KantorDouble) -> LinearMap:
     """Restriction of a derivation of the big superalgebra to the
     embedded double K = Z1 + Zx.  Raises when K is not preserved."""
     idx = np.asarray(ck.k_indices(), dtype=np.intp)
-    outside = np.setdiff1d(np.arange(ck.alg.n), idx)
-    if outside.size and np.any(d.matrix[np.ix_(outside, idx)]):
+    outside = np.ones(ck.alg.n, dtype=bool)
+    outside[idx] = False
+    if np.any(d.matrix[outside][:, idx]):
         raise ValueError("map does not preserve the embedded double")
     sub = d.matrix[np.ix_(idx, idx)]
     return LinearMap(kd.alg, kd.alg, d.parity, sub)
@@ -485,7 +560,8 @@ def grade_derivations(ds: DerivationSpace) -> GradedDerivations:
     grade_of = deg[..., 0] + 2 * deg[..., 1]   # index into GRADES
     parts = {g: ([], []) for g in GRADES}
     for d in ds.even_basis + ds.odd_basis:
-        found = np.unique(grade_of[d.matrix != 0])
+        found = np.flatnonzero(np.bincount(grade_of[d.matrix != 0],
+                                           minlength=len(GRADES)))
         if found.size != 1:
             raise ValueError("a basis map has entries in the fine degrees "
                              f"{[GRADES[t] for t in found]}: the space is "

@@ -14,10 +14,16 @@ asfield is the one coercion routine: it casts arbitrary input to the
 field's dtype and reduces it, and refuses a nonzero u component headed
 for a prime field.  amod is the one reduction routine.  It reduces the
 array as one flat run of float64 components, two per F_{p^2} element,
-with r = x - p*floor(x*(1/p)) and one correction step each way, which
-is exact while every component satisfies |x| < 2**52 before reduction:
-the floored quotient is then off by at most one, and every product and
-difference in the formula is an integer below 2**53.
+with r = x - p*floor(x/p) in four passes, which is exact while every
+component satisfies |x| < 2**52 before reduction (and p < 2**26, so
+that one product of two elements stays in that range).  Write
+x = q p + r with 0 <= r < p.  The quotient fl(x/p) is correctly
+rounded, so it errs by at most 2**-53 |x/p| < 1/(2p).  When r = 0, x/p
+is the integer q, below 2**52 and so exact; otherwise x/p = q + r/p
+lies at least 1/p from every integer.  Either way floor(fl(x/p)) = q,
+and q p and x - q p are integers below 2**52, computed exactly, with
+no correction step.  inverses inverts whole arrays by Fermat's little
+theorem.
 
 Every reported basis is in canonical reduced row echelon form (pivots 1,
 pivot columns strictly increasing and cleared above and below), so equal
@@ -34,12 +40,10 @@ from .field import FieldSpec
 
 def _reduce_into(x, p: int, out):
     """out = x mod p in {0, ..., p-1} for an integer-valued float array."""
-    np.multiply(x, 1.0 / p, out=out)
+    np.divide(x, p, out=out)
     np.floor(out, out=out)
     out *= -p
     out += x
-    np.add(out, p, out=out, where=out < 0)
-    np.subtract(out, p, out=out, where=out >= p)
 
 
 def amod(field: FieldSpec, a):
@@ -52,6 +56,24 @@ def amod(field: FieldSpec, a):
     _reduce_into(a.ravel().view(np.float64), field.p,
                  out.ravel().view(np.float64))
     return out[()] if out.ndim == 0 else out
+
+
+def inverses(field: FieldSpec, a):
+    """The inverses of an array of nonzero reduced elements, by Fermat's
+    little theorem: n^-1 = n^(p-2) over F_p by repeated squaring, and
+    over F_{p^2} (a0 + a1 u)^-1 = (a0 - a1 u) N^-1 with N = a0^2 + a1^2
+    in F_p.  Every product is of two reduced components."""
+    a = np.asarray(a)
+    base = amod(field, (a * a.conj()).real) if field.ext else a
+    out = np.ones(base.shape, dtype=np.float64)
+    e = field.p - 2
+    while e:
+        if e & 1:
+            out = amod(field, out * base)
+        e >>= 1
+        if e:
+            base = amod(field, base * base)
+    return amod(field, a.conj() * out) if field.ext else out
 
 
 def exact_terms(field: FieldSpec) -> int:
@@ -171,9 +193,8 @@ class Eliminator:
             lead = (rest != 0).argmax(axis=1)
             lc, first = np.unique(lead, return_index=True)
             lc, first = lc[:most], first[:most]
-            scale = np.array([field.inv(x) for x in rest[first, lc]],
-                             dtype=field.dtype)
-            s = amod(field, rest[first] * scale[:, None])
+            s = amod(field, rest[first]
+                     * inverses(field, rest[first, lc])[:, None])
             if lc.size > 1:
                 s = amod(field, _unit_triangular_inverse(field, s[:, lc]) @ s)
             if piv.shape[0]:

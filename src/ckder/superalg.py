@@ -310,9 +310,11 @@ def inner_derivation_entries(a: SuperAlgebra, pairs=None):
     i, j, k, c = a.coo()
     if pairs is None:
         return _commutator_entries(a.field, n, a.parities, i, k, j, c)
-    index = np.unique(pairs)
+    named = np.zeros(n, dtype=bool)
+    named[np.asarray(pairs, dtype=np.int64)] = True
+    index = np.flatnonzero(named)
     pos = np.searchsorted(index, np.asarray(pairs).reshape(-1, 2))
-    sel = np.isin(i, index)
+    sel = named[i]
     keys, vals = _commutator_entries(a.field, n, a.parities[index],
                                      np.searchsorted(index, i[sel]), k[sel],
                                      j[sel], c[sel])
@@ -587,10 +589,11 @@ def is_homomorphism(fmap: LinearMap) -> Verdict:
     t, e = _match(gb, fr)
     rhs = sum_per_key(f, (gi[t] * ns + fc[e]) * nt + gkey[t] % nt,
                       g[t] * fv[e])
-    keys = np.union1d(lhs[0], rhs[0])
+    keys, at = np.unique(np.concatenate([lhs[0], rhs[0]]),
+                         return_inverse=True)
     sides = np.zeros((2, keys.size), dtype=f.dtype)
-    for side, (at, vals) in zip(sides, (lhs, rhs)):
-        side[np.searchsorted(keys, at)] = vals
+    sides[0, at[:lhs[0].size]] = lhs[1]
+    sides[1, at[lhs[0].size:]] = rhs[1]
     bad = np.flatnonzero(sides[0] != sides[1])
     if not bad.size:
         return Verdict(True, None)

@@ -15,12 +15,11 @@ import numpy as np
 from .constructions import ChengKac, KantorDouble
 from .derivations import (DerivationSpace, grade_derivations,
                           inner_derivation_algebra)
-from .linalg import amod, asfield, inverse, iszero, rank, solve_right
+from .linalg import amod, asfield, inverse, iszero, mm, rank, solve_right
 from .superalg import (LinearMap, SuperAlgebra, Verdict, _entries,
                        inner_derivation_entries, is_homomorphism,
                        table_from_json)
-from .symmetry import CoordinateAlgebra, CoordinateTransfer, S4Action, \
-    conjugate_der
+from .symmetry import CoordinateAlgebra, CoordinateTransfer, S4Action
 
 
 class LieSuperAlgebra(SuperAlgebra):
@@ -371,6 +370,12 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
     stable double, and the one for the inner derivations over the
     inner double."""
     f = ck.alg.field
+    g = act.phi.matrix
+    ginv = inverse(f, g)
+
+    def conj(m):
+        """g m g^-1, as conjugate_der computes it."""
+        return mm(f, g, mm(f, m, ginv))
 
     def build(idspace, jspace):
         tits = tits_construction(kd.alg, idspace, inder=inder_k)
@@ -383,11 +388,10 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
         # algebra, then all of them in coordinates over jspace at once
         cols, mats = [], []
         for j in range(kd.alg.n):
-            base = coord.as_map(phi.matrix[:, j])
-            first = conjugate_der(act.phi, base)
+            base = coord.as_map(phi.matrix[:, j]).matrix
+            first = conj(base)
             cols += [tits.idx_tensor(i, j) for i in range(3)]
-            mats += [first.matrix, conjugate_der(act.phi, first).matrix,
-                     base.matrix]
+            mats += [first, conj(first), base]
         for par, basis in enumerate((idspace.even_basis, idspace.odd_basis)):
             for t, b in enumerate(basis):
                 c = solve_right(f, arows[par].T, b.flatten())

@@ -1,9 +1,15 @@
-"""Command-line front end, driven in process through main()."""
+"""Command-line front end, driven in process through main(), and once
+in a fresh process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ckder
 from ckder.cli import main
 
 
@@ -132,3 +138,22 @@ def test_export_reports_unwritable_path(tmp_path, capsys):
                      capsys)
     assert rc == 1
     assert "cannot write" in err
+
+
+def test_verify_never_imports_numpy_ma():
+    """A set routine of numpy 2.x called without index flags (np.unique,
+    np.union1d, np.setdiff1d) asks np.ma.is_masked, and so imports all
+    of numpy.ma inside the run; the package avoids them."""
+    code = ("import contextlib, io, sys\n"
+            "from ckder.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--p', '3', '--checks', 'all']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(ckder.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=600, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

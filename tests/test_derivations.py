@@ -12,7 +12,11 @@ from ckder import (DerivationSpace, FieldSpec, LinearMap, amod, cheng_kac,
                    kernel, lift_even_der, odd_der_char3, odd_der_eta,
                    quadratic_jordan, restrict_to_k, stable_der_double,
                    truncated_poly)
-from ckder.derivations import _mult_matrix, span_of_maps
+from ckder import derivations
+from ckder.derivations import (_mult_matrix, _peel, _sparse_kernel,
+                               span_of_maps)
+from ckder.linalg import Subspace
+from ckder.superalg import sum_per_key
 from test_sparse_checks import super_tables
 
 F3 = FieldSpec(3)
@@ -141,6 +145,132 @@ def test_block_solve_matches_the_dense_oracle(name):
 @given(super_tables())
 def test_block_solve_matches_the_dense_oracle_on_random_tables(table):
     assert_solve_matches_dense_oracle(table[0])
+
+
+# -- substitution rounds of the sparse solve -----------------------------
+
+
+def sparse_system(field, m):
+    """The dense system m reduced, and the keys e nu + u and values of
+    its nonzero cells, as _sparse_kernel and _peel take them."""
+    m = amod(field, field.array(m))
+    e, u = np.nonzero(m)
+    return m, e * m.shape[1] + u, m[e, u]
+
+
+def check_sparse_kernel(field, m):
+    """_sparse_kernel on the dense system m against the dense kernel: as
+    many rows as the kernel dimension, and the same span.  Returns the
+    system as sparse_system does."""
+    m, keys, vals = sparse_system(field, m)
+    nu = m.shape[1]
+    got = _sparse_kernel(field, keys, vals, nu)
+    want = kernel(field, m)
+    assert got.dtype == field.dtype
+    assert got.shape == (want.dim, nu)
+    assert Subspace(field, nu, got).equals(want)
+    return m, keys, vals
+
+
+def peel_and_check(monkeypatch, field, m, rounds):
+    """check_sparse_kernel on m, then _peel on it, which must take the
+    given number of rounds: one re-summing sum_per_key call each.  A
+    round resolves its chains and zeroes in full, so a round short of
+    either leaves work that costs another round."""
+    m, keys, vals = check_sparse_kernel(field, m)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sum_per_key(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(derivations, "sum_per_key", counted)
+        out = _peel(field, keys, vals, m.shape[1])
+    assert len(calls) == rounds
+    return out
+
+
+def coefficient(field):
+    """A coefficient that is not in the prime field when there is u."""
+    return field.scalar(2, 1 if field.ext else 0)
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_peel_sets_singleton_unknowns_to_zero(field, monkeypatch):
+    c = coefficient(field)
+    keys, _, root, weight = peel_and_check(
+        monkeypatch, field, [[c, 0, 0, 0], [0, 0, 2, 0], [0, 0, c, 0]], 1)
+    assert keys.size == 0
+    assert np.array_equal(root, np.arange(4))
+    assert np.array_equal(weight, [0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_peel_resolves_a_chain_to_its_root(field, monkeypatch):
+    # x2 = -c x1 and x1 = -x0 / 2 link 2 -> 1 -> 0 in one round, and
+    # the three-cell x2 + x3 + x4 = 0 survives on the roots 0, 3 and 4
+    c = coefficient(field)
+    keys, vals, root, weight = peel_and_check(
+        monkeypatch, field,
+        [[0, c, 1, 0, 0], [1, 2, 0, 0, 0], [0, 0, 1, 1, 1]], 1)
+    w1 = field.neg(field.inv(2))
+    w2 = field.mul(field.neg(c), w1)
+    assert np.array_equal(root, [0, 0, 0, 3, 4])
+    assert np.array_equal(weight, [1, w1, w2, 1, 1])
+    assert np.array_equal(keys, [2 * 5 + 0, 2 * 5 + 3, 2 * 5 + 4])
+    assert np.array_equal(vals, [w2, 1, 1])
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_peel_zeroes_an_inconsistent_doubleton_cycle(field, monkeypatch):
+    # x1 = c x0 and x1 = 2c x0: the second, rewritten, reads c x0 = 0
+    c = coefficient(field)
+    keys, _, root, weight = peel_and_check(
+        monkeypatch, field, [[c, -1, 0], [field.mul(2, c), -1, 0]], 2)
+    assert keys.size == 0
+    assert np.array_equal(root, [0, 0, 2])
+    assert np.array_equal(weight, [0, 0, 1])
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_peel_zeroes_the_chain_of_a_root_zeroed_in_the_same_round(
+        field, monkeypatch):
+    # x0 = 0 and x1 = 2 x0 in one round: x1 is zero too, so the
+    # three-cell x1 + x2 + x3 = 0 drops to x2 + x3 = 0, next round
+    c = coefficient(field)
+    keys, _, root, weight = peel_and_check(
+        monkeypatch, field, [[c, 0, 0, 0], [-2, 1, 0, 0], [0, 1, 1, 1]], 2)
+    assert keys.size == 0
+    assert np.array_equal(root, [0, 0, 2, 2])
+    assert np.array_equal(weight, [0, 0, 1, field.neg(1)])
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_peel_leaves_a_pure_three_cell_system_to_the_eliminator(
+        field, monkeypatch):
+    c = coefficient(field)
+    m = [[1, c, 1, 0, 0, 0], [0, 1, 2, c, 0, 0], [c, 0, 0, 1, 2, 0]]
+    _, keys, vals = sparse_system(field, m)
+    got = peel_and_check(monkeypatch, field, m, 0)
+    assert np.array_equal(got[0], keys) and np.array_equal(got[1], vals)
+    assert np.array_equal(got[2], np.arange(6))
+    assert np.array_equal(got[3], np.ones(6))
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_sparse_kernel_matches_the_dense_kernel_on_random_systems(field):
+    rng = np.random.default_rng(field.order)
+    nonzero = [x for x in field.elements() if x != 0]
+    for _ in range(150):
+        nu = int(rng.integers(1, 10))
+        m = np.zeros((int(rng.integers(0, 10)), nu), dtype=field.dtype)
+        for row in m:
+            at = rng.choice(nu, size=int(rng.integers(1, min(nu, 3) + 1)),
+                            replace=False)
+            row[at] = [nonzero[t] for t in
+                       rng.integers(0, len(nonzero), size=at.size)]
+        check_sparse_kernel(field, m)
 
 
 def _rank_mod(rows, p):

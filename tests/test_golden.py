@@ -1,15 +1,16 @@
-"""Golden bytes: the JSON reports at p = 3 and 5, the report of the
-dims checks at p = 7, and the exported tables at p = 3.
+"""Golden bytes: the JSON reports at p = 3 and 5, the reports of the
+dims checks at p = 7 and 11, and the exported tables at p = 3.
 
 The p = 3 digests below were taken from the code as it stood before
 structure tables were stored as COO arrays (the commit before that
 change), the p = 5 report digest from the code before the Leibniz
-system was solved block by block, and the p = 7 dims digest from the
-code before inner derivations and derivation brackets became joins, by
-running
+system was solved block by block, the p = 7 dims digest from the code
+before inner derivations and derivation brackets became joins, and the
+p = 11 dims digest from the code before the Leibniz system was solved by
+substitution rounds, by running
 
     python -m ckder verify --p P --format json
-    python -m ckder verify --p 7 --checks dims --format json
+    python -m ckder verify --p P --checks dims --format json
     python -m ckder export --p 3 --algebra A --out FILE
 
 and hashing stdout and FILE.  A change that only reorganises the code
@@ -26,6 +27,8 @@ VERIFY_P3 = "1eb7442d4fba1845fd398255f8197f2f85de117265adc65e057742b722d45122"
 VERIFY_P5 = "d9e855c316fb8ec9f4c43cf4546c5528eb2c78eb4f1b7079f8e8f297adff704a"
 VERIFY_P7_DIMS = \
     "1e6832b24b1d56500e4e8aba972893f55a41c3b7b2548a24954dec4e2eb2c6d3"
+VERIFY_P11_DIMS = \
+    "5ab67a65afe6288aecb933842f32ff514281bf2a597699ec1ec14eb2a6571d39"
 
 EXPORT_P3 = {
     "Z": "28492f25092ccc0797d63551c774ca818c382efec632f9587e37c0064b10f02c",
@@ -60,6 +63,12 @@ def test_verify_dims_report_bytes_p7(capsys):
     assert main(["verify", "--p", "7", "--checks", "dims",
                  "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P7_DIMS
+
+
+def test_verify_dims_report_bytes_p11(capsys):
+    assert main(["verify", "--p", "11", "--checks", "dims",
+                 "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P11_DIMS
 
 
 def test_every_algebra_name_is_pinned():

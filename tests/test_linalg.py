@@ -194,6 +194,31 @@ def test_amod_matches_exact_integer_remainder(p):
         assert np.array_equal(view, kept)
 
 
+def test_amod_is_exact_near_the_range_limit_for_the_largest_prime():
+    """At p = 67108859, the largest prime below 2**26, every value within
+    a few p of +-(2**52 - 1), and of the multiples of p next to it,
+    reduces to Python's integer %: the quotient x / p is correctly
+    rounded and the floor needs no correction."""
+    p = 67108859
+    field = FieldSpec(p)
+    bound = 2 ** 52 - 1
+    top = bound // p * p
+    near = [x + d for x in (bound, top, top - p, bound - p)
+            for d in range(-2 * p, 1, 997)]
+    near += [x + d for x in (top, top - p) for d in range(-3, 4)]
+    ints = [x for x in near if abs(x) <= bound]
+    ints += [-x for x in ints]
+    want = np.asarray([x % p for x in ints], dtype=np.float64)
+    x = np.asarray(ints, dtype=np.float64)
+    assert [int(v) for v in x] == ints
+    got = amod(field, x)
+    assert np.array_equal(got, want)
+    assert not np.any(np.signbit(got))
+    got = amod(field, x + 1j * x[::-1])
+    assert np.array_equal(got.real, want)
+    assert np.array_equal(got.imag, want[::-1])
+
+
 def test_eliminator_matches_one_shot_rref():
     rng = np.random.default_rng(123)
     for field in (F5, F9):

@@ -11,8 +11,9 @@ from ckder import battery, derivations, tkk
 from ckder.battery import (RunContext, check_big_inder_dims,
                            check_big_w_jordan_identity,
                            check_der_as_tits_double, check_dzzx_vanishes,
-                           check_graded_named_spans, check_tkk_sl2_bridge,
-                           check_w_v_equivalence)
+                           check_graded_named_spans,
+                           check_s4_fixes_scalar_component,
+                           check_tkk_sl2_bridge, check_w_v_equivalence)
 from test_sparse_checks import _symmetric_perturbation
 
 
@@ -145,3 +146,21 @@ def test_der_as_tits_double_fails_when_a_bracket_coordinate_is_lost(
     assert (status, field) == ("fail", "F9")
     assert witness["which"] == "full"
     assert len(witness["witness"]["pair"]) == 2
+
+
+def test_s4_fixes_scalar_component_fails_on_an_altered_element():
+    ctx = RunContext(3)
+    assert check_s4_fixes_scalar_component(ctx)[0] == "pass"
+    # one group element also swaps t and t^2 of the scalar part, which
+    # no longer commutes with the derivations of the coefficients
+    act = ctx.act()
+    ck = ctx.ck(ctx.sqrt, "v")
+    g = act.elements[5].matrix.copy()
+    swap = [ck.even_index(0, 1), ck.even_index(0, 2)]
+    g[:, swap] = g[:, swap[::-1]]
+    elements = list(act.elements)
+    elements[5] = LinearMap(act.algebra, act.algebra, 0, g)
+    ctx._cache[("act",)] = dataclasses.replace(act, elements=elements)
+    status, field, witness = check_s4_fixes_scalar_component(ctx)
+    assert (status, field) == ("fail", "F9")
+    assert witness == {"how": "solved"}
