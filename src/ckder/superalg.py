@@ -15,6 +15,17 @@ summed per key with sum_per_key, and reports the first violating pair
 or triple in lexicographic basis order.  The supercommutators of a
 stack of sparse maps, the inner derivations D(e_u, e_v) among them,
 are one join as well.
+
+The two cyclic sums over triples, the super Jacobi identity and the
+Jordan operator identity, have far more terms than the table has
+constants (6.6 M for the 63,774 constants of the 416-dimensional Tits
+table over F13).  _cyclic_verdict sums them one range of the output
+coordinate q at a time, a range holding at most TERM_BUDGET terms as
+counted from coo() before any is made, or a single q.  Every key
+carries its q, so each is summed whole in one range; the witness is the
+least failing triple over all ranges, as if the sum were made at once.
+The center of the even part and the annihilator of a set of vectors
+are kernels of sparse systems that are joins over coo() as well.
 """
 
 from __future__ import annotations
@@ -27,6 +38,10 @@ import numpy as np
 from .field import FieldSpec
 from .linalg import (Subspace, amod, asfield, check_exact_range, iszero,
                      kernel, mm, rank)
+
+# The most terms one range of a cyclic-sum join holds (_cyclic_verdict):
+# about 3 MB of keys and values, whatever the size of the table.
+TERM_BUDGET = 1 << 15
 
 
 @dataclass
@@ -440,34 +455,87 @@ def _least_rotations(n, x, y, z, rest, size, v):
     return np.concatenate(keys), np.concatenate(vals)
 
 
-def _triple_verdict(a: SuperAlgebra, terms, size, extra=None):
-    """The verdict on a cyclic sum keyed by _least_rotations: the first
-    triple whose terms sum to a nonzero element is the witness."""
-    key = _first_nonzero_key(a.field, *terms)
-    if key is None:
+def _by_output(a: SuperAlgebra):
+    """coo() sorted by the output index k, and the offsets off of its
+    runs: the constants with k = u are rows off[u] to off[u+1] - 1."""
+    i, j, k, c = a.coo()
+    order = np.argsort(k, kind="stable")
+    off = np.zeros(a.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(k, minlength=a.n), out=off[1:])
+    return (i[order], j[order], k[order], c[order]), off
+
+
+def _ranges(weights, budget):
+    """Consecutive ranges [q0, q1) covering the indices of weights, each
+    of total weight at most budget unless it holds a single index."""
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    q0 = 0
+    while q0 < weights.size:
+        q1 = int(np.searchsorted(cum, cum[q0] + budget, "right")) - 1
+        yield q0, max(q1, q0 + 1)
+        q0 = max(q1, q0 + 1)
+
+
+def _cyclic_verdict(a: SuperAlgebra, join, extra=None, budget=TERM_BUDGET):
+    """The verdict on a cyclic sum over the triples of a, built by join
+    one range of the output coordinate q at a time.
+
+    join(a, table, off) takes the table sorted by its output index
+    (_by_output) and returns weights, size and terms: weights[q] bounds
+    the number of terms whose output coordinate is q, and terms(q0, q1)
+    gives the keys and values (_least_rotations, with rest < size) of
+    every term with q in [q0, q1).  The ranges are cut from weights so
+    that each holds at most budget terms, or a single q.  A key carries
+    its q, so each range is summed whole by sum_per_key and its 2^52
+    guard stays exact per key.  The witness is the least failing triple
+    over all ranges, the first in lexicographic order."""
+    table, off = _by_output(a)
+    weights, size, terms = join(a, table, off)
+    best = None
+    for q0, q1 in _ranges(weights, budget):
+        key = _first_nonzero_key(a.field, *terms(q0, q1))
+        if key is not None and (best is None or key < best):
+            best = key
+    if best is None:
         return Verdict(True, None)
-    xy, z = divmod(key // size, a.n)
+    xy, z = divmod(best // size, a.n)
     bad = [*divmod(xy, a.n), z]
     return Verdict(False, {"triple": bad, **(extra or {}),
                            "labels": [a.labels[m] for m in bad]})
 
 
-def _jordan_terms(a: SuperAlgebra):
-    """The keyed terms of the Jordan operator sum; see
-    check_jordan_super."""
+def _jordan_join(a: SuperAlgebra, table, off):
+    """The Jordan operator sum as _cyclic_verdict takes it; see
+    check_jordan_super.  A range takes the right factors T[c,u,q] of the
+    first join with q in it, one slice of the table, so the entries
+    E(x, m, w, q) it sums are complete, and so are the keys of the
+    second join.  weights[q] counts the first join's terms at q and
+    bounds the second's: an entry E(x, m, w, q) meets the off[m+1] -
+    off[m] constants T[a,b,m], and each term of the first join makes at
+    most one entry for m = b and one for m = c."""
     n, par = a.n, a.parities
-    i, j, k, c = a.coo()
-    left, right = _match(k, j)
-    b, cc, wq = i[left], i[right], j[left] * n + k[right]
-    v = c[left] * c[right]
-    ekey, e = sum_per_key(a.field, np.concatenate(
-        [(cc * n + b) * n * n + wq, (b * n + cc) * n * n + wq]),
-        np.concatenate([v, (2.0 * (par[b] * par[cc]) - 1.0) * v]))
-    ex, em = divmod(ekey // (n * n), n)
-    t, s = _match(k, em)
-    x, z = ex[s], j[t]
-    return _least_rotations(n, x, i[t], z, ekey[s] % (n * n), n * n,
-                            c[t] * e[s] * (1.0 - 2.0 * (par[x] * par[z])))
+    i, j, k, c = table
+    cnt = np.diff(off)
+    into = np.bincount(k, weights=cnt[i], minlength=n)
+    weights = np.bincount(k, weights=cnt[j] * (2 + cnt[i]) + into[j],
+                          minlength=n)
+
+    def terms(q0, q1):
+        lo = off[q0]
+        u = j[lo:off[q1]]
+        t, left = expand_runs(off[u], cnt[u])
+        right = lo + t
+        b, cc, wq = i[left], i[right], j[left] * n + k[right]
+        v = c[left] * c[right]
+        ekey, e = sum_per_key(a.field, np.concatenate(
+            [(cc * n + b) * n * n + wq, (b * n + cc) * n * n + wq]),
+            np.concatenate([v, (2.0 * (par[b] * par[cc]) - 1.0) * v]))
+        ex, em = divmod(ekey // (n * n), n)
+        s, t = expand_runs(off[em], cnt[em])
+        x, z = ex[s], j[t]
+        return _least_rotations(n, x, i[t], z, ekey[s] % (n * n), n * n,
+                                c[t] * e[s] * (1.0 - 2.0 * (par[x] * par[z])))
+    return weights, n * n, terms
 
 
 def check_jordan_super(a: SuperAlgebra) -> Verdict:
@@ -488,19 +556,35 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
     entries E(x, m, w, q) of D(e_x, e_m) e_w.  Then each constant
     T[a,b,m] times an entry E(c, m, w, q) is a term of D(e_c, e_a e_b)
     e_w, which enters S at (c, a, b), (b, c, a) and (a, b, c), each time
-    with the sign (-1)^(|c||b|).  The witness is the first failing
-    triple in lexicographic order (see _least_rotations)."""
-    return _triple_verdict(a, _jordan_terms(a), a.n * a.n)
+    with the sign (-1)^(|c||b|).
+
+    The joins run one range of the output coordinate q at a time, each
+    range holding at most TERM_BUDGET terms (_cyclic_verdict), so memory
+    does not grow with the table.  The witness is the first failing
+    triple in lexicographic order over all ranges (see
+    _least_rotations)."""
+    return _cyclic_verdict(a, _jordan_join)
 
 
-def _jacobi_terms(lie):
-    """The keyed terms of the super Jacobi sum; see check_super_lie."""
-    i, j, k, c = lie.coo()
-    left, right = _match(k, i)
-    x, z = i[left], j[right]
-    return _least_rotations(
-        lie.n, x, j[left], z, k[right], lie.n, c[left] * c[right]
-        * (1.0 - 2.0 * (lie.parities[x] * lie.parities[z])))
+def _jacobi_join(lie, table, off):
+    """The super Jacobi sum as _cyclic_verdict takes it; see
+    check_super_lie.  A range takes the right factors T[m,z,q] with q in
+    it, one slice of the table, and their left partners T[x,y,m], one
+    run each; weights[q] is the exact number of products at q."""
+    i, j, k, c = table
+    cnt = np.diff(off)
+    par = lie.parities
+
+    def terms(q0, q1):
+        lo = off[q0]
+        m = i[lo:off[q1]]
+        t, left = expand_runs(off[m], cnt[m])
+        right = lo + t
+        x, z = i[left], j[right]
+        return _least_rotations(
+            lie.n, x, j[left], z, k[right], lie.n,
+            c[left] * c[right] * (1.0 - 2.0 * (par[x] * par[z])))
+    return np.bincount(k, weights=cnt[i], minlength=lie.n), lie.n, terms
 
 
 def check_super_lie(lie) -> Verdict:
@@ -515,13 +599,17 @@ def check_super_lie(lie) -> Verdict:
     J1[x,y,z,q] = [[e_x,e_y],e_z]_q.  The Jacobi sum at (a, b, c) is J1
     at (a, b, c), (b, c, a) and (c, a, b), each signed by (-1)^(|x||z|)
     of its own (x, z), so each product, signed once, is a term of the
-    sum at (x, y, z) and its rotations (see _least_rotations)."""
+    sum at (x, y, z) and its rotations (see _least_rotations).
+
+    The join runs one range of the output coordinate q at a time, each
+    range holding at most TERM_BUDGET products (_cyclic_verdict), so
+    memory does not grow with the table.  The witness is the first
+    failing triple in lexicographic order over all ranges."""
     w = _first_asymmetric_pair(lie, -1.0)
     if w is not None:
         w["identity"] = "anticommutativity"
         return Verdict(False, w)
-    return _triple_verdict(lie, _jacobi_terms(lie), lie.n,
-                           {"identity": "jacobi"})
+    return _cyclic_verdict(lie, _jacobi_join, {"identity": "jacobi"})
 
 
 def leibniz_violation(a: SuperAlgebra, maps):
@@ -619,26 +707,53 @@ def is_automorphism(fmap: LinearMap) -> Verdict:
     return Verdict(True, None)
 
 
+def _kernel_of_cells(field: FieldSpec, keys, vals, ncols: int) -> Subspace:
+    """The kernel of a sparse system in ncols unknowns, as a canonical
+    Subspace: the terms vals at keys e ncols + u, cell u of equation e,
+    are summed by sum_per_key, and the equations with a nonzero cell are
+    the rows of the matrix whose kernel the eliminator takes."""
+    keys, vals = sum_per_key(field, keys, vals)
+    eq, col = np.divmod(keys, max(ncols, 1))
+    eq, row = np.unique(eq, return_inverse=True)
+    m = np.zeros((eq.size, ncols), dtype=field.dtype)
+    m[row, col] = vals
+    return kernel(field, m)
+
+
 def annihilator(a: SuperAlgebra, vectors) -> Subspace:
-    """{z : z s = 0 for every s in vectors} as a Subspace of the carrier:
-    the kernel of the maps z -> z s stacked."""
-    if not len(vectors):
-        return Subspace(a.field, a.n, np.eye(a.n, dtype=a.field.dtype))
-    return kernel(a.field, np.vstack([a.multiply(np.eye(a.n), s).T
-                                      for s in vectors]))
+    """{z : z s = 0 for every s in vectors} as a Subspace of the carrier.
+    Coordinate r of e_c s is sum_j s_j T[c,j,r]: one join of the nonzero
+    entries of the stacked vectors with the constants on j, keyed to the
+    equation (s, r) and the unknown c."""
+    n = a.n
+    sv, sj, s = _entries(a.field, asfield(a.field, vectors).reshape(-1, n))
+    i, j, k, c = a.coo()
+    t, e = _match(j, sj)
+    return _kernel_of_cells(a.field, (sv[e] * n + k[t]) * n + i[t],
+                            s[e] * c[t], n)
 
 
 def center_even(a: SuperAlgebra) -> Subspace:
     """Associative-and-commutative center of the even part, as a
-    Subspace of the even carrier."""
+    Subspace of the even carrier: the z = sum_c z_c e_c with
+    (z e_a) e_b = z (e_a e_b) and z e_a = e_a z for all even a, b.
+
+    Both are joins over the even constants of coo(), keyed to an
+    equation and the unknown c.  The associator rows (a, b, r) take
+    T[c,a,m] T[m,b,r] and -T[a,b,m] T[c,m,r], each one join on m, and
+    the commutator rows (a, r) take T[a,c,r] - T[c,a,r]."""
     n0 = a.dim_even
-    t = a.tensor()[:n0, :n0, :n0]
-    assoc = np.einsum("cam,mbr->abrc", t, t, optimize=True) - \
-        np.einsum("abm,cmr->abrc", t, t, optimize=True)
-    comm = amod(a.field, t - t.transpose(1, 0, 2))     # (a, c, r)
-    comm_rows = comm.transpose(0, 2, 1).reshape(n0 * n0, n0)
-    rows = np.vstack([
-        amod(a.field, assoc.reshape(n0 * n0 * n0, n0)),
-        comm_rows,
-    ])
-    return kernel(a.field, rows)
+    i, j, k, c = a.coo()
+    even = (i < n0) & (j < n0)
+    i, j, k, c = i[even], j[even], k[even], c[even]
+    left, right = _match(k, i)            # (e_c e_a) e_b
+    keys = [((j[left] * n0 + j[right]) * n0 + k[right]) * n0 + i[left]]
+    vals = [c[left] * c[right]]
+    left, right = _match(k, j)            # e_c (e_a e_b)
+    keys.append(((i[left] * n0 + j[left]) * n0 + k[right]) * n0 + i[right])
+    vals.append(-c[left] * c[right])
+    keys += [(n0 ** 3 + i * n0 + k) * n0 + j,     # e_a e_c - e_c e_a
+             (n0 ** 3 + j * n0 + k) * n0 + i]
+    vals += [c, -c]
+    return _kernel_of_cells(a.field, np.concatenate(keys),
+                            np.concatenate(vals), n0)

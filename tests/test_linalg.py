@@ -141,8 +141,9 @@ def test_amod_matches_exact_integer_remainder(p):
     """The float reduction equals Python's integer % on every value the
     linalg docstring allows (|x| < 2**52), for float64 and complex128,
     and never returns -0.0.  103 is the smallest odd prime with
-    p * fl(1/p) < 1, where the floored quotient of p itself comes out
-    one low and the correction step has to act."""
+    p * fl(1/p) < 1, where a quotient formed as x * fl(1/p) floors p
+    itself one low; amod divides, x / p, which is correctly rounded, so
+    p / p is exactly 1."""
     field = FieldSpec(p)
     bound = 2 ** 52 - 1
     rng = np.random.default_rng(p)

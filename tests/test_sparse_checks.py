@@ -14,12 +14,26 @@ that tensor() is the scatter of it.
 The supercommutators of maps are joins as well: the inner span, the
 structure constants of a derivation space and the coordinates of every
 D(a, b) over a space must equal, bitwise, the dense matrix products and
-coords_of calls they replaced."""
+coords_of calls they replaced.
+
+The Jacobi and Jordan sums are summed one range of their output
+coordinate at a time.  Every comparison with their oracles runs at the
+default term budget and at a budget of one term, where no range holds
+two coordinates that have terms, so that every range boundary is
+crossed.  The
+center of the even part and the annihilator are joins too, against the
+dense einsum and the dense multiplication they replaced."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ckder
 from ckder import (DerivationSpace, FieldSpec, LinearMap, SuperAlgebra,
                    check_jordan_super, check_super_lie,
                    check_supercommutative, is_derivation, is_homomorphism,
@@ -27,9 +41,11 @@ from ckder import (DerivationSpace, FieldSpec, LinearMap, SuperAlgebra,
                    w_to_v_change)
 from ckder.battery import RunContext
 from ckder.derivations import _inner_span, _leibniz_kernel
-from ckder.linalg import Eliminator, amod
-from ckder.superalg import (_commutator_entries, _entries,
-                            _first_nonzero_key, inner_derivation_entries)
+from ckder.linalg import Eliminator, amod, kernel
+from ckder.superalg import (TERM_BUDGET, _commutator_entries,
+                            _cyclic_verdict, _entries, _first_nonzero_key,
+                            _jacobi_join, _jordan_join, annihilator,
+                            center_even, inner_derivation_entries)
 from ckder.tkk import LieSuperAlgebra
 
 F3 = FieldSpec(3)
@@ -192,6 +208,51 @@ def dense_is_homomorphism(fmap):
     return w is None, w
 
 
+def dense_center_even(a):
+    """The associator and commutator rows of the even part, by dense
+    einsum over tensor(), and their kernel."""
+    n0 = a.dim_even
+    t = a.tensor()[:n0, :n0, :n0]
+    assoc = np.einsum("cam,mbr->abrc", t, t, optimize=True) - \
+        np.einsum("abm,cmr->abrc", t, t, optimize=True)
+    comm = amod(a.field, t - t.transpose(1, 0, 2))     # (a, c, r)
+    return kernel(a.field, np.vstack([
+        amod(a.field, assoc.reshape(n0 * n0 * n0, n0)),
+        comm.transpose(0, 2, 1).reshape(n0 * n0, n0)]))
+
+
+def dense_annihilator(a, vectors):
+    """The kernel of the maps z -> z s stacked, by dense products."""
+    return kernel(a.field, np.vstack(
+        [a.multiply(np.eye(a.n), s).T for s in vectors]))
+
+
+def super_lie_at(lie, budget):
+    """check_super_lie, with the Jacobi join cut into ranges of at most
+    budget terms."""
+    v = check_super_lie(lie)
+    if budget == TERM_BUDGET or v.witness and \
+            v.witness["identity"] == "anticommutativity":
+        return v
+    return _cyclic_verdict(lie, _jacobi_join, {"identity": "jacobi"},
+                           budget=budget)
+
+
+def jordan_at(a, budget):
+    """check_jordan_super, with the joins cut into ranges of at most
+    budget terms."""
+    return _cyclic_verdict(a, _jordan_join, budget=budget)
+
+
+def assert_same_at_budgets(check, a, oracle):
+    """check(a, budget) agrees with oracle at the default budget and at
+    a budget of one term, and the verdict at the default is returned."""
+    v = check(a, TERM_BUDGET)
+    assert_same(v, oracle)
+    assert_same(check(a, 1), oracle)
+    return v
+
+
 def assert_same(verdict, oracle):
     ok, w = oracle
     assert verdict.ok == ok
@@ -221,9 +282,7 @@ TABLES = {
 @pytest.mark.parametrize("name", list(TABLES))
 def test_lie_tables_agree_with_the_dense_oracle(ctx3, name, field):
     lie = TABLES[name](ctx3, field)
-    v = check_super_lie(lie)
-    assert v
-    assert_same(v, dense_super_lie(lie))
+    assert assert_same_at_budgets(super_lie_at, lie, dense_super_lie(lie))
     assert_same(check_supercommutative(lie), dense_supercommutative(lie))
 
 
@@ -260,8 +319,8 @@ def test_every_perturbed_constant_agrees_with_the_dense_oracle(ctx3,
     for (i, j), terms in lie.products.items():
         for t in range(len(terms)):
             bad = _perturbed(lie, i, j, t, both_orders)
-            v = check_super_lie(bad)
-            assert_same(v, dense_super_lie(bad))
+            v = assert_same_at_budgets(super_lie_at, bad,
+                                       dense_super_lie(bad))
             caught += not v
     assert caught == len(lie.coo()[0])
 
@@ -282,6 +341,45 @@ def test_supercommutative_check_catches_a_planted_defect(ctx3):
     assert_same(v, dense_supercommutative(bad))
 
 
+def test_the_least_failing_triple_wins_over_an_earlier_range():
+    # an abelian algebra with two planted chains [e0, e1] = e4,
+    # [e4, e2] = e6 and [e1, e3] = e5, [e5, e2] = e0: the Jacobi sum
+    # fails at (0, 1, 2) only in coordinate 6, and at the later (1, 2, 3)
+    # in coordinate 0, which a range of one coordinate meets first
+    brackets = {}
+    for x, y, q in ((0, 1, 4), (4, 2, 6), (1, 3, 5), (5, 2, 0)):
+        brackets[(x, y)], brackets[(y, x)] = [(q, 1)], [(q, -1)]
+    lie = LieSuperAlgebra(F3, 7, 0, [f"e{m}" for m in range(7)],
+                          _table(brackets))
+    oracle = dense_super_lie(lie)
+    assert oracle[1]["triple"] == [0, 1, 2]
+    v = assert_same_at_budgets(super_lie_at, lie, oracle)
+    assert not v
+
+
+def test_jacobi_check_memory_does_not_grow_with_the_table():
+    """check_super_lie on the 160-dimensional Tits table over F5, whose
+    join has 514,034 products in all, adds less than 16 MB to the peak
+    RSS of a fresh process: its ranges hold at most TERM_BUDGET each."""
+    code = ("import resource\n"
+            "from ckder.battery import RunContext\n"
+            "from ckder.superalg import check_super_lie\n"
+            "ctx = RunContext(5)\n"
+            "lie = ctx.tits_big(ctx.base)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert check_super_lie(lie)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(after - before)\n")
+    src = str(Path(ckder.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=600, env=env)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 16 * 1024          # ru_maxrss is in KiB
+
+
 # -- the Jordan identity -------------------------------------------------
 
 
@@ -296,9 +394,7 @@ JORDAN = {"K": lambda ctx, f: ctx.kd(f).alg,
     if field.ext or name != "J_v"])
 def test_jordan_tables_agree_with_the_dense_oracle(ctx3, name, field):
     a = JORDAN[name](ctx3, field)
-    v = check_jordan_super(a)
-    assert v
-    assert_same(v, dense_jordan_super(a))
+    assert assert_same_at_budgets(jordan_at, a, dense_jordan_super(a))
 
 
 def _symmetric_perturbation(a, t):
@@ -320,8 +416,7 @@ def test_every_symmetric_perturbation_agrees_with_the_jordan_oracle(ctx3):
     for t in np.flatnonzero(i <= j):
         bad = _symmetric_perturbation(a, t)
         assert check_supercommutative(bad)
-        v = check_jordan_super(bad)
-        assert_same(v, dense_jordan_super(bad))
+        v = assert_same_at_budgets(jordan_at, bad, dense_jordan_super(bad))
         caught += not v
     assert caught == np.count_nonzero(i <= j)
 
@@ -485,6 +580,7 @@ def test_random_tables_agree_with_the_dense_oracles(table):
     a, _ = table
     assert_same(check_supercommutative(a), dense_supercommutative(a))
     assert_same(check_super_lie(a), dense_super_lie(a))
+    assert_same(super_lie_at(a, 1), dense_super_lie(a))
 
 
 @settings(max_examples=300)
@@ -492,6 +588,7 @@ def test_random_tables_agree_with_the_dense_oracles(table):
 def test_random_symmetric_tables_agree_with_the_jordan_oracle(table):
     a, _ = table
     assert_same(check_jordan_super(a), dense_jordan_super(a))
+    assert_same(jordan_at(a, 1), dense_jordan_super(a))
 
 
 def assert_tensor_scatters_coo(a):
@@ -558,6 +655,34 @@ def test_join_sums_refuse_terms_beyond_the_exact_range():
     # the same key count fits over F3, and the sums cancel mod 3
     assert _first_nonzero_key(F3, np.array([3, 3]),
                               np.array([1.0, 2.0])) is None
+
+
+# -- the even center and the annihilator ---------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_even_center_of_j_w_agrees_with_the_dense_einsum(p):
+    ctx = RunContext(p)
+    for f in dict.fromkeys((ctx.base, ctx.sqrt)):
+        ck = ctx.ck(f, "w")
+        got = center_even(ck.alg)
+        assert got.dim == ck.dz
+        assert_bitwise(got.basis, dense_center_even(ck.alg).basis)
+        ws = [ck.alg.basis_vector(ck.even_index(fam, 0)) for fam in (1, 2, 3)]
+        assert_bitwise(annihilator(ck.alg, ws).basis,
+                       dense_annihilator(ck.alg, ws).basis)
+
+
+@settings(max_examples=200)
+@given(super_tables(), st.integers(0, 2 ** 32 - 1))
+def test_random_tables_give_the_dense_center_and_annihilator(table, seed):
+    a, _ = table
+    assert_bitwise(center_even(a).basis, dense_center_even(a).basis)
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(0, a.field.p, (int(rng.integers(1, 3)), a.n))
+    vectors = vectors * (rng.random((len(vectors), a.n)) < 0.5)
+    assert_bitwise(annihilator(a, vectors).basis,
+                   dense_annihilator(a, vectors).basis)
 
 
 # -- map brackets --------------------------------------------------------
