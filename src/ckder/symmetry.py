@@ -5,18 +5,24 @@ permutations acting by automorphisms, the coordinate superalgebra
 carried by one fine component of the derivation algebra, and the
 transfer of derivations between the big algebra and its rank-2
 subalgebra through that coordinate structure.
+
+The last two run on the sparse map engine of the derivation layer: all
+their brackets come from commutator joins (_commutator_entries), and a
+map is read in carrier coordinates from its coordinates over the
+canonical basis of the component (DerivationSpace.coordinates) and one
+change of basis.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .derivations import DerivationSpace, grade_derivations, span_of_maps
-from .linalg import amod, asfield, inverse, iszero, rref
-from .superalg import (LinearMap, SuperAlgebra, inner_derivation_entries,
-                       is_automorphism, is_homomorphism, super_commutator)
+from .derivations import DerivationSpace, grade_derivations
+from .linalg import amod, asfield, inverse, mm
+from .superalg import (LinearMap, SuperAlgebra, _commutator_entries,
+                       _entries, inner_derivation_entries, is_automorphism,
+                       is_homomorphism)
 
 
 @dataclass
@@ -123,28 +129,23 @@ def coxeter_witness(act: S4Action) -> dict:
     """
     f = act.algebra.field
     n = act.algebra.n
-    ph = act.phi.matrix
-    phinv = inverse(f, ph)
     s1 = act.tau.matrix
-    s2 = amod(f, ph @ act.tau.matrix @ phinv)
-    s3 = amod(f, act.tau1.matrix @ act.tau.matrix)
+    s2 = _conjugates(f, act.phi.matrix, [act.tau])[0]
+    s3 = mm(f, act.tau1.matrix, act.tau.matrix)
 
-    def power(m, e):
+    def is_identity_power(m, e):
         out = np.eye(n, dtype=f.dtype)
         for _ in range(e):
-            out = amod(f, out @ m)
-        return out
-
-    def is_identity(m):
-        return iszero(amod(f, m - np.eye(n)))
+            out = mm(f, out, m)
+        return np.array_equal(out, np.eye(n))
 
     return {
-        "s1_squared": is_identity(power(s1, 2)),
-        "s2_squared": is_identity(power(s2, 2)),
-        "s3_squared": is_identity(power(s3, 2)),
-        "s1s2_cubed": is_identity(power(amod(f, s1 @ s2), 3)),
-        "s2s3_cubed": is_identity(power(amod(f, s2 @ s3), 3)),
-        "s1s3_squared": is_identity(power(amod(f, s1 @ s3), 2)),
+        "s1_squared": is_identity_power(s1, 2),
+        "s2_squared": is_identity_power(s2, 2),
+        "s3_squared": is_identity_power(s3, 2),
+        "s1s2_cubed": is_identity_power(mm(f, s1, s2), 3),
+        "s2s3_cubed": is_identity_power(mm(f, s2, s3), 3),
+        "s1s3_squared": is_identity_power(mm(f, s1, s3), 2),
         "generated_order": len(group_closure(f, [s1, s2, s3])),
     }
 
@@ -153,10 +154,42 @@ def conjugate_der(g: LinearMap, d: LinearMap) -> LinearMap:
     """The conjugate g d g^-1 of a derivation by an automorphism.
 
     Raises once the conjugating map turns out to be singular."""
-    f = g.field
-    ginv = inverse(f, g.matrix)
-    m = amod(f, g.matrix @ amod(f, d.matrix @ ginv))
-    return LinearMap(d.source, d.target, d.parity, m)
+    return LinearMap(d.source, d.target, d.parity,
+                     _conjugates(g.field, g.matrix, [d])[0])
+
+
+def _conjugates(field, g, maps):
+    """The matrices g M g^-1 of a list of maps M, stacked."""
+    stack = np.stack([m.matrix for m in maps])
+    return mm(field, g, mm(field, stack, inverse(field, g)))
+
+
+def _cross_commutators(field, n: int, parities, h: int, entries):
+    """The entries of [M_s, M_t], s < h <= t, of k n x n maps with the
+    given parities and nonzero entries (s, r, c, M_s[r, c]), keyed
+    (s (k - h) + t - h) n^2 + cell, the cell column-major: one join of
+    all the entries (_commutator_entries), of which the pairs across h
+    are kept."""
+    k = len(parities)
+    keys, vals = _commutator_entries(field, n, np.asarray(parities),
+                                     *entries)
+    st, cell = np.divmod(keys, n * n)
+    s, t = np.divmod(st, k)
+    keep = (s < h) & (t >= h)
+    return (s[keep] * (k - h) + t[keep] - h) * n * n + cell[keep], vals[keep]
+
+
+def _carrier_coords(comp: DerivationSpace, change, keys, vals, count: int):
+    """The carrier coordinates of count maps q, given by their nonzero
+    entries keyed q n^2 + cell (column-major), as the rows of a (count,
+    2 dz) array: their coordinates over comp times the change of basis.
+    Raises once a map escapes the carrier span."""
+    co = comp.coordinates(keys, vals)
+    if co is None:
+        raise ValueError("map escapes the carrier span")
+    x = np.zeros((count, comp.dim), dtype=change.dtype)
+    x[co[0], co[1]] = co[2]
+    return mm(comp.algebra.field, x, change)
 
 
 @dataclass
@@ -165,9 +198,8 @@ class CoordinateAlgebra:
     derivation algebra by twisting the supercommutator with the
     symmetry action.
 
-    coords maps a flattened matrix to its coordinates over the carrier
-    basis, even maps first, and raises once the matrix escapes the
-    carrier span."""
+    change takes coordinates over the canonical basis of the component
+    to coordinates over the carrier basis, even maps first."""
 
     component: DerivationSpace
     carrier_even: list
@@ -175,7 +207,7 @@ class CoordinateAlgebra:
     alg: SuperAlgebra
     involution: np.ndarray
     unital: bool
-    coords: Callable
+    change: np.ndarray
 
     def carrier(self):
         return self.carrier_even + self.carrier_odd
@@ -183,14 +215,12 @@ class CoordinateAlgebra:
     def as_map(self, coords) -> LinearMap:
         """The derivation a coordinate vector stands for."""
         a = self.component.algebra
-        maps = self.carrier()
-        m = np.zeros((a.n, a.n), dtype=a.field.dtype)
-        par = None
-        for c, lm in zip(asfield(a.field, coords), maps):
-            if c != 0:
-                m = m + c * lm.matrix
-                par = lm.parity if par is None else par
-        return LinearMap(a, a, par or 0, amod(a.field, m), check=False)
+        c = asfield(a.field, coords)
+        flat = np.stack([lm.flatten() for lm in self.carrier()])
+        nz = np.flatnonzero(c)
+        return LinearMap.from_flat(
+            a, a, self.carrier()[nz[0]].parity if nz.size else 0,
+            mm(a.field, c, flat), check=False)
 
 
 def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
@@ -199,69 +229,46 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
 
     The carrier basis is the named one: inner derivations moving the
     first marked family into the second (even part) and the third into
-    the plain odd family (odd part).  The product is
-    X * Y = -tau([phi X phi^-1, phi^2 Y phi^-2]) and the involution is
-    X -> -tau(X), both computed by conjugation and re-expressed in the
-    carrier basis.  A product landing outside the carrier span raises.
+    the plain odd family (odd part).  Their coordinates over the
+    component must exist and invert, so they are a basis of it.  The
+    product is X * Y = -tau([phi X phi^-1, phi^2 Y phi^-2]) and the
+    involution is X -> -tau(X).  Conjugation by tau respects brackets,
+    so all products come from one commutator join of the carriers
+    conjugated by tau phi with those conjugated by tau phi^2.  A product
+    landing outside the carrier span raises.
     """
     a = ck.alg
     f = a.field
     dz = ck.dz
     comp = grade_derivations(der_j).component((1, 1))
+    if comp.dims != (dz, dz):
+        raise ValueError(f"the [1,1] component has dims {comp.dims}")
 
     pairs = [(ck.even_index(1, 0), ck.even_index(2, k)) for k in range(dz)] \
         + [(ck.even_index(3, 0), ck.odd_index(0, k)) for k in range(dz)]
     keys, vals = inner_derivation_entries(a, pairs)
+    co = comp.coordinates(keys, vals)
+    if co is None:
+        raise ValueError("carrier maps escape the [1,1] component")
+    basis = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
+    basis[co[0], co[1]] = co[2]
     flat = np.zeros((2 * dz, a.n * a.n), dtype=f.dtype)
     flat.flat[keys] = vals
     pars = [0] * dz + [1] * dz
     maps = [LinearMap.from_flat(a, a, par, r, check=False)
             for par, r in zip(pars, flat)]
-    carrier_even, carrier_odd = maps[:dz], maps[dz:]
-    for name, par, half in (("even", 0, carrier_even),
-                            ("odd", 1, carrier_odd)):
-        if not span_of_maps(a, half).equals(comp.subspace(par)):
-            raise ValueError(f"{name} carrier does not span the {name} "
-                             "component")
-    _, rk, piv = rref(f, flat)
-    if rk != 2 * dz:
-        raise ValueError("carrier maps are linearly dependent")
-    piv = np.asarray(piv, dtype=np.intp)
-    minv = inverse(f, flat[:, piv].T)
+    change = inverse(f, basis)
 
-    def coords(x_flat):
-        c = amod(f, minv @ x_flat[piv])
-        if not iszero(amod(f, c @ flat - x_flat)):
-            raise ValueError("map escapes the carrier span")
-        return c
-
-    fm = act.phi.matrix
-    fminv = inverse(f, fm)
-    f2 = amod(f, fm @ fm)
-    f2inv = amod(f, fminv @ fminv)
-    tm = act.tau.matrix
-    tminv = inverse(f, tm)
-
-    def conj(g, ginv, m):
-        return amod(f, g @ amod(f, m @ ginv))
-
-    left = [conj(fm, fminv, m.matrix) for m in maps]
-    right = [conj(f2, f2inv, m.matrix) for m in maps]
-
+    tp = mm(f, act.tau.matrix, act.phi.matrix)
+    keys, vals = _cross_commutators(f, a.n, pars + pars, 2 * dz, _entries(
+        f, np.concatenate([_conjugates(f, tp, maps),
+                           _conjugates(f, mm(f, tp, act.phi.matrix), maps)])))
     # prods[i, j] holds the coordinates of the product of carriers i, j
-    prods = np.zeros((2 * dz, 2 * dz, 2 * dz), dtype=f.dtype)
-    for i in range(2 * dz):
-        for j in range(2 * dz):
-            li = LinearMap(a, a, pars[i], left[i], check=False)
-            rj = LinearMap(a, a, pars[j], right[j], check=False)
-            br = super_commutator(li, rj)
-            prod = amod(f, -conj(tm, tminv, br.matrix))
-            prods[i, j] = coords(prod.flatten(order="F"))
-
-    invo = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
-    for i, m in enumerate(maps):
-        invo[:, i] = coords(amod(f, -conj(tm, tminv, m.matrix))
-                            .flatten(order="F"))
+    prods = _carrier_coords(comp, change, keys, amod(f, -vals),
+                            (2 * dz) ** 2).reshape(2 * dz, 2 * dz, 2 * dz)
+    s, r, c, v = _entries(f, _conjugates(f, act.tau.matrix, maps))
+    invo = _carrier_coords(comp, change, (s * a.n + c) * a.n + r,
+                           amod(f, -v), 2 * dz).T
 
     eye = np.eye(2 * dz)
     unital = np.array_equal(prods[0], eye) and np.array_equal(prods[:, 0], eye)
@@ -270,16 +277,17 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     nz = np.nonzero(prods)
     alg = SuperAlgebra(f, dz, dz, labels, (*nz, prods[nz]),
                        unit_index=0 if unital else None)
-    return CoordinateAlgebra(comp, carrier_even, carrier_odd, alg,
-                             invo, unital, coords)
+    return CoordinateAlgebra(comp, maps[:dz], maps[dz:], alg, invo, unital,
+                             change)
 
 
 def phi_iso(kd: KantorDouble, coord: CoordinateAlgebra) -> LinearMap:
     """The isomorphism from the rank-2 double onto the coordinate
     algebra: f + g y  ->  D(v1, f v2) + sqrt(-1) D(v3, g y).
 
-    Verified to be a bijective homomorphism; raises with the first
-    violating pair otherwise."""
+    Verified to be a homomorphism; raises with the first violating pair
+    otherwise.  Bijectivity and the unit are left to is_automorphism
+    (the coordinate_constants_match check)."""
     k_alg = kd.alg
     f = k_alg.field
     i = f.sqrt_minus_one()
@@ -301,8 +309,9 @@ class CoordinateTransfer:
     """The bracket-transfer taking derivations of the big algebra in
     the [0,0] fine component to derivations of the rank-2 double.
 
-    A derivation d goes to the map z -> phi^-1([d, phi(z)]), computed
-    through the coordinate carrier."""
+    A derivation d goes to the map z -> phi^-1([d, phi(z)]): one
+    commutator join of d with the images phi(e_j), read in carrier
+    coordinates."""
 
     def __init__(self, ck: ChengKac, kd: KantorDouble,
                  coord: CoordinateAlgebra, phi: LinearMap):
@@ -310,23 +319,23 @@ class CoordinateTransfer:
         self.kd = kd
         self.coord = coord
         self.phi = phi
-        f = ck.alg.field
-        self.field = f
-        self._phi_inv = inverse(f, phi.matrix)
-        # images of the double's basis under phi, as actual derivations
-        self._images = [coord.as_map(phi.matrix[:, j])
-                        for j in range(kd.alg.n)]
+        self._phi_inv = inverse(ck.alg.field, phi.matrix)
+        # the entries (1 + j, r, c, v) of the images phi(e_j), as maps
+        s, *rest = _entries(ck.alg.field, np.stack(
+            [coord.as_map(col).matrix for col in phi.matrix.T]))
+        self._image_entries = (s + 1, *rest)
 
     def apply(self, d: LinearMap) -> LinearMap:
         """The transferred derivation of the rank-2 double."""
-        f = self.field
-        n_k = self.kd.alg.n
-        out = np.zeros((n_k, n_k), dtype=f.dtype)
-        for j in range(n_k):
-            br = super_commutator(d, self._images[j])
-            c = self.coord.coords(br.flatten())
-            out[:, j] = self._phi_inv @ c
-        return LinearMap(self.kd.alg, self.kd.alg, d.parity, amod(f, out))
+        k_alg = self.kd.alg
+        keys, vals = _cross_commutators(
+            k_alg.field, self.ck.alg.n, np.r_[d.parity, k_alg.parities], 1,
+            map(np.concatenate, zip(_entries(k_alg.field, d.matrix[None]),
+                                    self._image_entries)))
+        c = _carrier_coords(self.coord.component, self.coord.change, keys,
+                            vals, k_alg.n)
+        return LinearMap(k_alg, k_alg, d.parity,
+                         mm(k_alg.field, self._phi_inv, c.T))
 
 
 def phi_star(ck: ChengKac, kd: KantorDouble, coord: CoordinateAlgebra,

@@ -10,6 +10,7 @@ from ckder import LinearMap, check_supercommutative, inner_derivation
 from ckder import battery, derivations, tkk
 from ckder.battery import (RunContext, check_big_inder_dims,
                            check_big_w_jordan_identity,
+                           check_coordinate_constants,
                            check_der_as_tits_double, check_dzzx_vanishes,
                            check_graded_named_spans,
                            check_s4_fixes_scalar_component,
@@ -164,3 +165,14 @@ def test_s4_fixes_scalar_component_fails_on_an_altered_element():
     status, field, witness = check_s4_fixes_scalar_component(ctx)
     assert (status, field) == ("fail", "F9")
     assert witness == {"how": "solved"}
+
+
+def test_coordinate_constants_match_fails_on_a_zero_isomorphism(monkeypatch):
+    ctx = RunContext(3)
+    assert check_coordinate_constants(ctx) == ("pass", "F9", None)
+    # the zero map is a homomorphism, so only bijectivity can catch it
+    phi = ctx.phi()
+    zero = LinearMap(phi.source, phi.target, 0, np.zeros_like(phi.matrix))
+    monkeypatch.setattr(ctx, "phi", lambda: zero)
+    assert check_coordinate_constants(ctx) == (
+        "fail", "F9", {"witness": {"reason": "not bijective"}})

@@ -4,11 +4,12 @@ product on the scalar fine component, and the derivation transfer."""
 import numpy as np
 import pytest
 
-from ckder import (FieldSpec, LinearMap, amod, build_s4, cheng_kac,
-                   conjugate_der, coordinate_algebra, coxeter_witness,
-                   extend_odd_eta, grade_derivations, inner_derivation,
-                   inner_derivation_algebra, is_automorphism, is_derivation,
-                   kantor_double, odd_der_eta, phi_iso, phi_star,
+from ckder import (FieldSpec, LinearMap, Subspace, amod, build_s4,
+                   cheng_kac, conjugate_der, coordinate_algebra,
+                   coxeter_witness, extend_odd_eta, grade_derivations,
+                   inner_derivation, inner_derivation_algebra, inverse,
+                   is_automorphism, is_derivation, kantor_double,
+                   odd_der_eta, phi_iso, phi_star, super_commutator,
                    truncated_poly)
 from ckder.battery import RunContext, check_transfer_iso
 from ckder.symmetry import group_closure
@@ -259,3 +260,83 @@ def test_transfer_check_catches_swapped_images(monkeypatch):
     status, _, witness = check_transfer_iso(ctx)
     assert status == "fail"
     assert witness["reason"] == "bracket not preserved"
+
+
+class PerPairPath:
+    """The coordinate product, the involution and the transfer one pair
+    at a time: dense conjugations and super_commutator, read in carrier
+    coordinates through the RREF span of the carriers (coords_of)."""
+
+    def __init__(self, ctx):
+        self.f = f = ctx.sqrt
+        self.act, self.co, self.phi = ctx.act(), ctx.coord(), ctx.phi()
+        self.maps = self.co.carrier()
+        flat = np.stack([m.flatten() for m in self.maps])
+        self.span = Subspace(f, flat.shape[1], flat)
+        self.to_carrier = inverse(f, self.span.coords_of(flat))
+
+    def coords(self, m):
+        c = self.span.coords_of(m.flatten())
+        if c is None:
+            raise ValueError("map escapes the carrier span")
+        return amod(self.f, c @ self.to_carrier)
+
+    def conj(self, g, m, power=1):
+        f = self.f
+        for _ in range(power):
+            m = amod(f, g @ amod(f, m @ inverse(f, g)))
+        return m
+
+    def lin(self, par, m):
+        a = self.co.component.algebra
+        return LinearMap(a, a, par, m, check=False)
+
+    def products(self):
+        tau, phi = self.act.tau.matrix, self.act.phi.matrix
+        k = len(self.maps)
+        out = np.zeros((k, k, k), dtype=self.f.dtype)
+        for i, x in enumerate(self.maps):
+            for j, y in enumerate(self.maps):
+                br = super_commutator(
+                    self.lin(x.parity, self.conj(phi, x.matrix)),
+                    self.lin(y.parity, self.conj(phi, y.matrix, 2)))
+                out[i, j] = self.coords(self.lin(
+                    br.parity, amod(self.f, -self.conj(tau, br.matrix))))
+        return out
+
+    def involution(self):
+        tau = self.act.tau.matrix
+        return np.stack([self.coords(self.lin(
+            x.parity, amod(self.f, -self.conj(tau, x.matrix))))
+            for x in self.maps], axis=1)
+
+    def transfer(self, d):
+        f, kd_alg = self.f, self.phi.source
+        cols = []
+        for j, par in enumerate(kd_alg.parities):
+            img = amod(f, sum(c * m.matrix for c, m
+                              in zip(self.phi.matrix[:, j], self.maps)))
+            cols.append(self.coords(super_commutator(d, self.lin(par, img))))
+        return amod(f, inverse(f, self.phi.matrix) @ np.stack(cols, axis=1))
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_coordinate_layer_matches_the_per_pair_path(p):
+    """Over F9 and F49 the coordinate products, the involution and the
+    transfer of every scalar-component basis map agree bit for bit with
+    the per-pair path."""
+    ctx = RunContext(p)
+    old, co, tr = PerPairPath(ctx), ctx.coord(), ctx.transfer()
+    assert ctx.sqrt.ext
+    assert co.alg.tensor().tobytes() == old.products().tobytes()
+    assert co.involution.tobytes() == old.involution().tobytes()
+    comp = ctx.graded_j(ctx.sqrt, "v").component((0, 0))
+    for d in comp.even_basis + comp.odd_basis:
+        got = tr.apply(d)
+        assert got.parity == d.parity
+        assert got.matrix.tobytes() == old.transfer(d).tobytes()
+    # a degree (1, 1) map moves the carrier component out of itself
+    with pytest.raises(ValueError, match="escapes the carrier span"):
+        tr.apply(co.component.even_basis[1])
+    with pytest.raises(ValueError, match="escapes the carrier span"):
+        old.transfer(co.component.even_basis[1])
