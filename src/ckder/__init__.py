@@ -16,7 +16,7 @@ from .superalg import (LinearMap, SuperAlgebra, Verdict, annihilator,
                        center_even, check_jordan_super, check_super_lie,
                        check_supercommutative, inner_derivation,
                        is_automorphism, is_derivation, is_homomorphism,
-                       super_commutator, vector_parity)
+                       is_isomorphism, super_commutator, vector_parity)
 from .constructions import (ChengKac, DifferentialAlgebra, KantorDouble,
                             cheng_kac, differential_from_json,
                             differential_to_json, kantor_double,

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldSpec
-from .linalg import Subspace, amod, inverse, rank
+from .linalg import Subspace, amod, inverse, mm
 from .superalg import (LinearMap, SuperAlgebra, Verdict, check_supercommutative,
-                       is_derivation, is_homomorphism)
+                       is_derivation, is_isomorphism)
 
 
 @dataclass
@@ -55,10 +55,9 @@ def _validate_differential(d: DifferentialAlgebra):
     if not v:
         raise ValueError(f"delta is not a derivation: {v.witness}")
     # Z delta(Z) = Z: products f * delta(g) over basis f, g must span Z.
-    t = z.tensor()
-    dg = d.delta.matrix                       # columns delta(e_g)
-    prods = amod(z.field, np.einsum("ifr,fg->gir", t, dg, optimize=True))
-    span = Subspace(z.field, z.n, prods.reshape(-1, z.n))
+    # prods[i, r, g]: coordinate r of e_i delta(e_g)
+    prods = mm(z.field, z.tensor().transpose(0, 2, 1), d.delta.matrix)
+    span = Subspace(z.field, z.n, prods.transpose(2, 0, 1).reshape(-1, z.n))
     if span.dim != z.n:
         raise ValueError("Z delta(Z) is a proper ideal; delta is not "
                          "differentiably simple here")
@@ -101,8 +100,9 @@ def quadratic_jordan(field: FieldSpec) -> SuperAlgebra:
 
 def _delta_table(dalg: DifferentialAlgebra):
     """D[i, j, k]: the coefficient of e_k in delta(e_i) e_j in Z."""
-    return amod(dalg.field, np.einsum("ai,ajk->ijk", dalg.delta.matrix,
-                                      dalg.z.tensor()))
+    n = dalg.dim
+    return mm(dalg.field, dalg.delta.matrix.T,
+              dalg.z.tensor().reshape(n, n * n)).reshape(n, n, n)
 
 
 @dataclass
@@ -308,11 +308,9 @@ def w_to_v_change(ck_w: ChengKac, ck_v: ChengKac | None = None) -> LinearMap:
             m[ck_v.odd_index(fam, k), ck_w.odd_index(fam, k)] = \
                 coeffs_odd[fam]
     psi = LinearMap(ck_w.alg, ck_v.alg, 0, m)
-    h = is_homomorphism(psi)
+    h = is_isomorphism(psi)
     if not h:
-        raise ValueError(f"basis change is not a homomorphism: {h.witness}")
-    if rank(f, psi.matrix) != n:
-        raise ValueError("basis change is not bijective")
+        raise ValueError(f"basis change is not an isomorphism: {h.witness}")
     return psi
 
 

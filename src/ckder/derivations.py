@@ -64,6 +64,7 @@ class DerivationSpace:
                     f"({algebra.labels[i]}, {algebra.labels[j]})")
         self._subspaces = {}
         self._brackets = None
+        self._nonzero = None
 
     def _canon(self, maps, parity):
         a = self.algebra
@@ -104,11 +105,16 @@ class DerivationSpace:
         return self._brackets
 
     def entries(self):
-        """The nonzero entries (u, r, c, B_u[r, c]) of the basis maps."""
-        a = self.algebra
-        return _entries(a.field, np.reshape(
-            [d.matrix for d in self.even_basis + self.odd_basis],
-            (-1, a.n, a.n)))
+        """The nonzero entries (u, r, c, B_u[r, c]) of the basis maps,
+        computed once per space; the arrays are read-only."""
+        if self._nonzero is None:
+            a = self.algebra
+            self._nonzero = _entries(a.field, np.reshape(
+                [d.matrix for d in self.even_basis + self.odd_basis],
+                (-1, a.n, a.n)))
+            for x in self._nonzero:
+                x.flags.writeable = False
+        return self._nonzero
 
     def coordinates(self, keys, vals):
         """Coordinates (q, u, value) over the basis of the maps q given

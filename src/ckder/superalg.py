@@ -689,16 +689,24 @@ def is_homomorphism(fmap: LinearMap) -> Verdict:
                                         *divmod(int(keys[bad[0]]) // nt, ns)))
 
 
+def is_isomorphism(fmap: LinearMap) -> Verdict:
+    """A bijective homomorphism: is_homomorphism, whose witness comes
+    back unchanged, then a square matrix of full rank."""
+    h = is_homomorphism(fmap)
+    if h and (fmap.source.n != fmap.target.n
+              or rank(fmap.field, fmap.matrix) != fmap.source.n):
+        return Verdict(False, {"reason": "not bijective"})
+    return h
+
+
 def is_automorphism(fmap: LinearMap) -> Verdict:
     """Bijective unital homomorphism of a superalgebra to itself."""
     src, tgt = fmap.source, fmap.target
     if src.n != tgt.n:
         return Verdict(False, {"reason": "dimension mismatch"})
-    h = is_homomorphism(fmap)
+    h = is_isomorphism(fmap)
     if not h:
         return h
-    if rank(fmap.field, fmap.matrix) != src.n:
-        return Verdict(False, {"reason": "not bijective"})
     if src.unit_index is not None:
         img = fmap(src.basis_vector(src.unit_index))
         if tgt.unit_index is None or \

@@ -130,7 +130,7 @@ def coxeter_witness(act: S4Action) -> dict:
     f = act.algebra.field
     n = act.algebra.n
     s1 = act.tau.matrix
-    s2 = _conjugates(f, act.phi.matrix, [act.tau])[0]
+    s2 = _conjugates(f, act.phi.matrix, act.tau.matrix[None])[0]
     s3 = mm(f, act.tau1.matrix, act.tau.matrix)
 
     def is_identity_power(m, e):
@@ -155,12 +155,11 @@ def conjugate_der(g: LinearMap, d: LinearMap) -> LinearMap:
 
     Raises once the conjugating map turns out to be singular."""
     return LinearMap(d.source, d.target, d.parity,
-                     _conjugates(g.field, g.matrix, [d])[0])
+                     _conjugates(g.field, g.matrix, d.matrix[None])[0])
 
 
-def _conjugates(field, g, maps):
-    """The matrices g M g^-1 of a list of maps M, stacked."""
-    stack = np.stack([m.matrix for m in maps])
+def _conjugates(field, g, stack):
+    """The matrices g M g^-1 of a stack of matrices M."""
     return mm(field, g, mm(field, stack, inverse(field, g)))
 
 
@@ -257,16 +256,17 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     pars = [0] * dz + [1] * dz
     maps = [LinearMap.from_flat(a, a, par, r, check=False)
             for par, r in zip(pars, flat)]
+    mats = np.stack([m.matrix for m in maps])
     change = inverse(f, basis)
 
     tp = mm(f, act.tau.matrix, act.phi.matrix)
     keys, vals = _cross_commutators(f, a.n, pars + pars, 2 * dz, _entries(
-        f, np.concatenate([_conjugates(f, tp, maps),
-                           _conjugates(f, mm(f, tp, act.phi.matrix), maps)])))
+        f, np.concatenate([_conjugates(f, tp, mats),
+                           _conjugates(f, mm(f, tp, act.phi.matrix), mats)])))
     # prods[i, j] holds the coordinates of the product of carriers i, j
     prods = _carrier_coords(comp, change, keys, amod(f, -vals),
                             (2 * dz) ** 2).reshape(2 * dz, 2 * dz, 2 * dz)
-    s, r, c, v = _entries(f, _conjugates(f, act.tau.matrix, maps))
+    s, r, c, v = _entries(f, _conjugates(f, act.tau.matrix, mats))
     invo = _carrier_coords(comp, change, (s * a.n + c) * a.n + r,
                            amod(f, -v), 2 * dz).T
 
@@ -311,7 +311,8 @@ class CoordinateTransfer:
 
     A derivation d goes to the map z -> phi^-1([d, phi(z)]): one
     commutator join of d with the images phi(e_j), read in carrier
-    coordinates."""
+    coordinates.  images[j] is the matrix of phi(e_j) as a map of the
+    big algebra."""
 
     def __init__(self, ck: ChengKac, kd: KantorDouble,
                  coord: CoordinateAlgebra, phi: LinearMap):
@@ -320,9 +321,10 @@ class CoordinateTransfer:
         self.coord = coord
         self.phi = phi
         self._phi_inv = inverse(ck.alg.field, phi.matrix)
-        # the entries (1 + j, r, c, v) of the images phi(e_j), as maps
-        s, *rest = _entries(ck.alg.field, np.stack(
-            [coord.as_map(col).matrix for col in phi.matrix.T]))
+        self.images = np.stack([coord.as_map(col).matrix
+                                for col in phi.matrix.T])
+        # the entries (1 + j, r, c, v) of the images, as maps
+        s, *rest = _entries(ck.alg.field, self.images)
         self._image_entries = (s + 1, *rest)
 
     def apply(self, d: LinearMap) -> LinearMap:

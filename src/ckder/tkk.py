@@ -5,7 +5,14 @@ superalgebra against skew-symmetric 3 x 3 matrices plus a derivation
 algebra, the 3-graded Tits-Kantor-Koecher superalgebra, the explicit
 identification between the two through a split sl2 triple, and the
 realization of the big derivation algebra as such a construction over
-the rank-2 double.
+the Kantor double K.
+
+The layer runs on the sparse map engine of the derivation layer: an
+inner block is checked against a derivation space by its coordinates
+(DerivationSpace.coordinates) and against the multiplication block by
+its unit column, and both bridges are judged by is_isomorphism.
+der_as_tkk conjugates the images phi(e_j) of the bracket transfer as
+one stack and inverts the transfer of the [0,0] component once.
 """
 
 from dataclasses import dataclass
@@ -15,11 +22,11 @@ import numpy as np
 from .constructions import ChengKac, KantorDouble
 from .derivations import (DerivationSpace, grade_derivations,
                           inner_derivation_algebra)
-from .linalg import amod, asfield, inverse, iszero, mm, rank, solve_right
+from .linalg import amod, asfield, inverse, iszero, mm
 from .superalg import (LinearMap, SuperAlgebra, Verdict, _entries,
-                       inner_derivation_entries, is_homomorphism,
+                       inner_derivation_entries, is_isomorphism,
                        table_from_json)
-from .symmetry import CoordinateAlgebra, CoordinateTransfer, S4Action
+from .symmetry import CoordinateTransfer, S4Action, _conjugates
 
 
 class LieSuperAlgebra(SuperAlgebra):
@@ -88,17 +95,18 @@ def so3(field) -> LieSuperAlgebra:
                           (np.r_[i, j], np.r_[j, i], np.r_[k, k],
                            [1, 1, 1, -1, -1, -1]))
     lie.matrices = _E_MATRICES
-    e = np.stack(_E_MATRICES)
+    e = asfield(field, np.stack(_E_MATRICES))
     i, j, k, c = lie.coo()
     want = np.zeros((3, 3, 3, 3), dtype=field.dtype)
     want[i, j] = c[:, None, None] * e[k]
-    comm = np.einsum("iab,jbc->ijac", e, e) - np.einsum("jab,ibc->ijac", e, e)
-    if np.any(amod(field, comm - want)):
+    prod = mm(field, e[:, None], e[None])         # prod[i, j] = E_i E_j
+    if np.any(amod(field, prod - prod.transpose(1, 0, 2, 3) - want)):
         raise AssertionError("matrix model broke its own table")
-    tf = np.einsum("iab,jba->ij", e, e)
-    if not np.array_equal(tf, -2 * np.eye(3)):
+    # tf[i, j] = trace(E_i E_j), the sum over (a, b) of E_i[a, b] E_j[b, a]
+    tf = mm(field, e.reshape(3, 9), e.transpose(0, 2, 1).reshape(3, 9).T)
+    if not np.array_equal(tf, asfield(field, -2 * np.eye(3))):
         raise AssertionError("trace form is not -2 times the identity")
-    lie.trace_form = asfield(field, tf)
+    lie.trace_form = tf
     return lie
 
 
@@ -225,14 +233,14 @@ def tits_construction(jalg: SuperAlgebra, dspace: DerivationSpace,
     side and the Jordan product on the other, plus half the trace form
     times the inner derivation; d acts on tensors componentwise.
 
-    Preconditions checked: the inner derivations sit inside d and d is
-    closed under the super commutator.  Either failure raises.
+    Preconditions checked: the inner derivations have coordinates over
+    d and d is closed under the super commutator.  Either failure raises.
     """
     if inder is None:
         inder = inner_derivation_algebra(jalg)
-    for par in (0, 1):
-        if not dspace.subspace(par).contains(inder.subspace(par)):
-            raise ValueError("derivation space misses inner derivations")
+    u, r, c, v = inder.entries()
+    if dspace.coordinates((u * jalg.n + c) * jalg.n + r, v) is None:
+        raise ValueError("derivation space misses inner derivations")
     # half the trace form of so3 is -1 on the diagonal
     i, j, k, c = (x.tolist() for x in so3(jalg.field).coo())
     copies = {(a, b): term for a, b, *term in zip(i, j, k, c)}
@@ -255,20 +263,14 @@ def tkk_3graded(jalg: SuperAlgebra,
     algebra L_J + Inder(J).
 
     The left-multiplication block and the inner-derivation block are
-    kept separate; their intersection is checked to be zero rather
-    than assumed (for a unital algebra a left multiplication never
-    kills the unit unless it is zero)."""
-    f = jalg.field
-    n = jalg.n
+    kept separate, and checked to meet in zero: L_a(1) = e_a and the
+    basis of inder is independent, so it suffices that every basis map
+    of inder kills the unit."""
     if jalg.unit_index is None:
         raise ValueError("the construction needs a unital algebra")
     if inder is None:
         inder = inner_derivation_algebra(jalg)
-    # row a of the reshaped tensor is L_a flattened column-major
-    stacked = np.vstack([jalg.tensor().reshape(n, n * n)]
-                        + [d.flatten()
-                           for d in inder.even_basis + inder.odd_basis])
-    if rank(f, stacked) != n + inder.dim:
+    if np.any(inder.entries()[2] == jalg.unit_index):
         raise ValueError("multiplication operators overlap the inner "
                          "derivations")
     return _three_copy_lie(TkkAlgebra, jalg, inder, _TKK_COPIES, _TKK_DCOEF,
@@ -333,11 +335,8 @@ def sl2_identification(tits: TitsAlgebra, tkk: TkkAlgebra) -> ExplicitIso:
     for par, cnt in ((0, m0), (1, m1)):
         for k in range(cnt):
             m[tkk.idx_der(par, k), tits.idx_der(par, k)] = 1.0
-    m = amod(f, m)
-    lm = LinearMap(tits, tkk, 0, m)
-    v = is_homomorphism(lm)
-    if v and rank(f, m) != total:
-        v = Verdict(False, {"reason": "not bijective"})
+    lm = LinearMap(tits, tkk, 0, amod(f, m))
+    v = is_isomorphism(lm)
     detail = {"sl2": {k: [f.scalar_to_json(c) for c in vec]
                       for k, vec in triple.items()}}
     return ExplicitIso(lm, v, detail)
@@ -356,61 +355,51 @@ def lie_from_derivations(ds: DerivationSpace) -> LieSuperAlgebra:
 
 
 def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
-               coord: CoordinateAlgebra, phi: LinearMap,
                transfer: CoordinateTransfer,
                der_j: DerivationSpace, inder_j: DerivationSpace,
                bar_k: DerivationSpace, inder_k: DerivationSpace):
     """Realize the big derivation algebra as the tensor construction
-    over the rank-2 double.
+    over the Kantor double K.
 
     The tensor part of the map sends the i-th matrix unit against z to
     the conjugate, under the cyclic symmetry, of the coordinate image
-    of z; the derivation part inverts the bracket transfer.  Returns
-    the verified isomorphism for the full derivation algebra over the
+    phi(z) (transfer.images).  The derivation part inverts the bracket
+    transfer: the transfer of the [0,0] fine component, in coordinates
+    over the derivations of the double, is inverted once, and the
+    preimages are one product with the component basis.  Returns the
+    verified isomorphism for the full derivation algebra over the
     stable double, and the one for the inner derivations over the
     inner double."""
     f = ck.alg.field
-    g = act.phi.matrix
-    ginv = inverse(f, g)
-
-    def conj(m):
-        """g m g^-1, as conjugate_der computes it."""
-        return mm(f, g, mm(f, m, ginv))
+    n, nk = ck.alg.n, kd.alg.n
+    first = _conjugates(f, act.phi.matrix, transfer.images)
+    # entry i nk + j is the image of copy i of e_j, as in tits._copy
+    tensor = np.concatenate([first, _conjugates(f, act.phi.matrix, first),
+                             transfer.images])
 
     def build(idspace, jspace):
         tits = tits_construction(kd.alg, idspace, inder=inder_k)
         lie = lie_from_derivations(jspace)
-        comp00 = grade_derivations(jspace).component((0, 0))
-        halves = (comp00.even_basis, comp00.odd_basis)
-        arows = [np.stack([transfer.apply(b).flatten() for b in half])
-                 for half in halves]
-        # the image of each basis vector of tits, as a map of the big
-        # algebra, then all of them in coordinates over jspace at once
-        cols, mats = [], []
-        for j in range(kd.alg.n):
-            base = coord.as_map(phi.matrix[:, j]).matrix
-            first = conj(base)
-            cols += [tits.idx_tensor(i, j) for i in range(3)]
-            mats += [first, conj(first), base]
-        for par, basis in enumerate((idspace.even_basis, idspace.odd_basis)):
-            for t, b in enumerate(basis):
-                c = solve_right(f, arows[par].T, b.flatten())
-                if c is None:
-                    raise ValueError("derivation of the double is outside "
-                                     "the transferred image")
-                cols.append(tits.idx_der(par, t))
-                mats.append(amod(f, sum(ci * d.matrix for ci, d
-                                        in zip(c, halves[par]))))
-        q, r, col, x = _entries(f, np.stack(mats))
-        co = jspace.coordinates((q * ck.alg.n + col) * ck.alg.n + r, x)
+        comp = grade_derivations(jspace).component((0, 0))
+        maps = comp.even_basis + comp.odd_basis
+        q, r, c, x = _entries(f, np.stack([transfer.apply(d).matrix
+                                           for d in maps]))
+        co = idspace.coordinates((q * nk + c) * nk + r, x)
+        if co is None:
+            raise ValueError("transfer leaves the derivations of K")
+        t = np.zeros((comp.dim, idspace.dim), dtype=f.dtype)
+        t[co[0], co[1]] = co[2]
+        pre = mm(f, inverse(f, t), np.reshape([d.matrix for d in maps],
+                                              (comp.dim, n * n)))
+        cols = np.concatenate([tits._copy.ravel(), tits._der])
+        q, r, c, x = _entries(f, np.concatenate(
+            [tensor, pre.reshape(-1, n, n)]))
+        co = jspace.coordinates((q * n + c) * n + r, x)
         if co is None:
             raise ValueError("map lies outside the derivation space")
         m = np.zeros((lie.n, tits.n), dtype=f.dtype)
-        m[co[1], np.asarray(cols)[co[0]]] = co[2]
+        m[co[1], cols[co[0]]] = co[2]
         lm = LinearMap(tits, lie, 0, m)
-        v = is_homomorphism(lm)
-        if v and (tits.n != lie.n or rank(f, m) != lie.n):
-            v = Verdict(False, {"reason": "not bijective"})
-        return ExplicitIso(lm, v)
+        return ExplicitIso(lm, is_isomorphism(lm))
 
     return build(bar_k, der_j), build(inder_k, inder_j)

@@ -1,6 +1,7 @@
 """Golden bytes: the JSON reports at p = 3 and 5, the reports of the
-dims checks at p = 7 and 11, the report of the coord checks at p = 13,
-and the exported tables at p = 3.
+dims checks at p = 7 and 11, the report of the tkk checks at p = 11,
+the report of the coord checks at p = 13, and the exported tables at
+p = 3.
 
 The p = 3 digests below were taken from the code as it stood before
 structure tables were stored as COO arrays (the commit before that
@@ -8,12 +9,15 @@ change), the p = 5 report digest from the code before the Leibniz
 system was solved block by block, the p = 7 dims digest from the code
 before inner derivations and derivation brackets became joins, the
 p = 11 dims digest from the code before the Leibniz system was solved by
-substitution rounds, and the p = 13 coord digest from the code before
+substitution rounds, the p = 13 coord digest from the code before
 the coordinate algebra and the bracket transfer became commutator joins,
-by running
+and the p = 11 tkk digest, which covers F121 in the sl2 bridge and in
+der_as_tkk, from the code before the 3-graded layer moved onto the
+sparse map engine, by running
 
     python -m ckder verify --p P --format json
     python -m ckder verify --p P --checks dims --format json
+    python -m ckder verify --p P --checks tkk --format json
     python -m ckder verify --p P --checks coord --format json
     python -m ckder export --p 3 --algebra A --out FILE
 
@@ -33,6 +37,8 @@ VERIFY_P7_DIMS = \
     "1e6832b24b1d56500e4e8aba972893f55a41c3b7b2548a24954dec4e2eb2c6d3"
 VERIFY_P11_DIMS = \
     "5ab67a65afe6288aecb933842f32ff514281bf2a597699ec1ec14eb2a6571d39"
+VERIFY_P11_TKK = \
+    "a5c104981d24af6d3c9c88d2c909b9465eaf13b33433c4a6ba5a9605a0156b72"
 VERIFY_P13_COORD = \
     "58c3638088ff5dba11644f1d2c8770e51691b0d45ee1e26481d85805894e9ed6"
 
@@ -75,6 +81,12 @@ def test_verify_dims_report_bytes_p11(capsys):
     assert main(["verify", "--p", "11", "--checks", "dims",
                  "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P11_DIMS
+
+
+def test_verify_tkk_report_bytes_p11(capsys):
+    assert main(["verify", "--p", "11", "--checks", "tkk",
+                 "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P11_TKK
 
 
 def test_verify_coord_report_bytes_p13(capsys):

@@ -357,17 +357,15 @@ def test_the_least_failing_triple_wins_over_an_earlier_range():
     assert not v
 
 
-def test_jacobi_check_memory_does_not_grow_with_the_table():
-    """check_super_lie on the 160-dimensional Tits table over F5, whose
-    join has 514,034 products in all, adds less than 16 MB to the peak
-    RSS of a fresh process: its ranges hold at most TERM_BUDGET each."""
+def _peak_growth_kib(setup, step):
+    """What the statements step add to the peak RSS (ru_maxrss, in KiB)
+    of a fresh process that ran the statements setup before them, with
+    RunContext imported."""
     code = ("import resource\n"
             "from ckder.battery import RunContext\n"
-            "from ckder.superalg import check_super_lie\n"
-            "ctx = RunContext(5)\n"
-            "lie = ctx.tits_big(ctx.base)\n"
+            f"{setup}\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "assert check_super_lie(lie)\n"
+            f"{step}\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "print(after - before)\n")
     src = str(Path(ckder.__file__).resolve().parent.parent)
@@ -377,7 +375,30 @@ def test_jacobi_check_memory_does_not_grow_with_the_table():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=600, env=env)
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) < 16 * 1024          # ru_maxrss is in KiB
+    return int(run.stdout)
+
+
+def test_jacobi_check_memory_does_not_grow_with_the_table():
+    """check_super_lie on the 160-dimensional Tits table over F5, whose
+    join has 514,034 products in all, adds less than 16 MB to the peak
+    RSS of a fresh process: its ranges hold at most TERM_BUDGET each."""
+    grown = _peak_growth_kib("from ckder.superalg import check_super_lie\n"
+                             "ctx = RunContext(5)\n"
+                             "lie = ctx.tits_big(ctx.base)",
+                             "assert check_super_lie(lie)")
+    assert grown < 16 * 1024
+
+
+def test_tkk_table_memory_does_not_grow_with_a_rank_stack():
+    """The 3-graded table of J_w over F121 (p = 11), built after the
+    Tits table over the same inner derivations, adds less than 16 MB to
+    the peak RSS of a fresh process: its overlap check reads the unit
+    column of the inner derivations, with no n x n^2 rank stack of the
+    left multiplications (120 MB at p = 11)."""
+    grown = _peak_growth_kib("ctx = RunContext(11)\n"
+                             "ctx.tits_big(ctx.sqrt)",
+                             "ctx.tkk_big(ctx.sqrt)")
+    assert grown < 16 * 1024
 
 
 # -- the Jordan identity -------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from ckder import (FieldSpec, LinearMap, SuperAlgebra, check_jordan_super,
                    check_supercommutative, inner_derivation, is_automorphism,
-                   is_derivation, is_homomorphism, kantor_double,
+                   is_derivation, is_homomorphism, is_isomorphism,
+                   kantor_double,
                    quadratic_jordan, super_commutator, truncated_poly,
                    vector_parity)
 from ckder.derivations import _mult_matrix
@@ -231,6 +232,26 @@ def test_homomorphism_and_automorphism_predicates():
     zero = LinearMap(a, a, 0, np.zeros((2, 2)))
     assert is_homomorphism(zero)
     assert not is_automorphism(zero)
+
+
+def test_isomorphism_verdicts():
+    a = dual_numbers(F5)
+    assert is_isomorphism(LinearMap(a, a, 0, np.diag([1, 2])))
+    # the zero map multiplies fine but is not bijective
+    zero = LinearMap(a, a, 0, np.zeros((2, 2)))
+    assert is_isomorphism(zero).witness == {"reason": "not bijective"}
+    # F -> F[t]/(t^2), 1 -> 1: an injective homomorphism, not square
+    scalars = SuperAlgebra(F5, 1, 0, ["1"], ([0], [0], [0], [1]),
+                           unit_index=0)
+    unit = LinearMap(scalars, a, 0, np.array([[1.0], [0.0]]))
+    assert is_homomorphism(unit)
+    assert is_isomorphism(unit).witness == {"reason": "not bijective"}
+    # t -> 1 + t: the pair witness of is_homomorphism, unchanged
+    shear = LinearMap(a, a, 0, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    v = is_isomorphism(shear)
+    assert not v
+    assert "pair" in v.witness
+    assert v.witness == is_homomorphism(shear).witness
 
 
 def test_annihilator_and_center_of_dual_numbers():

@@ -5,14 +5,18 @@ derivation algebra over the rank-2 double."""
 import numpy as np
 import pytest
 
-from ckder import (FieldSpec, DerivationSpace, amod, build_s4, cheng_kac,
-                   check_3grading, check_super_lie, coordinate_algebra,
-                   derivation_algebra, find_sl2_triple, inner_derivation,
-                   inner_derivation_algebra, kantor_double,
+from ckder import (FieldSpec, DerivationSpace, LinearMap, amod, build_s4,
+                   cheng_kac, check_3grading, check_super_lie,
+                   coordinate_algebra, derivation_algebra, find_sl2_triple,
+                   grade_derivations, inner_derivation,
+                   inner_derivation_algebra, inverse, kantor_double,
                    lie_from_derivations, phi_iso, phi_star, der_as_tkk,
-                   sl2_identification, so3, stable_der_double,
+                   sl2_identification, so3, solve_right, stable_der_double,
                    super_commutator, tits_construction, tkk_3graded,
                    truncated_poly)
+from ckder.battery import RunContext
+from ckder.linalg import mm
+from ckder.superalg import _entries
 from ckder.tkk import LieSuperAlgebra
 
 F3 = FieldSpec(3)
@@ -119,6 +123,16 @@ def test_tensor_construction_needs_inner_derivations(kd3):
         tits_construction(kd3.alg, empty)
     with pytest.raises(ValueError, match="escapes"):
         tkk_3graded(kd3.alg, empty)
+
+
+def test_three_graded_refuses_an_overlapping_inner_block(kd3):
+    """An inner block holding the identity, which is the left
+    multiplication by the unit, overlaps the multiplication block."""
+    a = kd3.alg
+    ident = LinearMap(a, a, 0, np.eye(a.n))
+    ds = DerivationSpace(a, [ident], [], validate=False)
+    with pytest.raises(ValueError, match="overlap"):
+        tkk_3graded(a, ds)
 
 
 def test_three_graded_double(kd3, tkk3):
@@ -361,9 +375,70 @@ def test_big_derivations_from_double_tensor():
     der_k = derivation_algebra(kd.alg)
     inder_k = inner_derivation_algebra(kd.alg)
     bar_k = stable_der_double(kd, der_k, inder_k)
-    full, inner = der_as_tkk(ck, kd, act, coord, phi, transfer,
-                             der_j, inder_j, bar_k, inder_k)
+    full, inner = der_as_tkk(ck, kd, act, transfer, der_j, inder_j, bar_k,
+                             inder_k)
     assert full.verified
     assert inner.verified
     assert full.map.source.n == full.map.target.n == 24
     assert inner.map.source.n == inner.map.target.n == 24
+
+
+def _der_as_tkk_oracle(ctx):
+    """The matrices of the two isomorphisms of der_as_tkk over ctx.sqrt,
+    built the dense way: the image of each basis vector of the double by
+    coord.as_map, conjugated twice, and one solve_right per basis
+    derivation of the double against the transferred [0,0] component."""
+    f = ctx.sqrt
+    n = ctx.ck(f, "v").alg.n
+    kd, coord, phi, transfer = ctx.kd(f), ctx.coord(), ctx.phi(), \
+        ctx.transfer()
+    g = ctx.act().phi.matrix
+    ginv = inverse(f, g)
+
+    def conj(m):
+        return mm(f, g, mm(f, m, ginv))
+
+    out = []
+    for idspace, jspace in ((ctx.bar_k(f), ctx.der_j(f, "v")),
+                            (ctx.inder_k(f), ctx.inder_j(f, "v"))):
+        tits = tits_construction(kd.alg, idspace, inder=ctx.inder_k(f))
+        comp00 = grade_derivations(jspace).component((0, 0))
+        halves = (comp00.even_basis, comp00.odd_basis)
+        arows = [np.stack([transfer.apply(b).flatten() for b in half])
+                 for half in halves]
+        cols, mats = [], []
+        for j in range(kd.alg.n):
+            base = coord.as_map(phi.matrix[:, j]).matrix
+            first = conj(base)
+            cols += [tits.idx_tensor(i, j) for i in range(3)]
+            mats += [first, conj(first), base]
+        for par, basis in enumerate((idspace.even_basis, idspace.odd_basis)):
+            for t, b in enumerate(basis):
+                c = solve_right(f, arows[par].T, b.flatten())
+                assert c is not None
+                cols.append(tits.idx_der(par, t))
+                mats.append(amod(f, sum(ci * d.matrix for ci, d
+                                        in zip(c, halves[par]))))
+        q, r, col, x = _entries(f, np.stack(mats))
+        co = jspace.coordinates((q * n + col) * n + r, x)
+        assert co is not None
+        m = np.zeros((jspace.dim, tits.n), dtype=f.dtype)
+        m[co[1], np.asarray(cols)[co[0]]] = co[2]
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 7], ids=["F9", "F49"])
+def test_der_as_tkk_matches_the_dense_path(p):
+    """Both isomorphisms of der_as_tkk, whose tensor block conjugates
+    the transfer images as one stack and whose derivation block inverts
+    the transfer once, equal the dense path bitwise."""
+    ctx = RunContext(p)
+    f = ctx.sqrt
+    isos = der_as_tkk(ctx.ck(f, "v"), ctx.kd(f), ctx.act(), ctx.transfer(),
+                      ctx.der_j(f, "v"), ctx.inder_j(f, "v"), ctx.bar_k(f),
+                      ctx.inder_k(f))
+    for iso, want in zip(isos, _der_as_tkk_oracle(ctx), strict=True):
+        assert iso.verified
+        assert iso.map.matrix.dtype == want.dtype
+        assert iso.map.matrix.tobytes() == want.tobytes()
