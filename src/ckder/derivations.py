@@ -4,9 +4,9 @@ derivation_algebra solves the super Leibniz rule as one linear system
 per parity.  Unknowns are the parity-allowed matrix entries of a
 candidate map in column-major order; equations are generated sparsely
 (one per basis pair and output coordinate), and over the Cheng-Kac
-tables none has more than three cells.  The system is solved by
-structured Gaussian elimination: vectorized substitution rounds remove
-the equations of one and two cells, and only the equations that
+tables none has more than three cells.  superalg._sparse_kernel solves
+it by structured Gaussian elimination: vectorized substitution rounds
+remove the equations of one and two cells, and only the equations that
 survive are eliminated, one connected block of equations and unknowns
 at a time.
 inner_derivation_algebra spans the supercommutators of left
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .linalg import (Eliminator, Subspace, amod, asfield, inverses, mm,
-                     solve_right)
+from .linalg import Subspace, amod, asfield, mm, solve_right
 from .superalg import (LinearMap, SuperAlgebra, _commutator_entries,
-                       _entries, _first_nonzero_key, _match, expand_runs,
+                       _eliminate_blocks, _entries, _first_nonzero_key,
+                       _match, _sparse_kernel, expand_runs,
                        inner_derivation_entries, is_derivation,
                        leibniz_violation, sum_per_key)
 
@@ -141,8 +141,9 @@ class DerivationSpace:
         return self.subspace(d.parity).contains_vector(d.flatten())
 
     def equals(self, other: "DerivationSpace") -> bool:
-        return (self.subspace(0).equals(other.subspace(0))
-                and self.subspace(1).equals(other.subspace(1)))
+        """Equal dims and entries(): canonical bases are bitwise equal."""
+        return ((self.algebra.n, self.dims) == (other.algebra.n, other.dims)
+                and all(map(np.array_equal, self.entries(), other.entries())))
 
 
 def span_of_maps(algebra: SuperAlgebra, maps) -> Subspace:
@@ -215,128 +216,6 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     flat = np.zeros((basis.shape[0], n * n), dtype=f.dtype)
     flat[:, allowed] = basis
     return [LinearMap.from_flat(a, a, parity, v, check=False) for v in flat]
-
-
-def _sparse_kernel(field, keys, vals, nu):
-    """A basis, as the rows of a (k, nu) array, of the kernel of a sparse
-    system in nu unknowns given as sum_per_key returns it: increasing
-    keys e nu + u, the cell of equation e on unknown u, and nonzero
-    reduced values.
-
-    This is structured Gaussian elimination: _peel substitutes away the
-    equations of one and two cells, and only the equations that survive
-    are eliminated, block by block (_eliminate_blocks), on the unknowns
-    they use.  Those unknowns are roots, and a root not zero that no
-    surviving equation uses is free.  A kernel vector y on the roots
-    gives the kernel vector x_u = weight[u] y[root[u]] of the whole."""
-    keys, vals, root, weight = _peel(field, keys, vals, nu)
-    eq, col = np.divmod(keys, nu)
-    used, col = np.unique(col, return_inverse=True)
-    free = (root == np.arange(nu)) & (weight != 0)
-    free[used] = False
-    free = np.flatnonzero(free)
-    basis = np.zeros((free.size, nu), dtype=field.dtype)
-    basis[np.arange(free.size), free] = 1
-    basis = np.vstack([_eliminate_blocks(field, eq, col, vals, used, nu,
-                                         Eliminator.kernel_rows), basis])
-    return amod(field, basis[:, root] * weight)
-
-
-def _peel(field, keys, vals, nu):
-    """Substitution rounds on a sparse system given as _sparse_kernel
-    takes it, until no equation has fewer than three cells.
-
-    In a round an equation of one cell sets its unknown to zero, and an
-    equation c_a x_a + c_b x_b = 0 of two cells, a > b, links a to b:
-    x_a = -c_b c_a^-1 x_b.  Each a takes the first such equation in key
-    order, and an unknown set to zero takes none.  A parent is smaller
-    than its child, so the links form a forest; pointer jumping resolves
-    every chain to its root, and a zeroed root zeroes its whole chain.
-    Every cell is then rewritten onto its root and re-summed through
-    sum_per_key, where the equations used vanish.
-
-    Returns the surviving keys and values, and root and weight with
-    x_u = weight[u] x_root[u] for every u; weight 0 marks an unknown
-    forced to zero."""
-    root = np.arange(nu)
-    weight = np.ones(nu, dtype=field.dtype)
-    while keys.size:
-        eq, col = np.divmod(keys, nu)
-        start = np.flatnonzero(np.r_[True, eq[1:] != eq[:-1]])
-        size = np.diff(np.r_[start, eq.size])
-        zero = np.zeros(nu, dtype=bool)
-        zero[col[start[size == 1]]] = True
-        t = start[size == 2]
-        t = t[~zero[col[t + 1]]]
-        a, first = np.unique(col[t + 1], return_index=True)
-        if not (a.size or zero.any()):
-            break
-        t = t[first]
-        link = np.arange(nu)
-        link[a] = col[t]
-        w = np.ones(nu, dtype=field.dtype)
-        w[a] = amod(field, -vals[t] * inverses(field, vals[t + 1]))
-        while True:
-            up = link[link]
-            if np.array_equal(up, link):
-                break
-            w = amod(field, w * w[link])
-            link = up
-        w[zero[link]] = 0
-        weight = amod(field, weight * w[root])
-        root = link[root]
-        keys, vals = sum_per_key(field, eq * nu + link[col], vals * w[col])
-    return keys, vals, root, weight
-
-
-def _eliminate_blocks(field, row, col, vals, where, ambient, take):
-    """take(elim), stacked block after block as rows of length ambient,
-    where elim is an Eliminator fed the rows of one connected block of a
-    sparse row system on its columns, and column c lands at where[c].
-
-    The nonzero cells, vals[t] at (row[t], col[t]), link rows and
-    columns into a bipartite graph.  A connected component is a block:
-    its rows involve only its columns, so the RREF of the system is the
-    union of the block RREFs and its kernel the direct sum of theirs.  A
-    column in no cell is a block without rows."""
-    row = np.unique(row, return_inverse=True)[1]
-    label = _components(row, col, where.size)
-    blocks = np.flatnonzero(label == np.arange(where.size))
-    order = np.argsort(label[col])
-    bounds = np.searchsorted(label[col[order]], np.r_[blocks, where.size])
-    out = [np.zeros((0, ambient), dtype=field.dtype)]
-    for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-        u = np.flatnonzero(label == b)
-        t = order[lo:hi]
-        rows, at = np.unique(row[t], return_inverse=True)
-        block = np.zeros((rows.size, u.size), dtype=field.dtype)
-        block[at, np.searchsorted(u, col[t])] = vals[t]
-        elim = Eliminator(field, u.size)
-        elim.add_rows(block)
-        got = take(elim)
-        out.append(np.zeros((len(got), ambient), dtype=field.dtype))
-        out[-1][:, where[u]] = got
-    return np.vstack(out)
-
-
-def _components(eq, col, nu):
-    """Block label of each unknown: the least unknown of its connected
-    component in the bipartite graph with an edge (eq[t], col[t]) per
-    nonzero cell.  Each round gives every equation the least label of
-    its unknowns, hands that back to them, and then replaces each label
-    by the label of its label; labels only fall, and the loop stops
-    when a round changes none."""
-    label = np.arange(nu)
-    low = np.empty(eq.size and eq.max() + 1, dtype=np.int64)
-    while True:
-        low.fill(nu)
-        np.minimum.at(low, eq, label[col])
-        new = label.copy()
-        np.minimum.at(new, col, low[eq])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
 
 
 def derivation_algebra(a: SuperAlgebra) -> DerivationSpace:

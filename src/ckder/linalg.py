@@ -257,12 +257,20 @@ class Eliminator:
 
 
 def rref(field: FieldSpec, m):
-    """Canonical RREF; returns (reduced matrix, rank, pivot columns)."""
+    """Canonical RREF; returns (reduced matrix, rank, pivot columns).
+    Only the columns in use reach the eliminator: a zero column never
+    pivots and stays zero in the RREF."""
     m = np.asarray(m)
-    e = Eliminator(field, m.shape[1])
-    e.add_rows(m)
-    r, piv = e.rref()
-    return r, e.rank, piv
+    used = np.flatnonzero(m.any(axis=0))
+    if used.size == m.shape[1]:
+        e = Eliminator(field, m.shape[1])
+        e.add_rows(m)
+        r, piv = e.rref()
+        return r, e.rank, piv
+    r, rk, piv = rref(field, m[:, used])
+    out = np.zeros((rk, m.shape[1]), dtype=field.dtype)
+    out[:, used] = r
+    return out, rk, used[piv].tolist()
 
 
 def rank(field: FieldSpec, m) -> int:

@@ -25,7 +25,9 @@ counted from coo() before any is made, or a single q.  Every key
 carries its q, so each is summed whole in one range; the witness is the
 least failing triple over all ranges, as if the sum were made at once.
 The center of the even part and the annihilator of a set of vectors
-are kernels of sparse systems that are joins over coo() as well.
+are kernels of sparse systems that are joins over coo() as well.  One
+engine, _sparse_kernel, solves every such system: these two, the
+Leibniz system of the derivations, and the matrix of is_isomorphism.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .field import FieldSpec
-from .linalg import (Subspace, amod, asfield, check_exact_range, iszero,
-                     kernel, mm, rank)
+from .linalg import (Eliminator, Subspace, amod, asfield, check_exact_range,
+                     inverses, iszero, mm, rref)
 
 # The most terms one range of a cyclic-sum join holds (_cyclic_verdict):
 # about 3 MB of keys and values, whatever the size of the table.
@@ -390,6 +392,128 @@ def _first_nonzero_key(field: FieldSpec, keys, vals):
     return int(uniq[0]) if uniq.size else None
 
 
+def _sparse_kernel(field, keys, vals, nu):
+    """A basis, as the rows of a (k, nu) array, of the kernel of a sparse
+    system in nu unknowns given as sum_per_key returns it: increasing
+    keys e nu + u, the cell of equation e on unknown u, and nonzero
+    reduced values.
+
+    This is structured Gaussian elimination: _peel substitutes away the
+    equations of one and two cells, and only the equations that survive
+    are eliminated, block by block (_eliminate_blocks), on the unknowns
+    they use.  Those unknowns are roots, and a root not zero that no
+    surviving equation uses is free.  A kernel vector y on the roots
+    gives the kernel vector x_u = weight[u] y[root[u]] of the whole."""
+    keys, vals, root, weight = _peel(field, keys, vals, nu)
+    eq, col = np.divmod(keys, nu)
+    used, col = np.unique(col, return_inverse=True)
+    free = (root == np.arange(nu)) & (weight != 0)
+    free[used] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, nu), dtype=field.dtype)
+    basis[np.arange(free.size), free] = 1
+    basis = np.vstack([_eliminate_blocks(field, eq, col, vals, used, nu,
+                                         Eliminator.kernel_rows), basis])
+    return amod(field, basis[:, root] * weight)
+
+
+def _peel(field, keys, vals, nu):
+    """Substitution rounds on a sparse system given as _sparse_kernel
+    takes it, until no equation has fewer than three cells.
+
+    In a round an equation of one cell sets its unknown to zero, and an
+    equation c_a x_a + c_b x_b = 0 of two cells, a > b, links a to b:
+    x_a = -c_b c_a^-1 x_b.  Each a takes the first such equation in key
+    order, and an unknown set to zero takes none.  A parent is smaller
+    than its child, so the links form a forest; pointer jumping resolves
+    every chain to its root, and a zeroed root zeroes its whole chain.
+    Every cell is then rewritten onto its root and re-summed through
+    sum_per_key, where the equations used vanish.
+
+    Returns the surviving keys and values, and root and weight with
+    x_u = weight[u] x_root[u] for every u; weight 0 marks an unknown
+    forced to zero."""
+    root = np.arange(nu)
+    weight = np.ones(nu, dtype=field.dtype)
+    while keys.size:
+        eq, col = np.divmod(keys, nu)
+        start = np.flatnonzero(np.r_[True, eq[1:] != eq[:-1]])
+        size = np.diff(np.r_[start, eq.size])
+        zero = np.zeros(nu, dtype=bool)
+        zero[col[start[size == 1]]] = True
+        t = start[size == 2]
+        t = t[~zero[col[t + 1]]]
+        a, first = np.unique(col[t + 1], return_index=True)
+        if not (a.size or zero.any()):
+            break
+        t = t[first]
+        link = np.arange(nu)
+        link[a] = col[t]
+        w = np.ones(nu, dtype=field.dtype)
+        w[a] = amod(field, -vals[t] * inverses(field, vals[t + 1]))
+        while True:
+            up = link[link]
+            if np.array_equal(up, link):
+                break
+            w = amod(field, w * w[link])
+            link = up
+        w[zero[link]] = 0
+        weight = amod(field, weight * w[root])
+        root = link[root]
+        keys, vals = sum_per_key(field, eq * nu + link[col], vals * w[col])
+    return keys, vals, root, weight
+
+
+def _eliminate_blocks(field, row, col, vals, where, ambient, take):
+    """take(elim), stacked block after block as rows of length ambient,
+    where elim is an Eliminator fed the rows of one connected block of a
+    sparse row system on its columns, and column c lands at where[c].
+
+    The nonzero cells, vals[t] at (row[t], col[t]), link rows and
+    columns into a bipartite graph.  A connected component is a block:
+    its rows involve only its columns, so the RREF of the system is the
+    union of the block RREFs and its kernel the direct sum of theirs.  A
+    column in no cell is a block without rows."""
+    row = np.unique(row, return_inverse=True)[1]
+    label = _components(row, col, where.size)
+    blocks = np.flatnonzero(label == np.arange(where.size))
+    order = np.argsort(label[col])
+    bounds = np.searchsorted(label[col[order]], np.r_[blocks, where.size])
+    out = [np.zeros((0, ambient), dtype=field.dtype)]
+    for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        u = np.flatnonzero(label == b)
+        t = order[lo:hi]
+        rows, at = np.unique(row[t], return_inverse=True)
+        block = np.zeros((rows.size, u.size), dtype=field.dtype)
+        block[at, np.searchsorted(u, col[t])] = vals[t]
+        elim = Eliminator(field, u.size)
+        elim.add_rows(block)
+        got = take(elim)
+        out.append(np.zeros((len(got), ambient), dtype=field.dtype))
+        out[-1][:, where[u]] = got
+    return np.vstack(out)
+
+
+def _components(eq, col, nu):
+    """Block label of each unknown: the least unknown of its connected
+    component in the bipartite graph with an edge (eq[t], col[t]) per
+    nonzero cell.  Each round gives every equation the least label of
+    its unknowns, hands that back to them, and then replaces each label
+    by the label of its label; labels only fall, and the loop stops
+    when a round changes none."""
+    label = np.arange(nu)
+    low = np.empty(eq.size and eq.max() + 1, dtype=np.int64)
+    while True:
+        low.fill(nu)
+        np.minimum.at(low, eq, label[col])
+        new = label.copy()
+        np.minimum.at(new, col, low[eq])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def expand_runs(starts, counts):
     """Index pairs (t, starts[t] + s) for every t and s < counts[t], as
     two arrays, in t order."""
@@ -664,9 +788,13 @@ def is_homomorphism(fmap: LinearMap) -> Verdict:
     target constants (a, b, c) give G[i,b,c], the coefficient of e_c in
     f(e_i) e_b, reduced before it meets the entries (b, j) of F.  So
     every summed value is a product of two reduced elements."""
+    return _homomorphism(fmap, *_entries(fmap.field, fmap.matrix))
+
+
+def _homomorphism(fmap: LinearMap, fr, fc, fv) -> Verdict:
+    """is_homomorphism on the nonzero entries F[fr, fc] = fv of fmap."""
     f = fmap.field
     ns, nt = fmap.source.n, fmap.target.n
-    fr, fc, fv = _entries(f, fmap.matrix)
     i, j, k, c = fmap.source.coo()
     t, e = _match(k, fc)
     lhs = sum_per_key(f, (i[t] * ns + j[t]) * nt + fr[e], c[t] * fv[e])
@@ -691,10 +819,13 @@ def is_homomorphism(fmap: LinearMap) -> Verdict:
 
 def is_isomorphism(fmap: LinearMap) -> Verdict:
     """A bijective homomorphism: is_homomorphism, whose witness comes
-    back unchanged, then a square matrix of full rank."""
-    h = is_homomorphism(fmap)
-    if h and (fmap.source.n != fmap.target.n
-              or rank(fmap.field, fmap.matrix) != fmap.source.n):
+    back unchanged, then a square matrix whose nonzero entries, as a
+    sparse system with keys row n + column, have no kernel."""
+    n = fmap.source.n
+    fr, fc, fv = _entries(fmap.field, fmap.matrix)
+    h = _homomorphism(fmap, fr, fc, fv)
+    if h and (n != fmap.target.n
+              or _sparse_kernel(fmap.field, fr * n + fc, fv, n).shape[0]):
         return Verdict(False, {"reason": "not bijective"})
     return h
 
@@ -718,14 +849,9 @@ def is_automorphism(fmap: LinearMap) -> Verdict:
 def _kernel_of_cells(field: FieldSpec, keys, vals, ncols: int) -> Subspace:
     """The kernel of a sparse system in ncols unknowns, as a canonical
     Subspace: the terms vals at keys e ncols + u, cell u of equation e,
-    are summed by sum_per_key, and the equations with a nonzero cell are
-    the rows of the matrix whose kernel the eliminator takes."""
-    keys, vals = sum_per_key(field, keys, vals)
-    eq, col = np.divmod(keys, max(ncols, 1))
-    eq, row = np.unique(eq, return_inverse=True)
-    m = np.zeros((eq.size, ncols), dtype=field.dtype)
-    m[row, col] = vals
-    return kernel(field, m)
+    are summed by sum_per_key, and _sparse_kernel solves the system."""
+    basis = _sparse_kernel(field, *sum_per_key(field, keys, vals), ncols)
+    return Subspace(field, ncols, rref(field, basis)[0], _canonical=True)
 
 
 def annihilator(a: SuperAlgebra, vectors) -> Subspace:

@@ -12,11 +12,10 @@ from ckder import (DerivationSpace, FieldSpec, LinearMap, amod, cheng_kac,
                    kernel, lift_even_der, odd_der_char3, odd_der_eta,
                    quadratic_jordan, restrict_to_k, stable_der_double,
                    truncated_poly)
-from ckder import derivations
-from ckder.derivations import (_mult_matrix, _peel, _sparse_kernel,
-                               span_of_maps)
+from ckder import superalg
+from ckder.derivations import _mult_matrix, span_of_maps
 from ckder.linalg import Subspace
-from ckder.superalg import sum_per_key
+from ckder.superalg import _peel, _sparse_kernel, sum_per_key
 from test_sparse_checks import super_tables
 
 F3 = FieldSpec(3)
@@ -185,7 +184,7 @@ def peel_and_check(monkeypatch, field, m, rounds):
         return sum_per_key(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(derivations, "sum_per_key", counted)
+        mp.setattr(superalg, "sum_per_key", counted)
         out = _peel(field, keys, vals, m.shape[1])
     assert len(calls) == rounds
     return out
@@ -389,6 +388,40 @@ def test_big_algebra_derivations(p):
     if p == 3:
         der = derivation_algebra(ck.alg)
         assert der.equals(inder)
+
+
+def rref_equal(x, y):
+    """The comparison equals replaced: both parities as flattened RREFs."""
+    return all(x.subspace(q).equals(y.subspace(q)) for q in (0, 1))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_derivation_spaces_compare_by_dims_and_entries(p):
+    """Canonical bases make equal spaces bitwise equal, so equals reads
+    the dims and entries() and builds no flattened RREF; it agrees with
+    the RREF comparison on equal spaces, on a space with one entry of
+    one basis map changed, and on two different spaces of equal dims."""
+    a = cheng_kac(truncated_poly(FieldSpec(p))).alg
+    der, inder = derivation_algebra(a), inner_derivation_algebra(a)
+    assert der.equals(inder) and rref_equal(der, inder)
+    # one entry changed off every pivot (the first cell column-major)
+    u, r, c, _ = inder.entries()
+    pivot = np.full(inder.dim, a.n ** 2)
+    np.minimum.at(pivot, u, c * a.n + r)
+    t = np.flatnonzero(~np.isin(c * a.n + r, pivot))[0]
+    s, row, col = u[t], r[t], c[t]
+    maps = inder.even_basis + inder.odd_basis
+    m = maps[s].matrix.copy()
+    m[row, col] = (m[row, col] + 1) % p
+    maps[s] = LinearMap(a, a, maps[s].parity, m)
+    bumped = DerivationSpace(a, maps[:inder.dims[0]], maps[inder.dims[0]:],
+                             canonicalize=False, validate=False)
+    assert bumped.dims == inder.dims
+    assert not bumped.equals(inder) and not rref_equal(bumped, inder)
+    one, other = (DerivationSpace(a, inder.even_basis[k:k + 1], [],
+                                  canonicalize=False) for k in (0, 1))
+    assert one.dims == other.dims == (1, 0)
+    assert not one.equals(other) and not rref_equal(one, other)
 
 
 def test_lift_even_der():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ckder import (FieldError, FieldSpec, LinearMap, inner_derivation_algebra,
-                   kantor_double, truncated_poly)
+from ckder import (DerivationSpace, FieldError, FieldSpec, LinearMap,
+                   RunContext, inner_derivation_algebra, kantor_double,
+                   truncated_poly)
 from ckder import linalg
 from ckder.linalg import (Eliminator, Subspace, amod, exact_terms, inverse,
                           kernel, matrix_from_json, matrix_to_json, mm, rank,
@@ -274,6 +275,58 @@ def oracle_rref(field, rows):
                       for i in order], dtype=np.complex128)
     return field.array(mat.reshape(len(order), len(rows[0]))), \
         [piv[i] for i in order]
+
+
+def assert_rref_matches_oracle(field, a):
+    """rref, rank and Subspace on a, against the integer oracle: the
+    same rows bitwise, the same pivots and the same rank."""
+    want, want_piv = oracle_rref(field, a)
+    r, rk, piv = rref(field, a)
+    assert np.array_equal(r, want) and r.dtype == field.dtype
+    assert r.shape == want.shape and piv == want_piv
+    assert rk == len(want_piv) == rank(field, a)
+    s = Subspace(field, a.shape[1], a)
+    assert np.array_equal(s.basis, want) and s.pivots == want_piv
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=str)
+def test_rref_on_the_columns_in_use_matches_the_oracle(field):
+    """Only the columns in use reach the eliminator, and the zero columns
+    are put back: matrices with zero columns, zero rows, no zero column
+    at all, and the all-zero matrix give the oracle's RREF."""
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        a = rand_mat(rng, field, m, n)
+        a[:, rng.random(n) < 0.6] = 0
+        a[rng.random(m) < 0.3] = 0
+        assert_rref_matches_oracle(field, a)
+    assert_rref_matches_oracle(field, rand_mat(rng, field, 5, 6))
+    assert_rref_matches_oracle(field, np.zeros((3, 7)))
+    r, rk, piv = rref(field, np.zeros((0, 4)))
+    assert r.shape == (0, 4) and rk == 0 and piv == []
+
+
+def test_der_j_is_canonicalized_on_the_columns_in_use(monkeypatch):
+    """At p = 3 the flattened maps of Der(J) over F9 have n^2 = 576
+    columns, and only those where some basis map is nonzero reach the
+    eliminator that canonicalizes each parity."""
+    widths = []
+
+    class Recording(Eliminator):
+        def __init__(self, field, ncols):
+            widths.append(ncols)
+            super().__init__(field, ncols)
+
+    ctx = RunContext(3)
+    a, der = ctx.ck(F9, "w").alg, ctx.der_j(F9, "w")
+    monkeypatch.setattr(linalg, "Eliminator", Recording)
+    again = DerivationSpace(a, der.even_basis, der.odd_basis, validate=False)
+    assert again.equals(der)
+    in_use = [int(np.any([d.matrix for d in basis], axis=0).sum())
+              for basis in (der.even_basis, der.odd_basis)]
+    assert widths == in_use
+    assert max(widths) < a.n ** 2 == 576
 
 
 def ragged_system(rng, field, m, n=40, k=34):

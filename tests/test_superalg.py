@@ -8,10 +8,10 @@ import pytest
 from ckder import (FieldSpec, LinearMap, SuperAlgebra, check_jordan_super,
                    check_supercommutative, inner_derivation, is_automorphism,
                    is_derivation, is_homomorphism, is_isomorphism,
-                   kantor_double,
-                   quadratic_jordan, super_commutator, truncated_poly,
-                   vector_parity)
+                   kantor_double, quadratic_jordan, rank, super_commutator,
+                   truncated_poly, vector_parity)
 from ckder.derivations import _mult_matrix
+from ckder.linalg import asfield
 from ckder.superalg import annihilator, center_even
 
 F5 = FieldSpec(5)
@@ -252,6 +252,56 @@ def test_isomorphism_verdicts():
     assert not v
     assert "pair" in v.witness
     assert v.witness == is_homomorphism(shear).witness
+
+
+def square_map(rng, field, kind, n):
+    """An n x n matrix of one kind: monomial (one nonzero per row and
+    column), two-cell rows, dense, singular (dense with one row a
+    combination of the others) or zero."""
+    def nonzero(shape):
+        x = rng.integers(1, field.p, size=shape).astype(np.complex128)
+        if field.ext:
+            x += 1j * rng.integers(0, field.p, size=shape)
+        return x
+    m = np.zeros((n, n), dtype=np.complex128)
+    if kind == "monomial":
+        m[np.arange(n), rng.permutation(n)] = nonzero(n)
+    elif kind == "two-cell":
+        for row in m:
+            row[rng.choice(n, size=min(n, 2), replace=False)] = \
+                nonzero(min(n, 2))
+    elif kind in ("dense", "singular"):
+        m = nonzero((n, n))
+        if kind == "singular":
+            m[0] = nonzero(n - 1) @ m[1:] if n > 1 else 0
+    return asfield(field, m)
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec(3, ext=True)], ids=str)
+@pytest.mark.parametrize("kind", ["monomial", "two-cell", "dense",
+                                  "singular", "zero"])
+def test_bijectivity_verdict_agrees_with_the_dense_rank(field, kind):
+    """Over an algebra with no products every map is a homomorphism, so
+    is_isomorphism, which reads the matrix as a sparse system, judges
+    bijectivity alone; it must agree with the dense rank."""
+    rng = np.random.default_rng(list(kind.encode()) + [field.order])
+    verdicts = set()
+    for _ in range(30):
+        n = int(rng.integers(1, 25))
+        a = SuperAlgebra(field, n, 0, [f"e{i}" for i in range(n)],
+                         ((), (), (), ()))
+        m = square_map(rng, field, kind, n)
+        v = is_isomorphism(LinearMap(a, a, 0, m))
+        assert bool(v) == (rank(field, m) == n)
+        assert v.witness is None if v else \
+            v.witness == {"reason": "not bijective"}
+        verdicts.add(bool(v))
+    if kind == "monomial":
+        assert verdicts == {True}
+    if kind in ("singular", "zero"):
+        assert verdicts == {False}
+    if kind == "two-cell":
+        assert verdicts == {True, False}
 
 
 def test_annihilator_and_center_of_dual_numbers():
