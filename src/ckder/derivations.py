@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .linalg import Subspace, amod, asfield, mm, solve_right
+from .linalg import amod, asfield, mm, rref, solve_right
 from .superalg import (LinearMap, SuperAlgebra, _commutator_entries,
                        _eliminate_blocks, _entries, _first_nonzero_key,
                        _match, _sparse_kernel, expand_runs,
@@ -62,14 +62,14 @@ class DerivationSpace:
                 raise ValueError(
                     f"basis element {s} fails the Leibniz rule on the pair "
                     f"({algebra.labels[i]}, {algebra.labels[j]})")
-        self._subspaces = {}
         self._brackets = None
         self._nonzero = None
 
     def _canon(self, maps, parity):
         a = self.algebra
+        flat = np.reshape([m.flatten() for m in maps], (-1, a.n * a.n))
         return [LinearMap.from_flat(a, a, parity, r, check=False)
-                for r in span_of_maps(a, list(maps)).basis]
+                for r in rref(a.field, flat)[0]]
 
     @property
     def dims(self):
@@ -79,12 +79,12 @@ class DerivationSpace:
     def dim(self):
         return len(self.even_basis) + len(self.odd_basis)
 
-    def subspace(self, parity: int) -> Subspace:
-        """Canonical flattened-matrix span of one parity part."""
-        if parity not in self._subspaces:
-            self._subspaces[parity] = span_of_maps(
-                self.algebra, self.odd_basis if parity else self.even_basis)
-        return self._subspaces[parity]
+    def part(self, parity: int) -> "DerivationSpace":
+        """The even (0) or odd (1) part, on the same canonical basis."""
+        return DerivationSpace(
+            self.algebra, [] if parity else self.even_basis,
+            self.odd_basis if parity else [], canonicalize=False,
+            validate=False)
 
     def structure_constants(self):
         """The bracket of the space in its own basis, even elements
@@ -137,20 +137,10 @@ class DerivationSpace:
                                    (keys, vals))
         return co if bad is None else None
 
-    def contains_map(self, d: LinearMap) -> bool:
-        return self.subspace(d.parity).contains_vector(d.flatten())
-
     def equals(self, other: "DerivationSpace") -> bool:
         """Equal dims and entries(): canonical bases are bitwise equal."""
         return ((self.algebra.n, self.dims) == (other.algebra.n, other.dims)
                 and all(map(np.array_equal, self.entries(), other.entries())))
-
-
-def span_of_maps(algebra: SuperAlgebra, maps) -> Subspace:
-    """Canonical flattened span of a list of same-parity maps."""
-    nn = algebra.n * algebra.n
-    return Subspace(algebra.field, nn,
-                    np.reshape([m.flatten() for m in maps], (-1, nn)))
 
 
 def combination_mismatch(field, nn: int, coords, basis, target):

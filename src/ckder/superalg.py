@@ -412,8 +412,9 @@ def _sparse_kernel(field, keys, vals, nu):
     free = np.flatnonzero(free)
     basis = np.zeros((free.size, nu), dtype=field.dtype)
     basis[np.arange(free.size), free] = 1
-    basis = np.vstack([_eliminate_blocks(field, eq, col, vals, used, nu,
-                                         Eliminator.kernel_rows), basis])
+    if keys.size:
+        basis = np.vstack([_eliminate_blocks(field, eq, col, vals, used, nu,
+                                             Eliminator.kernel_rows), basis])
     return amod(field, basis[:, root] * weight)
 
 

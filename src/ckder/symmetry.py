@@ -310,9 +310,9 @@ class CoordinateTransfer:
     the [0,0] fine component to derivations of the rank-2 double.
 
     A derivation d goes to the map z -> phi^-1([d, phi(z)]): one
-    commutator join of d with the images phi(e_j), read in carrier
-    coordinates.  images[j] is the matrix of phi(e_j) as a map of the
-    big algebra."""
+    commutator join of a list of maps d with the images phi(e_j), read
+    in carrier coordinates.  images[j] is the matrix of phi(e_j) as a
+    map of the big algebra."""
 
     def __init__(self, ck: ChengKac, kd: KantorDouble,
                  coord: CoordinateAlgebra, phi: LinearMap):
@@ -323,21 +323,22 @@ class CoordinateTransfer:
         self._phi_inv = inverse(ck.alg.field, phi.matrix)
         self.images = np.stack([coord.as_map(col).matrix
                                 for col in phi.matrix.T])
-        # the entries (1 + j, r, c, v) of the images, as maps
-        s, *rest = _entries(ck.alg.field, self.images)
-        self._image_entries = (s + 1, *rest)
 
-    def apply(self, d: LinearMap) -> LinearMap:
-        """The transferred derivation of the rank-2 double."""
+    def apply(self, maps) -> list:
+        """The transferred derivations of the rank-2 double, one per map
+        of the list: one commutator join of all the maps with the
+        images, read in carrier coordinates at once."""
         k_alg = self.kd.alg
+        f, n, nk, h = k_alg.field, self.ck.alg.n, k_alg.n, len(maps)
+        pars = [d.parity for d in maps]
         keys, vals = _cross_commutators(
-            k_alg.field, self.ck.alg.n, np.r_[d.parity, k_alg.parities], 1,
-            map(np.concatenate, zip(_entries(k_alg.field, d.matrix[None]),
-                                    self._image_entries)))
-        c = _carrier_coords(self.coord.component, self.coord.change, keys,
-                            vals, k_alg.n)
-        return LinearMap(k_alg, k_alg, d.parity,
-                         mm(k_alg.field, self._phi_inv, c.T))
+            f, n, np.r_[pars, k_alg.parities], h, _entries(f, np.concatenate(
+                [np.reshape([d.matrix for d in maps], (-1, n, n)),
+                 self.images])))
+        co = _carrier_coords(self.coord.component, self.coord.change, keys,
+                             vals, h * nk).reshape(h, nk, nk)
+        return [LinearMap(k_alg, k_alg, par, m) for par, m in
+                zip(pars, mm(f, self._phi_inv, co.transpose(0, 2, 1)))]
 
 
 def phi_star(ck: ChengKac, kd: KantorDouble, coord: CoordinateAlgebra,

@@ -382,8 +382,8 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
         lie = lie_from_derivations(jspace)
         comp = grade_derivations(jspace).component((0, 0))
         maps = comp.even_basis + comp.odd_basis
-        q, r, c, x = _entries(f, np.stack([transfer.apply(d).matrix
-                                           for d in maps]))
+        q, r, c, x = _entries(f, np.stack([d.matrix for d in
+                                           transfer.apply(maps)]))
         co = idspace.coordinates((q * nk + c) * nk + r, x)
         if co is None:
             raise ValueError("transfer leaves the derivations of K")

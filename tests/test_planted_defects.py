@@ -5,16 +5,19 @@ is broken in one place."""
 import dataclasses
 
 import numpy as np
+import pytest
 
-from ckder import LinearMap, check_supercommutative, inner_derivation
-from ckder import battery, derivations, tkk
+from ckder import (DerivationSpace, LinearMap, amod, check_supercommutative,
+                   inner_derivation)
+from ckder import battery, derivations, symmetry, tkk
 from ckder.battery import (RunContext, check_big_inder_dims,
                            check_big_w_jordan_identity,
                            check_coordinate_constants,
-                           check_der_as_tits_double, check_dzzx_vanishes,
-                           check_graded_named_spans,
+                           check_der_as_tits_double, check_double_odd_split,
+                           check_dzzx_vanishes, check_graded_named_spans,
                            check_s4_fixes_scalar_component,
-                           check_tkk_sl2_bridge, check_w_v_equivalence)
+                           check_tkk_sl2_bridge, check_transfer_inner,
+                           check_transfer_iso, check_w_v_equivalence)
 from test_sparse_checks import _symmetric_perturbation
 
 
@@ -29,6 +32,14 @@ def _dropping(real, lost):
         keep = ~lost(a, *named)
         return keys[keep], vals[keep]
     return entries
+
+
+def _short(ds, parity):
+    """ds without the last map of its basis of one parity."""
+    basis = [list(ds.even_basis), list(ds.odd_basis)]
+    basis[parity].pop()
+    return DerivationSpace(ds.algebra, *basis, canonicalize=False,
+                           validate=False)
 
 
 def test_big_w_jordan_identity_fails_on_a_perturbed_constant():
@@ -176,3 +187,59 @@ def test_coordinate_constants_match_fails_on_a_zero_isomorphism(monkeypatch):
     monkeypatch.setattr(ctx, "phi", lambda: zero)
     assert check_coordinate_constants(ctx) == (
         "fail", "F9", {"witness": {"reason": "not bijective"}})
+
+
+@pytest.mark.parametrize("plant", ["zero", "t delta"])
+def test_double_odd_split_fails_without_the_extra_line(monkeypatch, plant):
+    ctx = RunContext(3)
+    assert check_double_odd_split(ctx)[0] == "pass"
+    real = battery.odd_der_char3
+
+    def planted(kd, mu):
+        if plant == "zero":       # the extra line is lost
+            return LinearMap(kd.alg, kd.alg, 1, np.zeros((kd.alg.n,) * 2))
+        # t delta in place of delta: a line outside Der(K)
+        z = kd.dalg.z
+        t = z.left_mult(z.basis_vector(1)).matrix
+        return real(kd, amod(z.field, t @ mu), check=False)
+
+    monkeypatch.setattr(battery, "odd_der_char3", planted)
+    assert check_double_odd_split(ctx) == (
+        "fail", "F3", {"der_odd": 4, "inder_odd": 3, "extra_lines": 1})
+
+
+def test_double_odd_split_fails_on_a_lost_inner_map_at_p5():
+    ctx = RunContext(5)
+    assert check_double_odd_split(ctx)[0] == "pass"
+    f = ctx.base
+    ctx._cache[("inder_k", f.p, f.ext)] = _short(ctx.inder_k(f), 1)
+    assert check_double_odd_split(ctx) == (
+        "fail", "F5", {"der_odd": 5, "inder_odd": 4})
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_transfer_iso_stable_fails_on_a_lost_stable_map(parity):
+    ctx = RunContext(3)
+    assert check_transfer_iso(ctx)[0] == "pass"
+    f = ctx.sqrt
+    ctx._cache[("bar_k", f.p, f.ext)] = _short(ctx.bar_k(f), parity)
+    assert check_transfer_iso(ctx) == (
+        "fail", "F9", {"reason": "image mismatch", "parity": parity})
+
+
+def test_transfer_iso_stable_fails_on_a_duplicated_image(monkeypatch):
+    # one more image, a copy of the first: the span is unchanged
+    real = symmetry.CoordinateTransfer.apply
+    monkeypatch.setattr(symmetry.CoordinateTransfer, "apply",
+                        lambda tr, maps: real(tr, maps) + real(tr, maps[:1]))
+    assert check_transfer_iso(RunContext(3)) == (
+        "fail", "F9", {"reason": "not injective"})
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_transfer_inner_onto_inner_fails_on_a_lost_inner_map(parity):
+    ctx = RunContext(3)
+    assert check_transfer_inner(ctx) == ("pass", "F9", None)
+    f = ctx.sqrt
+    ctx._cache[("inder_k", f.p, f.ext)] = _short(ctx.inder_k(f), parity)
+    assert check_transfer_inner(ctx) == ("fail", "F9", {"parity": parity})

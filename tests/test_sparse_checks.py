@@ -34,8 +34,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ckder
-from ckder import (DerivationSpace, FieldSpec, LinearMap, SuperAlgebra,
-                   check_jordan_super, check_super_lie,
+from ckder import (DerivationSpace, FieldSpec, LinearMap, Subspace,
+                   SuperAlgebra, check_jordan_super, check_super_lie,
                    check_supercommutative, is_derivation, is_homomorphism,
                    sl2_identification, so3, super_commutator, tkk_3graded,
                    w_to_v_change)
@@ -730,10 +730,12 @@ def _dense_coordinates(ds, rows, parities, message):
     the basis of ds, even elements first, by coords_of."""
     m0 = ds.dims[0]
     coords = np.zeros(rows.shape[:2] + (ds.dim,), dtype=ds.algebra.field.dtype)
+    spans = [flat_span(ds.algebra, ds.even_basis),
+             flat_span(ds.algebra, ds.odd_basis)]
     for s in range(rows.shape[0]):
         for parity, off in ((0, 0), (1, m0)):
             sel = parities[s] == parity
-            co = ds.subspace(parity).coords_of(rows[s][sel])
+            co = spans[parity].coords_of(rows[s][sel])
             if co is None:
                 raise ValueError(message)
             coords[s, sel, off:off + co.shape[1]] = co
@@ -774,6 +776,12 @@ def assert_bitwise(got, want):
 def flat_basis(maps, a):
     return np.stack([d.flatten() for d in maps]) if maps else \
         np.zeros((0, a.n * a.n), dtype=a.field.dtype)
+
+
+def flat_span(a, maps):
+    """The dense oracle of a span of maps: their flattened matrices as
+    a canonical Subspace."""
+    return Subspace(a.field, a.n * a.n, flat_basis(maps, a))
 
 
 def assert_inner_span_matches(a, even, odd):

@@ -6,13 +6,15 @@ import pytest
 
 from ckder import (FieldSpec, LinearMap, Subspace, amod, build_s4,
                    cheng_kac, conjugate_der, coordinate_algebra,
-                   coxeter_witness, extend_odd_eta, grade_derivations,
-                   inner_derivation, inner_derivation_algebra, inverse,
-                   is_automorphism, is_derivation, kantor_double,
-                   odd_der_eta, phi_iso, phi_star, super_commutator,
-                   truncated_poly)
+                   coxeter_witness, extend_even_der, extend_odd_eta,
+                   grade_derivations, inner_derivation,
+                   inner_derivation_algebra, inverse, is_automorphism,
+                   is_derivation, kantor_double, odd_der_eta, phi_iso,
+                   phi_star, super_commutator, truncated_poly)
 from ckder.battery import RunContext, check_transfer_iso
-from ckder.symmetry import group_closure
+from ckder.linalg import mm
+from ckder.superalg import _entries
+from ckder.symmetry import _carrier_coords, _cross_commutators, group_closure
 
 F5 = FieldSpec(5)
 F9 = FieldSpec(3, ext=True)
@@ -213,15 +215,15 @@ def test_transfer_produces_derivations_of_the_double(coord5):
     # the transfer eats maps of fine degree (0, 0): those preserve the
     # component carrying the coordinate product
     comp = grade_derivations(inner_derivation_algebra(ck.alg)).component((0, 0))
-    for d in comp.even_basis[:2] + comp.odd_basis[:2]:
-        out = tr.apply(d)
+    maps = comp.even_basis[:2] + comp.odd_basis[:2]
+    for d, out in zip(maps, tr.apply(maps)):
         assert out.parity == d.parity
         assert is_derivation(kd.alg, out)
     # degree (1, 1) maps move the component and are rejected (the very
     # first basis element is the coordinate unit, whose adjoint action
     # vanishes, so take the next one)
     with pytest.raises(ValueError):
-        tr.apply(co.component.even_basis[1])
+        tr.apply([co.component.even_basis[1]])
 
 
 def test_transfer_eta_identity_smallest_case(coord5):
@@ -234,7 +236,7 @@ def test_transfer_eta_identity_smallest_case(coord5):
     tilde = extend_odd_eta(ck, avec)
     scaled = LinearMap(ck.alg, ck.alg, 1, amod(F5, i * tilde.matrix),
                        check=False)
-    assert np.array_equal(tr.apply(scaled).matrix,
+    assert np.array_equal(tr.apply([scaled])[0].matrix,
                           odd_der_eta(kd, avec).matrix)
 
 
@@ -249,12 +251,9 @@ def test_transfer_check_catches_swapped_images(monkeypatch):
     d0, d1 = comp.even_basis[:2]
 
     class Swapped:
-        def apply(self, d):
-            if np.array_equal(d.matrix, d0.matrix):
-                d = d1
-            elif np.array_equal(d.matrix, d1.matrix):
-                d = d0
-            return tr.apply(d)
+        def apply(self, maps):
+            swap = {id(d0): d1, id(d1): d0}
+            return tr.apply([swap.get(id(d), d) for d in maps])
 
     monkeypatch.setattr(ctx, "transfer", Swapped)
     status, _, witness = check_transfer_iso(ctx)
@@ -331,12 +330,49 @@ def test_coordinate_layer_matches_the_per_pair_path(p):
     assert co.alg.tensor().tobytes() == old.products().tobytes()
     assert co.involution.tobytes() == old.involution().tobytes()
     comp = ctx.graded_j(ctx.sqrt, "v").component((0, 0))
-    for d in comp.even_basis + comp.odd_basis:
-        got = tr.apply(d)
+    maps = comp.even_basis + comp.odd_basis
+    for d, got in zip(maps, tr.apply(maps)):
         assert got.parity == d.parity
         assert got.matrix.tobytes() == old.transfer(d).tobytes()
     # a degree (1, 1) map moves the carrier component out of itself
     with pytest.raises(ValueError, match="escapes the carrier span"):
-        tr.apply(co.component.even_basis[1])
+        tr.apply([co.component.even_basis[1]])
     with pytest.raises(ValueError, match="escapes the carrier span"):
         old.transfer(co.component.even_basis[1])
+
+
+def per_map_transfer(tr, d):
+    """The transfer of the single map d: its own commutator join with
+    the images and its own carrier coordinates, as apply ran once per
+    map before it took lists."""
+    k_alg = tr.kd.alg
+    f = k_alg.field
+    j, r, c, v = _entries(f, tr.images)
+    keys, vals = _cross_commutators(
+        f, tr.ck.alg.n, np.r_[d.parity, k_alg.parities], 1,
+        map(np.concatenate, zip(_entries(f, d.matrix[None]),
+                                (j + 1, r, c, v))))
+    co = _carrier_coords(tr.coord.component, tr.coord.change, keys, vals,
+                         k_alg.n)
+    return mm(f, inverse(f, tr.phi.matrix), co.T)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_list_transfer_matches_the_per_map_transfer(p):
+    """Over F9 and F49 one apply call on a list of maps of both parities
+    (the scalar component of Der(J) and of Inder(J), and the forced
+    extensions of the even derivations of the double) gives, bit for
+    bit, the maps that one join per map gives."""
+    ctx = RunContext(p)
+    f, tr = ctx.sqrt, ctx.transfer()
+    assert f.ext
+    ck = ctx.ck(f, "v")
+    maps = [extend_even_der(ck, d) for d in ctx.bar_k(f).even_basis]
+    for ds in (ctx.der_j(f, "v"), ctx.inder_j(f, "v")):
+        comp = grade_derivations(ds).component((0, 0))
+        maps += comp.odd_basis + comp.even_basis
+    got = tr.apply(maps)
+    assert len(got) == len(maps)
+    for d, out in zip(maps, got):
+        assert out.parity == d.parity
+        assert out.matrix.tobytes() == per_map_transfer(tr, d).tobytes()

@@ -18,6 +18,7 @@ from ckder.battery import RunContext
 from ckder.linalg import mm
 from ckder.superalg import _entries
 from ckder.tkk import LieSuperAlgebra
+from test_sparse_checks import flat_span
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -224,6 +225,8 @@ def _assert_brackets_follow(lie, ds, formulas):
     jalg, f = lie.jalg, lie.field
     n = jalg.n
     dbasis = ds.even_basis + ds.odd_basis
+    spans = [flat_span(ds.algebra, ds.even_basis),
+             flat_span(ds.algebra, ds.odd_basis)]
 
     def copy_vec(i, x):
         v = np.zeros(lie.n, dtype=np.complex128)
@@ -232,7 +235,7 @@ def _assert_brackets_follow(lie, ds, formulas):
         return v
 
     def der_vec(d):
-        co = ds.subspace(d.parity).coords_of(d.flatten())
+        co = spans[d.parity].coords_of(d.flatten())
         assert co is not None
         v = np.zeros(lie.n, dtype=np.complex128)
         for t, c in enumerate(co):
@@ -404,7 +407,7 @@ def _der_as_tkk_oracle(ctx):
         tits = tits_construction(kd.alg, idspace, inder=ctx.inder_k(f))
         comp00 = grade_derivations(jspace).component((0, 0))
         halves = (comp00.even_basis, comp00.odd_basis)
-        arows = [np.stack([transfer.apply(b).flatten() for b in half])
+        arows = [np.stack([b.flatten() for b in transfer.apply(half)])
                  for half in halves]
         cols, mats = [], []
         for j in range(kd.alg.n):
