@@ -15,18 +15,19 @@ import numpy as np
 from . import __version__
 from .constructions import (cheng_kac, kantor_double, odd_part_squares_to_even,
                             truncated_poly, w_to_v_change)
-from .derivations import (DerivationSpace, combination_mismatch,
+from .derivations import (DerivationSpace, combination_entries,
                           derivation_algebra, extend_even_der,
                           extend_odd_eta, grade_derivations,
                           inner_derivation_algebra, odd_der_char3,
                           odd_der_eta, stable_der_double)
 from .field import FieldSpec, is_odd_prime
-from .linalg import Subspace, amod, asfield, iszero, mm
-from .superalg import (LinearMap, _commutator_entries, _entries,
-                       annihilator, center_even, check_jordan_super,
-                       check_super_lie, check_supercommutative,
-                       grading_violation, inner_derivation_entries,
-                       is_automorphism, is_isomorphism)
+from .linalg import Subspace, amod, asfield
+from .superalg import (LinearMap, _brackets, _chain, _first_difference,
+                       _map_stack, annihilator, center_even,
+                       check_jordan_super, check_super_lie,
+                       check_supercommutative, grading_violation,
+                       inner_derivation_entries, is_automorphism,
+                       is_isomorphism)
 from .symmetry import (build_s4, coordinate_algebra, coxeter_witness,
                        phi_iso, phi_star)
 from .tkk import (check_3grading, der_as_tkk, so3,
@@ -302,11 +303,10 @@ def check_double_inder_dims(ctx):
             {"dims": list(dims), "expected": list(want)})
 
 
-def _span(a, maps):
-    """The canonical space spanned by maps, split by parity."""
-    return DerivationSpace(a, [d for d in maps if d.parity == 0],
-                           [d for d in maps if d.parity == 1],
-                           validate=False)
+def _span(a, parities, entries):
+    """The canonical space spanned by the maps of the given parities and
+    nonzero entries (q, r, c, value), split by parity."""
+    return DerivationSpace.from_entries(a, parities, entries, validate=False)
 
 
 def check_double_odd_split(ctx):
@@ -323,7 +323,7 @@ def check_double_odd_split(ctx):
     # a direct sum with the extra line has one dimension more
     kd = ctx.kd(f)
     extra = odd_der_char3(kd, kd.dalg.delta.matrix)
-    both = _span(kd.alg, inder1.odd_basis + [extra])
+    both = _span(kd.alg, *_chain(inder1.stack(), _map_stack(f, [extra])))
     ok = both.dim == inder1.dim + 1 and both.equals(der1)
     return ("pass" if ok else "fail", field_label(f),
             _merge(wit, {"extra_lines": 1}))
@@ -378,16 +378,17 @@ def check_graded_named_spans(ctx):
         (1, (1, 1), [(e(3, 0), o(0, k)) for k in zs]),
         (1, (0, 0), [(e(0, i), o(0, j)) for i in zs for j in zs]),
     ]
-    # every D(u, v) named, flattened, one row per pair, in one join
+    # every D(u, v) named, one map per pair, in one join
     every = [pair for *_, pairs in named for pair in pairs]
     keys, vals = inner_derivation_entries(a, every)
-    rows = np.zeros((len(every), a.n * a.n), dtype=f.dtype)
-    rows.flat[keys] = vals
+    q, cell = np.divmod(keys, a.n * a.n)
     ends = np.cumsum([len(pairs) for *_, pairs in named])
     for (parity, grade, pairs), end in zip(named, ends):
-        span = _span(a, [
-            LinearMap.from_flat(a, a, parity, r, check=False)
-            for r in rows[end - len(pairs):end]])
+        start = end - len(pairs)
+        sel = (q >= start) & (q < end)
+        span = _span(a, np.full(len(pairs), parity),
+                     (q[sel] - start, cell[sel] % a.n, cell[sel] // a.n,
+                      vals[sel]))
         comp = g.component(grade).part(parity)
         if not span.equals(comp):
             return ("fail", field_label(f),
@@ -434,17 +435,15 @@ def check_s4_coxeter(ctx):
 
 def check_s4_fixes_scalar_component(ctx):
     """g D = D g for every group element g and every map D of the scalar
-    component: with the maps stacked, [g, D] [D; -g] = g D - D g is one
-    mm per element."""
+    component: every [D, g] = D g - g D comes from one commutator join of
+    the entries of the maps with those of the elements, and none may
+    have a nonzero entry."""
     f = ctx.sqrt
     comp = ctx.graded_j(f, "v").component((0, 0))
-    mats = np.reshape([d.matrix for d in comp.even_basis + comp.odd_basis],
-                      (-1, comp.algebra.n, comp.algebra.n))
-    for g in ctx.act().elements:
-        gs = np.broadcast_to(g.matrix, mats.shape)
-        if not iszero(mm(f, np.concatenate([gs, mats], axis=2),
-                         np.concatenate([mats, -gs], axis=1))):
-            return ("fail", field_label(f), {"how": "solved"})
+    keys, _ = _brackets(f, comp.algebra.n, comp.stack(),
+                        _map_stack(f, ctx.act().elements))
+    if keys.size:
+        return ("fail", field_label(f), {"how": "solved"})
     return ("pass", field_label(f),
             {"component_dims": list(comp.dims), "how": "solved"})
 
@@ -482,17 +481,15 @@ def check_transfer_iso(ctx):
     the scalar fine component onto the stable derivations of the
     double."""
     f = ctx.sqrt
-    tr = ctx.transfer()
     comp = ctx.graded_j(f, "v").component((0, 0))
-    bar = ctx.bar_k(f)
-    imgs = tr.apply(comp.even_basis + comp.odd_basis)
-    image = _span(ctx.kd(f).alg, imgs)
+    pars, imgs = ctx.transfer().apply(*comp.stack())
+    image = _span(ctx.kd(f).alg, pars, imgs)
     for par in (0, 1):
-        if not image.part(par).equals(bar.part(par)):
+        if not image.part(par).equals(ctx.bar_k(f).part(par)):
             return ("fail", field_label(f),
                     {"reason": "image mismatch", "parity": par})
     # even and odd maps use disjoint cells: the dims add up to the rank
-    if image.dim != len(imgs):
+    if image.dim != len(pars):
         return ("fail", field_label(f), {"reason": "not injective"})
     try:
         c = comp.structure_constants()
@@ -500,13 +497,11 @@ def check_transfer_iso(ctx):
         return ("fail", field_label(f),
                 {"reason": "bracket leaves the component"})
     # the image of [d_s, d_t] against [image of d_s, image of d_t]
-    m, nk = len(imgs), ctx.kd(f).alg.n
-    s, r, col, v = _entries(f, np.stack([d.matrix for d in imgs]))
+    m, nk = len(pars), ctx.kd(f).alg.n
     q, u = np.nonzero(c.reshape(m * m, m))
-    key = combination_mismatch(
-        f, nk * nk, (q, u, c.reshape(m * m, m)[q, u]), (s, col * nk + r, v),
-        _commutator_entries(f, nk, np.asarray([d.parity for d in imgs]),
-                            s, r, col, v))
+    key = _first_difference(f, combination_entries(
+        f, nk, (q, u, c.reshape(m * m, m)[q, u]), imgs),
+        _brackets(f, nk, (pars, imgs), (pars, imgs)))
     if key is not None:
         return ("fail", field_label(f),
                 {"reason": "bracket not preserved",
@@ -517,12 +512,10 @@ def check_transfer_iso(ctx):
 
 def check_transfer_inner(ctx):
     f = ctx.sqrt
-    tr = ctx.transfer()
     comp = grade_derivations(ctx.inder_j(f, "v")).component((0, 0))
-    inder = ctx.inder_k(f)
-    image = _span(ctx.kd(f).alg, tr.apply(comp.even_basis + comp.odd_basis))
+    image = _span(ctx.kd(f).alg, *ctx.transfer().apply(*comp.stack()))
     for par in (0, 1):
-        if not image.part(par).equals(inder.part(par)):
+        if not image.part(par).equals(ctx.inder_k(f).part(par)):
             return ("fail", field_label(f), {"parity": par})
     return ("pass", field_label(f), None)
 
@@ -531,13 +524,17 @@ def check_transfer_extension_identity(ctx):
     """Transfer of the forced extension of an even derivation of the
     double gives back that derivation, on every basis element."""
     f = ctx.sqrt
-    tr = ctx.transfer()
-    ck = ctx.ck(f, "v")
-    basis = ctx.bar_k(f).even_basis
-    backs = tr.apply([extend_even_der(ck, d) for d in basis])
-    for d, back in zip(basis, backs):
-        if not iszero(amod(f, back.matrix - d.matrix)):
-            return ("fail", field_label(f), None)
+    ck, k_alg = ctx.ck(f, "v"), ctx.kd(f).alg
+    basis = ctx.bar_k(f).part(0)
+    # the 2p x 2p basis maps of the double, for the forced extensions
+    mats = np.zeros((basis.dim, k_alg.n, k_alg.n), dtype=f.dtype)
+    mats[basis.entries()[:3]] = basis.entries()[3]
+    backs = ctx.transfer().apply(*_map_stack(f, [
+        extend_even_der(ck, LinearMap(k_alg, k_alg, 0, m)) for m in mats]))
+    # equal maps one by one: equal entries, both sorted by map and cell
+    if not DerivationSpace.from_entries(k_alg, *backs, canonicalize=False,
+                                        validate=False).equals(basis):
+        return ("fail", field_label(f), None)
     return ("pass", field_label(f), None)
 
 
@@ -545,17 +542,18 @@ def check_transfer_eta_identity(ctx):
     """Transfer of sqrt(-1) times the odd extension attached to a
     carrier element a equals the odd derivation x -> a of the double."""
     f = ctx.sqrt
-    tr = ctx.transfer()
-    ck = ctx.ck(f, "v")
-    kd = ctx.kd(f)
-    i = f.sqrt_minus_one()
+    ck, kd = ctx.ck(f, "v"), ctx.kd(f)
     units = np.eye(ck.dz, dtype=f.dtype)
-    scaled = [LinearMap(ck.alg, ck.alg, 1,
-                        amod(f, i * extend_odd_eta(ck, a).matrix),
-                        check=False) for a in units]
-    for k, (a, got) in enumerate(zip(units, tr.apply(scaled))):
-        if not iszero(amod(f, got.matrix - odd_der_eta(kd, a).matrix)):
-            return ("fail", field_label(f), {"power": k})
+    pars, (q, r, c, v) = _map_stack(f, [extend_odd_eta(ck, a)
+                                        for a in units])
+    _, got = ctx.transfer().apply(
+        pars, (q, r, c, amod(f, f.sqrt_minus_one() * v)))
+    want = _map_stack(f, [odd_der_eta(kd, a) for a in units])[1]
+    n = kd.alg.n
+    key = _first_difference(f, *(((q * n + c) * n + r, v)
+                                 for q, r, c, v in (got, want)))
+    if key is not None:
+        return ("fail", field_label(f), {"power": key // n ** 2})
     return ("pass", field_label(f), None)
 
 

@@ -1,21 +1,13 @@
 """Derivation superalgebras by exact linear algebra.
 
-derivation_algebra solves the super Leibniz rule as one linear system
-per parity.  Unknowns are the parity-allowed matrix entries of a
-candidate map in column-major order; equations are generated sparsely
-(one per basis pair and output coordinate), and over the Cheng-Kac
-tables none has more than three cells.  superalg._sparse_kernel solves
-it by structured Gaussian elimination: vectorized substitution rounds
-remove the equations of one and two cells, and only the equations that
-survive are eliminated, one connected block of equations and unknowns
-at a time.
-inner_derivation_algebra spans the supercommutators of left
-multiplications, whose nonzero entries come from one join over the
-structure constants, eliminated block by block in the same way.  Both
-return canonical RREF bases of flattened matrices, so results are
-deterministic and directly comparable, and grade_derivations splits
-such a basis along the fine grading.  The bracket of a space is a join
-too: a coordinate over a canonical basis is the entry at its pivot.
+A space of derivations is stored as the nonzero entries of a canonical
+basis: per parity, the flattened (column-major) basis maps form a
+reduced-row-echelon set (_canonical), so equal spaces are bitwise
+equal, and a coordinate over the basis is the entry at a pivot.
+derivation_algebra solves the super Leibniz rule as one sparse system
+per parity (superalg._sparse_kernel); inner_derivation_algebra spans
+the supercommutators of left multiplications, one join over the
+structure constants; grade_derivations splits a basis by fine degree.
 
 The named derivations of the double K = Z + Zx and their forced
 extensions to the big superalgebra are built from the closed formulas
@@ -29,62 +21,94 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .linalg import amod, asfield, mm, rref, solve_right
-from .superalg import (LinearMap, SuperAlgebra, _commutator_entries,
-                       _eliminate_blocks, _entries, _first_nonzero_key,
-                       _match, _sparse_kernel, expand_runs,
+from .linalg import amod, asfield, inverses, mm, solve_right
+from .superalg import (LinearMap, SuperAlgebra, _brackets, _chain,
+                       _components, _eliminate_blocks, _first_difference,
+                       _map_stack, _match, _sparse_kernel, expand_runs,
                        inner_derivation_entries, is_derivation,
                        leibniz_violation, sum_per_key)
 
 
 class DerivationSpace:
-    """Bases of the even and odd parts of a space of derivations.
+    """A space of derivations, stored as its dims and the nonzero entries
+    of its canonical basis maps, even ones first (entries()).
 
-    Bases are canonical: the flattened matrices (column-major) of each
-    parity form a reduced-row-echelon set, as coordinates() relies on,
-    and with canonicalize off the caller passes such sets (subsets of
-    the rows of one, say).  Every basis element is checked against the
-    Leibniz rule on construction, all in one join (leibniz_violation).
-    """
+    The constructor takes lists of LinearMaps and from_entries a stack
+    of maps (superalg._chain); with canonicalize off they must already
+    be canonical, even maps first.  Every basis map is checked against
+    the Leibniz rule in one join (leibniz_violation).  even_basis and
+    odd_basis are dense views, built on each read."""
 
     def __init__(self, algebra: SuperAlgebra, even_maps, odd_maps,
                  canonicalize: bool = True, validate: bool = True):
-        self.algebra = algebra
+        even, odd = list(even_maps), list(odd_maps)
+        self._store(algebra, np.repeat([0, 1], [len(even), len(odd)]),
+                    _map_stack(algebra.field, even + odd)[1], canonicalize,
+                    validate)
+
+    @classmethod
+    def from_entries(cls, algebra: SuperAlgebra, parities, entries,
+                     canonicalize: bool = True, validate: bool = True):
+        """The space of the maps q of the given parities, given by their
+        nonzero reduced entries (q, r, c, M_q[r, c])."""
+        space = cls.__new__(cls)
+        space._store(algebra, parities, entries, canonicalize, validate)
+        return space
+
+    def _store(self, a, parities, entries, canonicalize, validate):
+        self.algebra, self._brackets = a, None
+        q, r, c, v = entries
+        odd = np.asarray(parities, dtype=bool)
+        # odd maps on the cells past n^2: their pivots follow the even ones
+        cell = (odd[q] * a.n + c) * a.n + r
         if canonicalize:
-            even_maps = self._canon(even_maps, 0)
-            odd_maps = self._canon(odd_maps, 1)
-        self.even_basis = list(even_maps)
-        self.odd_basis = list(odd_maps)
-        if validate:
-            bad = leibniz_violation(algebra, self.even_basis + self.odd_basis)
-            if bad is not None:
-                s, i, j = bad
-                raise ValueError(
-                    f"basis element {s} fails the Leibniz rule on the pair "
-                    f"({algebra.labels[i]}, {algebra.labels[j]})")
-        self._brackets = None
-        self._nonzero = None
-
-    def _canon(self, maps, parity):
-        a = self.algebra
-        flat = np.reshape([m.flatten() for m in maps], (-1, a.n * a.n))
-        return [LinearMap.from_flat(a, a, parity, r, check=False)
-                for r in rref(a.field, flat)[0]]
-
-    @property
-    def dims(self):
-        return (len(self.even_basis), len(self.odd_basis))
+            q, cell, v = _canonical(a.field, q, cell, v)
+            odd = np.zeros(q.max(initial=-1) + 1, dtype=bool)
+            odd[q] = cell >= a.n ** 2
+        order = np.lexsort((cell, q))
+        c, r = np.divmod(cell[order] % a.n ** 2, a.n)
+        self._entries = (q[order], r, c, v[order])
+        for x in self._entries:
+            x.flags.writeable = False
+        self.dims = (int(np.sum(~odd)), int(np.sum(odd)))
+        bad = leibniz_violation(a, *self.stack()) if validate else None
+        if bad is not None:
+            raise ValueError(
+                f"basis element {bad[0]} fails the Leibniz rule on the pair "
+                f"({a.labels[bad[1]]}, {a.labels[bad[2]]})")
 
     @property
     def dim(self):
-        return len(self.even_basis) + len(self.odd_basis)
+        return self.dims[0] + self.dims[1]
+
+    def stack(self):
+        """The basis as a stack of maps (parities, entries())."""
+        return np.repeat([0, 1], self.dims), self._entries
+
+    def _maps(self, parity):
+        a, (u, r, c, v) = self.algebra, self.part(parity).entries()
+        m = np.zeros((self.dims[parity], a.n, a.n), dtype=a.field.dtype)
+        m[u, r, c] = v
+        return [LinearMap(a, a, parity, x, check=False) for x in m]
+
+    even_basis = property(lambda self: self._maps(0),
+                          doc="The even basis maps, built from entries().")
+    odd_basis = property(lambda self: self._maps(1),
+                         doc="The odd basis maps, built from entries().")
+
+    def _subspace(self, basis) -> "DerivationSpace":
+        """The span of the basis maps of the given increasing indices."""
+        u, r, c, v = self._entries
+        sel = np.isin(u, basis)
+        return DerivationSpace.from_entries(
+            self.algebra, np.asarray(basis) >= self.dims[0],
+            (np.searchsorted(basis, u[sel]), r[sel], c[sel], v[sel]),
+            canonicalize=False, validate=False)
 
     def part(self, parity: int) -> "DerivationSpace":
         """The even (0) or odd (1) part, on the same canonical basis."""
-        return DerivationSpace(
-            self.algebra, [] if parity else self.even_basis,
-            self.odd_basis if parity else [], canonicalize=False,
-            validate=False)
+        return self._subspace(np.arange(self.dims[parity])
+                              + parity * self.dims[0])
 
     def structure_constants(self):
         """The bracket of the space in its own basis, even elements
@@ -94,8 +118,8 @@ class DerivationSpace:
         once per space and is read-only."""
         if self._brackets is None:
             a, m = self.algebra, self.dim
-            co = self.coordinates(*_commutator_entries(
-                a.field, a.n, np.repeat([0, 1], self.dims), *self.entries()))
+            co = self.coordinates(*_brackets(a.field, a.n, self.stack(),
+                                             self.stack()))
             if co is None:
                 raise ValueError("derivation space is not bracket closed")
             c = np.zeros((m * m, m), dtype=a.field.dtype)
@@ -106,35 +130,28 @@ class DerivationSpace:
 
     def entries(self):
         """The nonzero entries (u, r, c, B_u[r, c]) of the basis maps,
-        computed once per space; the arrays are read-only."""
-        if self._nonzero is None:
-            a = self.algebra
-            self._nonzero = _entries(a.field, np.reshape(
-                [d.matrix for d in self.even_basis + self.odd_basis],
-                (-1, a.n, a.n)))
-            for x in self._nonzero:
-                x.flags.writeable = False
-        return self._nonzero
+        sorted by u and then by the cell c n + r; the arrays are
+        read-only."""
+        return self._entries
 
     def coordinates(self, keys, vals):
         """Coordinates (q, u, value) over the basis of the maps q given
         by their nonzero entries, keyed q n^2 + cell, or None when some
         map is outside the span.  The basis is canonical RREF, so the
-        coordinate on u is the entry at the pivot of u (even and odd
-        pivots are distinct cells); a second join, coordinates times
-        basis entries, must give the maps back."""
-        a = self.algebra
-        nn = a.n ** 2
-        u, r, c, v = self.entries()
-        pivot = np.full(self.dim, nn, dtype=np.int64)
-        np.minimum.at(pivot, u, c * a.n + r)
-        owner = np.full(nn + 1, -1, dtype=np.int64)
-        owner[pivot] = np.arange(self.dim)
+        coordinate on u is the entry at the pivot of u, its first cell
+        (even and odd pivots are distinct cells); a second join,
+        coordinates times basis entries, must give the maps back."""
+        a, nn = self.algebra, self.algebra.n ** 2
+        u, r, c, v = self._entries
+        cell = c * a.n + r
+        owner = np.full(nn, -1)
+        first = np.diff(u, prepend=-1) != 0
+        owner[cell[first]] = u[first]
         at = owner[keys % nn]
         on = at >= 0
         co = (keys[on] // nn, at[on], vals[on])
-        bad = combination_mismatch(a.field, nn, co, (u, c * a.n + r, v),
-                                   (keys, vals))
+        bad = _first_difference(a.field, combination_entries(
+            a.field, a.n, co, self._entries), (keys, vals))
         return co if bad is None else None
 
     def equals(self, other: "DerivationSpace") -> bool:
@@ -143,17 +160,13 @@ class DerivationSpace:
                 and all(map(np.array_equal, self.entries(), other.entries())))
 
 
-def combination_mismatch(field, nn: int, coords, basis, target):
-    """The least key q nn + cell at which sum_u x[q, u] B_u differs from
-    the target map q, or None.  coords are the nonzero (q, u, x), basis
-    the nonzero entries (u, cell, value) of the maps B_u, and target the
-    keys q nn + cell and the values of the nonzero target entries; one
-    join on u, summed with the negated target per key."""
-    (q, u, x), (bu, bcell, bv) = coords, basis
+def combination_entries(field, n: int, coords, basis):
+    """The n x n maps sum_u x[q, u] B_u as sum_per_key returns them,
+    keyed q n^2 + c n + r: coords are the nonzero (q, u, x), basis the
+    nonzero entries (u, r, c, value) of the B_u; one join on u."""
+    (q, u, x), (bu, r, c, v) = coords, basis
     e, b = _match(u, bu)
-    return _first_nonzero_key(
-        field, np.concatenate([q[e] * nn + bcell[b], target[0]]),
-        np.concatenate([x[e] * bv[b], -target[1]]))
+    return sum_per_key(field, (q[e] * n + c[b]) * n + r[b], x[e] * v[b])
 
 
 def _fan_out(a: SuperAlgebra, q):
@@ -164,8 +177,8 @@ def _fan_out(a: SuperAlgebra, q):
 
 
 def _leibniz_kernel(a: SuperAlgebra, parity: int):
-    """A basis of the parity-homogeneous derivations of a, not yet
-    canonical; the caller canonicalizes it.
+    """A basis of the parity-homogeneous derivations of a, as a stack of
+    maps (see superalg._chain), not yet canonical.
 
     The unknowns are the parity-allowed entries (r, c) of the map, in
     column-major order; the equation at (i, j, r) is coordinate r of
@@ -173,9 +186,7 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     Every structure constant feeds three term families of it, built as
     index arrays from coo() and summed per (equation, unknown) cell by
     sum_per_key, and _sparse_kernel solves the system."""
-    f = a.field
-    n = a.n
-    par = a.parities
+    f, n, par = a.field, a.n, a.parities
     allowed = np.flatnonzero((par[None, :] == (par[:, None] + parity) % 2)
                              .ravel())          # c * n + r, column-major
     nu = allowed.size
@@ -202,48 +213,61 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     uniq, sums = sum_per_key(
         f, np.concatenate(keys) * nu + np.concatenate(cells),
         np.concatenate(vals))
-    basis = _sparse_kernel(f, uniq, sums, nu)
-    flat = np.zeros((basis.shape[0], n * n), dtype=f.dtype)
-    flat[:, allowed] = basis
-    return [LinearMap.from_flat(a, a, parity, v, check=False) for v in flat]
+    k, x, v = _sparse_kernel(f, uniq, sums, nu)
+    c, r = np.divmod(allowed[x], n)
+    return np.full(k.max(initial=-1) + 1, parity), (k, r, c, v)
 
 
 def derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
     """All superderivations of a, by solving the Leibniz system."""
-    even = _leibniz_kernel(a, 0)
-    odd = _leibniz_kernel(a, 1)
-    return DerivationSpace(a, even, odd, canonicalize=True, validate=True)
+    return DerivationSpace.from_entries(
+        a, *_chain(_leibniz_kernel(a, 0), _leibniz_kernel(a, 1)))
 
 
 def inner_derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
-    """Span of all D(e_i, e_j) = [L_i, L_j]; see _inner_span."""
-    return DerivationSpace(a, *_inner_span(a), canonicalize=False,
-                           validate=True)
+    """Span of all D(e_i, e_j) = [L_i, L_j]: the maps of _inner_span,
+    canonicalized per parity."""
+    return DerivationSpace.from_entries(a, *_inner_span(a))
 
 
 def _inner_span(a: SuperAlgebra):
-    """The even and the odd maps of the canonical RREF basis of the span
-    of all D(e_i, e_j).
-
-    The nonzero entries of every D(e_i, e_j) come from one join (see
-    inner_derivation_entries).  The rows of each parity are eliminated
-    one connected block at a time on the cells they use, and the block
-    RREFs sorted by pivot are the canonical RREF of the span."""
-    nn = a.n * a.n
+    """The maps D(e_i, e_j), q = i n + j, as a stack (superalg._chain),
+    from one join (inner_derivation_entries)."""
     keys, vals = inner_derivation_entries(a)
-    q, cell = np.divmod(keys, nn)
-    odd = a.parities[q // a.n] ^ a.parities[q % a.n]
+    q, cell = np.divmod(keys, a.n * a.n)
+    c, r = np.divmod(cell, a.n)
+    return np.bitwise_xor.outer(a.parities, a.parities).ravel(), \
+        (q, r, c, vals)
 
-    def build(parity):
-        sel = odd == parity
-        used, col = np.unique(cell[sel], return_inverse=True)
-        rows = _eliminate_blocks(a.field, q[sel], col, vals[sel], used, nn,
-                                 lambda elim: elim.rref()[0])
-        rows = rows[np.argsort((rows != 0).argmax(axis=1))]
-        return [LinearMap.from_flat(a, a, parity, r, check=False)
-                for r in rows]
 
-    return build(0), build(1)
+def _canonical(field, q, cell, vals):
+    """The canonical RREF of the span of the sparse rows q, with the
+    nonzero reduced vals[t] at cell[t], as the nonzero entries (u, cell,
+    value) of its rows u, in the order of their pivots.  The rows split
+    into blocks on the cells they share (_components), and the RREF is
+    the union of the block RREFs: a block of one row is scaled to lead
+    1, all such rows in one step, and a larger block goes through an
+    Eliminator on its cells (_eliminate_blocks)."""
+    order = np.lexsort((cell, q))
+    row = np.unique(q[order], return_inverse=True)[1]
+    used, col = np.unique(cell[order], return_inverse=True)
+    vals = vals[order]
+    label = _components(row, col, used.size)
+    lead = np.flatnonzero(np.diff(row, prepend=-1))   # first of a row
+    alone = (np.bincount(label[col[lead]], minlength=used.size) == 1)[
+        label[col]]
+    k, b, x = _eliminate_blocks(field, row[~alone], col[~alone],
+                                vals[~alone], label,
+                                lambda elim: elim.rref()[0])
+    scale = inverses(field, vals[lead])[row[alone]]
+    k = np.concatenate([row[alone], lead.size + k])
+    b = np.concatenate([col[alone], b])
+    # a row's pivot is its least cell; distinct rows have distinct pivots
+    rows, k = np.unique(k, return_inverse=True)
+    pivot = np.full(rows.size, used.size)
+    np.minimum.at(pivot, k, b)
+    return np.argsort(np.argsort(pivot))[k], used[b], np.concatenate(
+        [amod(field, vals[alone] * scale), x])
 
 
 # -- named derivations of the double K = Z + Zx --------------------------
@@ -342,24 +366,17 @@ def extend_even_der(ck: ChengKac, dk: LinearMap) -> LinearMap:
     mu on each Z w_i and as mu - a on each Z x_i (coefficientwise)."""
     if dk.parity != 0:
         raise ValueError("expected an even derivation of K")
-    dz = ck.dz
-    z = ck.dalg.z
-    f = z.field
+    dz, z, f = ck.dz, ck.dalg.z, ck.dalg.z.field
     _assert_der(dk.source, dk)
     mu = dk.matrix[:dz, :dz]
     # dk(x) = a x: a is the coefficient column of the image of 1*x.
     avec = amod(f, dk.matrix[dz:, dz + z.unit_index])
     ma = _mult_matrix(z, avec)
-    n = ck.alg.n
-    m = np.zeros((n, n), dtype=f.dtype)
+    m = np.zeros((ck.alg.n, ck.alg.n), dtype=f.dtype)
     for fam in range(4):
-        rows = np.asarray(ck.even_family(fam), dtype=np.intp)
-        m[np.ix_(rows, rows)] = mu
-    block_x = amod(f, mu + ma)
-    block_xi = amod(f, mu - ma)
-    for fam in range(4):
-        rows = np.asarray(ck.odd_family(fam), dtype=np.intp)
-        m[np.ix_(rows, rows)] = block_x if fam == 0 else block_xi
+        w, x = ck.even_family(fam), ck.odd_family(fam)
+        m[np.ix_(w, w)] = mu
+        m[np.ix_(x, x)] = amod(f, mu - ma if fam else mu + ma)
     out = LinearMap(ck.alg, ck.alg, 0, m)
     _assert_der(ck.alg, out)
     return out
@@ -368,18 +385,11 @@ def extend_even_der(ck: ChengKac, dk: LinearMap) -> LinearMap:
 def extend_odd_eta(ck: ChengKac, a) -> LinearMap:
     """The odd derivation of the big superalgebra extending the eta
     family: Z -> 0, fx -> f a, f w_i -> -(a f) x_i, f x_i -> 0."""
-    z = ck.dalg.z
-    f = z.field
-    ma = _mult_matrix(z, a)
-    n = ck.alg.n
-    m = np.zeros((n, n), dtype=f.dtype)
-    zrows = np.asarray(ck.even_family(0), dtype=np.intp)
-    xcols = np.asarray(ck.odd_family(0), dtype=np.intp)
-    m[np.ix_(zrows, xcols)] = ma
+    f, ma = ck.dalg.z.field, _mult_matrix(ck.dalg.z, a)
+    m = np.zeros((ck.alg.n, ck.alg.n), dtype=f.dtype)
+    m[np.ix_(ck.even_family(0), ck.odd_family(0))] = ma
     for fam in range(1, 4):
-        wcols = np.asarray(ck.even_family(fam), dtype=np.intp)
-        xirows = np.asarray(ck.odd_family(fam), dtype=np.intp)
-        m[np.ix_(xirows, wcols)] = amod(f, -ma)
+        m[np.ix_(ck.odd_family(fam), ck.even_family(fam))] = amod(f, -ma)
     out = LinearMap(ck.alg, ck.alg, 1, m)
     _assert_der(ck.alg, out)
     return out
@@ -433,18 +443,18 @@ def grade_derivations(ds: DerivationSpace) -> GradedDerivations:
     fine = np.asarray(a.fine_label)
     deg = (fine[:, None, :] - fine[None, :, :]) % 2
     grade_of = deg[..., 0] + 2 * deg[..., 1]   # index into GRADES
-    parts = {g: ([], []) for g in GRADES}
-    for d in ds.even_basis + ds.odd_basis:
-        found = np.flatnonzero(np.bincount(grade_of[d.matrix != 0],
-                                           minlength=len(GRADES)))
-        if found.size != 1:
-            raise ValueError("a basis map has entries in the fine degrees "
-                             f"{[GRADES[t] for t in found]}: the space is "
-                             "not graded")
-        parts[GRADES[found[0]]][d.parity].append(d)
+    u, r, c, _ = ds.entries()
+    count = np.bincount(u * 4 + grade_of[r, c], minlength=4 * ds.dim)
+    mixed = np.flatnonzero((count.reshape(-1, 4) != 0).sum(axis=1) != 1)
+    if mixed.size:
+        found = np.flatnonzero(count[4 * mixed[0]:4 * mixed[0] + 4])
+        raise ValueError("a basis map has entries in the fine degrees "
+                         f"{[GRADES[t] for t in found]}: the space is "
+                         "not graded")
+    grade = count.reshape(-1, 4).argmax(axis=1)
     return GradedDerivations(ds, {
-        g: DerivationSpace(a, even, odd, canonicalize=False, validate=False)
-        for g, (even, odd) in parts.items()})
+        g: ds._subspace(np.flatnonzero(grade == t))
+        for t, g in enumerate(GRADES)})
 
 
 def stable_der_double(kd: KantorDouble, der_k: DerivationSpace,
@@ -452,7 +462,7 @@ def stable_der_double(kd: KantorDouble, der_k: DerivationSpace,
     """The characteristic-independent subalgebra of Der(K): all even
     derivations plus the inner odd ones.  Verified closed under the
     supercommutator."""
-    ds = DerivationSpace(kd.alg, der_k.even_basis, inder_k.odd_basis,
-                         canonicalize=True, validate=True)
+    ds = DerivationSpace.from_entries(
+        kd.alg, *_chain(der_k.part(0).stack(), inder_k.part(1).stack()))
     ds.structure_constants()  # raises unless the span is bracket closed
     return ds

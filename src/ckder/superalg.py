@@ -3,31 +3,23 @@ exact checks used on them: supercommutativity, the Jordan superidentity
 in operator form, the super Jacobi identity, the Leibniz rule, and
 homomorphism/automorphism verification.
 
-A superalgebra stores its structure constants once, as the COO arrays
-of coo(): the nonzero constants as sorted index and value arrays, in the
-dtype of the algebra's field like every other array here.  Two views
-are derived from them on demand: tensor(), the dense tensor T[i,j,k]
-(coefficient of e_k in e_i e_j), which multiply and left_mult contract
-through the guarded mm, and products, the constants grouped by pair,
-for to_json.  Every identity check runs on coo() as joins over the
-nonzero constants (and the nonzero entries of the maps it is given),
-summed per key with sum_per_key, and reports the first violating pair
-or triple in lexicographic basis order.  The supercommutators of a
-stack of sparse maps, the inner derivations D(e_u, e_v) among them,
-are one join as well.
+A superalgebra stores its structure constants once, as the sorted COO
+arrays of coo(), in the dtype of its field like every array here;
+tensor() (the dense T[i,j,k], coefficient of e_k in e_i e_j, for
+multiply and left_mult) and products (grouped by pair, for to_json) are
+views built on demand.  Every check is a join over the nonzero constants
+and the nonzero entries of the maps it is given, summed per key with
+sum_per_key, and reports the first violating pair or triple in
+lexicographic order.  A stack of sparse maps is their parities and
+entries (_chain); their products and supercommutators are joins too.
 
-The two cyclic sums over triples, the super Jacobi identity and the
-Jordan operator identity, have far more terms than the table has
-constants (6.6 M for the 63,774 constants of the 416-dimensional Tits
-table over F13).  _cyclic_verdict sums them one range of the output
-coordinate q at a time, a range holding at most TERM_BUDGET terms as
-counted from coo() before any is made, or a single q.  Every key
-carries its q, so each is summed whole in one range; the witness is the
-least failing triple over all ranges, as if the sum were made at once.
-The center of the even part and the annihilator of a set of vectors
-are kernels of sparse systems that are joins over coo() as well.  One
-engine, _sparse_kernel, solves every such system: these two, the
-Leibniz system of the derivations, and the matrix of is_isomorphism.
+The cyclic sums of the Jacobi and Jordan identities have far more terms
+than the table has constants (6.6 M for the 63,774 constants of the
+416-dimensional Tits table over F13), so _cyclic_verdict sums them one
+range of the output coordinate at a time, each of at most TERM_BUDGET
+terms.  One engine, _sparse_kernel, solves every sparse linear system:
+the center, the annihilator, the Leibniz system and the matrix of
+is_isomorphism.
 """
 
 from __future__ import annotations
@@ -322,43 +314,52 @@ def inner_derivation_entries(a: SuperAlgebra, pairs=None):
     cell column-major, as in LinearMap.flatten), with reduced values: q
     indexes pairs, or every pair as q = u n + v when pairs is None.
     L_u[r, c] = T[u, c, r] is read from coo() for each basis vector
-    named, and all commutators come from one join (_commutator_entries)."""
+    named, and all commutators of them come from _brackets."""
     n = a.n
     i, j, k, c = a.coo()
     if pairs is None:
-        return _commutator_entries(a.field, n, a.parities, i, k, j, c)
+        every = (a.parities, (i, k, j, c))
+        return _brackets(a.field, n, every, every)
     named = np.zeros(n, dtype=bool)
     named[np.asarray(pairs, dtype=np.int64)] = True
     index = np.flatnonzero(named)
     pos = np.searchsorted(index, np.asarray(pairs).reshape(-1, 2))
     sel = named[i]
-    keys, vals = _commutator_entries(a.field, n, a.parities[index],
-                                     np.searchsorted(index, i[sel]), k[sel],
-                                     j[sel], c[sel])
+    some = (a.parities[index],
+            (np.searchsorted(index, i[sel]), k[sel], j[sel], c[sel]))
+    keys, vals = _brackets(a.field, n, some, some)
     st, cell = np.divmod(keys, n * n)
     e, q = _match(st, pos[:, 0] * index.size + pos[:, 1])
     return q * n * n + cell[e], vals[e]
 
 
-def _commutator_entries(field: FieldSpec, n: int, parities, s, r, c, v):
-    """The supercommutators [M_s, M_t] = M_s M_t - (-1)^(|s||t|) M_t M_s
-    of a stack of parity-homogeneous n x n maps, given by their nonzero
-    reduced entries M_s[r, c] = v and their parities, as sum_per_key
-    returns them: keys (s k + t) n^2 + c n + r, k the number of maps.
+def _product_terms(left, right):
+    """The terms of every product M_s N_t of two stacks of sparse maps,
+    given by their nonzero entries (s, r, m, M_s[r, m]) and (t, m, c,
+    N_t[m, c]): one join on the shared index m.  Returns s, t, r, c and
+    the products, unsummed, each a product of two reduced elements."""
+    s, r, m, v = left
+    t, m2, c, w = right
+    a, b = _match(m, m2)
+    return s[a], t[b], r[a], c[b], v[a] * w[b]
 
-    One join on the shared index m pairs M_s[r, m] with M_t[m, c]: a
-    term of M_s M_t, so of [M_s, M_t] as it stands and of [M_t, M_s]
-    with the sign -(-1)^(|s||t|).  A key takes at most 2n terms, each a
-    product of two reduced elements."""
-    k = len(parities)
-    left, right = _match(c, r)
-    x, y = s[left], s[right]
-    cell = c[right] * n + r[left]
-    prod = v[left] * v[right]
-    sign = 1.0 - 2.0 * (parities[x] * parities[y])
-    return sum_per_key(field, np.concatenate([(x * k + y) * n * n + cell,
-                                              (y * k + x) * n * n + cell]),
-                       np.concatenate([prod, -sign * prod]))
+
+def _brackets(field: FieldSpec, n: int, left, right):
+    """The supercommutators [M_s, N_t] = M_s N_t - (-1)^(|s||t|) N_t M_s
+    of the maps of two stacks (see _chain) of parity-homogeneous n x n
+    maps, as sum_per_key returns them: keys (s k + t) n^2 + c n + r, k
+    the number of maps N_t.  Two product joins, left with right and
+    right with left, make every term and no other; a key takes at most
+    2n terms."""
+    (lp, le), (rp, re) = left, right
+    k = len(rp)
+    s, t, r, c, st = _product_terms(le, re)
+    t2, s2, r2, c2, ts = _product_terms(re, le)
+    sign = 1.0 - 2.0 * (np.asarray(lp)[s2] * np.asarray(rp)[t2])
+    return sum_per_key(
+        field, np.concatenate([((s * k + t) * n + c) * n + r,
+                               ((s2 * k + t2) * n + c2) * n + r2]),
+        np.concatenate([st, -sign * ts]))
 
 
 # -- identity checks: joins over the nonzero structure constants ---------
@@ -392,30 +393,38 @@ def _first_nonzero_key(field: FieldSpec, keys, vals):
     return int(uniq[0]) if uniq.size else None
 
 
-def _sparse_kernel(field, keys, vals, nu):
-    """A basis, as the rows of a (k, nu) array, of the kernel of a sparse
-    system in nu unknowns given as sum_per_key returns it: increasing
-    keys e nu + u, the cell of equation e on unknown u, and nonzero
-    reduced values.
+def _first_difference(field, one, other):
+    """Least key at which two keyed maps (keys, values) differ, or None."""
+    return _first_nonzero_key(field, np.concatenate([one[0], other[0]]),
+                              np.concatenate([one[1], -other[1]]))
 
-    This is structured Gaussian elimination: _peel substitutes away the
-    equations of one and two cells, and only the equations that survive
-    are eliminated, block by block (_eliminate_blocks), on the unknowns
-    they use.  Those unknowns are roots, and a root not zero that no
-    surviving equation uses is free.  A kernel vector y on the roots
-    gives the kernel vector x_u = weight[u] y[root[u]] of the whole."""
+
+def _sparse_kernel(field, keys, vals, nu):
+    """The nonzero entries (k, u, x_u) of a basis of kernel vectors k of
+    a sparse system in nu unknowns given as sum_per_key returns it: keys
+    e nu + u, the cell of equation e on unknown u.
+
+    _peel substitutes away the equations of one and two cells, and the
+    survivors are eliminated block by block (_eliminate_blocks) on the
+    unknowns they use, which are roots; a root not zero that none uses
+    is free.  A kernel vector y on the roots gives the kernel vector
+    x_u = weight[u] y[root[u]] of the whole."""
     keys, vals, root, weight = _peel(field, keys, vals, nu)
     eq, col = np.divmod(keys, nu)
+    eq = np.unique(eq, return_inverse=True)[1]
     used, col = np.unique(col, return_inverse=True)
     free = (root == np.arange(nu)) & (weight != 0)
     free[used] = False
     free = np.flatnonzero(free)
-    basis = np.zeros((free.size, nu), dtype=field.dtype)
-    basis[np.arange(free.size), free] = 1
-    if keys.size:
-        basis = np.vstack([_eliminate_blocks(field, eq, col, vals, used, nu,
-                                             Eliminator.kernel_rows), basis])
-    return amod(field, basis[:, root] * weight)
+    k, y, x = _eliminate_blocks(field, eq, col, vals,
+                                _components(eq, col, used.size),
+                                Eliminator.kernel_rows)
+    k = np.concatenate([k, k.max(initial=-1) + 1 + np.arange(free.size)])
+    y = np.concatenate([used[y], free])
+    x = np.concatenate([x, np.ones(free.size, dtype=field.dtype)])
+    live = np.flatnonzero(weight != 0)
+    e, t = _match(y, root[live])
+    return k[e], live[t], amod(field, x[e] * weight[live[t]])
 
 
 def _peel(field, keys, vals, nu):
@@ -465,22 +474,22 @@ def _peel(field, keys, vals, nu):
     return keys, vals, root, weight
 
 
-def _eliminate_blocks(field, row, col, vals, where, ambient, take):
-    """take(elim), stacked block after block as rows of length ambient,
-    where elim is an Eliminator fed the rows of one connected block of a
-    sparse row system on its columns, and column c lands at where[c].
+def _eliminate_blocks(field, row, col, vals, label, take):
+    """take(elim), elim an Eliminator fed the rows of one block on its
+    columns, for each block with a cell here, as the nonzero entries
+    (k, column, value) of the rows taken, k counting across blocks.
 
-    The nonzero cells, vals[t] at (row[t], col[t]), link rows and
-    columns into a bipartite graph.  A connected component is a block:
-    its rows involve only its columns, so the RREF of the system is the
-    union of the block RREFs and its kernel the direct sum of theirs.  A
-    column in no cell is a block without rows."""
-    row = np.unique(row, return_inverse=True)[1]
-    label = _components(row, col, where.size)
-    blocks = np.flatnonzero(label == np.arange(where.size))
-    order = np.argsort(label[col])
-    bounds = np.searchsorted(label[col[order]], np.r_[blocks, where.size])
-    out = [np.zeros((0, ambient), dtype=field.dtype)]
+    The cells vals[t] at (row[t], col[t]) link rows and columns into a
+    bipartite graph, and label gives each column its component
+    (_components).  A component is a block: its rows involve only its
+    columns, so the RREF of the system is the union of the block RREFs
+    and its kernel the direct sum of theirs."""
+    order = np.argsort(label[col], kind="stable")
+    blocks, bounds = np.unique(label[col[order]], return_index=True)
+    bounds = np.r_[bounds, order.size]
+    out = [(np.zeros(0, dtype=np.int64),) * 2
+           + (np.zeros(0, dtype=field.dtype),)]
+    taken = 0
     for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
         u = np.flatnonzero(label == b)
         t = order[lo:hi]
@@ -490,9 +499,10 @@ def _eliminate_blocks(field, row, col, vals, where, ambient, take):
         elim = Eliminator(field, u.size)
         elim.add_rows(block)
         got = take(elim)
-        out.append(np.zeros((len(got), ambient), dtype=field.dtype))
-        out[-1][:, where[u]] = got
-    return np.vstack(out)
+        k, c = np.nonzero(got)
+        out.append((taken + k, u[c], got[k, c]))
+        taken += len(got)
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def _components(eq, col, nu):
@@ -540,6 +550,23 @@ def _entries(field: FieldSpec, arr):
     return (*where, arr[where])
 
 
+def _chain(*stacks):
+    """One stack of maps from several.  A stack is (parities, entries):
+    the parities of its maps and their nonzero entries (q, r, c, M_q[r,
+    c]); the maps of a stack follow those of the stacks before it."""
+    at = np.cumsum([0] + [len(par) for par, _ in stacks])
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    parts += [(e[0] + k, *e[1:]) for k, (_, e) in zip(at, stacks)]
+    return (np.concatenate([[], *(par for par, _ in stacks)]).astype(int),
+            tuple(np.concatenate(x) for x in zip(*parts)))
+
+
+def _map_stack(field: FieldSpec, maps):
+    """A list of LinearMaps as a stack (see _chain)."""
+    return _chain(*[([d.parity], _entries(field, d.matrix[None]))
+                    for d in maps])
+
+
 def _pair_witness(labels, i: int, j: int):
     return {"pair": [i, j], "labels": [labels[i], labels[j]]}
 
@@ -550,9 +577,8 @@ def _first_asymmetric_pair(a: SuperAlgebra, sign: float):
     n = a.n
     i, j, k, c = a.coo()
     s = 1.0 - 2.0 * (a.parities[i] * a.parities[j])
-    key = _first_nonzero_key(
-        a.field, np.concatenate([(i * n + j) * n + k, (j * n + i) * n + k]),
-        np.concatenate([c, -sign * s * c]))
+    key = _first_difference(a.field, ((i * n + j) * n + k, c),
+                            ((j * n + i) * n + k, sign * s * c))
     if key is None:
         return None
     return _pair_witness(a.labels, *divmod(key // n, n))
@@ -681,13 +707,9 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
     entries E(x, m, w, q) of D(e_x, e_m) e_w.  Then each constant
     T[a,b,m] times an entry E(c, m, w, q) is a term of D(e_c, e_a e_b)
     e_w, which enters S at (c, a, b), (b, c, a) and (a, b, c), each time
-    with the sign (-1)^(|c||b|).
-
-    The joins run one range of the output coordinate q at a time, each
-    range holding at most TERM_BUDGET terms (_cyclic_verdict), so memory
-    does not grow with the table.  The witness is the first failing
-    triple in lexicographic order over all ranges (see
-    _least_rotations)."""
+    with the sign (-1)^(|c||b|).  The joins run in ranges of the output
+    coordinate (_cyclic_verdict), and the witness is the first failing
+    triple in lexicographic order (see _least_rotations)."""
     return _cyclic_verdict(a, _jordan_join)
 
 
@@ -724,12 +746,9 @@ def check_super_lie(lie) -> Verdict:
     J1[x,y,z,q] = [[e_x,e_y],e_z]_q.  The Jacobi sum at (a, b, c) is J1
     at (a, b, c), (b, c, a) and (c, a, b), each signed by (-1)^(|x||z|)
     of its own (x, z), so each product, signed once, is a term of the
-    sum at (x, y, z) and its rotations (see _least_rotations).
-
-    The join runs one range of the output coordinate q at a time, each
-    range holding at most TERM_BUDGET products (_cyclic_verdict), so
-    memory does not grow with the table.  The witness is the first
-    failing triple in lexicographic order over all ranges."""
+    sum at (x, y, z) and its rotations (see _least_rotations).  The join
+    runs in ranges of the output coordinate (_cyclic_verdict), and the
+    witness is the first failing triple in lexicographic order."""
     w = _first_asymmetric_pair(lie, -1.0)
     if w is not None:
         w["identity"] = "anticommutativity"
@@ -737,22 +756,20 @@ def check_super_lie(lie) -> Verdict:
     return _cyclic_verdict(lie, _jacobi_join, {"identity": "jacobi"})
 
 
-def leibniz_violation(a: SuperAlgebra, maps):
-    """The first (s, i, j) in lexicographic order where maps[s] breaks
-    the super Leibniz rule on the basis pair (e_i, e_j), or None.
+def leibniz_violation(a: SuperAlgebra, parities, entries):
+    """The first (s, i, j) in lexicographic order where map s of a stack
+    (see _chain) breaks the super Leibniz rule on (e_i, e_j), or None.
 
-    For d = maps[s], coordinate r of d(e_i e_j) - d(e_i) e_j
+    For d = d_s, coordinate r of d(e_i e_j) - d(e_i) e_j
     - (-1)^(|d||i|) e_i d(e_j) has the terms T[i,j,k] d[r,k],
     -d[m,i] T[m,j,r] and -(-1)^(|d||i|) T[i,m,r] d[m,j].  Each family is
     one join of the nonzero constants with the nonzero entries (s, row,
-    column) of the stacked maps, and every term is keyed to (s, i, j, r),
-    so one pass checks the whole stack."""
-    if not maps:
-        return None
+    column) of the maps, and every term is keyed to (s, i, j, r), so
+    one pass checks the whole stack."""
     n = a.n
     i, j, k, c = a.coo()
-    ds, dr, dc, dv = _entries(a.field, np.stack([d.matrix for d in maps]))
-    odd = np.asarray([d.parity for d in maps])[ds]
+    ds, dr, dc, dv = entries
+    odd = np.asarray(parities, dtype=np.int64)[ds]
     t, e = _match(k, dc)                  # d(e_i e_j)
     keys = [((ds[e] * n + i[t]) * n + j[t]) * n + dr[e]]
     vals = [c[t] * dv[e]]
@@ -773,7 +790,7 @@ def leibniz_violation(a: SuperAlgebra, maps):
 def is_derivation(a: SuperAlgebra, d: LinearMap) -> Verdict:
     """Super Leibniz rule d(xy) = d(x)y + (-1)^(|d||x|) x d(y) on all
     basis pairs; see leibniz_violation."""
-    bad = leibniz_violation(a, [d])
+    bad = leibniz_violation(a, *_map_stack(a.field, [d]))
     if bad is None:
         return Verdict(True, None)
     return Verdict(False, _pair_witness(a.labels, *bad[1:]))
@@ -826,7 +843,7 @@ def is_isomorphism(fmap: LinearMap) -> Verdict:
     fr, fc, fv = _entries(fmap.field, fmap.matrix)
     h = _homomorphism(fmap, fr, fc, fv)
     if h and (n != fmap.target.n
-              or _sparse_kernel(fmap.field, fr * n + fc, fv, n).shape[0]):
+              or _sparse_kernel(fmap.field, fr * n + fc, fv, n)[0].size):
         return Verdict(False, {"reason": "not bijective"})
     return h
 
@@ -851,7 +868,9 @@ def _kernel_of_cells(field: FieldSpec, keys, vals, ncols: int) -> Subspace:
     """The kernel of a sparse system in ncols unknowns, as a canonical
     Subspace: the terms vals at keys e ncols + u, cell u of equation e,
     are summed by sum_per_key, and _sparse_kernel solves the system."""
-    basis = _sparse_kernel(field, *sum_per_key(field, keys, vals), ncols)
+    k, u, x = _sparse_kernel(field, *sum_per_key(field, keys, vals), ncols)
+    basis = np.zeros((k.max(initial=-1) + 1, ncols), dtype=field.dtype)
+    basis[k, u] = x
     return Subspace(field, ncols, rref(field, basis)[0], _canonical=True)
 
 

@@ -6,11 +6,9 @@ carried by one fine component of the derivation algebra, and the
 transfer of derivations between the big algebra and its rank-2
 subalgebra through that coordinate structure.
 
-The last two run on the sparse map engine of the derivation layer: all
-their brackets come from commutator joins (_commutator_entries), and a
-map is read in carrier coordinates from its coordinates over the
-canonical basis of the component (DerivationSpace.coordinates) and one
-change of basis.
+The last two hold maps as their nonzero entries: brackets and
+conjugates are product joins, and a map is read in carrier coordinates
+through its coordinates over the component and one change of basis.
 """
 
 from dataclasses import dataclass
@@ -18,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .derivations import DerivationSpace, grade_derivations
+from .derivations import (DerivationSpace, combination_entries,
+                          grade_derivations)
 from .linalg import amod, asfield, inverse, mm
-from .superalg import (LinearMap, SuperAlgebra, _commutator_entries,
-                       _entries, inner_derivation_entries, is_automorphism,
-                       is_homomorphism)
+from .superalg import (LinearMap, SuperAlgebra, _brackets, _entries,
+                       _product_terms, inner_derivation_entries,
+                       is_automorphism, is_homomorphism, sum_per_key)
 
 
 @dataclass
@@ -40,15 +39,11 @@ class S4Action:
 def _family_matrix(ck: ChengKac, even_images, odd_images):
     """Matrix of a map permuting basis families with signs, acting as
     the identity on the polynomial coefficients."""
-    n = ck.alg.n
-    dz = ck.dz
-    m = np.zeros((n, n), dtype=ck.alg.field.dtype)
-    for fam, (sgn, tgt) in even_images.items():
-        for k in range(dz):
-            m[ck.even_index(tgt, k), ck.even_index(fam, k)] = sgn
-    for fam, (sgn, tgt) in odd_images.items():
-        for k in range(dz):
-            m[ck.odd_index(tgt, k), ck.odd_index(fam, k)] = sgn
+    m = np.zeros((ck.alg.n, ck.alg.n), dtype=ck.alg.field.dtype)
+    for images, family in ((even_images, ck.even_family),
+                           (odd_images, ck.odd_family)):
+        for fam, (sgn, tgt) in images.items():
+            m[family(tgt), family(fam)] = sgn
     return m
 
 
@@ -127,10 +122,9 @@ def coxeter_witness(act: S4Action) -> dict:
     the symmetric group on four letters all five relations hold and
     the order is 24.
     """
-    f = act.algebra.field
-    n = act.algebra.n
+    f, n = act.algebra.field, act.algebra.n
     s1 = act.tau.matrix
-    s2 = _conjugates(f, act.phi.matrix, act.tau.matrix[None])[0]
+    s2 = conjugate_der(act.phi, act.tau).matrix
     s3 = mm(f, act.tau1.matrix, act.tau.matrix)
 
     def is_identity_power(m, e):
@@ -154,28 +148,25 @@ def conjugate_der(g: LinearMap, d: LinearMap) -> LinearMap:
     """The conjugate g d g^-1 of a derivation by an automorphism.
 
     Raises once the conjugating map turns out to be singular."""
-    return LinearMap(d.source, d.target, d.parity,
-                     _conjugates(g.field, g.matrix, d.matrix[None])[0])
+    f = g.field
+    return LinearMap(d.source, d.target, d.parity, mm(
+        f, g.matrix, mm(f, d.matrix, inverse(f, g.matrix))))
 
 
-def _conjugates(field, g, stack):
-    """The matrices g M g^-1 of a stack of matrices M."""
-    return mm(field, g, mm(field, stack, inverse(field, g)))
+def _conjugate_entries(field, g, entries):
+    """The nonzero entries (s, r, c, value) of g M_s g^-1, in (s, r, c)
+    order, for maps M_s given by their nonzero entries: product joins
+    with g^-1 and then with g, each summed per key."""
+    n = g.shape[0]
 
+    def times(left, right):     # one side is g or g^-1 alone: s + t = s
+        s, t, r, c, x = _product_terms(left, right)
+        keys, vals = sum_per_key(field, ((s + t) * n + r) * n + c, x)
+        s, rc = np.divmod(keys, n * n)
+        return (s, *np.divmod(rc, n), vals)
 
-def _cross_commutators(field, n: int, parities, h: int, entries):
-    """The entries of [M_s, M_t], s < h <= t, of k n x n maps with the
-    given parities and nonzero entries (s, r, c, M_s[r, c]), keyed
-    (s (k - h) + t - h) n^2 + cell, the cell column-major: one join of
-    all the entries (_commutator_entries), of which the pairs across h
-    are kept."""
-    k = len(parities)
-    keys, vals = _commutator_entries(field, n, np.asarray(parities),
-                                     *entries)
-    st, cell = np.divmod(keys, n * n)
-    s, t = np.divmod(st, k)
-    keep = (s < h) & (t >= h)
-    return (s[keep] * (k - h) + t[keep] - h) * n * n + cell[keep], vals[keep]
+    ginv = _entries(field, inverse(field, g)[None])
+    return times(_entries(field, g[None]), times(entries, ginv))
 
 
 def _carrier_coords(comp: DerivationSpace, change, keys, vals, count: int):
@@ -195,31 +186,35 @@ def _carrier_coords(comp: DerivationSpace, change, keys, vals, count: int):
 class CoordinateAlgebra:
     """Product structure induced on the [1,1] fine component of the
     derivation algebra by twisting the supercommutator with the
-    symmetry action.
-
-    change takes coordinates over the canonical basis of the component
-    to coordinates over the carrier basis, even maps first."""
+    symmetry action.  entries are those (q, r, c, value) of the carrier
+    maps, even ones first; change takes coordinates over the component
+    to coordinates over the carrier."""
 
     component: DerivationSpace
-    carrier_even: list
-    carrier_odd: list
+    entries: tuple
     alg: SuperAlgebra
     involution: np.ndarray
     unital: bool
     change: np.ndarray
 
-    def carrier(self):
-        return self.carrier_even + self.carrier_odd
+    def carrier(self) -> list:
+        """The carrier maps as LinearMaps, built from entries."""
+        return [self.as_map(e) for e in np.eye(self.alg.n)]
+
+    carrier_even = property(lambda self: self.carrier()[:self.alg.dim_even])
+    carrier_odd = property(lambda self: self.carrier()[self.alg.dim_even:])
 
     def as_map(self, coords) -> LinearMap:
         """The derivation a coordinate vector stands for."""
         a = self.component.algebra
         c = asfield(a.field, coords)
-        flat = np.stack([lm.flatten() for lm in self.carrier()])
         nz = np.flatnonzero(c)
-        return LinearMap.from_flat(
-            a, a, self.carrier()[nz[0]].parity if nz.size else 0,
-            mm(a.field, c, flat), check=False)
+        m = np.zeros((a.n, a.n), dtype=a.field.dtype)
+        keys, vals = combination_entries(
+            a.field, a.n, (np.zeros_like(nz), nz, c[nz]), self.entries)
+        m.T.flat[keys] = vals                   # keys are column-major
+        return LinearMap(a, a, self.alg.parities[nz[0]] if nz.size else 0,
+                         m, check=False)
 
 
 def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
@@ -236,9 +231,7 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     conjugated by tau phi with those conjugated by tau phi^2.  A product
     landing outside the carrier span raises.
     """
-    a = ck.alg
-    f = a.field
-    dz = ck.dz
+    a, f, dz = ck.alg, ck.alg.field, ck.dz
     comp = grade_derivations(der_j).component((1, 1))
     if comp.dims != (dz, dz):
         raise ValueError(f"the [1,1] component has dims {comp.dims}")
@@ -251,22 +244,19 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
         raise ValueError("carrier maps escape the [1,1] component")
     basis = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
     basis[co[0], co[1]] = co[2]
-    flat = np.zeros((2 * dz, a.n * a.n), dtype=f.dtype)
-    flat.flat[keys] = vals
-    pars = [0] * dz + [1] * dz
-    maps = [LinearMap.from_flat(a, a, par, r, check=False)
-            for par, r in zip(pars, flat)]
-    mats = np.stack([m.matrix for m in maps])
     change = inverse(f, basis)
+    q, cell = np.divmod(keys, a.n * a.n)
+    carrier = (q, cell % a.n, cell // a.n, vals)
+    pars = np.repeat([0, 1], dz)
 
     tp = mm(f, act.tau.matrix, act.phi.matrix)
-    keys, vals = _cross_commutators(f, a.n, pars + pars, 2 * dz, _entries(
-        f, np.concatenate([_conjugates(f, tp, mats),
-                           _conjugates(f, mm(f, tp, act.phi.matrix), mats)])))
+    keys, vals = _brackets(
+        f, a.n, (pars, _conjugate_entries(f, tp, carrier)),
+        (pars, _conjugate_entries(f, mm(f, tp, act.phi.matrix), carrier)))
     # prods[i, j] holds the coordinates of the product of carriers i, j
     prods = _carrier_coords(comp, change, keys, amod(f, -vals),
                             (2 * dz) ** 2).reshape(2 * dz, 2 * dz, 2 * dz)
-    s, r, c, v = _entries(f, _conjugates(f, act.tau.matrix, mats))
+    s, r, c, v = _conjugate_entries(f, act.tau.matrix, carrier)
     invo = _carrier_coords(comp, change, (s * a.n + c) * a.n + r,
                            amod(f, -v), 2 * dz).T
 
@@ -277,8 +267,7 @@ def coordinate_algebra(ck: ChengKac, der_j: DerivationSpace,
     nz = np.nonzero(prods)
     alg = SuperAlgebra(f, dz, dz, labels, (*nz, prods[nz]),
                        unit_index=0 if unital else None)
-    return CoordinateAlgebra(comp, maps[:dz], maps[dz:], alg, invo, unital,
-                             change)
+    return CoordinateAlgebra(comp, carrier, alg, invo, unital, change)
 
 
 def phi_iso(kd: KantorDouble, coord: CoordinateAlgebra) -> LinearMap:
@@ -288,17 +277,11 @@ def phi_iso(kd: KantorDouble, coord: CoordinateAlgebra) -> LinearMap:
     Verified to be a homomorphism; raises with the first violating pair
     otherwise.  Bijectivity and the unit are left to is_automorphism
     (the coordinate_constants_match check)."""
-    k_alg = kd.alg
-    f = k_alg.field
-    i = f.sqrt_minus_one()
-    dz = kd.dz
+    k_alg, dz = kd.alg, kd.dz
     if coord.alg.n != 2 * dz:
         raise ValueError("dimension mismatch with the coordinate algebra")
-    m = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
-    for k in range(dz):
-        m[k, k] = 1
-        m[dz + k, dz + k] = i
-    out = LinearMap(k_alg, coord.alg, 0, m)
+    out = LinearMap(k_alg, coord.alg, 0, np.diag(
+        np.repeat([1, k_alg.field.sqrt_minus_one()], dz)))
     v = is_homomorphism(out)
     if not v:
         raise ValueError(f"transport map is not a homomorphism: {v.witness}")
@@ -310,35 +293,35 @@ class CoordinateTransfer:
     the [0,0] fine component to derivations of the rank-2 double.
 
     A derivation d goes to the map z -> phi^-1([d, phi(z)]): one
-    commutator join of a list of maps d with the images phi(e_j), read
-    in carrier coordinates.  images[j] is the matrix of phi(e_j) as a
-    map of the big algebra."""
+    commutator join of a stack of maps d with the images phi(e_j), read
+    in carrier coordinates.  images holds the nonzero entries (j, r, c,
+    value) of the phi(e_j), maps of the big algebra."""
 
     def __init__(self, ck: ChengKac, kd: KantorDouble,
                  coord: CoordinateAlgebra, phi: LinearMap):
-        self.ck = ck
-        self.kd = kd
-        self.coord = coord
-        self.phi = phi
-        self._phi_inv = inverse(ck.alg.field, phi.matrix)
-        self.images = np.stack([coord.as_map(col).matrix
-                                for col in phi.matrix.T])
+        self.ck, self.kd, self.coord, self.phi = ck, kd, coord, phi
+        f = ck.alg.field
+        self._phi_inv = inverse(f, phi.matrix)
+        n, (c, j) = ck.alg.n, np.nonzero(phi.matrix)
+        keys, vals = combination_entries(f, n, (j, c, phi.matrix[c, j]),
+                                         coord.entries)
+        j, cell = np.divmod(keys, n * n)
+        self.images = (j, cell % n, cell // n, vals)
 
-    def apply(self, maps) -> list:
-        """The transferred derivations of the rank-2 double, one per map
-        of the list: one commutator join of all the maps with the
-        images, read in carrier coordinates at once."""
+    def apply(self, parities, entries):
+        """The transfers, maps of the rank-2 double, of a stack of maps
+        of the big algebra (see superalg._chain), as a stack of the same
+        parities: one commutator join of the maps with the images, read
+        in carrier coordinates at once.  Raises once a map escapes the
+        carrier span."""
         k_alg = self.kd.alg
-        f, n, nk, h = k_alg.field, self.ck.alg.n, k_alg.n, len(maps)
-        pars = [d.parity for d in maps]
-        keys, vals = _cross_commutators(
-            f, n, np.r_[pars, k_alg.parities], h, _entries(f, np.concatenate(
-                [np.reshape([d.matrix for d in maps], (-1, n, n)),
-                 self.images])))
+        f, nk, h = k_alg.field, k_alg.n, len(parities)
+        keys, vals = _brackets(f, self.ck.alg.n, (parities, entries),
+                               (k_alg.parities, self.images))
         co = _carrier_coords(self.coord.component, self.coord.change, keys,
                              vals, h * nk).reshape(h, nk, nk)
-        return [LinearMap(k_alg, k_alg, par, m) for par, m in
-                zip(pars, mm(f, self._phi_inv, co.transpose(0, 2, 1)))]
+        return np.asarray(parities), _entries(
+            f, mm(f, self._phi_inv, co.transpose(0, 2, 1)))
 
 
 def phi_star(ck: ChengKac, kd: KantorDouble, coord: CoordinateAlgebra,

@@ -7,12 +7,10 @@ identification between the two through a split sl2 triple, and the
 realization of the big derivation algebra as such a construction over
 the Kantor double K.
 
-The layer runs on the sparse map engine of the derivation layer: an
-inner block is checked against a derivation space by its coordinates
-(DerivationSpace.coordinates) and against the multiplication block by
-its unit column, and both bridges are judged by is_isomorphism.
-der_as_tkk conjugates the images phi(e_j) of the bracket transfer as
-one stack and inverts the transfer of the [0,0] component once.
+Maps are their nonzero entries here: an inner block is checked against
+a derivation space by its coordinates (DerivationSpace.coordinates),
+the bridges are judged by is_isomorphism, and der_as_tkk builds its map
+by joins on the entries of the bracket transfer.
 """
 
 from dataclasses import dataclass
@@ -20,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import ChengKac, KantorDouble
-from .derivations import (DerivationSpace, grade_derivations,
-                          inner_derivation_algebra)
+from .derivations import (DerivationSpace, combination_entries,
+                          grade_derivations, inner_derivation_algebra)
 from .linalg import amod, asfield, inverse, iszero, mm
-from .superalg import (LinearMap, SuperAlgebra, Verdict, _entries,
+from .superalg import (LinearMap, SuperAlgebra, Verdict, _chain,
                        inner_derivation_entries, is_isomorphism,
                        table_from_json)
-from .symmetry import CoordinateTransfer, S4Action, _conjugates
+from .symmetry import CoordinateTransfer, S4Action, _conjugate_entries
 
 
 class LieSuperAlgebra(SuperAlgebra):
@@ -184,9 +182,7 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
     derivation acts on every copy, [d, (i, a)] = (i, d(a)), and the
     reverse order follows by super antisymmetry.  label_fmts and tags
     give each copy's label template and 3-grading tag, if any."""
-    f = jalg.field
-    n = jalg.n
-    par = jalg.parities
+    f, n, par = jalg.field, jalg.n, jalg.parities
     m0, m1 = ds.dims
     copy, der = cls.layout(jalg, ds)
     parts = []  # blocks of (i, j, k, c) table entries
@@ -311,8 +307,7 @@ def sl2_identification(tits: TitsAlgebra, tkk: TkkAlgebra) -> ExplicitIso:
     tensor x to the left multiplication, half f tensor x to the -1
     copy, and the derivation block is carried across unchanged."""
     f = tits.field
-    jalg = tits.jalg
-    if jalg is not tkk.jalg:
+    if tits.jalg is not tkk.jalg:
         raise ValueError("the two constructions are over different algebras")
     if not tits.dspace.equals(tkk.inder):
         raise ValueError("the tensor construction is not over the inner "
@@ -321,18 +316,12 @@ def sl2_identification(tits: TitsAlgebra, tkk: TkkAlgebra) -> ExplicitIso:
     base = np.stack([triple["h"], triple["e"], triple["f"]], axis=1)
     binv = inverse(f, base)  # rows: coordinates of E_i in (h, e, f)
 
-    n = jalg.n
-    total = tits.n
-    m = np.zeros((total, total), dtype=f.dtype)
+    m = np.zeros((tits.n, tits.n), dtype=f.dtype)
     for i in range(3):
-        ch, ce, cf = binv[0, i], binv[1, i], binv[2, i]
-        for a in range(n):
-            src = tits.idx_tensor(i, a)
-            m[tkk.idx_lmult(a), src] += 2 * ch
-            m[tkk.idx_plus(a), src] += ce
-            m[tkk.idx_minus(a), src] += 2 * cf
-    m0, m1 = tits.dspace.dims
-    for par, cnt in ((0, m0), (1, m1)):
+        # the +1, -1 and L copies take e, 2 f and 2 h coordinates of E_i
+        for k, coef in enumerate(binv[[1, 2, 0], i] * [1, 2, 2]):
+            m[tkk._copy[k], tits._copy[i]] += coef
+    for par, cnt in enumerate(tits.dspace.dims):
         for k in range(cnt):
             m[tkk.idx_der(par, k), tits.idx_der(par, k)] = 1.0
     lm = LinearMap(tits, tkk, 0, amod(f, m))
@@ -361,40 +350,39 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
     """Realize the big derivation algebra as the tensor construction
     over the Kantor double K.
 
-    The tensor part of the map sends the i-th matrix unit against z to
-    the conjugate, under the cyclic symmetry, of the coordinate image
-    phi(z) (transfer.images).  The derivation part inverts the bracket
-    transfer: the transfer of the [0,0] fine component, in coordinates
-    over the derivations of the double, is inverted once, and the
-    preimages are one product with the component basis.  Returns the
-    verified isomorphism for the full derivation algebra over the
-    stable double, and the one for the inner derivations over the
-    inner double."""
-    f = ck.alg.field
-    n, nk = ck.alg.n, kd.alg.n
-    first = _conjugates(f, act.phi.matrix, transfer.images)
-    # entry i nk + j is the image of copy i of e_j, as in tits._copy
-    tensor = np.concatenate([first, _conjugates(f, act.phi.matrix, first),
-                             transfer.images])
+    The tensor part sends the i-th matrix unit against z to the
+    conjugate, under the cyclic symmetry, of the image phi(z)
+    (transfer.images), by product joins.  The derivation part inverts
+    the transfer of the [0,0] fine component, in coordinates over the
+    derivations of the double, once; the preimages are one join of those
+    coordinates with the component entries.  Returns the verified
+    isomorphisms for the full derivation algebra over the stable double
+    and for the inner derivations over the inner double."""
+    f, n, nk = ck.alg.field, ck.alg.n, kd.alg.n
+    par, images = kd.alg.parities, transfer.images
+    first = _conjugate_entries(f, act.phi.matrix, images)
+    # map i nk + j is the image of copy i of e_j, as in tits._copy
+    tensor = ((par, first), (par, _conjugate_entries(f, act.phi.matrix,
+                                                      first)), (par, images))
 
     def build(idspace, jspace):
         tits = tits_construction(kd.alg, idspace, inder=inder_k)
         lie = lie_from_derivations(jspace)
         comp = grade_derivations(jspace).component((0, 0))
-        maps = comp.even_basis + comp.odd_basis
-        q, r, c, x = _entries(f, np.stack([d.matrix for d in
-                                           transfer.apply(maps)]))
+        _, (q, r, c, x) = transfer.apply(*comp.stack())
         co = idspace.coordinates((q * nk + c) * nk + r, x)
         if co is None:
             raise ValueError("transfer leaves the derivations of K")
         t = np.zeros((comp.dim, idspace.dim), dtype=f.dtype)
         t[co[0], co[1]] = co[2]
-        pre = mm(f, inverse(f, t), np.reshape([d.matrix for d in maps],
-                                              (comp.dim, n * n)))
+        tinv = inverse(f, t)
+        u, s = np.nonzero(tinv)
+        pre = combination_entries(f, n, (u, s, tinv[u, s]), comp.entries())
         cols = np.concatenate([tits._copy.ravel(), tits._der])
-        q, r, c, x = _entries(f, np.concatenate(
-            [tensor, pre.reshape(-1, n, n)]))
-        co = jspace.coordinates((q * n + c) * n + r, x)
+        q, r, c, x = _chain(*tensor)[1]
+        co = jspace.coordinates(
+            np.r_[(q * n + c) * n + r, pre[0] + 3 * nk * n * n],
+            np.r_[x, pre[1]])
         if co is None:
             raise ValueError("map lies outside the derivation space")
         m = np.zeros((lie.n, tits.n), dtype=f.dtype)

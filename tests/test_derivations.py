@@ -163,7 +163,10 @@ def check_sparse_kernel(field, m):
     system as sparse_system does."""
     m, keys, vals = sparse_system(field, m)
     nu = m.shape[1]
-    got = _sparse_kernel(field, keys, vals, nu)
+    k, u, x = _sparse_kernel(field, keys, vals, nu)
+    # the sparse rows scattered: every row has a nonzero entry
+    got = np.zeros((k.max(initial=-1) + 1, nu), dtype=x.dtype)
+    got[k, u] = x
     want = kernel(field, m)
     assert got.dtype == field.dtype
     assert got.shape == (want.dim, nu)

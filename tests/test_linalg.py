@@ -6,7 +6,7 @@ import pytest
 from ckder import (DerivationSpace, FieldError, FieldSpec, LinearMap,
                    RunContext, inner_derivation_algebra, kantor_double,
                    truncated_poly)
-from ckder import linalg
+from ckder import linalg, superalg
 from ckder.linalg import (Eliminator, Subspace, amod, exact_terms, inverse,
                           kernel, matrix_from_json, matrix_to_json, mm, rank,
                           rref, solve_right)
@@ -309,8 +309,11 @@ def test_rref_on_the_columns_in_use_matches_the_oracle(field):
 
 def test_der_j_is_canonicalized_on_the_columns_in_use(monkeypatch):
     """At p = 3 the flattened maps of Der(J) over F9 have n^2 = 576
-    columns, and only those where some basis map is nonzero reach the
-    eliminator that canonicalizes each parity."""
+    columns.  Spanned by the chains b0 + b1, b1 + b2, ..., b_last of its
+    basis maps, each parity is one connected block, and only the columns
+    where some basis map is nonzero reach the eliminator that
+    canonicalizes it.  The canonical basis itself is a block of one row
+    per map, scaled without an eliminator."""
     widths = []
 
     class Recording(Eliminator):
@@ -320,8 +323,17 @@ def test_der_j_is_canonicalized_on_the_columns_in_use(monkeypatch):
 
     ctx = RunContext(3)
     a, der = ctx.ck(F9, "w").alg, ctx.der_j(F9, "w")
-    monkeypatch.setattr(linalg, "Eliminator", Recording)
-    again = DerivationSpace(a, der.even_basis, der.odd_basis, validate=False)
+    monkeypatch.setattr(superalg, "Eliminator", Recording)
+    assert DerivationSpace(a, der.even_basis, der.odd_basis,
+                           validate=False).equals(der)
+    assert widths == []
+
+    def chain(basis):
+        return [LinearMap(a, a, d.parity, amod(F9, d.matrix + e.matrix))
+                for d, e in zip(basis, basis[1:])] + basis[-1:]
+
+    again = DerivationSpace(a, chain(der.even_basis), chain(der.odd_basis),
+                            validate=False)
     assert again.equals(der)
     in_use = [int(np.any([d.matrix for d in basis], axis=0).sum())
               for basis in (der.even_basis, der.odd_basis)]

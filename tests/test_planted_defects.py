@@ -10,14 +10,18 @@ import pytest
 from ckder import (DerivationSpace, LinearMap, amod, check_supercommutative,
                    inner_derivation)
 from ckder import battery, derivations, symmetry, tkk
+from ckder.superalg import _chain
 from ckder.battery import (RunContext, check_big_inder_dims,
                            check_big_w_jordan_identity,
                            check_coordinate_constants,
                            check_der_as_tits_double, check_double_odd_split,
                            check_dzzx_vanishes, check_graded_named_spans,
                            check_s4_fixes_scalar_component,
-                           check_tkk_sl2_bridge, check_transfer_inner,
-                           check_transfer_iso, check_w_v_equivalence)
+                           check_tkk_sl2_bridge,
+                           check_transfer_eta_identity,
+                           check_transfer_extension_identity,
+                           check_transfer_inner, check_transfer_iso,
+                           check_w_v_equivalence)
 from test_sparse_checks import _symmetric_perturbation
 
 
@@ -230,8 +234,13 @@ def test_transfer_iso_stable_fails_on_a_lost_stable_map(parity):
 def test_transfer_iso_stable_fails_on_a_duplicated_image(monkeypatch):
     # one more image, a copy of the first: the span is unchanged
     real = symmetry.CoordinateTransfer.apply
-    monkeypatch.setattr(symmetry.CoordinateTransfer, "apply",
-                        lambda tr, maps: real(tr, maps) + real(tr, maps[:1]))
+
+    def duplicated(tr, parities, entries):
+        pars, got = real(tr, parities, entries)
+        first = got[0] == 0
+        return _chain((pars, got), (pars[:1], tuple(x[first] for x in got)))
+
+    monkeypatch.setattr(symmetry.CoordinateTransfer, "apply", duplicated)
     assert check_transfer_iso(RunContext(3)) == (
         "fail", "F9", {"reason": "not injective"})
 
@@ -243,3 +252,32 @@ def test_transfer_inner_onto_inner_fails_on_a_lost_inner_map(parity):
     f = ctx.sqrt
     ctx._cache[("inder_k", f.p, f.ext)] = _short(ctx.inder_k(f), parity)
     assert check_transfer_inner(ctx) == ("fail", "F9", {"parity": parity})
+
+
+def test_transfer_extension_identity_fails_on_a_doubled_extension(
+        monkeypatch):
+    ctx = RunContext(3)
+    assert check_transfer_extension_identity(ctx) == ("pass", "F9", None)
+    real = battery.extend_even_der
+
+    def doubled(ck, dk):
+        # twice a derivation is a derivation, but transfers to twice dk
+        d = real(ck, dk)
+        return LinearMap(d.source, d.target, 0, amod(ck.alg.field,
+                                                     2 * d.matrix))
+
+    monkeypatch.setattr(battery, "extend_even_der", doubled)
+    assert check_transfer_extension_identity(ctx) == ("fail", "F9", None)
+
+
+def test_transfer_eta_identity_fails_on_a_shifted_power(monkeypatch):
+    ctx = RunContext(3)
+    assert check_transfer_eta_identity(ctx) == ("pass", "F9", None)
+    real = battery.odd_der_eta
+
+    def shifted(kd, a):
+        # the map for t goes to the one for t^2; 1 and t^2 are kept
+        return real(kd, np.roll(a, 1) if a[1] else a)
+
+    monkeypatch.setattr(battery, "odd_der_eta", shifted)
+    assert check_transfer_eta_identity(ctx) == ("fail", "F9", {"power": 1})

@@ -27,6 +27,7 @@ dense einsum and the dense multiplication they replaced."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +40,13 @@ from ckder import (DerivationSpace, FieldSpec, LinearMap, Subspace,
                    check_supercommutative, is_derivation, is_homomorphism,
                    sl2_identification, so3, super_commutator, tkk_3graded,
                    w_to_v_change)
-from ckder.battery import RunContext
+from ckder.battery import (RunContext, check_der_as_tits_double,
+                           check_graded_named_spans,
+                           check_s4_fixes_scalar_component)
 from ckder.derivations import _inner_span, _leibniz_kernel
 from ckder.linalg import Eliminator, amod, kernel
-from ckder.superalg import (TERM_BUDGET, _commutator_entries,
-                            _cyclic_verdict, _entries, _first_nonzero_key,
+from ckder.superalg import (TERM_BUDGET, _brackets, _cyclic_verdict,
+                            _entries, _first_nonzero_key,
                             _jacobi_join, _jordan_join, annihilator,
                             center_even, inner_derivation_entries)
 from ckder.tkk import LieSuperAlgebra
@@ -401,6 +404,28 @@ def test_tkk_table_memory_does_not_grow_with_a_rank_stack():
     assert grown < 16 * 1024
 
 
+@pytest.mark.parametrize("check,limit_mib", [
+    (check_s4_fixes_scalar_component, 18.2 / 2),
+    (check_graded_named_spans, 33.9 / 2),
+    (check_der_as_tits_double, 34.5 / 2)],
+    ids=["s4_fixes_scalar_component", "graded_named_spans",
+         "der_as_tits_double"])
+def test_map_checks_hold_no_dense_basis_stacks(check, limit_mib):
+    """At p = 11, once a first run has built the shared objects, a second
+    run of each check peaks (tracemalloc) below half of what it took
+    while derivation spaces were stacks of dense n x n maps: 18.2, 33.9
+    and 34.5 MiB.  The checks join the entries of the maps instead."""
+    ctx = RunContext(11)
+    assert check(ctx)[0] == "pass"
+    tracemalloc.start()
+    try:
+        assert check(ctx)[0] == "pass"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2 ** 20
+
+
 # -- the Jordan identity -------------------------------------------------
 
 
@@ -490,7 +515,7 @@ def test_leibniz_sums_refuse_terms_beyond_the_exact_range():
         return SuperAlgebra(f, 2, 0, ["e0", "e1"], ([0], [0], [1], [1]))
 
     # e0 -> a e0 + b e1 and e1 -> 2a e1
-    assert len(_leibniz_kernel(algebra(F3), 0)) == 2
+    assert len(_leibniz_kernel(algebra(F3), 0)[0]) == 2
     with pytest.raises(ValueError, match="exact range"):
         _leibniz_kernel(algebra(BIG), 0)
 
@@ -881,8 +906,8 @@ def test_commutator_entries_match_super_commutator(field, seed):
     n, maps = random_stack(np.random.default_rng(seed), field)
     k = len(maps)
     par = np.asarray([d.parity for d in maps])
-    keys, vals = _commutator_entries(
-        field, n, par, *_entries(field, np.stack([d.matrix for d in maps])))
+    stack = (par, _entries(field, np.stack([d.matrix for d in maps])))
+    keys, vals = _brackets(field, n, stack, stack)
     assert np.all(np.diff(keys) > 0) and np.all(vals != 0)
     got = np.zeros((k, k, n * n), dtype=field.dtype)
     got.flat[keys] = vals
@@ -897,10 +922,9 @@ def test_commutator_entries_match_super_commutator(field, seed):
 @given(super_tables())
 def test_random_tables_give_the_dense_brackets(table):
     a, _ = table
-    even, odd = _inner_span(a)
-    assert_inner_span_matches(a, even, odd)
     # D(e_a, e_b) need not be a derivation of a random table
-    ds = DerivationSpace(a, even, odd, canonicalize=False, validate=False)
+    ds = DerivationSpace.from_entries(a, *_inner_span(a), validate=False)
+    assert_inner_span_matches(a, ds.even_basis, ds.odd_basis)
     assert_bitwise(sparse_inner_coordinates(a, ds),
                    dense_inner_coordinates(a, ds))
     try:

@@ -13,11 +13,23 @@ from ckder import (FieldSpec, LinearMap, Subspace, amod, build_s4,
                    phi_star, super_commutator, truncated_poly)
 from ckder.battery import RunContext, check_transfer_iso
 from ckder.linalg import mm
-from ckder.superalg import _entries
-from ckder.symmetry import _carrier_coords, _cross_commutators, group_closure
+from ckder import superalg
+from ckder.superalg import _brackets, _chain, _map_stack
+from ckder.symmetry import _carrier_coords, group_closure
 
 F5 = FieldSpec(5)
 F9 = FieldSpec(3, ext=True)
+
+
+def apply_maps(tr, maps):
+    """CoordinateTransfer.apply on a list of LinearMaps, with the
+    transferred maps back as LinearMaps of the double, one per map, each
+    checked against its parity."""
+    k_alg = tr.kd.alg
+    pars, (q, r, c, v) = tr.apply(*_map_stack(k_alg.field, maps))
+    mats = np.zeros((len(pars), k_alg.n, k_alg.n), dtype=k_alg.field.dtype)
+    mats[q, r, c] = v
+    return [LinearMap(k_alg, k_alg, par, m) for par, m in zip(pars, mats)]
 
 
 def make_action(field):
@@ -216,14 +228,14 @@ def test_transfer_produces_derivations_of_the_double(coord5):
     # component carrying the coordinate product
     comp = grade_derivations(inner_derivation_algebra(ck.alg)).component((0, 0))
     maps = comp.even_basis[:2] + comp.odd_basis[:2]
-    for d, out in zip(maps, tr.apply(maps)):
+    for d, out in zip(maps, apply_maps(tr, maps)):
         assert out.parity == d.parity
         assert is_derivation(kd.alg, out)
     # degree (1, 1) maps move the component and are rejected (the very
     # first basis element is the coordinate unit, whose adjoint action
     # vanishes, so take the next one)
     with pytest.raises(ValueError):
-        tr.apply([co.component.even_basis[1]])
+        apply_maps(tr, [co.component.even_basis[1]])
 
 
 def test_transfer_eta_identity_smallest_case(coord5):
@@ -236,7 +248,7 @@ def test_transfer_eta_identity_smallest_case(coord5):
     tilde = extend_odd_eta(ck, avec)
     scaled = LinearMap(ck.alg, ck.alg, 1, amod(F5, i * tilde.matrix),
                        check=False)
-    assert np.array_equal(tr.apply([scaled])[0].matrix,
+    assert np.array_equal(apply_maps(tr, [scaled])[0].matrix,
                           odd_der_eta(kd, avec).matrix)
 
 
@@ -248,12 +260,14 @@ def test_transfer_check_catches_swapped_images(monkeypatch):
     assert check_transfer_iso(ctx)[0] == "pass"
     tr = ctx.transfer()
     comp = grade_derivations(ctx.der_j(ctx.sqrt, "v")).component((0, 0))
-    d0, d1 = comp.even_basis[:2]
+    assert comp.dims[0] >= 2
 
     class Swapped:
-        def apply(self, maps):
-            swap = {id(d0): d1, id(d1): d0}
-            return tr.apply([swap.get(id(d), d) for d in maps])
+        def apply(self, parities, entries):
+            # maps 0 and 1 are the first two even basis elements
+            q = entries[0]
+            swapped = np.where(q == 0, 1, np.where(q == 1, 0, q))
+            return tr.apply(parities, (swapped, *entries[1:]))
 
     monkeypatch.setattr(ctx, "transfer", Swapped)
     status, _, witness = check_transfer_iso(ctx)
@@ -331,12 +345,12 @@ def test_coordinate_layer_matches_the_per_pair_path(p):
     assert co.involution.tobytes() == old.involution().tobytes()
     comp = ctx.graded_j(ctx.sqrt, "v").component((0, 0))
     maps = comp.even_basis + comp.odd_basis
-    for d, got in zip(maps, tr.apply(maps)):
+    for d, got in zip(maps, apply_maps(tr, maps)):
         assert got.parity == d.parity
         assert got.matrix.tobytes() == old.transfer(d).tobytes()
     # a degree (1, 1) map moves the carrier component out of itself
     with pytest.raises(ValueError, match="escapes the carrier span"):
-        tr.apply([co.component.even_basis[1]])
+        apply_maps(tr, [co.component.even_basis[1]])
     with pytest.raises(ValueError, match="escapes the carrier span"):
         old.transfer(co.component.even_basis[1])
 
@@ -347,11 +361,8 @@ def per_map_transfer(tr, d):
     map before it took lists."""
     k_alg = tr.kd.alg
     f = k_alg.field
-    j, r, c, v = _entries(f, tr.images)
-    keys, vals = _cross_commutators(
-        f, tr.ck.alg.n, np.r_[d.parity, k_alg.parities], 1,
-        map(np.concatenate, zip(_entries(f, d.matrix[None]),
-                                (j + 1, r, c, v))))
+    keys, vals = _brackets(f, tr.ck.alg.n, _map_stack(f, [d]),
+                           (k_alg.parities, tr.images))
     co = _carrier_coords(tr.coord.component, tr.coord.change, keys, vals,
                          k_alg.n)
     return mm(f, inverse(f, tr.phi.matrix), co.T)
@@ -371,8 +382,43 @@ def test_list_transfer_matches_the_per_map_transfer(p):
     for ds in (ctx.der_j(f, "v"), ctx.inder_j(f, "v")):
         comp = grade_derivations(ds).component((0, 0))
         maps += comp.odd_basis + comp.even_basis
-    got = tr.apply(maps)
+    got = apply_maps(tr, maps)
     assert len(got) == len(maps)
     for d, out in zip(maps, got):
         assert out.parity == d.parity
         assert out.matrix.tobytes() == per_map_transfer(tr, d).tobytes()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_cross_joins_make_only_the_terms_they_keep(p, monkeypatch):
+    """The transfer's bracket join of the scalar component with the
+    images matches only maps against images: every product term it
+    makes is summed into a kept key, where one self-join of the chained
+    stack would also pair maps with maps and images with images."""
+    ctx = RunContext(p)
+    f, tr = ctx.sqrt, ctx.transfer()
+    comp = ctx.graded_j(f, "v").component((0, 0))
+    images = (tr.kd.alg.parities, tr.images)
+    made, summed = [], []
+
+    def terms(left, right):
+        out = real_terms(left, right)
+        made.append(out[0].size)
+        return out
+
+    def sums(field, keys, vals):
+        summed.append(keys.size)
+        return real_sum(field, keys, vals)
+
+    real_terms, real_sum = superalg._product_terms, superalg.sum_per_key
+    monkeypatch.setattr(superalg, "_product_terms", terms)
+    monkeypatch.setattr(superalg, "sum_per_key", sums)
+    keys, _ = _brackets(f, tr.ck.alg.n, comp.stack(), images)
+    monkeypatch.undo()
+    assert len(made) == 2 and summed == [sum(made)] and keys.size
+    # one self-join of the chained stack matches every M[r, m] N[m, c]
+    # and makes two terms of each
+    n = tr.ck.alg.n
+    _, r, c, _ = _chain(comp.stack(), images)[1]
+    pairs = np.bincount(c, minlength=n) @ np.bincount(r, minlength=n)
+    assert sum(made) < 2 * pairs

@@ -18,7 +18,9 @@ from ckder.battery import RunContext
 from ckder.linalg import mm
 from ckder.superalg import _entries
 from ckder.tkk import LieSuperAlgebra
+from test_linalg import oracle_rref
 from test_sparse_checks import flat_span
+from test_symmetry import apply_maps
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -407,7 +409,7 @@ def _der_as_tkk_oracle(ctx):
         tits = tits_construction(kd.alg, idspace, inder=ctx.inder_k(f))
         comp00 = grade_derivations(jspace).component((0, 0))
         halves = (comp00.even_basis, comp00.odd_basis)
-        arows = [np.stack([b.flatten() for b in transfer.apply(half)])
+        arows = [np.stack([b.flatten() for b in apply_maps(transfer, half)])
                  for half in halves]
         cols, mats = [], []
         for j in range(kd.alg.n):
@@ -445,3 +447,76 @@ def test_der_as_tkk_matches_the_dense_path(p):
         assert iso.verified
         assert iso.map.matrix.dtype == want.dtype
         assert iso.map.matrix.tobytes() == want.tobytes()
+
+
+def _ints(field, x):
+    """A field element as a pair of Python ints (a0, a1), a0 + a1 u."""
+    return (round(x.real) % field.p, round(x.imag) % field.p)
+
+
+def _table_of(field, alg):
+    """The structure constants of alg as {(i, j): [(k, c)]}, c an int
+    pair."""
+    out = {}
+    for i, j, k, c in zip(*(x.tolist() for x in alg.coo()[:3]),
+                          alg.coo()[3]):
+        out.setdefault((i, j), []).append((k, _ints(field, c)))
+    return out
+
+
+def int_homomorphism_and_rank(field, fmap):
+    """The first basis pair (i, j) of the source at which fmap(e_i e_j)
+    differs from fmap(e_i) fmap(e_j), or None, and the rank of the
+    matrix, all in Python ints: an F_p or F_p[u] element is a pair of
+    ints with u^2 = -1, and the rank is the integer RREF oracle's."""
+    p = field.p
+
+    def mul(x, y):
+        return ((x[0] * y[0] - x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def add_into(acc, k, x):
+        y = acc.get(k, (0, 0))
+        acc[k] = ((y[0] + x[0]) % p, (y[1] + x[1]) % p)
+
+    m = fmap.matrix
+    cols = [{r: _ints(field, m[r, c]) for r in np.flatnonzero(m[:, c])}
+            for c in range(m.shape[1])]
+    source, target = _table_of(field, fmap.source), _table_of(field,
+                                                              fmap.target)
+    for i in range(fmap.source.n):
+        for j in range(fmap.source.n):
+            lhs, rhs = {}, {}
+            for k, c in source.get((i, j), []):
+                for r, x in cols[k].items():
+                    add_into(lhs, r, mul(c, x))
+            for a, x in cols[i].items():
+                for b, y in cols[j].items():
+                    for k, c in target.get((a, b), []):
+                        add_into(rhs, k, mul(mul(x, y), c))
+            if ({k: v for k, v in lhs.items() if v != (0, 0)}
+                    != {k: v for k, v in rhs.items() if v != (0, 0)}):
+                return (i, j), None
+    return None, len(oracle_rref(field, m)[1])
+
+
+@pytest.mark.parametrize("p", [3, 5], ids=["F9", "F5"])
+def test_der_as_tkk_is_an_isomorphism_in_python_ints(p):
+    """A second engine for the main isomorphism: the matrices der_as_tkk
+    returns are bracket homomorphisms from the tensor constructions over
+    the double onto lie_from_derivations of Der(J) and Inder(J), and
+    have full rank, checked in Python ints."""
+    ctx = RunContext(p)
+    f = ctx.sqrt
+    der, inder = ctx.der_j(f, "v"), ctx.inder_j(f, "v")
+    isos = der_as_tkk(ctx.ck(f, "v"), ctx.kd(f), ctx.act(), ctx.transfer(),
+                      der, inder, ctx.bar_k(f), ctx.inder_k(f))
+    for iso, space in zip(isos, (der, inder), strict=True):
+        target = lie_from_derivations(space)
+        fmap = LinearMap(iso.map.source, target, 0, iso.map.matrix)
+        assert int_homomorphism_and_rank(f, fmap) == (None, target.n)
+    # a bracket-breaking swap of two columns is caught
+    m = isos[0].map.matrix.copy()
+    m[:, [0, 1]] = m[:, [1, 0]]
+    bad = LinearMap(isos[0].map.source, isos[0].map.target, 0, m)
+    assert int_homomorphism_and_rank(f, bad)[0] is not None
