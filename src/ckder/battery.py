@@ -492,16 +492,14 @@ def check_transfer_iso(ctx):
     if image.dim != len(pars):
         return ("fail", field_label(f), {"reason": "not injective"})
     try:
-        c = comp.structure_constants()
+        co = comp.bracket_coordinates()
     except ValueError:
         return ("fail", field_label(f),
                 {"reason": "bracket leaves the component"})
     # the image of [d_s, d_t] against [image of d_s, image of d_t]
     m, nk = len(pars), ctx.kd(f).alg.n
-    q, u = np.nonzero(c.reshape(m * m, m))
-    key = _first_difference(f, combination_entries(
-        f, nk, (q, u, c.reshape(m * m, m)[q, u]), imgs),
-        _brackets(f, nk, (pars, imgs), (pars, imgs)))
+    key = _first_difference(f, combination_entries(f, nk, co, imgs),
+                            _brackets(f, nk, (pars, imgs), (pars, imgs)))
     if key is not None:
         return ("fail", field_label(f),
                 {"reason": "bracket not preserved",

@@ -110,23 +110,27 @@ class DerivationSpace:
         return self._subspace(np.arange(self.dims[parity])
                               + parity * self.dims[0])
 
-    def structure_constants(self):
-        """The bracket of the space in its own basis, even elements
-        first: c[s, t, u] is the coordinate on basis element u of the
-        super commutator of basis elements s and t.  Raises when the
-        space is not closed under the bracket.  The array is computed
-        once per space and is read-only."""
+    def bracket_coordinates(self):
+        """The bracket of the space in its own basis, as coordinates()
+        gives them: (s m + t, u, value), the coordinate on u of the super
+        commutator of basis elements s and t, m = dim; computed once,
+        read-only.  Raises when the space is not bracket closed."""
         if self._brackets is None:
-            a, m = self.algebra, self.dim
-            co = self.coordinates(*_brackets(a.field, a.n, self.stack(),
-                                             self.stack()))
-            if co is None:
+            a = self.algebra
+            self._brackets = self.coordinates(*_brackets(
+                a.field, a.n, self.stack(), self.stack()))
+            if self._brackets is None:
                 raise ValueError("derivation space is not bracket closed")
-            c = np.zeros((m * m, m), dtype=a.field.dtype)
-            c[co[0], co[1]] = co[2]
-            self._brackets = c.reshape(m, m, m)
-            self._brackets.flags.writeable = False
+            for x in self._brackets:
+                x.flags.writeable = False
         return self._brackets
+
+    def structure_constants(self):
+        """bracket_coordinates() as a new dense array c[s, t, u]."""
+        m, (q, u, x) = self.dim, self.bracket_coordinates()
+        c = np.zeros((m * m, m), dtype=self.algebra.field.dtype)
+        c[q, u] = x
+        return c.reshape(m, m, m)
 
     def entries(self):
         """The nonzero entries (u, r, c, B_u[r, c]) of the basis maps,
@@ -137,10 +141,9 @@ class DerivationSpace:
     def coordinates(self, keys, vals):
         """Coordinates (q, u, value) over the basis of the maps q given
         by their nonzero entries, keyed q n^2 + cell, or None when some
-        map is outside the span.  The basis is canonical RREF, so the
-        coordinate on u is the entry at the pivot of u, its first cell
-        (even and odd pivots are distinct cells); a second join,
-        coordinates times basis entries, must give the maps back."""
+        map is outside the span.  Over the canonical basis the coordinate
+        on u is the entry at the pivot of u, its first cell; a second
+        join, coordinates times basis entries, must give the maps back."""
         a, nn = self.algebra, self.algebra.n ** 2
         u, r, c, v = self._entries
         cell = c * a.n + r
@@ -464,5 +467,5 @@ def stable_der_double(kd: KantorDouble, der_k: DerivationSpace,
     supercommutator."""
     ds = DerivationSpace.from_entries(
         kd.alg, *_chain(der_k.part(0).stack(), inder_k.part(1).stack()))
-    ds.structure_constants()  # raises unless the span is bracket closed
+    ds.bracket_coordinates()  # raises unless the span is bracket closed
     return ds

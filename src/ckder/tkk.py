@@ -203,9 +203,8 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
     for i in range(3):
         parts.append((der[u], copy[i, a], copy[i, r], v))
         parts.append((copy[i, a], der[u], copy[i, r], -sgn * v))
-    brk = ds.structure_constants()
-    nz = np.nonzero(brk)
-    parts.append((der[nz[0]], der[nz[1]], der[nz[2]], brk[nz]))
+    q, u, x = ds.bracket_coordinates()
+    parts.append((der[q // ds.dim], der[q % ds.dim], der[u], x))
 
     labels = [""] * (3 * n + m0 + m1)
     for i, a in np.ndindex(3, n):
@@ -335,10 +334,10 @@ def lie_from_derivations(ds: DerivationSpace) -> LieSuperAlgebra:
     """A derivation space as an abstract Lie superalgebra over its
     canonical basis, brackets expressed in coordinates."""
     m0, m1 = ds.dims
-    c = ds.structure_constants()
-    nz = np.nonzero(c)
+    q, u, x = ds.bracket_coordinates()
     lie = LieSuperAlgebra(ds.algebra.field, m0, m1,
-                          [f"D{k}" for k in range(m0 + m1)], (*nz, c[nz]))
+                          [f"D{k}" for k in range(m0 + m1)],
+                          (q // ds.dim, q % ds.dim, u, x))
     lie.space = ds
     return lie
 
