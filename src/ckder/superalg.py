@@ -414,11 +414,11 @@ def _sparse_kernel(field, keys, vals, nu):
     eq = np.unique(eq, return_inverse=True)[1]
     used, col = np.unique(col, return_inverse=True)
     free = (root == np.arange(nu)) & (weight != 0)
-    free[used] = False
-    free = np.flatnonzero(free)
-    k, y, x = _eliminate_blocks(field, eq, col, vals,
-                                _components(eq, col, used.size),
-                                Eliminator.kernel_rows)
+    free = np.flatnonzero(free & ~np.isin(np.arange(nu), used))
+    # when peeling left no equation, eq, col and vals are empty rows
+    k, y, x = _eliminate_blocks(field, eq, col, vals, _components(
+        eq, col, used.size), Eliminator.kernel_rows) if keys.size else (
+        eq, col, vals)
     k = np.concatenate([k, k.max(initial=-1) + 1 + np.arange(free.size)])
     y = np.concatenate([used[y], free])
     x = np.concatenate([x, np.ones(free.size, dtype=field.dtype)])
