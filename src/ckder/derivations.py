@@ -5,9 +5,11 @@ basis: per parity, the flattened (column-major) basis maps form a
 reduced-row-echelon set (_canonical), so equal spaces are bitwise
 equal, and a coordinate over the basis is the entry at a pivot.
 derivation_algebra solves the super Leibniz rule as one sparse system
-per parity (superalg._sparse_kernel); inner_derivation_algebra spans
-the supercommutators of left multiplications, one join over the
-structure constants; grade_derivations splits a basis by fine degree.
+per parity, built and summed one range of equations at a time
+(_leibniz_system) and solved by superalg._sparse_kernel;
+inner_derivation_algebra spans the supercommutators of left
+multiplications, one join over the structure constants;
+grade_derivations splits a basis by fine degree.
 
 The named derivations of the double K = Z + Zx and their forced
 extensions to the big superalgebra are built from the closed formulas
@@ -22,11 +24,11 @@ import numpy as np
 
 from .constructions import ChengKac, KantorDouble
 from .linalg import amod, asfield, inverses, mm, solve_right
-from .superalg import (LinearMap, SuperAlgebra, _brackets, _chain,
-                       _components, _eliminate_blocks, _first_difference,
-                       _map_stack, _match, _sparse_kernel, expand_runs,
-                       inner_derivation_entries, is_derivation,
-                       leibniz_violation, sum_per_key)
+from .superalg import (TERM_BUDGET, LinearMap, SuperAlgebra, _brackets,
+                       _chain, _components, _eliminate_blocks,
+                       _first_difference, _map_stack, _match, _ranges,
+                       _sparse_kernel, expand_runs, inner_derivation_entries,
+                       is_derivation, leibniz_violation, sum_per_key)
 
 
 class DerivationSpace:
@@ -172,23 +174,27 @@ def combination_entries(field, n: int, coords, basis):
     return sum_per_key(field, (q[e] * n + c[b]) * n + r[b], x[e] * v[b])
 
 
-def _fan_out(a: SuperAlgebra, q):
-    """Pairs (t, r) with r over the basis vectors of parity q[t]: one
-    contiguous run per t, since the even basis comes first."""
-    de = a.dim_even
-    return expand_runs(np.where(q == 0, 0, de), np.where(q == 0, de, a.n - de))
+def _fan_out(a: SuperAlgebra, q, lo=0, hi=None):
+    """Pairs (t, r) with r over the basis vectors of parity q[t] in [lo,
+    hi): one contiguous run per t, since the even basis comes first."""
+    runs = np.clip([[0, a.dim_even], [a.dim_even, a.n]], lo,
+                   a.n if hi is None else hi)
+    return expand_runs(runs[q, 0], runs[q, 1] - runs[q, 0])
 
 
-def _leibniz_kernel(a: SuperAlgebra, parity: int):
-    """A basis of the parity-homogeneous derivations of a, as a stack of
-    maps (see superalg._chain), not yet canonical.
+def _leibniz_system(a: SuperAlgebra, parity: int, budget=TERM_BUDGET):
+    """The Leibniz system of the parity-homogeneous derivations of a, as
+    sum_per_key returns it, keys e nu + u, with nu and the cells c n + r
+    of the nu unknowns.
 
     The unknowns are the parity-allowed entries (r, c) of the map, in
-    column-major order; the equation at (i, j, r) is coordinate r of
-    D(e_i e_j) - D(e_i) e_j - s_i e_i D(e_j) = 0, s_i = (-1)^(|D||i|).
+    column-major order; the equation e at (x, j, r) is coordinate r of
+    D(e_x e_j) - D(e_x) e_j - s_x e_x D(e_j) = 0, s_x = (-1)^(|D||x|).
     Every structure constant feeds three term families of it, built as
-    index arrays from coo() and summed per (equation, unknown) cell by
-    sum_per_key, and _sparse_kernel solves the system."""
+    index arrays from coo().  They are built and summed one range of the
+    first index x at a time, each of at most budget terms or a single x
+    (superalg._ranges); a key carries its x, so every key is summed
+    whole within its range, and the ranges concatenate in key order."""
     f, n, par = a.field, a.n, a.parities
     allowed = np.flatnonzero((par[None, :] == (par[:, None] + parity) % 2)
                              .ravel())          # c * n + r, column-major
@@ -196,28 +202,53 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int):
     uidx = np.full(n * n, -1, dtype=np.int64)
     uidx[allowed] = np.arange(nu)
     i, j, k, c = a.coo()
-    keys, cells, vals = [], [], []
-    # D(e_i e_j): entry (i, j, k, c) adds c at (i, j, r), unknown (r, k)
-    t, r = _fan_out(a, par[k] ^ parity)
-    keys.append((i[t] * n + j[t]) * n + r)
-    cells.append(uidx[k[t] * n + r])
-    vals.append(c[t])
-    # D(e_i) e_j: entry (m, j, r, c) adds -c at (i, j, r), unknown (m, i)
-    t, x = _fan_out(a, par[i] ^ parity)
-    keys.append((x * n + j[t]) * n + k[t])
-    cells.append(uidx[x * n + i[t]])
-    vals.append(-c[t])
-    # s_i e_i D(e_j): entry (i, m, r, c) adds -s_i c at (i, j, r),
-    # unknown (m, j)
-    t, y = _fan_out(a, par[j] ^ parity)
-    keys.append((i[t] * n + y) * n + k[t])
-    cells.append(uidx[y * n + j[t]])
-    vals.append(-(1.0 - 2.0 * parity * par[i[t]]) * c[t])
-    uniq, sums = sum_per_key(
-        f, np.concatenate(keys) * nu + np.concatenate(cells),
-        np.concatenate(vals))
-    k, x, v = _sparse_kernel(f, uniq, sums, nu)
-    c, r = np.divmod(allowed[x], n)
+    # the constants with i = x are rows off[x] to off[x+1] - 1 of coo()
+    off = np.searchsorted(i, np.arange(n + 1))
+    size = np.array([a.dim_even, a.dim_odd])
+    # terms per x: families 1 and 3 fan out the constants with i = x,
+    # and family 2 fans out every constant over the x of parity
+    # |i| + |D|
+    weights = np.bincount(i, size[par[k] ^ parity] + size[par[j] ^ parity],
+                          minlength=n)
+    weights += np.bincount(par[i] ^ parity, minlength=2)[par]
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=f.dtype))]
+    for x0, x1 in _ranges(weights, budget):
+        keys, cells, vals = [], [], []
+        s = slice(off[x0], off[x1])
+        # D(e_x e_j): entry (x, j, k, c) adds c at (x, j, r), unknown
+        # (r, k)
+        t, r = _fan_out(a, par[k[s]] ^ parity)
+        t += off[x0]
+        keys.append((i[t] * n + j[t]) * n + r)
+        cells.append(uidx[k[t] * n + r])
+        vals.append(c[t])
+        # D(e_x) e_j: entry (m, j, r, c) adds -c at (x, j, r), unknown
+        # (m, x)
+        t, x = _fan_out(a, par[i] ^ parity, x0, x1)
+        keys.append((x * n + j[t]) * n + k[t])
+        cells.append(uidx[x * n + i[t]])
+        vals.append(-c[t])
+        # s_x e_x D(e_j): entry (x, m, r, c) adds -s_x c at (x, j, r),
+        # unknown (m, j)
+        t, y = _fan_out(a, par[j[s]] ^ parity)
+        t += off[x0]
+        keys.append((i[t] * n + y) * n + k[t])
+        cells.append(uidx[y * n + j[t]])
+        vals.append(-(1.0 - 2.0 * parity * par[i[t]]) * c[t])
+        parts.append(sum_per_key(
+            f, np.concatenate(keys) * nu + np.concatenate(cells),
+            np.concatenate(vals)))
+    uniq, sums = (np.concatenate(x) for x in zip(*parts))
+    return uniq, sums, nu, allowed
+
+
+def _leibniz_kernel(a: SuperAlgebra, parity: int, budget=TERM_BUDGET):
+    """A basis of the parity-homogeneous derivations of a, as a stack of
+    maps (see superalg._chain), not yet canonical: _sparse_kernel on the
+    Leibniz system (_leibniz_system)."""
+    keys, vals, nu, allowed = _leibniz_system(a, parity, budget)
+    k, x, v = _sparse_kernel(a.field, keys, vals, nu)
+    c, r = np.divmod(allowed[x], a.n)
     return np.full(k.max(initial=-1) + 1, parity), (k, r, c, v)
 
 
@@ -248,29 +279,39 @@ def _canonical(field, q, cell, vals):
     nonzero reduced vals[t] at cell[t], as the nonzero entries (u, cell,
     value) of its rows u, in the order of their pivots.  The rows split
     into blocks on the cells they share (_components), and the RREF is
-    the union of the block RREFs: a block of one row is scaled to lead
-    1, all such rows in one step, and a larger block goes through an
-    Eliminator on its cells (_eliminate_blocks)."""
+    the union of the block RREFs.  A block whose rows are all multiples
+    of its first row has that row, scaled to lead 1, as its RREF: each
+    row is compared with its block's first row cell by cell, on cells
+    and lead-scaled values, all in one step.  Only the other blocks go
+    through an Eliminator on their cells (_eliminate_blocks)."""
     order = np.lexsort((cell, q))
     row = np.unique(q[order], return_inverse=True)[1]
     used, col = np.unique(cell[order], return_inverse=True)
     vals = vals[order]
     label = _components(row, col, used.size)
     lead = np.flatnonzero(np.diff(row, prepend=-1))   # first of a row
-    alone = (np.bincount(label[col[lead]], minlength=used.size) == 1)[
+    length = np.diff(np.r_[lead, row.size])
+    scaled = amod(field, vals * inverses(field, vals[lead])[row])
+    # h[t]: the first row of the block of cell t, and at[t] the cell of
+    # that row in the same place, when the rows are as long
+    blocks, first = np.unique(label[col[lead]], return_index=True)
+    h = first[np.searchsorted(blocks, label[col])]
+    same = length[row] == length[h]
+    at = lead[h] + np.minimum(np.arange(row.size) - lead[row], length[h] - 1)
+    same &= (col == col[at]) & (scaled == scaled[at])
+    one = (np.bincount(label[col[~same]], minlength=used.size) == 0)[
         label[col]]
-    k, b, x = _eliminate_blocks(field, row[~alone], col[~alone],
-                                vals[~alone], label,
-                                lambda elim: elim.rref()[0])
-    scale = inverses(field, vals[lead])[row[alone]]
-    k = np.concatenate([row[alone], lead.size + k])
-    b = np.concatenate([col[alone], b])
+    k, b, x = _eliminate_blocks(field, row[~one], col[~one], vals[~one],
+                                label, lambda elim: elim.rref()[0])
+    one &= h == row
+    k = np.concatenate([row[one], lead.size + k])
+    b = np.concatenate([col[one], b])
     # a row's pivot is its least cell; distinct rows have distinct pivots
     rows, k = np.unique(k, return_inverse=True)
     pivot = np.full(rows.size, used.size)
     np.minimum.at(pivot, k, b)
     return np.argsort(np.argsort(pivot))[k], used[b], np.concatenate(
-        [amod(field, vals[alone] * scale), x])
+        [scaled[one], x])
 
 
 # -- named derivations of the double K = Z + Zx --------------------------

@@ -33,8 +33,9 @@ from .field import FieldSpec
 from .linalg import (Eliminator, Subspace, amod, asfield, check_exact_range,
                      inverses, iszero, mm, rref)
 
-# The most terms one range of a cyclic-sum join holds (_cyclic_verdict):
-# about 3 MB of keys and values, whatever the size of the table.
+# The most terms one range of a cyclic-sum join (_cyclic_verdict) or of
+# the Leibniz system (derivations._leibniz_system) holds: about 3 MB of
+# keys and values, whatever the size of the table.
 TERM_BUDGET = 1 << 15
 
 
@@ -438,7 +439,10 @@ def _peel(field, keys, vals, nu):
     than its child, so the links form a forest; pointer jumping resolves
     every chain to its root, and a zeroed root zeroes its whole chain.
     Every cell is then rewritten onto its root and re-summed through
-    sum_per_key, where the equations used vanish.
+    sum_per_key.  The cells that would sum to zero there are dropped
+    first: the two of each equation used as a link cancel once both
+    sit on their common root, and a cell on an unknown set to zero
+    (every cell of a one-cell equation is one) is zero.
 
     Returns the surviving keys and values, and root and weight with
     x_u = weight[u] x_root[u] for every u; weight 0 marks an unknown
@@ -470,7 +474,11 @@ def _peel(field, keys, vals, nu):
         w[zero[link]] = 0
         weight = amod(field, weight * w[root])
         root = link[root]
-        keys, vals = sum_per_key(field, eq * nu + link[col], vals * w[col])
+        keep = w[col] != 0
+        keep[t] = keep[t + 1] = False
+        eq, col = eq[keep], col[keep]
+        keys, vals = sum_per_key(field, eq * nu + link[col],
+                                 vals[keep] * w[col])
     return keys, vals, root, weight
 
 

@@ -12,10 +12,12 @@ from ckder import (DerivationSpace, FieldSpec, LinearMap, amod, cheng_kac,
                    kernel, lift_even_der, odd_der_char3, odd_der_eta,
                    quadratic_jordan, restrict_to_k, stable_der_double,
                    truncated_poly)
-from ckder import superalg
-from ckder.derivations import _mult_matrix
-from ckder.linalg import Subspace
-from ckder.superalg import _entries, _peel, _sparse_kernel, sum_per_key
+from ckder import derivations, superalg
+from ckder.derivations import (_canonical, _leibniz_kernel, _leibniz_system,
+                               _mult_matrix)
+from ckder.linalg import Eliminator, Subspace, inverses
+from ckder.superalg import (TERM_BUDGET, _entries, _peel, _sparse_kernel,
+                            sum_per_key)
 from test_sparse_checks import flat_span, super_tables
 
 F3 = FieldSpec(3)
@@ -273,6 +275,266 @@ def test_sparse_kernel_matches_the_dense_kernel_on_random_systems(field):
             row[at] = [nonzero[t] for t in
                        rng.integers(0, len(nonzero), size=at.size)]
         check_sparse_kernel(field, m)
+
+
+# -- the Leibniz system, built one range of equations at a time ---------
+
+
+def whole_leibniz_system(a, parity):
+    """The Leibniz system of a built whole: the three term families of
+    every structure constant at once, summed by one sum_per_key call.
+    Returns its keys and sums, the number of terms of each key, and nu."""
+    n, par = a.n, a.parities
+    allowed = np.flatnonzero(
+        (par[None, :] == (par[:, None] + parity) % 2).ravel())
+    nu = allowed.size
+    uidx = np.full(n * n, -1, dtype=np.int64)
+    uidx[allowed] = np.arange(nu)
+    i, j, k, c = a.coo()
+    de = a.dim_even
+
+    def fan_out(q):
+        return superalg.expand_runs(np.where(q == 0, 0, de),
+                                    np.where(q == 0, de, n - de))
+
+    t, r = fan_out(par[k] ^ parity)
+    keys = [(i[t] * n + j[t]) * n + r]
+    cells = [uidx[k[t] * n + r]]
+    vals = [c[t]]
+    t, x = fan_out(par[i] ^ parity)
+    keys.append((x * n + j[t]) * n + k[t])
+    cells.append(uidx[x * n + i[t]])
+    vals.append(-c[t])
+    t, y = fan_out(par[j] ^ parity)
+    keys.append((i[t] * n + y) * n + k[t])
+    cells.append(uidx[y * n + j[t]])
+    vals.append(-(1.0 - 2.0 * parity * par[i[t]]) * c[t])
+    keys = np.concatenate(keys) * nu + np.concatenate(cells)
+    uniq, sums = sum_per_key(a.field, keys, np.concatenate(vals))
+    terms = np.unique(keys, return_counts=True)
+    return uniq, sums, terms, nu
+
+
+LEIBNIZ_TABLES = {
+    "Jw_F3": lambda: cheng_kac(truncated_poly(F3), basis="w").alg,
+    "Jv_F9": lambda: cheng_kac(truncated_poly(F9), basis="v").alg,
+    "Jw_F5": lambda: cheng_kac(truncated_poly(F5), basis="w").alg,
+    "K_F3": lambda: kantor_double(truncated_poly(F3)).alg,
+    "K_F5": lambda: kantor_double(truncated_poly(F5)).alg,
+}
+
+
+def assert_bitwise(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("budget", [TERM_BUDGET, 1], ids=["default", "1"])
+@pytest.mark.parametrize("name", LEIBNIZ_TABLES)
+def test_ranged_leibniz_system_equals_the_whole_system(name, budget,
+                                                       monkeypatch):
+    """Built and summed one range of first indices at a time, the system
+    has the keys, sums and per-key term counts of the whole one, so the
+    exact-range guard sees the same counts, and the kernel stack is
+    the one the whole system gives."""
+    a = LEIBNIZ_TABLES[name]()
+    for parity in (0, 1):
+        uniq, sums, terms, nu = whole_leibniz_system(a, parity)
+        summed = []
+
+        def recorded(field, keys, vals):
+            summed.append(keys)
+            return sum_per_key(field, keys, vals)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(derivations, "sum_per_key", recorded)
+            keys, vals, got_nu, allowed = _leibniz_system(a, parity, budget)
+        assert got_nu == nu
+        assert_bitwise((keys, vals), (uniq, sums))
+        # every key is summed whole, in one range
+        assert_bitwise(np.unique(np.concatenate(summed), return_counts=True),
+                       terms)
+        if budget == 1:
+            assert len(summed) == a.n
+        k, x, v = _sparse_kernel(a.field, uniq, sums, nu)
+        c, r = np.divmod(allowed[x], a.n)
+        got = _leibniz_kernel(a, parity, budget)
+        assert_bitwise(got[1], (k, r, c, v))
+        assert np.array_equal(got[0], np.full(k.max(initial=-1) + 1, parity))
+
+
+def peel_resumming_every_cell(field, keys, vals, nu):
+    """_peel as it was before it dropped the cells that sum to zero:
+    every round rewrites and re-sums every cell."""
+    root = np.arange(nu)
+    weight = np.ones(nu, dtype=field.dtype)
+    while keys.size:
+        eq, col = np.divmod(keys, nu)
+        start = np.flatnonzero(np.r_[True, eq[1:] != eq[:-1]])
+        size = np.diff(np.r_[start, eq.size])
+        zero = np.zeros(nu, dtype=bool)
+        zero[col[start[size == 1]]] = True
+        t = start[size == 2]
+        t = t[~zero[col[t + 1]]]
+        a, first = np.unique(col[t + 1], return_index=True)
+        if not (a.size or zero.any()):
+            break
+        t = t[first]
+        link = np.arange(nu)
+        link[a] = col[t]
+        w = np.ones(nu, dtype=field.dtype)
+        w[a] = amod(field, -vals[t] * inverses(field, vals[t + 1]))
+        while True:
+            up = link[link]
+            if np.array_equal(up, link):
+                break
+            w = amod(field, w * w[link])
+            link = up
+        w[zero[link]] = 0
+        weight = amod(field, weight * w[root])
+        root = link[root]
+        keys, vals = sum_per_key(field, eq * nu + link[col], vals * w[col])
+    return keys, vals, root, weight
+
+
+@pytest.mark.parametrize("name", LEIBNIZ_TABLES)
+def test_peel_equals_the_peel_that_resums_every_cell(name):
+    a = LEIBNIZ_TABLES[name]()
+    for parity in (0, 1):
+        keys, vals, nu, _ = _leibniz_system(a, parity)
+        assert_bitwise(_peel(a.field, keys, vals, nu),
+                       peel_resumming_every_cell(a.field, keys, vals, nu))
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_peel_equals_the_peel_that_resums_every_cell_on_random_systems(
+        field):
+    rng = np.random.default_rng(field.order + 1)
+    nonzero = [x for x in field.elements() if x != 0]
+    for _ in range(150):
+        nu = int(rng.integers(1, 10))
+        m = np.zeros((int(rng.integers(0, 12)), nu), dtype=field.dtype)
+        for row in m:
+            at = rng.choice(nu, size=int(rng.integers(1, min(nu, 4) + 1)),
+                            replace=False)
+            row[at] = [nonzero[t] for t in
+                       rng.integers(0, len(nonzero), size=at.size)]
+        _, keys, vals = sparse_system(field, m)
+        assert_bitwise(_peel(field, keys, vals, nu),
+                       peel_resumming_every_cell(field, keys, vals, nu))
+
+
+def test_peel_resums_only_the_cells_that_survive(monkeypatch):
+    """In the first round of the even Leibniz system of J_w over F5, the
+    cells of the one-cell equations, of the links and on the unknowns
+    set to zero are dropped: 10,862 of the 34,898 cells are re-summed."""
+    a = LEIBNIZ_TABLES["Jw_F5"]()
+    keys, vals, nu, _ = _leibniz_system(a, 0)
+    sizes = []
+
+    def counted(field, keys, vals):
+        sizes.append(keys.size)
+        return sum_per_key(field, keys, vals)
+
+    monkeypatch.setattr(superalg, "sum_per_key", counted)
+    _peel(a.field, keys, vals, nu)
+    assert keys.size == 34898 and sizes[0] == 10862
+
+
+# -- the canonical RREF of a span of sparse rows -------------------------
+
+
+def canonical_rows(field, m):
+    """_canonical on the nonzero cells of the rows of m, scattered back
+    into a dense matrix, one row per u."""
+    m = amod(field, field.array(m))
+    q, cell = np.nonzero(m)
+    u, b, x = _canonical(field, q, cell, m[q, cell])
+    out = np.zeros((u.max(initial=-1) + 1, m.shape[1]), dtype=field.dtype)
+    out[u, b] = x
+    return out
+
+
+def eliminator_rref(field, m):
+    elim = Eliminator(field, np.shape(m)[1])
+    elim.add_rows(amod(field, field.array(m)))
+    return elim.rref()[0]
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_canonical_scales_a_block_of_proportional_rows_without_eliminator(
+        field, monkeypatch):
+    """A block whose rows are multiples of its first row has that row,
+    scaled to lead 1, as its RREF, and no Eliminator is built for it;
+    rows of the same cells whose values are not proportional, and rows
+    as long as the first on other cells, go through one."""
+    c = coefficient(field)
+    built = []
+
+    class Recording(Eliminator):
+        def __init__(self, field, ncols):
+            built.append(ncols)
+            super().__init__(field, ncols)
+
+    base = field.array([0, c, 2, 0, 1])
+    cases = [
+        ([base, 2 * base, field.mul(c, 2) * base, [1, 0, 0, 0, 0]], []),
+        ([[0, c, 2, 0, 1], [0, c, 2, 0, 2], [0, 0, 0, 1, 0]], [3]),
+        ([[0, c, 2, 0, 0], [0, c, 0, 0, 2], [0, 0, 0, 1, 0]], [3]),
+        ([[0, c, 2, 0, 0], [0, 2 * c, 4, 0, 0], [0, 0, 2, 0, 1]], [3]),
+    ]
+    for m, widths in cases:
+        built.clear()
+        want = eliminator_rref(field, m)
+        with monkeypatch.context() as mp:
+            mp.setattr(superalg, "Eliminator", Recording)
+            got = canonical_rows(field, m)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert built == widths
+
+
+@pytest.mark.parametrize("field", [F5, F9])
+def test_canonical_matches_the_eliminator_on_random_rows(field):
+    """Random rows, many of them multiples of others, in blocks of every
+    kind: the result is the Eliminator's RREF, bitwise."""
+    rng = np.random.default_rng(field.order + 2)
+    nonzero = [x for x in field.elements() if x != 0]
+    for _ in range(100):
+        ncols = int(rng.integers(1, 9))
+        rows = []
+        for _ in range(int(rng.integers(1, 8))):
+            if rows and rng.random() < 0.5:
+                k = nonzero[int(rng.integers(len(nonzero)))]
+                pick = rows[int(rng.integers(len(rows)))]
+                rows.append(amod(field, k * pick))
+                continue
+            row = np.zeros(ncols, dtype=field.dtype)
+            at = rng.choice(ncols, size=int(rng.integers(1, ncols + 1)),
+                            replace=False)
+            row[at] = [nonzero[t] for t in
+                       rng.integers(0, len(nonzero), size=at.size)]
+            rows.append(row)
+        m = np.stack(rows)
+        assert canonical_rows(field, m).tobytes() == \
+            eliminator_rref(field, m).tobytes()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_inner_span_of_j_builds_no_eliminator(p, monkeypatch):
+    """Every block of the inner span of J is rank one, so canonicalizing
+    it builds no Eliminator."""
+    a = cheng_kac(truncated_poly(FieldSpec(p)), basis="w").alg
+    built = []
+
+    class Recording(Eliminator):
+        def __init__(self, field, ncols):
+            built.append(ncols)
+            super().__init__(field, ncols)
+
+    monkeypatch.setattr(superalg, "Eliminator", Recording)
+    assert inner_derivation_algebra(a).dims == (4 * p, 4 * p)
+    assert built == []
 
 
 def _rank_mod(rows, p):

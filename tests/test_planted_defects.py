@@ -11,17 +11,19 @@ from ckder import (DerivationSpace, LinearMap, amod, check_supercommutative,
                    inner_derivation)
 from ckder import battery, derivations, symmetry, tkk
 from ckder.superalg import _chain
-from ckder.battery import (RunContext, check_big_inder_dims,
+from ckder.battery import (RunContext, check_big_der_equals_inder,
+                           check_big_inder_dims,
                            check_big_w_jordan_identity,
                            check_coordinate_constants,
-                           check_der_as_tits_double, check_double_odd_split,
+                           check_der_as_tits_double, check_double_der_dims,
+                           check_double_odd_split,
                            check_dzzx_vanishes, check_graded_named_spans,
                            check_s4_fixes_scalar_component,
                            check_tkk_sl2_bridge,
                            check_transfer_eta_identity,
                            check_transfer_extension_identity,
                            check_transfer_inner, check_transfer_iso,
-                           check_w_v_equivalence)
+                           check_w_v_equivalence, run_battery)
 from test_sparse_checks import _symmetric_perturbation
 
 
@@ -281,3 +283,49 @@ def test_transfer_eta_identity_fails_on_a_shifted_power(monkeypatch):
 
     monkeypatch.setattr(battery, "odd_der_eta", shifted)
     assert check_transfer_eta_identity(ctx) == ("fail", "F9", {"power": 1})
+
+
+def _planted_kernel(monkeypatch, plant):
+    """derivations._sparse_kernel with plant applied to what it takes
+    (system) or to what it returns (kernel)."""
+    real = derivations._sparse_kernel
+
+    def planted(field, keys, vals, nu):
+        if plant == "system":
+            # the unknown of the first equation of one cell drops out
+            eq, col = np.divmod(keys, nu)
+            lone = np.flatnonzero(np.bincount(eq)[eq] == 1)[0]
+            keep = col != col[lone]
+            keys, vals = keys[keep], vals[keep]
+        k, u, x = real(field, keys, vals, nu)
+        if plant == "kernel":
+            # the last kernel vector is lost
+            keep = k < k.max(initial=0)
+            k, u, x = k[keep], u[keep], x[keep]
+        return k, u, x
+
+    monkeypatch.setattr(derivations, "_sparse_kernel", planted)
+
+
+def test_solved_dims_fail_when_the_last_kernel_vector_is_lost(monkeypatch):
+    _planted_kernel(monkeypatch, "kernel")
+    ctx = RunContext(3)
+    assert check_double_der_dims(ctx) == (
+        "fail", "F3", {"dims": [2, 3], "expected": [3, 4]})
+    assert check_big_der_equals_inder(ctx) == (
+        "fail", "F3", {"der": [11, 11], "inder": [12, 12], "how": "solved"})
+
+
+def test_big_der_equals_inder_fails_when_a_zeroed_unknown_drops_out(
+        monkeypatch):
+    # dropping one equation of one cell changes no kernel here: each
+    # unknown they set to zero is set by tens of them and by equations
+    # of more cells.  With every cell of such an unknown lost, it is
+    # free: a map that is no derivation joins the kernel, and validating
+    # the space refuses it
+    _planted_kernel(monkeypatch, "system")
+    report, _ = run_battery(3, ["dims"])
+    got = {c["name"]: c for c in report["checks"]}["big_der_equals_inder"]
+    assert (got["status"], got["field"]) == ("fail", "F3")
+    assert got["witness"] == {"error": "ValueError: basis element 0 fails "
+                              "the Leibniz rule on the pair (t^0, t^0)"}
