@@ -14,12 +14,17 @@ lexicographic order.  A stack of sparse maps is their parities and
 entries (_chain); their products and supercommutators are joins too.
 
 The cyclic sums of the Jacobi and Jordan identities have far more terms
-than the table has constants (6.6 M for the 63,774 constants of the
-416-dimensional Tits table over F13), so _cyclic_verdict sums them one
-range of the output coordinate at a time, each of at most TERM_BUDGET
-terms.  One engine, _sparse_kernel, solves every sparse linear system:
-the center, the annihilator, the Leibniz system and the matrix of
-is_isomorphism.
+than the table has constants, so _cyclic_verdict sums them one range of
+the output coordinate at a time, each of at most TERM_BUDGET terms.
+Given super anticommutativity (Jacobi) or supercommutativity (Jordan)
+each sum is super-alternating, so it is keyed at sorted triples only:
+the left factors are the pair rows x <= y of the table, each with its
+mirror (_pairs_by_output), and a product and its mirror are keyed only
+at their sorted rotations (_sorted_terms).  For the 63,774 constants of
+the 416-dimensional Tits table over F13 that is 3.3 M terms, where the
+whole join made 6.6 M.  One engine, _sparse_kernel, solves every
+sparse linear system: the center, the annihilator, the Leibniz system
+and the matrix of is_isomorphism.
 """
 
 from __future__ import annotations
@@ -282,11 +287,6 @@ class LinearMap:
     def flatten(self):
         """Column-major flattening; the canonical span coordinate order."""
         return self.matrix.flatten(order="F")
-
-    @classmethod
-    def from_flat(cls, source, target, parity, flat, check=True):
-        m = np.asarray(flat).reshape((target.n, source.n), order="F")
-        return cls(source, target, parity, m, check=check)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         if other.target is not self.source and other.target.n != self.source.n:
@@ -598,20 +598,32 @@ def check_supercommutative(a: SuperAlgebra) -> Verdict:
     return Verdict(w is None, w)
 
 
-def _least_rotations(n, x, y, z, rest, size, v):
-    """Keys ((a*n + b)*n + c)*size + rest and values of the terms v of a
-    cyclic sum, each a term at the triple (x, y, z)[t], coordinate
-    rest[t] < size, and at its rotations.  The sum does not change when
-    its triple is rotated, so its zeros are known from the rotations
-    (a, b, c) that start with their least index, and only those are
-    keyed; the first failing triple in lexicographic order is one."""
+def _sorted_terms(n, x, y, z, rest, size, own, mir):
+    """Keys ((a*n + b)*n + c)*size + rest and values of the terms of a
+    cyclic sum at its sorted triples a <= b <= c.  Term t comes from a
+    row (x, y)[t], x <= y, of a table joined with its mirror (see
+    _pairs_by_output), a third index z[t] and a coordinate rest[t] <
+    size: own[t] is a term of the sum at (x, y, z) and its rotations,
+    and mir[t] one at (y, x, z) and its rotations.  Each is keyed at every rotation that is sorted: own
+    at (x, y, z) when z >= y and at (z, x, y) when z <= x, mir at
+    (x, z, y) when x <= z <= y.  So a row and a third index key 1 + [z
+    = x] + [z = y] terms; a row x = y has mir = own, and keys three at
+    z = x."""
     keys, vals = [], []
-    for a, b, c in ((x, y, z), (z, x, y), (y, z, x)):
-        keep = (a <= b) & (a <= c)
+    for a, b, c, v, keep in ((x, y, z, own, z >= y),
+                             (z, x, y, own, z <= x),
+                             (x, z, y, mir, (x <= z) & (z <= y))):
         keys.append(((a[keep] * n + b[keep]) * n + c[keep]) * size
                     + rest[keep])
         vals.append(v[keep])
     return np.concatenate(keys), np.concatenate(vals)
+
+
+def _offsets(k, n):
+    """off[u] to off[u+1] - 1 are the positions of u in the sorted k."""
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(k, minlength=n), out=off[1:])
+    return off
 
 
 def _by_output(a: SuperAlgebra):
@@ -619,9 +631,35 @@ def _by_output(a: SuperAlgebra):
     runs: the constants with k = u are rows off[u] to off[u+1] - 1."""
     i, j, k, c = a.coo()
     order = np.argsort(k, kind="stable")
-    off = np.zeros(a.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(k, minlength=a.n), out=off[1:])
-    return (i[order], j[order], k[order], c[order]), off
+    return (i[order], j[order], k[order], c[order]), _offsets(k, a.n)
+
+
+def _pairs_by_output(a: SuperAlgebra):
+    """The table joined with its mirror: one row (x, y, m, own, mir) for
+    each x <= y and m with T[x,y,m] or T[y,x,m] nonzero, own = T[x,y,m]
+    and mir = T[y,x,m], sorted by the output index m, with the offsets
+    of its runs as in _by_output.  The cyclic sums take their left
+    factors from it, so a product and its mirror come from one row."""
+    n = a.n
+    i, j, k, c = a.coo()
+    uniq, inv = np.unique((k * n + np.minimum(i, j)) * n + np.maximum(i, j),
+                          return_inverse=True)
+    own = np.zeros(uniq.size, dtype=c.dtype)
+    mir = np.zeros(uniq.size, dtype=c.dtype)
+    own[inv[i <= j]] = c[i <= j]
+    mir[inv[i >= j]] = c[i >= j]
+    m, xy = np.divmod(uniq, n * n)
+    return (*np.divmod(xy, n), m, own, mir), _offsets(m, n)
+
+
+def _pair_terms(pairs, hoff, n):
+    """made[m*n + z]: the terms that the pair rows (x, y, m) with output
+    m key with a third index z, 1 + [z = x] + [z = y] each
+    (_sorted_terms): their number, plus a bincount of the ties."""
+    x, y, m = pairs[:3]
+    ties = np.bincount(np.concatenate([m * n + x, m * n + y]),
+                       minlength=n * n)
+    return ties + np.repeat(np.diff(hoff), n)
 
 
 def _ranges(weights, budget):
@@ -636,25 +674,29 @@ def _ranges(weights, budget):
 
 
 def _cyclic_verdict(a: SuperAlgebra, join, extra=None, budget=TERM_BUDGET):
-    """The verdict on a cyclic sum over the triples of a, built by join
-    one range of the output coordinate q at a time.
+    """The verdict on a cyclic sum over the sorted triples of a, built by
+    join one range of the output coordinate q at a time.
 
-    join(a, table, off) takes the table sorted by its output index
-    (_by_output) and returns weights, size and terms: weights[q] bounds
-    the number of terms whose output coordinate is q, and terms(q0, q1)
-    gives the keys and values (_least_rotations, with rest < size) of
-    every term with q in [q0, q1).  The ranges are cut from weights so
-    that each holds at most budget terms, or a single q.  A key carries
-    its q, so each range is summed whole by sum_per_key and its 2^52
-    guard stays exact per key.  The witness is the least failing triple
-    over all ranges, the first in lexicographic order."""
-    table, off = _by_output(a)
-    weights, size, terms = join(a, table, off)
+    join(a, budget) returns weights, size and terms: weights[q] is the
+    number of terms that a range makes at q (for the Jordan sum, the
+    terms of its first join), and terms(q0, q1) yields the keys and
+    values (_sorted_terms, with rest < size) of the terms with q in [q0,
+    q1), in batches of at most budget terms or a single q.  The ranges
+    are cut from weights so that each holds at most budget terms, or a
+    single q.  A key carries its q, so each batch is summed whole by
+    sum_per_key and its 2^52 guard stays exact per key.  The witness is
+    the least failing sorted triple over all batches, the first in
+    lexicographic order.  A join builds each batch in a function of its
+    own, so that no temporary of it is alive while the batch is
+    summed."""
+    weights, size, terms = join(a, budget)
     best = None
     for q0, q1 in _ranges(weights, budget):
-        key = _first_nonzero_key(a.field, *terms(q0, q1))
-        if key is not None and (best is None or key < best):
-            best = key
+        for keys, vals in terms(q0, q1):
+            key = _first_nonzero_key(a.field, keys, vals)
+            del keys, vals  # freed before the next batch is built
+            if key is not None and (best is None or key < best):
+                best = key
     if best is None:
         return Verdict(True, None)
     xy, z = divmod(best // size, a.n)
@@ -663,38 +705,52 @@ def _cyclic_verdict(a: SuperAlgebra, join, extra=None, budget=TERM_BUDGET):
                            "labels": [a.labels[m] for m in bad]})
 
 
-def _jordan_join(a: SuperAlgebra, table, off):
+def _jordan_join(a: SuperAlgebra, budget):
     """The Jordan operator sum as _cyclic_verdict takes it; see
     check_jordan_super.  A range takes the right factors T[c,u,q] of the
     first join with q in it, one slice of the table, so the entries
     E(x, m, w, q) it sums are complete, and so are the keys of the
-    second join.  weights[q] counts the first join's terms at q and
-    bounds the second's: an entry E(x, m, w, q) meets the off[m+1] -
-    off[m] constants T[a,b,m], and each term of the first join makes at
-    most one entry for m = b and one for m = c."""
+    second join.  weights[q] is the number of terms of the first join at
+    q, two per product.  The second join meets each entry E(x, m, w, q)
+    with the pair rows (a, b, m) and makes made[m*n + x] terms
+    (_pair_terms), so its batches are cut from these exact counts."""
     n, par = a.n, a.parities
-    i, j, k, c = table
-    cnt = np.diff(off)
-    into = np.bincount(k, weights=cnt[i], minlength=n)
-    weights = np.bincount(k, weights=cnt[j] * (2 + cnt[i]) + into[j],
-                          minlength=n)
+    (i, j, k, c), off = _by_output(a)
+    pairs, hoff = _pairs_by_output(a)
+    x, y, _, own, mir = pairs
+    cnt, hcnt = np.diff(off), np.diff(hoff)
+    per = _pair_terms(pairs, hoff, n)
 
-    def terms(q0, q1):
+    def entries(q0, q1):
         lo = off[q0]
         u = j[lo:off[q1]]
         t, left = expand_runs(off[u], cnt[u])
         right = lo + t
         b, cc, wq = i[left], i[right], j[left] * n + k[right]
         v = c[left] * c[right]
-        ekey, e = sum_per_key(a.field, np.concatenate(
+        return sum_per_key(a.field, np.concatenate(
             [(cc * n + b) * n * n + wq, (b * n + cc) * n * n + wq]),
             np.concatenate([v, (2.0 * (par[b] * par[cc]) - 1.0) * v]))
-        ex, em = divmod(ekey // (n * n), n)
-        s, t = expand_runs(off[em], cnt[em])
-        x, z = ex[s], j[t]
-        return _least_rotations(n, x, i[t], z, ekey[s] % (n * n), n * n,
-                                c[t] * e[s] * (1.0 - 2.0 * (par[x] * par[z])))
-    return weights, n * n, terms
+
+    def batch(ekey, e, ex, em, sel):
+        s, t = expand_runs(hoff[em[sel]], hcnt[em[sel]])
+        s = sel[s]
+        ha, hb, z = x[t], y[t], ex[s]
+        return _sorted_terms(
+            n, ha, hb, z, ekey[s] % (n * n), n * n,
+            own[t] * e[s] * (1.0 - 2.0 * (par[z] * par[hb])),
+            mir[t] * e[s] * (1.0 - 2.0 * (par[z] * par[ha])))
+
+    def terms(q0, q1):
+        ekey, e = entries(q0, q1)
+        ex, em = np.divmod(ekey // (n * n), n)
+        eq = ekey % n
+        made = np.bincount(eq - q0, weights=per[em * n + ex],
+                           minlength=q1 - q0)
+        for r0, r1 in _ranges(made, budget):
+            yield batch(ekey, e, ex, em,
+                        np.flatnonzero((eq >= q0 + r0) & (eq < q0 + r1)))
+    return 2 * np.bincount(k, weights=cnt[j], minlength=n), n * n, terms
 
 
 def check_jordan_super(a: SuperAlgebra) -> Verdict:
@@ -704,8 +760,7 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
             + (-1)^(|z||y|) D(z, x y) = 0
 
     on all homogeneous basis triples (x, y, z), where D(u, v) is the
-    supercommutator of left multiplications.  The caller should check
-    supercommutativity separately.
+    supercommutator of left multiplications, and supercommutativity.
 
     Two chained joins.  A product T[b,w,u] T[c,u,q] of two constants,
     joined on u, is the coefficient of e_q in e_c (e_b e_w).  As D(e_x,
@@ -714,32 +769,56 @@ def check_jordan_super(a: SuperAlgebra) -> Verdict:
     sign -(-1)^(|b||c|); summed per key and reduced, these give the
     entries E(x, m, w, q) of D(e_x, e_m) e_w.  Then each constant
     T[a,b,m] times an entry E(c, m, w, q) is a term of D(e_c, e_a e_b)
-    e_w, which enters S at (c, a, b), (b, c, a) and (a, b, c), each time
-    with the sign (-1)^(|c||b|).  The joins run in ranges of the output
-    coordinate (_cyclic_verdict), and the witness is the first failing
-    triple in lexicographic order (see _least_rotations)."""
-    return _cyclic_verdict(a, _jordan_join)
+    e_w, which enters S at (a, b, c) and its rotations with the sign
+    (-1)^(|c||b|).  The second join takes the pair rows a <= b
+    (_pairs_by_output), so T[b,a,m] E(c, m, w, q) is made with it, and
+    keys S only at sorted triples (_sorted_terms).  The joins run in
+    ranges of the output coordinate (_cyclic_verdict).
+
+    S is cyclic in (x, y, z), and on a supercommutative table S(y, x, z)
+    = (-1)^(|x||y| + |y||z| + |x||z|) S(x, y, z), so it vanishes iff it
+    vanishes on sorted triples, and its least failing triple is sorted.
+    The witness is that triple; a table whose sorted triples all pass
+    but which is not supercommutative fails at its first asymmetric
+    pair, marked "identity": "supercommutativity"."""
+    v = _cyclic_verdict(a, _jordan_join)
+    if v:
+        w = _first_asymmetric_pair(a, 1.0)
+        if w is not None:
+            w["identity"] = "supercommutativity"
+            return Verdict(False, w)
+    return v
 
 
-def _jacobi_join(lie, table, off):
+def _jacobi_join(lie, budget):
     """The super Jacobi sum as _cyclic_verdict takes it; see
     check_super_lie.  A range takes the right factors T[m,z,q] with q in
-    it, one slice of the table, and their left partners T[x,y,m], one
-    run each; weights[q] is the exact number of products at q."""
-    i, j, k, c = table
-    cnt = np.diff(off)
-    par = lie.parities
+    it, one slice of the table, and their left partners, the pair rows
+    (x, y, m) with x <= y (_pairs_by_output), one run each; weights[q]
+    is the exact number of terms at q, made[m*n + z] per right factor
+    T[m,z,q] (_pair_terms)."""
+    n, par = lie.n, lie.parities
+    (i, j, k, c), off = _by_output(lie)
+    pairs, hoff = _pairs_by_output(lie)
+    x, y, _, own, mir = pairs
+    hcnt = np.diff(hoff)
+    weights = np.bincount(k, weights=_pair_terms(pairs, hoff, n)[i * n + j],
+                          minlength=n)
 
-    def terms(q0, q1):
+    def batch(q0, q1):
         lo = off[q0]
         m = i[lo:off[q1]]
-        t, left = expand_runs(off[m], cnt[m])
+        t, left = expand_runs(hoff[m], hcnt[m])
         right = lo + t
-        x, z = i[left], j[right]
-        return _least_rotations(
-            lie.n, x, j[left], z, k[right], lie.n,
-            c[left] * c[right] * (1.0 - 2.0 * (par[x] * par[z])))
-    return np.bincount(k, weights=cnt[i], minlength=lie.n), lie.n, terms
+        lx, ly, z, v = x[left], y[left], j[right], c[right]
+        return _sorted_terms(
+            n, lx, ly, z, k[right], n,
+            own[left] * v * (1.0 - 2.0 * (par[lx] * par[z])),
+            mir[left] * v * (1.0 - 2.0 * (par[ly] * par[z])))
+
+    def terms(q0, q1):
+        yield batch(q0, q1)
+    return weights, n, terms
 
 
 def check_super_lie(lie) -> Verdict:
@@ -754,8 +833,14 @@ def check_super_lie(lie) -> Verdict:
     J1[x,y,z,q] = [[e_x,e_y],e_z]_q.  The Jacobi sum at (a, b, c) is J1
     at (a, b, c), (b, c, a) and (c, a, b), each signed by (-1)^(|x||z|)
     of its own (x, z), so each product, signed once, is a term of the
-    sum at (x, y, z) and its rotations (see _least_rotations).  The join
-    runs in ranges of the output coordinate (_cyclic_verdict), and the
+    sum at (x, y, z) and its rotations.  Given anticommutativity the sum
+    is super-alternating: a swap of two arguments multiplies it by a
+    sign fixed by their parities.  So it vanishes iff it vanishes on
+    sorted triples, and its least failing triple is sorted.  The left
+    factors are the pair rows x <= y, each with its mirror T[y,x,m]
+    (_pairs_by_output), and only sorted triples are keyed
+    (_sorted_terms): half the products of the whole join.  The join runs
+    in ranges of the output coordinate (_cyclic_verdict), and the
     witness is the first failing triple in lexicographic order."""
     w = _first_asymmetric_pair(lie, -1.0)
     if w is not None:

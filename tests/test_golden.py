@@ -1,7 +1,7 @@
 """Golden bytes: the JSON reports at p = 3 and 5, the reports of the
 dims checks at p = 7 and 11, the report of the tkk checks at p = 11,
-the report of the coord checks at p = 13, and the exported tables at
-p = 3.
+the report of the coord checks at p = 13, the report of the jordan and
+tkk checks at p = 7, and the exported tables at p = 3.
 
 The p = 3 digests below were taken from the code as it stood before
 structure tables were stored as COO arrays (the commit before that
@@ -11,14 +11,18 @@ before inner derivations and derivation brackets became joins, the
 p = 11 dims digest from the code before the Leibniz system was solved by
 substitution rounds, the p = 13 coord digest from the code before
 the coordinate algebra and the bracket transfer became commutator joins,
-and the p = 11 tkk digest, which covers F121 in the sl2 bridge and in
+the p = 11 tkk digest, which covers F121 in the sl2 bridge and in
 der_as_tkk, from the code before the 3-graded layer moved onto the
-sparse map engine, by running
+sparse map engine, and the p = 7 jordan and tkk digest from the code
+before the cyclic sums were keyed at sorted triples only, when the
+Jacobi sums of the 224-dimensional tables ran in 50 ranges of their
+output coordinate and the Jordan sums of J in 18, by running
 
     python -m ckder verify --p P --format json
     python -m ckder verify --p P --checks dims --format json
     python -m ckder verify --p P --checks tkk --format json
     python -m ckder verify --p P --checks coord --format json
+    python -m ckder verify --p P --checks jordan,tkk --format json
     python -m ckder export --p 3 --algebra A --out FILE
 
 and hashing stdout and FILE.  A change that only reorganises the code
@@ -41,6 +45,8 @@ VERIFY_P11_TKK = \
     "a5c104981d24af6d3c9c88d2c909b9465eaf13b33433c4a6ba5a9605a0156b72"
 VERIFY_P13_COORD = \
     "58c3638088ff5dba11644f1d2c8770e51691b0d45ee1e26481d85805894e9ed6"
+VERIFY_P7_JORDAN_TKK = \
+    "44143b5ce7a3040425308b8f7881c66828d49d7d3fe2db294d51e092a4c576ae"
 
 EXPORT_P3 = {
     "Z": "28492f25092ccc0797d63551c774ca818c382efec632f9587e37c0064b10f02c",
@@ -93,6 +99,13 @@ def test_verify_coord_report_bytes_p13(capsys):
     assert main(["verify", "--p", "13", "--checks", "coord",
                  "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P13_COORD
+
+
+def test_verify_jordan_tkk_report_bytes_p7(capsys):
+    assert main(["verify", "--p", "7", "--checks", "jordan,tkk",
+                 "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == \
+        VERIFY_P7_JORDAN_TKK
 
 
 def test_every_algebra_name_is_pinned():

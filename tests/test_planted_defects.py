@@ -13,18 +13,23 @@ from ckder import battery, derivations, symmetry, tkk
 from ckder.superalg import _chain
 from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_big_inder_dims,
+                           check_big_v_jordan_identity,
                            check_big_w_jordan_identity,
                            check_coordinate_constants,
                            check_der_as_tits_double, check_double_der_dims,
                            check_double_odd_split,
+                           check_double_jordan_identity,
                            check_dzzx_vanishes, check_graded_named_spans,
                            check_s4_fixes_scalar_component,
+                           check_tits_big_lie, check_tits_double_lie,
+                           check_tits_double_stable_lie, check_tkk_big_lie,
                            check_tkk_sl2_bridge,
                            check_transfer_eta_identity,
                            check_transfer_extension_identity,
                            check_transfer_inner, check_transfer_iso,
                            check_w_v_equivalence, run_battery)
-from test_sparse_checks import _symmetric_perturbation
+from test_sparse_checks import (_perturbed, _symmetric_perturbation,
+                                dense_jordan_super, dense_super_lie)
 
 
 def _dropping(real, lost):
@@ -63,6 +68,62 @@ def test_big_w_jordan_identity_fails_on_a_perturbed_constant():
     status, field, witness = check_big_w_jordan_identity(ctx)
     assert (status, field) == ("fail", "F3")
     assert len(witness["witness"]["triple"]) == 3
+
+
+# the Lie table each check reads from its RunContext, and the pair (i, j)
+# whose first bracket constant is raised, [e_j, e_i] following it
+LIE_PLANTS = {
+    "tits_double_lie": (check_tits_double_lie, "tits_double", (7, 18)),
+    "tits_double_stable_lie": (check_tits_double_stable_lie,
+                               "tits_double_stable", (7, 18)),
+    "tits_big_lie": (check_tits_big_lie, "tits_big", (28, 70)),
+    "tkk_big_lie": (check_tkk_big_lie, "tkk_big", (28, 72)),
+}
+
+
+@pytest.mark.parametrize("name", list(LIE_PLANTS))
+def test_lie_checks_fail_on_a_perturbed_bracket(name):
+    """The Jacobi sum is keyed at sorted triples only, so its witness is
+    the least failing sorted triple; the dense oracle, which sums every
+    triple, finds the same one.  Each plant fails at three distinct
+    indices, where the mirror [e_j, e_i] of a pair row takes part."""
+    check, table, pair = LIE_PLANTS[name]
+    ctx = RunContext(3)
+    f = ctx.base
+    assert check(ctx)[0] == "pass"
+    bad = _perturbed(getattr(ctx, table)(f), *pair, 0, both_orders=True)
+    ctx._cache[(table, f.p, f.ext)] = bad
+    status, field, witness = check(ctx)
+    assert (status, field) == ("fail", "F3")
+    triple = witness["witness"]["triple"]
+    assert triple == sorted(triple) and len(set(triple)) == 3
+    assert witness["witness"] == dense_super_lie(bad)[1]
+
+
+@pytest.mark.parametrize("check,key,sqrt,constant", [
+    (check_double_jordan_identity, ("kd",), False, (1, 3, 4)),
+    (check_big_v_jordan_identity, ("ck", "v"), True, (6, 16, 22))],
+    ids=["double_jordan_identity", "big_v_jordan_identity"])
+def test_jordan_checks_fail_on_a_perturbed_constant(check, key, sqrt,
+                                                    constant):
+    """t * (t^0 x) = t x over F3 in K, and (t^0 v2)(t y1) = t y2 over F9
+    in J_v, raised in both orders: the least failing triple is sorted
+    and equal to the dense oracle's."""
+    ctx = RunContext(3)
+    f = ctx.sqrt if sqrt else ctx.base
+    assert check(ctx)[0] == "pass"
+    cache = (key[0], f.p, f.ext, *key[1:])
+    obj = ctx._cache[cache]
+    i, j, k, _ = obj.alg.coo()
+    t = np.flatnonzero((i == constant[0]) & (j == constant[1])
+                       & (k == constant[2]))[0]
+    bad = _symmetric_perturbation(obj.alg, t)
+    ctx._cache[cache] = dataclasses.replace(obj, alg=bad)
+    status, field, witness = check(ctx)
+    assert (status, field) == ("fail", "F9" if sqrt else "F3")
+    triple = witness["witness"]["triple"]
+    assert triple == sorted(triple)
+    assert witness["witness"] == dense_jordan_super(bad)[1]
 
 
 def test_w_v_equivalence_fails_on_two_swapped_columns(monkeypatch):

@@ -20,7 +20,9 @@ The Jacobi and Jordan sums are summed one range of their output
 coordinate at a time.  Every comparison with their oracles runs at the
 default term budget and at a budget of one term, where no range holds
 two coordinates that have terms, so that every range boundary is
-crossed.  The
+crossed.  A whole-product oracle counts the terms that each join makes
+at each output coordinate, against the weights its ranges are cut
+from.  The
 center of the even part and the annihilator are joins too, against the
 dense einsum and the dense multiplication they replaced."""
 
@@ -47,7 +49,7 @@ from ckder.derivations import _inner_span, _leibniz_kernel
 from ckder.linalg import Eliminator, amod, kernel
 from ckder.superalg import (TERM_BUDGET, _brackets, _cyclic_verdict,
                             _entries, _first_nonzero_key,
-                            _jacobi_join, _jordan_join, annihilator,
+                            _jacobi_join, _jordan_join, _ranges, annihilator,
                             center_even, inner_derivation_entries)
 from ckder.tkk import LieSuperAlgebra
 
@@ -383,8 +385,9 @@ def _peak_growth_kib(setup, step):
 
 def test_jacobi_check_memory_does_not_grow_with_the_table():
     """check_super_lie on the 160-dimensional Tits table over F5, whose
-    join has 514,034 products in all, adds less than 16 MB to the peak
-    RSS of a fresh process: its ranges hold at most TERM_BUDGET each."""
+    join over pair rows makes 262,032 terms in all (the whole join made
+    514,034 products), adds less than 16 MB to the peak RSS of a fresh
+    process: its ranges hold at most TERM_BUDGET each."""
     grown = _peak_growth_kib("from ckder.superalg import check_super_lie\n"
                              "ctx = RunContext(5)\n"
                              "lie = ctx.tits_big(ctx.base)",
@@ -482,6 +485,125 @@ def test_every_symmetric_perturbation_agrees_with_the_jordan_oracle(ctx3):
         v = assert_same_at_budgets(jordan_at, bad, dense_jordan_super(bad))
         caught += not v
     assert caught == np.count_nonzero(i <= j)
+
+
+def test_jordan_check_reports_a_one_order_perturbation():
+    """ab = ba = c, every other product zero, is a Jordan algebra; with
+    ba raised to 2c it is not commutative, but every product of three
+    elements still vanishes, so S does at every triple.  The sorted
+    triples do not decide such a table, and the check fails it at its
+    first asymmetric pair."""
+    good = SuperAlgebra(F3, 3, 0, ["a", "b", "c"], ([0, 1], [1, 0], [2, 2],
+                                                   [1, 1]))
+    assert check_jordan_super(good)
+    bad = SuperAlgebra(F3, 3, 0, good.labels, ([0, 1], [1, 0], [2, 2],
+                                               [1, 2]))
+    assert dense_jordan_super(bad) == (True, None)
+    v = check_jordan_super(bad)
+    assert not v
+    assert v.witness == {"pair": [0, 1], "labels": ["a", "b"],
+                         "identity": "supercommutativity"}
+    assert list(v.witness) == ["pair", "labels", "identity"]
+
+
+# -- term counts of the cyclic sums --------------------------------------
+
+
+def _sorted_rotations(x, y, z):
+    """How many of the rotations of (x, y, z) are sorted, elementwise."""
+    return (((x <= y) & (y <= z)).astype(np.int64)
+            + ((y <= z) & (z <= x)) + ((z <= x) & (x <= y)))
+
+
+def _least_rotations(x, y, z):
+    """How many of the rotations of (x, y, z) start with their least
+    index, elementwise: the terms the whole join keyed per product."""
+    return (((x <= y) & (x <= z)).astype(np.int64)
+            + ((z <= x) & (z <= y)) + ((y <= z) & (y <= x)))
+
+
+def _fan_out(a, count):
+    """g[m, z]: the sum of count(x, y, z) over every constant T[x,y,m] of
+    a, in either order."""
+    i, j, k, _ = a.coo()
+    g = np.zeros((a.n, a.n), dtype=np.int64)
+    np.add.at(g, k, count(i[:, None], j[:, None], np.arange(a.n)[None]))
+    return g
+
+
+def jacobi_terms_oracle(lie, count=_sorted_rotations):
+    """The terms of the whole Jacobi join at each q: every product
+    T[x,y,m] T[m,z,q] makes one term at each sorted rotation of (x, y,
+    z)."""
+    i, j, k, _ = lie.coo()
+    return np.bincount(k, weights=_fan_out(lie, count)[i, j],
+                       minlength=lie.n).astype(np.int64)
+
+
+def jordan_terms_oracle(a):
+    """The terms of the two Jordan joins at each q.  The first makes two
+    per product T[b,w,u] T[c,u,q]; the second, for each nonzero entry
+    E(c, m, w, q) of the dense D(e_c, e_m) e_w and each constant
+    T[a,b,m] in either order, one at each sorted rotation of (a, b,
+    c)."""
+    n = a.n
+    nz = (a.tensor() != 0).astype(np.int64)
+    first = 2 * nz.sum(axis=(0, 1)) @ nz.sum(axis=0)
+    e = (dense_inner_rows(a) != 0).reshape(n, n, n, n)     # (c, m, w, q)
+    second = np.einsum("cmwq,mc->q", e.astype(np.int64),
+                       _fan_out(a, _sorted_rotations))
+    return first, second
+
+
+def ranged_terms(a, join, budget):
+    """Run join as _cyclic_verdict does, and return its weights and the
+    terms its batches make at each q.  No range of more than one q
+    weighs more than budget, and no batch of more than one q holds more
+    than budget terms."""
+    weights, _, terms = join(a, budget)
+    made = np.zeros(a.n, dtype=np.int64)
+    for q0, q1 in _ranges(weights, budget):
+        assert q1 - q0 == 1 or weights[q0:q1].sum() <= budget
+        for keys, _ in terms(q0, q1):
+            q = keys % a.n
+            assert keys.size <= budget or np.unique(q).size == 1
+            made += np.bincount(q, minlength=a.n)
+    return weights, made
+
+
+@pytest.mark.parametrize("budget", [TERM_BUDGET, 4096],
+                         ids=["default", "4096"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_cyclic_sums_make_the_terms_they_weigh(ctx3, ctx5, p, budget):
+    """The Jacobi weights are the exact terms made at each q, ties
+    included.  The Jordan weights are the exact terms of the first join,
+    and the second join makes at each q the terms of the whole-product
+    oracle, in batches cut from its exact counts."""
+    ctx = {3: ctx3, 5: ctx5}[p]
+    b, r = ctx.base, ctx.sqrt
+    for lie in (ctx.tits_double(b), ctx.tits_big(b), ctx.tkk_big(b)):
+        want = jacobi_terms_oracle(lie)
+        weights, made = ranged_terms(lie, _jacobi_join, budget)
+        assert np.array_equal(weights, want)
+        assert np.array_equal(made, want)
+    for a in (ctx.kd(b).alg, ctx.ck(b, "w").alg, ctx.ck(r, "v").alg):
+        first, second = jordan_terms_oracle(a)
+        weights, made = ranged_terms(a, _jordan_join, budget)
+        assert np.array_equal(weights, first)
+        assert np.array_equal(made, second)
+
+
+def test_the_sorted_jacobi_join_makes_half_the_terms(ctx3):
+    """tits_big over F3: the whole join keyed 143,949 terms, one per
+    product and rotation that starts with its least index; the join over
+    pair rows keys 72,986, one per sorted rotation.  J_w over F3 is
+    summed in one range."""
+    lie = ctx3.tits_big(F3)
+    assert jacobi_terms_oracle(lie, _least_rotations).sum() == 143949
+    weights, _, _ = _jacobi_join(lie, TERM_BUDGET)
+    assert weights.sum() == jacobi_terms_oracle(lie).sum() == 72986
+    weights, _, _ = _jordan_join(ctx3.ck(F3, "w").alg, TERM_BUDGET)
+    assert len(list(_ranges(weights, TERM_BUDGET))) == 1
 
 
 # -- the Leibniz rule ----------------------------------------------------
