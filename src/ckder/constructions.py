@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldSpec
-from .linalg import Subspace, amod, inverse, mm
-from .superalg import (LinearMap, SuperAlgebra, Verdict, check_supercommutative,
-                       is_derivation, is_isomorphism)
+from .linalg import inverse
+from .superalg import (LinearMap, SuperAlgebra, Verdict, _canonical, _entries,
+                       _match, check_supercommutative, is_derivation,
+                       is_isomorphism, sum_per_key)
 
 
 @dataclass
@@ -54,11 +55,9 @@ def _validate_differential(d: DifferentialAlgebra):
     v = is_derivation(z, d.delta)
     if not v:
         raise ValueError(f"delta is not a derivation: {v.witness}")
-    # Z delta(Z) = Z: products f * delta(g) over basis f, g must span Z.
-    # prods[i, r, g]: coordinate r of e_i delta(e_g)
-    prods = mm(z.field, z.tensor().transpose(0, 2, 1), d.delta.matrix)
-    span = Subspace(z.field, z.n, prods.transpose(2, 0, 1).reshape(-1, z.n))
-    if span.dim != z.n:
+    # Z delta(Z) = Z: the products delta(e_g) e_i span Z, of rank dim Z
+    g, i, k, v = _delta_table(d)
+    if _canonical(z.field, g * z.n + i, k, v)[0].max(initial=-1) + 1 != z.n:
         raise ValueError("Z delta(Z) is a proper ideal; delta is not "
                          "differentiably simple here")
 
@@ -98,11 +97,32 @@ def quadratic_jordan(field: FieldSpec) -> SuperAlgebra:
     return SuperAlgebra(field, 4, 0, labels, table, unit_index=0)
 
 
+def _summed_table(field: FieldSpec, n: int, i, j, k, vals):
+    """The terms vals at (i, j, k) summed per key by sum_per_key, as the
+    nonzero entries (i, j, k, c) of a table on n basis vectors."""
+    keys, sums = sum_per_key(field, (i * n + j) * n + k, vals)
+    ij, k = np.divmod(keys, n)
+    return (*np.divmod(ij, n), k, sums)
+
+
 def _delta_table(dalg: DifferentialAlgebra):
-    """D[i, j, k]: the coefficient of e_k in delta(e_i) e_j in Z."""
-    n = dalg.dim
-    return mm(dalg.field, dalg.delta.matrix.T,
-              dalg.z.tensor().reshape(n, n * n)).reshape(n, n, n)
+    """The nonzero entries (i, j, k, c) of delta(e_i) e_j in Z, c the
+    coefficient of e_k: one join of the entries (r, i) of delta with the
+    constants T[r, j, k] on r."""
+    r, i, dv = _entries(dalg.field, dalg.delta.matrix)
+    ci, cj, ck, cc = dalg.z.coo()
+    e, t = _match(r, ci)
+    return _summed_table(dalg.field, dalg.dim, i[e], cj[t], ck[t],
+                         dv[e] * cc[t])
+
+
+def _odd_square(dalg: DifferentialAlgebra):
+    """The nonzero entries (i, j, k, c) of (e_i x)(e_j x) = delta(e_i)
+    e_j - e_i delta(e_j) in the commutative Z: the entries of
+    _delta_table, and their swap negated."""
+    i, j, k, d = _delta_table(dalg)
+    return _summed_table(dalg.field, dalg.dim, np.r_[i, j], np.r_[j, i],
+                         np.r_[k, k], np.r_[d, -d])
 
 
 @dataclass
@@ -129,13 +149,12 @@ def kantor_double(dalg: DifferentialAlgebra) -> KantorDouble:
     dz = z.n
     labels = list(z.labels) + [f"{lb}*x" for lb in z.labels]
     i, j, k, c = z.coo()
-    # (fx)(gx) = delta(f) g - f delta(g)
-    d = _delta_table(dalg)
-    xi, xj, xk = np.nonzero(amod(z.field, d - d.transpose(1, 0, 2)))
-    table = (np.concatenate([i, i, dz + j, dz + xi]),     # f g, f (gx), (gx) f
+    xi, xj, xk, xc = _odd_square(dalg)
+    # f g, f (gx), (gx) f and (fx)(gx) = delta(f) g - f delta(g)
+    table = (np.concatenate([i, i, dz + j, dz + xi]),
              np.concatenate([j, dz + j, i, dz + xj]),
              np.concatenate([k, dz + k, dz + k, xk]),
-             np.concatenate([c, c, c, d[xi, xj, xk] - d[xj, xi, xk]]))
+             np.concatenate([c, c, c, xc]))
     alg = SuperAlgebra(z.field, dz, dz, labels, table,
                        unit_index=z.unit_index)
     return KantorDouble(alg, dalg)
@@ -208,71 +227,55 @@ def cheng_kac(dalg: DifferentialAlgebra, basis: str = "w") -> ChengKac:
     """
     if basis not in ("w", "v"):
         raise ValueError("basis must be 'w' or 'v'")
-    z = dalg.z
-    f = z.field
-    dz = z.n
+    z, f, dz = dalg.z, dalg.field, dalg.dim
     if basis == "v":
         f.sqrt_minus_one()      # raises when unavailable
     squares = (1, 1, -1) if basis == "w" else (-1, -1, -1)
     cross = _CROSS_W if basis == "w" else _CROSS_V
     cross_sign = -1 if basis == "w" else 1
-    even_names = ["", "w1", "w2", "w3"] if basis == "w" else \
-        ["", "v1", "v2", "v3"]
-    odd_names = ["x", "x1", "x2", "x3"] if basis == "w" else \
-        ["y", "y1", "y2", "y3"]
-
-    labels = []
-    for fam in range(4):
-        for k in range(dz):
-            zl = z.labels[k]
-            labels.append(zl if fam == 0 else f"{zl}*{even_names[fam]}")
-    for fam in range(4):
-        for k in range(dz):
-            labels.append(f"{z.labels[k]}*{odd_names[fam]}")
-
-    t = z.tensor()                      # t[i, j]: f g
-    d = _delta_table(dalg)              # d[i, j]: delta(f) g
+    e, o = ("w", "x") if basis == "w" else ("v", "y")
+    names = ["", f"{e}1", f"{e}2", f"{e}3", o, f"{o}1", f"{o}2", f"{o}3"]
+    labels = [f"{zl}*{names[fam]}" if fam else zl
+              for fam in range(8) for zl in z.labels]
     table = ([], [], [], [])
 
-    def put(left, right, out, block):
-        """Products (f left)(g right) = block[f, g] out, each of left,
-        right and out a family index: 0..3 even, 4..7 odd."""
-        i, j, k = np.nonzero(amod(f, block))
-        for part, idx in zip(table, (i + left * dz, j + right * dz,
-                                     k + out * dz, block[i, j, k])):
-            part.append(idx)
+    def put(left, right, out, block, s=1):
+        """Products (f left)(g right) = s c out for the entries (f, g, k,
+        c) of block, each of left, right and out a family index: 0..3
+        even, 4..7 odd."""
+        i, j, k, c = block
+        for part, x in zip(table, (i + left * dz, j + right * dz,
+                                   k + out * dz, s * c)):
+            part.append(x)
 
-    tt, dt = t.transpose(1, 0, 2), d.transpose(1, 0, 2)
+    t = z.coo()                         # f g
+    d = _delta_table(dalg)              # delta(f) g
+    tt, dt = (t[1], t[0], *t[2:]), (d[1], d[0], *d[2:])   # the swaps
     put(0, 0, 0, t)
     for a in range(1, 4):
         # even * even
         put(0, a, a, t)
         put(a, 0, a, t)
-        put(a, a, 0, squares[a - 1] * t)
+        put(a, a, 0, t, squares[a - 1])
         # (f w_a)(g x) = (delta(f) g) x_a, and the reverse order
         put(a, 4, 4 + a, d)
         put(4, a, 4 + a, dt)
         for b in range(1, 4):
             if a != b:
                 sgn, c = cross[(a, b)]
-                put(a, 4 + b, 4 + c, cross_sign * sgn * t)
-                put(4 + b, a, 4 + c, cross_sign * sgn * tt)
+                put(a, 4 + b, 4 + c, t, cross_sign * sgn)
+                put(4 + b, a, 4 + c, tt, cross_sign * sgn)
     # even and odd parts commute through the scalar family
     for b in range(4):
         put(0, 4 + b, 4 + b, t)
         put(4 + b, 0, 4 + b, tt)
     # odd * odd: (fx)(gx) = delta(f) g - f delta(g)
-    put(4, 4, 0, d - dt)
+    put(4, 4, 0, _odd_square(dalg))
     for b in range(1, 4):
-        put(4, 4 + b, b, -t)
+        put(4, 4 + b, b, t, -1)
         put(4 + b, 4, b, t)
 
-    fine = []
-    for fam in range(4):
-        fine += [_FINE[fam]] * dz
-    for fam in range(4):
-        fine += [_FINE[fam]] * dz
-
+    fine = [_FINE[fam % 4] for fam in range(8) for _ in range(dz)]
     alg = SuperAlgebra(f, 4 * dz, 4 * dz, labels,
                        [np.concatenate(part) for part in table],
                        unit_index=z.unit_index, fine_label=fine)
@@ -322,16 +325,17 @@ def map_inverse(fmap: LinearMap) -> LinearMap:
 
 def odd_part_squares_to_even(a: SuperAlgebra) -> Verdict:
     """Does the span of products of odd basis vectors equal the even
-    part?  (Stated for the big superalgebra: J_1 J_1 = J_0.)"""
-    t = a.tensor()
+    part?  (Stated for the big superalgebra: J_1 J_1 = J_0.)  The rows
+    (i n + j, k) of coo() with i and j odd are canonicalized
+    (_canonical); the span is the even part iff they reduce to the unit
+    rows e_0 ... e_{n0-1}."""
     n0 = a.dim_even
-    odd = t[n0:, n0:, :]
-    span = Subspace(a.field, a.n, odd.reshape(-1, a.n))
-    want = Subspace(a.field, a.n,
-                    np.eye(a.n, dtype=a.field.dtype)[:n0])
-    ok = span.equals(want)
-    return Verdict(ok, None if ok else {"got_dim": span.dim,
-                                        "want_dim": n0})
+    i, j, k, c = a.coo()
+    odd = (i >= n0) & (j >= n0)
+    u, cell, _ = _canonical(a.field, i[odd] * a.n + j[odd], k[odd], c[odd])
+    got = int(u.max(initial=-1)) + 1
+    ok = got == n0 == u.size and bool(np.all(cell == u))
+    return Verdict(ok, None if ok else {"got_dim": got, "want_dim": n0})
 
 
 def differential_to_json(d: DifferentialAlgebra) -> dict:

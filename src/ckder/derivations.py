@@ -2,8 +2,8 @@
 
 A space of derivations is stored as the nonzero entries of a canonical
 basis: per parity, the flattened (column-major) basis maps form a
-reduced-row-echelon set (_canonical), so equal spaces are bitwise
-equal, and a coordinate over the basis is the entry at a pivot.
+reduced-row-echelon set (superalg._canonical), so equal spaces are
+bitwise equal, and a coordinate over the basis is the entry at a pivot.
 derivation_algebra solves the super Leibniz rule as one sparse system
 per parity, built and summed one range of equations at a time
 (_leibniz_system) and solved by superalg._sparse_kernel;
@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import ChengKac, KantorDouble
-from .linalg import amod, asfield, inverses, mm, solve_right
+from .constructions import ChengKac, KantorDouble, _delta_table
+from .linalg import amod, asfield, solve_right
 from .superalg import (TERM_BUDGET, LinearMap, SuperAlgebra, _brackets,
-                       _chain, _components, _eliminate_blocks,
-                       _first_difference, _map_stack, _match, _ranges,
-                       _sparse_kernel, expand_runs, inner_derivation_entries,
-                       is_derivation, leibniz_violation, sum_per_key)
+                       _canonical, _chain, _first_difference, _map_stack,
+                       _match, _ranges, _sparse_kernel, expand_runs,
+                       inner_derivation_entries, is_derivation,
+                       leibniz_violation, sum_per_key)
 
 
 class DerivationSpace:
@@ -274,46 +274,6 @@ def _inner_span(a: SuperAlgebra):
         (q, r, c, vals)
 
 
-def _canonical(field, q, cell, vals):
-    """The canonical RREF of the span of the sparse rows q, with the
-    nonzero reduced vals[t] at cell[t], as the nonzero entries (u, cell,
-    value) of its rows u, in the order of their pivots.  The rows split
-    into blocks on the cells they share (_components), and the RREF is
-    the union of the block RREFs.  A block whose rows are all multiples
-    of its first row has that row, scaled to lead 1, as its RREF: each
-    row is compared with its block's first row cell by cell, on cells
-    and lead-scaled values, all in one step.  Only the other blocks go
-    through an Eliminator on their cells (_eliminate_blocks)."""
-    order = np.lexsort((cell, q))
-    row = np.unique(q[order], return_inverse=True)[1]
-    used, col = np.unique(cell[order], return_inverse=True)
-    vals = vals[order]
-    label = _components(row, col, used.size)
-    lead = np.flatnonzero(np.diff(row, prepend=-1))   # first of a row
-    length = np.diff(np.r_[lead, row.size])
-    scaled = amod(field, vals * inverses(field, vals[lead])[row])
-    # h[t]: the first row of the block of cell t, and at[t] the cell of
-    # that row in the same place, when the rows are as long
-    blocks, first = np.unique(label[col[lead]], return_index=True)
-    h = first[np.searchsorted(blocks, label[col])]
-    same = length[row] == length[h]
-    at = lead[h] + np.minimum(np.arange(row.size) - lead[row], length[h] - 1)
-    same &= (col == col[at]) & (scaled == scaled[at])
-    one = (np.bincount(label[col[~same]], minlength=used.size) == 0)[
-        label[col]]
-    k, b, x = _eliminate_blocks(field, row[~one], col[~one], vals[~one],
-                                label, lambda elim: elim.rref()[0])
-    one &= h == row
-    k = np.concatenate([row[one], lead.size + k])
-    b = np.concatenate([col[one], b])
-    # a row's pivot is its least cell; distinct rows have distinct pivots
-    rows, k = np.unique(k, return_inverse=True)
-    pivot = np.full(rows.size, used.size)
-    np.minimum.at(pivot, k, b)
-    return np.argsort(np.argsort(pivot))[k], used[b], np.concatenate(
-        [scaled[one], x])
-
-
 # -- named derivations of the double K = Z + Zx --------------------------
 
 
@@ -322,12 +282,15 @@ def _mult_matrix(z: SuperAlgebra, a):
     return z.left_mult(a).matrix
 
 
-def _z_delta(z: SuperAlgebra, dm):
+def _z_delta(dalg):
     """The maps e_k delta, k over the basis of Z, flattened column-major
-    as the columns of one matrix: they span Z delta."""
-    n = z.n
-    return mm(z.field, z.tensor().transpose(0, 2, 1), dm) \
-        .transpose(0, 2, 1).reshape(n, n * n).T
+    as the columns of one matrix: they span Z delta.  Row c n + r of
+    column k is the entry (c, k, r) of delta(e_c) e_k (_delta_table)."""
+    n = dalg.dim
+    c, k, r, v = _delta_table(dalg)
+    out = np.zeros((n * n, n), dtype=dalg.field.dtype)
+    out[c * n + r, k] = v
+    return out
 
 
 def lift_even_der(kd: KantorDouble, mu) -> LinearMap:
@@ -346,7 +309,7 @@ def lift_even_der(kd: KantorDouble, mu) -> LinearMap:
     dm = kd.dalg.delta.matrix
     comm = amod(f, mu @ dm - dm @ mu)
     dz = z.n
-    avec = solve_right(f, 2 * _z_delta(z, dm), comm.flatten(order="F"))
+    avec = solve_right(f, 2 * _z_delta(kd.dalg), comm.flatten(order="F"))
     if avec is None:
         raise ValueError("[mu, delta] is not in 2 Z delta")
     m = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
@@ -384,7 +347,7 @@ def odd_der_char3(kd: KantorDouble, mu, check: bool = True) -> LinearMap:
     mu = asfield(f, mu)
     dm = kd.dalg.delta.matrix
     dz = z.n
-    if solve_right(f, _z_delta(z, dm), mu.flatten(order="F")) is None:
+    if solve_right(f, _z_delta(kd.dalg), mu.flatten(order="F")) is None:
         raise ValueError("mu is not in Z delta")
     m = np.zeros((2 * dz, 2 * dz), dtype=f.dtype)
     m[dz:, :dz] = mu

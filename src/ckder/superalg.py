@@ -5,11 +5,11 @@ homomorphism/automorphism verification.
 
 A superalgebra stores its structure constants once, as the sorted COO
 arrays of coo(), in the dtype of its field like every array here;
-tensor() (the dense T[i,j,k], coefficient of e_k in e_i e_j, for
-multiply and left_mult) and products (grouped by pair, for to_json) are
-views built on demand.  Every check is a join over the nonzero constants
-and the nonzero entries of the maps it is given, summed per key with
-sum_per_key, and reports the first violating pair or triple in
+products (grouped by pair, for to_json) is a view built on demand, and
+no dense n x n x n table is built.  multiply and left_mult, every
+builder and every check read coo() through a join with the nonzero
+entries of the vectors or maps they are given, summed per key with
+sum_per_key; a check reports the first violating pair or triple in
 lexicographic order.  A stack of sparse maps is their parities and
 entries (_chain); their products and supercommutators are joins too.
 
@@ -84,7 +84,6 @@ class SuperAlgebra:
         self.parities[dim_even:] = 1
         self._coo = self._normalize(table)
         self._products = None
-        self._tensor = None
         self._validate()
 
     def _normalize(self, table):
@@ -147,29 +146,33 @@ class SuperAlgebra:
                 {key: tuple(terms) for key, terms in grouped.items()})
         return self._products
 
-    def tensor(self):
-        """Dense structure tensor T[i,j,k], scattered from coo(); cached
-        and read-only."""
-        if self._tensor is None:
-            t = np.zeros((self.n, self.n, self.n), dtype=self.field.dtype)
-            t[self._coo[:3]] = self._coo[3]
-            t.flags.writeable = False
-            self._tensor = t
-        return self._tensor
+    def _left_matrices(self, u):
+        """L[s, k, j], the coefficient of e_k in u_s e_j, for the rows u_s
+        of u: one join of their nonzero entries (s, i) with the constants
+        T[i, j, k], summed per key (s, k, j) by sum_per_key."""
+        n, (ci, cj, ck, cc) = self.n, self._coo
+        u = asfield(self.field, u).reshape(-1, n)
+        s, i, x = _entries(self.field, u)
+        e, t = _match(i, ci)
+        out = np.zeros((len(u), n, n), dtype=self.field.dtype)
+        keys, vals = sum_per_key(self.field, (s[e] * n + ck[t]) * n + cj[t],
+                                 x[e] * cc[t])
+        out.flat[keys] = vals
+        return out
 
     def multiply(self, u, v):
-        """u v, as two guarded contractions of two reduced factors; a
-        2-D u or v is taken row by row."""
-        n = self.n
-        ut = mm(self.field, asfield(self.field, u),
-                self.tensor().reshape(n, n * n))
+        """u v: the left multiplication by u (_left_matrices) applied to
+        the reduced v in one guarded contraction; a 2-D u or v is taken
+        row by row."""
+        left = self._left_matrices(u).transpose(0, 2, 1)
         return mm(self.field, asfield(self.field, v),
-                  ut.reshape(*np.shape(u)[:-1], n, n))
+                  left.reshape(*np.shape(u)[:-1], self.n, self.n))
 
     def left_mult(self, a) -> "LinearMap":
         """The operator x -> a x for homogeneous a: column c is a e_c."""
-        par = vector_parity(self, asfield(self.field, a))
-        return LinearMap(self, self, par, self.multiply(a, np.eye(self.n)).T)
+        a = asfield(self.field, a)
+        return LinearMap(self, self, vector_parity(self, a),
+                         self._left_matrices(a)[0])
 
     # -- validation ------------------------------------------------------
 
@@ -426,6 +429,46 @@ def _sparse_kernel(field, keys, vals, nu):
     live = np.flatnonzero(weight != 0)
     e, t = _match(y, root[live])
     return k[e], live[t], amod(field, x[e] * weight[live[t]])
+
+
+def _canonical(field, q, cell, vals):
+    """The canonical RREF of the span of the sparse rows q, with the
+    nonzero reduced vals[t] at cell[t], as the nonzero entries (u, cell,
+    value) of its rows u, in the order of their pivots.  The rows split
+    into blocks on the cells they share (_components), and the RREF is
+    the union of the block RREFs.  A block whose rows are all multiples
+    of its first row has that row, scaled to lead 1, as its RREF: each
+    row is compared with its block's first row cell by cell, on cells
+    and lead-scaled values, all in one step.  Only the other blocks go
+    through an Eliminator on their cells (_eliminate_blocks)."""
+    order = np.lexsort((cell, q))
+    row = np.unique(q[order], return_inverse=True)[1]
+    used, col = np.unique(cell[order], return_inverse=True)
+    vals = vals[order]
+    label = _components(row, col, used.size)
+    lead = np.flatnonzero(np.diff(row, prepend=-1))   # first of a row
+    length = np.diff(np.r_[lead, row.size])
+    scaled = amod(field, vals * inverses(field, vals[lead])[row])
+    # h[t]: the first row of the block of cell t, and at[t] the cell of
+    # that row in the same place, when the rows are as long
+    blocks, first = np.unique(label[col[lead]], return_index=True)
+    h = first[np.searchsorted(blocks, label[col])]
+    same = length[row] == length[h]
+    at = lead[h] + np.minimum(np.arange(row.size) - lead[row], length[h] - 1)
+    same &= (col == col[at]) & (scaled == scaled[at])
+    one = (np.bincount(label[col[~same]], minlength=used.size) == 0)[
+        label[col]]
+    k, b, x = _eliminate_blocks(field, row[~one], col[~one], vals[~one],
+                                label, lambda elim: elim.rref()[0])
+    one &= h == row
+    k = np.concatenate([row[one], lead.size + k])
+    b = np.concatenate([col[one], b])
+    # a row's pivot is its least cell; distinct rows have distinct pivots
+    rows, k = np.unique(k, return_inverse=True)
+    pivot = np.full(rows.size, used.size)
+    np.minimum.at(pivot, k, b)
+    return np.argsort(np.argsort(pivot))[k], used[b], np.concatenate(
+        [scaled[one], x])
 
 
 def _peel(field, keys, vals, nu):

@@ -151,9 +151,6 @@ class TitsAlgebra(ThreeCopyAlgebra):
     """Bracket structure on (so3 tensor J) + d; copy i is E_{i+1}
     tensor J."""
 
-    def idx_tensor(self, i: int, a: int) -> int:
-        return self.idx_copy(i, a)
-
 
 class TkkAlgebra(ThreeCopyAlgebra):
     """3-graded bracket structure on J_+1 + (L_J + Inder J) + J_-1; the
@@ -162,15 +159,6 @@ class TkkAlgebra(ThreeCopyAlgebra):
     @property
     def inder(self):
         return self.dspace
-
-    def idx_plus(self, a: int) -> int:
-        return self.idx_copy(0, a)
-
-    def idx_minus(self, a: int) -> int:
-        return self.idx_copy(1, a)
-
-    def idx_lmult(self, a: int) -> int:
-        return self.idx_copy(2, a)
 
 
 def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,

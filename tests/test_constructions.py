@@ -7,8 +7,8 @@ import pytest
 from ckder import (FieldError, FieldSpec, check_jordan_super,
                    check_supercommutative, cheng_kac, differential_from_json,
                    differential_to_json, is_homomorphism, kantor_double,
-                   map_inverse, odd_part_squares_to_even, quadratic_jordan,
-                   truncated_poly, w_to_v_change)
+                   map_inverse, matrix_to_json, odd_part_squares_to_even,
+                   quadratic_jordan, truncated_poly, w_to_v_change)
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F9 = FieldSpec(3, ext=True)
@@ -220,3 +220,12 @@ def test_differential_json_round_trip():
     assert back.z.products == d.z.products
     assert np.array_equal(back.delta.matrix, d.delta.matrix)
     assert back.field == d.field
+
+
+def test_a_derivation_into_a_proper_ideal_is_refused():
+    """t d/dt is a derivation of F5[t]/(t^5), but Z delta(Z) is the ideal
+    (t) of dim 4, so Z is not differentiably simple for it."""
+    blob = differential_to_json(truncated_poly(F5))
+    blob["delta"] = matrix_to_json(F5, np.diag(np.arange(5)))
+    with pytest.raises(ValueError, match="proper ideal"):
+        differential_from_json(blob)

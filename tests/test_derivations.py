@@ -13,11 +13,11 @@ from ckder import (DerivationSpace, FieldSpec, LinearMap, amod, cheng_kac,
                    quadratic_jordan, restrict_to_k, stable_der_double,
                    truncated_poly)
 from ckder import derivations, superalg
-from ckder.derivations import (_canonical, _leibniz_kernel, _leibniz_system,
-                               _mult_matrix)
+from ckder.derivations import _leibniz_kernel, _leibniz_system, _mult_matrix
 from ckder.linalg import Eliminator, Subspace, inverses
-from ckder.superalg import (TERM_BUDGET, _entries, _peel, _sparse_kernel,
-                            sum_per_key)
+from ckder.superalg import (TERM_BUDGET, _canonical, _entries, _peel,
+                            _sparse_kernel, sum_per_key)
+from oracles import tensor
 from test_sparse_checks import flat_span, super_tables
 
 F3 = FieldSpec(3)
@@ -38,7 +38,7 @@ def slow_derivation_dims(a):
     out the Leibniz conditions with plain nested loops.  Shares nothing
     with the tensor-based solver except the row reducer."""
     n = a.n
-    t = a.tensor()
+    t = tensor(a)
     par = [a.parity(i) for i in range(n)]
     basis = [a.basis_vector(i) for i in range(n)]
     dims = []
@@ -88,11 +88,11 @@ def test_double_derivation_dims_match_slow_solver_p3():
 def dense_leibniz_kernel(a, parity):
     """Canonical basis, as flattened column-major matrices, of the
     parity-homogeneous derivations of a: the whole Leibniz matrix,
-    built from tensor() by einsum, and its kernel.  Shares nothing with
-    the block solver except the row reducer."""
+    built from the dense tensor by einsum, and its kernel.  Shares
+    nothing with the block solver except the row reducer."""
     n = a.n
     f = a.field
-    t = a.tensor()
+    t = tensor(a)
     par = a.parities
     eye = np.eye(n)
     sign = 1.0 - 2.0 * parity * par

@@ -1,7 +1,8 @@
 """Golden bytes: the JSON reports at p = 3 and 5, the reports of the
 dims checks at p = 7 and 11, the report of the tkk checks at p = 11,
 the report of the coord checks at p = 13, the report of the jordan and
-tkk checks at p = 7, and the exported tables at p = 3.
+tkk checks at p = 7, the exported tables at p = 3, and the exported
+coefficient algebra, double and Cheng-Kac tables at p = 7.
 
 The p = 3 digests below were taken from the code as it stood before
 structure tables were stored as COO arrays (the commit before that
@@ -16,14 +17,17 @@ der_as_tkk, from the code before the 3-graded layer moved onto the
 sparse map engine, and the p = 7 jordan and tkk digest from the code
 before the cyclic sums were keyed at sorted triples only, when the
 Jacobi sums of the 224-dimensional tables ran in 50 ranges of their
-output coordinate and the Jordan sums of J in 18, by running
+output coordinate and the Jordan sums of J in 18, and the p = 7 export
+digests from the code before the builders read the table as COO entries
+only, when the double and the Cheng-Kac tables were cut from dense
+products of p x p x p blocks, by running
 
     python -m ckder verify --p P --format json
     python -m ckder verify --p P --checks dims --format json
     python -m ckder verify --p P --checks tkk --format json
     python -m ckder verify --p P --checks coord --format json
     python -m ckder verify --p P --checks jordan,tkk --format json
-    python -m ckder export --p 3 --algebra A --out FILE
+    python -m ckder export --p P --algebra A --out FILE
 
 and hashing stdout and FILE.  A change that only reorganises the code
 must leave every digest as it is.  A change that means to alter a
@@ -60,6 +64,15 @@ EXPORT_P3 = {
         "2c39de20dfa2e5422dfda402e7190449533234e528a5e1c354798f26af46b5f8",
     "ck_lie":
         "22e8c3fe460420360d84f9ef210bc3f93fa91305c020a46ea6e5e790907f0f96",
+}
+
+EXPORT_P7 = {
+    "Z": "a6ea9f02cc485ac07f3e13cf4ccd566a818b3a73711d7b0d5fdb0cb4804849e0",
+    "K": "2e414bddf055bd96ddb674de8059b7eb51ec74ff1c3eb47c3b5f7b27346534b9",
+    "jck_w":
+        "b778b925ecd969539a3fcf96366e6e7a4d3c5b955aea92e2e43e8f0f42be6533",
+    "jck_v":
+        "06e3da3910ff6a0bfdd202806155c7e429ce65dfb800b71d7f3027ab870f9b21",
 }
 
 
@@ -118,3 +131,11 @@ def test_export_bytes(tmp_path, name):
     assert main(["export", "--p", "3", "--algebra", name,
                  "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == EXPORT_P3[name]
+
+
+@pytest.mark.parametrize("name", list(EXPORT_P7))
+def test_export_bytes_p7(tmp_path, name):
+    out = tmp_path / f"{name}.json"
+    assert main(["export", "--p", "7", "--algebra", name,
+                 "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == EXPORT_P7[name]

@@ -7,8 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ckder import (DerivationSpace, LinearMap, amod, check_supercommutative,
-                   inner_derivation)
+from ckder import (DerivationSpace, LinearMap, Subspace, SuperAlgebra, amod,
+                   check_supercommutative, inner_derivation)
 from ckder import battery, derivations, symmetry, tkk
 from ckder.superalg import _chain
 from ckder.battery import (RunContext, check_big_der_equals_inder,
@@ -20,6 +20,7 @@ from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_double_odd_split,
                            check_double_jordan_identity,
                            check_dzzx_vanishes, check_graded_named_spans,
+                           check_odd_part_squares,
                            check_s4_fixes_scalar_component,
                            check_tits_big_lie, check_tits_double_lie,
                            check_tits_double_stable_lie, check_tkk_big_lie,
@@ -28,6 +29,7 @@ from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_transfer_extension_identity,
                            check_transfer_inner, check_transfer_iso,
                            check_w_v_equivalence, run_battery)
+from oracles import tensor
 from test_sparse_checks import (_perturbed, _symmetric_perturbation,
                                 dense_jordan_super, dense_super_lie)
 
@@ -164,6 +166,27 @@ def test_big_inder_dims_fails_when_the_odd_pairs_are_lost(monkeypatch):
     status, field, witness = check_big_inder_dims(RunContext(3))
     assert (status, field) == ("fail", "F3")
     assert witness["dims"][1] == 0 and witness["expected"] == [12, 12]
+
+
+def test_odd_part_squares_to_even_fails_when_one_even_vector_is_missed():
+    ctx = RunContext(3)
+    f = ctx.base
+    ck = ctx.ck(f, "w")
+    a, n0 = ck.alg, ck.alg.dim_even
+    assert check_odd_part_squares(ctx)[0] == "pass"
+    # the products of two odd basis vectors lose their terms on t^0 w1
+    i, j, k, _ = a.coo()
+    lost = (i >= n0) & (j >= n0) & (k == ck.even_index(1, 0))
+    bad = SuperAlgebra(f, n0, a.dim_odd, a.labels,
+                       [x[~lost] for x in a.coo()], a.unit_index,
+                       a.fine_label)
+    ctx._cache[("ck", f.p, f.ext, "w")] = dataclasses.replace(ck, alg=bad)
+    status, field, witness = check_odd_part_squares(ctx)
+    assert (status, field) == ("fail", "F3")
+    assert witness["witness"] == {"got_dim": n0 - 1, "want_dim": n0}
+    # the span of the dense odd-odd block of the table agrees
+    odd = tensor(bad)[n0:, n0:].reshape(-1, a.n)
+    assert Subspace(f, a.n, odd).dim == n0 - 1
 
 
 def dense_dzzx_witness(ck):

@@ -9,7 +9,7 @@ single-constant or single-entry defects and on random sparse tables,
 the two must agree on the verdict and on the witness dict, key order
 included.  The same real and random tables check that the constructor
 stores one canonical table whatever the presentation of its input, and
-that tensor() is the scatter of it.
+that its dense scatter (oracles.tensor) holds every stored value.
 
 The supercommutators of maps are joins as well: the inner span, the
 structure constants of a derivation space and the coordinates of every
@@ -39,9 +39,10 @@ from hypothesis import given, settings, strategies as st
 import ckder
 from ckder import (DerivationSpace, FieldSpec, LinearMap, Subspace,
                    SuperAlgebra, check_jordan_super, check_super_lie,
-                   check_supercommutative, is_derivation, is_homomorphism,
+                   check_supercommutative, cheng_kac, is_derivation,
+                   is_homomorphism, odd_part_squares_to_even,
                    sl2_identification, so3, super_commutator, tkk_3graded,
-                   w_to_v_change)
+                   truncated_poly, w_to_v_change)
 from ckder.battery import (RunContext, check_der_as_tits_double,
                            check_graded_named_spans,
                            check_s4_fixes_scalar_component)
@@ -52,6 +53,7 @@ from ckder.superalg import (TERM_BUDGET, _brackets, _cyclic_verdict,
                             _jacobi_join, _jordan_join, _ranges, annihilator,
                             center_even, inner_derivation_entries)
 from ckder.tkk import LieSuperAlgebra
+from oracles import tensor
 
 F3 = FieldSpec(3)
 F9 = FieldSpec(3, ext=True)
@@ -76,7 +78,7 @@ def _first_bad_pair(diff, labels):
 
 
 def dense_supercommutative(a):
-    t = a.tensor()
+    t = tensor(a)
     diff = amod(a.field, t - _sign_table(a)[:, :, None] * t.transpose(1, 0, 2))
     w = _first_bad_pair(diff, a.labels)
     return w is None, w
@@ -87,7 +89,7 @@ def dense_super_lie(lie):
     blocked contractions of the dense structure tensor."""
     f = lie.field
     n = lie.n
-    t = lie.tensor()
+    t = tensor(lie)
     s = _sign_table(lie)
     anti = amod(f, t + s[:, :, None] * t.transpose(1, 0, 2))
     w = _first_bad_pair(anti, lie.labels)
@@ -140,7 +142,7 @@ def dense_commutator_rows(field, mats, parities):
 def dense_inner_rows(a):
     """rows[i, j] = D(e_i, e_j) flattened: L_i[r, c] = T[i, c, r]."""
     return dense_commutator_rows(
-        a.field, np.ascontiguousarray(a.tensor().transpose(0, 2, 1)),
+        a.field, np.ascontiguousarray(tensor(a).transpose(0, 2, 1)),
         a.parities)
 
 
@@ -150,7 +152,7 @@ def dense_jordan_super(a):
     f = a.field
     n = a.n
     de = a.dim_even
-    t = a.tensor()
+    t = tensor(a)
     # dd[i, j] is the flattened matrix of D(e_i, e_j)
     dd = dense_inner_rows(a)
     # with y and z at least x the signs are constant on each parity
@@ -188,7 +190,7 @@ def dense_jordan_super(a):
 
 def dense_is_derivation(a, d):
     f = a.field
-    t = a.tensor()
+    t = tensor(a)
     dm = d.matrix
     lhs = np.einsum("ijk,rk->ijr", t, dm, optimize=True)
     rhs1 = np.einsum("mi,mjr->ijr", dm, t, optimize=True)
@@ -203,9 +205,9 @@ def dense_is_homomorphism(fmap):
     f = fmap.field
     ns, nt = fmap.source.n, fmap.target.n
     fm = fmap.matrix
-    lhs = (fmap.source.tensor().reshape(ns * ns, ns) @ fm.T) \
+    lhs = (tensor(fmap.source).reshape(ns * ns, ns) @ fm.T) \
         .reshape(ns, ns, nt)
-    u = fm.T @ fmap.target.tensor().reshape(nt, nt * nt)   # (i, (b c))
+    u = fm.T @ tensor(fmap.target).reshape(nt, nt * nt)   # (i, (b c))
     u = u.reshape(ns, nt, nt).transpose(0, 2, 1)            # (i, c, b)
     rhs = (u.reshape(ns * nt, nt) @ fm).reshape(ns, nt, ns)
     w = _first_bad_pair(amod(f, lhs - rhs.transpose(0, 2, 1)),
@@ -214,10 +216,10 @@ def dense_is_homomorphism(fmap):
 
 
 def dense_center_even(a):
-    """The associator and commutator rows of the even part, by dense
-    einsum over tensor(), and their kernel."""
+    """The associator and commutator rows of the even part, by einsum
+    over the dense tensor, and their kernel."""
     n0 = a.dim_even
-    t = a.tensor()[:n0, :n0, :n0]
+    t = tensor(a)[:n0, :n0, :n0]
     assoc = np.einsum("cam,mbr->abrc", t, t, optimize=True) - \
         np.einsum("abm,cmr->abrc", t, t, optimize=True)
     comm = amod(a.field, t - t.transpose(1, 0, 2))     # (a, c, r)
@@ -446,6 +448,22 @@ def test_leibniz_solve_holds_one_range_of_terms(parity):
     assert peak < 40 * 2 ** 20
 
 
+def test_odd_square_span_builds_no_dense_table():
+    """odd_part_squares_to_even on J_w over F23 (n = 184) peaked
+    (tracemalloc) at 77.3 MiB while it read the dense n x n x n table,
+    and kept 47.5 MiB of it cached; it canonicalizes the odd-odd rows of
+    coo() instead, and SuperAlgebra has no dense form of its table."""
+    a = cheng_kac(truncated_poly(FieldSpec(23))).alg
+    tracemalloc.start()
+    try:
+        assert odd_part_squares_to_even(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert not hasattr(SuperAlgebra, "tensor")
+
+
 # -- the Jordan identity -------------------------------------------------
 
 
@@ -547,7 +565,7 @@ def jordan_terms_oracle(a):
     T[a,b,m] in either order, one at each sorted rotation of (a, b,
     c)."""
     n = a.n
-    nz = (a.tensor() != 0).astype(np.int64)
+    nz = (tensor(a) != 0).astype(np.int64)
     first = 2 * nz.sum(axis=(0, 1)) @ nz.sum(axis=0)
     e = (dense_inner_rows(a) != 0).reshape(n, n, n, n)     # (c, m, w, q)
     second = np.einsum("cmwq,mc->q", e.astype(np.int64),
@@ -777,9 +795,10 @@ def test_random_symmetric_tables_agree_with_the_jordan_oracle(table):
 
 
 def assert_tensor_scatters_coo(a):
-    """tensor() holds the coo() values at their keys, and nothing else."""
+    """The dense scatter of coo() holds its values at their keys, and
+    nothing else: coo() names no key twice and stores no zero."""
     i, j, k, c = a.coo()
-    t = a.tensor()
+    t = tensor(a)
     assert np.array_equal(t[i, j, k], c)
     assert np.count_nonzero(t) == c.size
 
@@ -826,8 +845,8 @@ def test_coo_is_the_sorted_read_only_view_of_the_tensor(ctx3):
     assert not c.flags.writeable and not i.flags.writeable
     keys = (i * a.n + j) * a.n + k
     assert np.all(np.diff(keys) > 0)
-    assert np.count_nonzero(a.tensor()) == c.size
-    assert np.array_equal(a.tensor()[i, j, k], c)
+    assert np.count_nonzero(tensor(a)) == c.size
+    assert np.array_equal(tensor(a)[i, j, k], c)
 
 
 def test_join_sums_refuse_terms_beyond_the_exact_range():

@@ -36,24 +36,26 @@ def test_multiply_and_left_mult():
 
 def test_products_refuse_contractions_beyond_the_exact_range():
     # at p = 67108859 one product of two reduced elements per entry is
-    # exact and two are not; left_mult and _mult_matrix contract over
-    # the n basis vectors, and multiply twice
+    # exact and two are not; left_mult, _mult_matrix and multiply join
+    # the factor with the table, so they refuse only a key that really
+    # receives two terms
     big = FieldSpec(67108859)
     q = big.p - 1
 
-    def line(n):
-        # e0 e0 = q e0, and e1 multiplies to zero
-        return SuperAlgebra(big, n, 0, [f"e{i}" for i in range(n)],
-                            ([0], [0], [0], [q]))
+    def table(n, i):
+        # e_i e0 = q e0 for each i given; the others multiply to zero
+        return SuperAlgebra(big, n, 0, [f"e{m}" for m in range(n)],
+                            (i, [0] * len(i), [0] * len(i), [q] * len(i)))
 
-    one = line(1)
+    one = table(1, [0])
     assert one.left_mult([q]).matrix.tolist() == [[1]]
     assert _mult_matrix(one, [q]).tolist() == [[1]]
     assert one.multiply([q], [q]).tolist() == [q]
-    two = line(2)
-    for call in (lambda: two.left_mult([q, 0]),
-                 lambda: _mult_matrix(two, [q, 0]),
-                 lambda: two.multiply([q, 0], [1, 0])):
+    # q e0 + q e1 times e0 is (q q + q q) e0: two terms on one key
+    two = table(2, [0, 1])
+    for call in (lambda: two.left_mult([q, q]),
+                 lambda: _mult_matrix(two, [q, q]),
+                 lambda: two.multiply([q, q], [1, 0])):
         with pytest.raises(ValueError, match="exact range"):
             call()
     # the same calls are exact over a small field

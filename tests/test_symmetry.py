@@ -16,6 +16,7 @@ from ckder.linalg import mm
 from ckder import superalg
 from ckder.superalg import _brackets, _chain, _map_stack
 from ckder.symmetry import _carrier_coords, group_closure
+from oracles import tensor
 
 F5 = FieldSpec(5)
 F9 = FieldSpec(3, ext=True)
@@ -341,7 +342,7 @@ def test_coordinate_layer_matches_the_per_pair_path(p):
     ctx = RunContext(p)
     old, co, tr = PerPairPath(ctx), ctx.coord(), ctx.transfer()
     assert ctx.sqrt.ext
-    assert co.alg.tensor().tobytes() == old.products().tobytes()
+    assert tensor(co.alg).tobytes() == old.products().tobytes()
     assert co.involution.tobytes() == old.involution().tobytes()
     comp = ctx.graded_j(ctx.sqrt, "v").component((0, 0))
     maps = comp.even_basis + comp.odd_basis

@@ -18,6 +18,7 @@ from ckder.battery import RunContext
 from ckder.linalg import mm
 from ckder.superalg import _entries
 from ckder.tkk import LieSuperAlgebra
+from oracles import tensor
 from test_linalg import oracle_rref
 from test_sparse_checks import flat_span
 from test_symmetry import apply_maps
@@ -116,7 +117,7 @@ def test_double_tensor_construction_is_lie(kd3, der3, inder3):
     assert (stable.dim_even, stable.dim_odd) == (12, 12)
     assert check_super_lie(stable)
     # index helpers agree with the label layout
-    assert stable.labels[stable.idx_tensor(1, 0)] == "E2*t^0"
+    assert stable.labels[stable.idx_copy(1, 0)] == "E2*t^0"
     assert stable.labels[stable.idx_der(0, 0)] == "d0"
 
 
@@ -149,14 +150,14 @@ def test_three_graded_double(kd3, tkk3):
     u = kd3.alg.unit_index
     # bracketing the two shifted copies of the unit recovers the
     # multiplication operator of the unit
-    got = tkk3.multiply(basis_vec(tkk3, tkk3.idx_plus(u)),
-                        basis_vec(tkk3, tkk3.idx_minus(u)))
-    assert np.array_equal(got, basis_vec(tkk3, tkk3.idx_lmult(u)))
+    got = tkk3.multiply(basis_vec(tkk3, tkk3.idx_copy(0, u)),
+                        basis_vec(tkk3, tkk3.idx_copy(1, u)))
+    assert np.array_equal(got, basis_vec(tkk3, tkk3.idx_copy(2, u)))
     # and that operator fixes every plus vector
     for a in range(kd3.alg.n):
-        got = tkk3.multiply(basis_vec(tkk3, tkk3.idx_lmult(u)),
-                            basis_vec(tkk3, tkk3.idx_plus(a)))
-        assert np.array_equal(got, basis_vec(tkk3, tkk3.idx_plus(a)))
+        got = tkk3.multiply(basis_vec(tkk3, tkk3.idx_copy(2, u)),
+                            basis_vec(tkk3, tkk3.idx_copy(0, a)))
+        assert np.array_equal(got, basis_vec(tkk3, tkk3.idx_copy(0, a)))
 
 
 def test_three_graded_big_algebra():
@@ -188,7 +189,7 @@ def _perturbed(lie, i, j, both_orders):
 
 def test_super_lie_check_catches_a_perturbed_constant(kd3, tkk3):
     u = kd3.alg.unit_index
-    i, j = tkk3.idx_plus(u), tkk3.idx_minus(u)
+    i, j = tkk3.idx_copy(0, u), tkk3.idx_copy(1, u)
     v = check_super_lie(_perturbed(tkk3, i, j, both_orders=True))
     assert not v
     assert v.witness["identity"] == "jacobi"
@@ -292,7 +293,7 @@ def test_grading_check_flags_violations(tkk3):
                              tkk3.coo(), grading=None)
     assert not check_3grading(broken)
     tags = list(tkk3.grading)
-    tags[tkk3.idx_plus(0)] = -1
+    tags[tkk3.idx_copy(0, 0)] = -1
     broken = LieSuperAlgebra(F3, tkk3.dim_even, tkk3.dim_odd, tkk3.labels,
                              tkk3.coo(), grading=tags)
     v = check_3grading(broken)
@@ -317,7 +318,7 @@ def test_split_triple_fixed_coordinates():
     assert np.array_equal(triple["e"], np.array([2 * u, 1, 0]))
     assert np.array_equal(triple["f"], np.array([2 * u, 2, 0]))
     for f in (F5, F9):
-        t = so3(f).tensor()
+        t = tensor(so3(f))
         triple = find_sl2_triple(f)
         h, e, fv = triple["h"], triple["e"], triple["f"]
 
@@ -415,7 +416,7 @@ def _der_as_tkk_oracle(ctx):
         for j in range(kd.alg.n):
             base = coord.as_map(phi.matrix[:, j]).matrix
             first = conj(base)
-            cols += [tits.idx_tensor(i, j) for i in range(3)]
+            cols += [tits.idx_copy(i, j) for i in range(3)]
             mats += [first, conj(first), base]
         for par, basis in enumerate((idspace.even_basis, idspace.odd_basis)):
             for t, b in enumerate(basis):
