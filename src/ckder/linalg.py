@@ -1,4 +1,4 @@
-"""Exact dense/blocked linear algebra over FieldSpec scalars.
+"""Exact dense linear algebra over FieldSpec scalars.
 
 Matrices are NumPy arrays in the dtype their field picks
 (FieldSpec.dtype), reduced mod p after every operation.  Every array
@@ -7,8 +7,10 @@ solutions, has that dtype, and no routine branches on it.  The
 arithmetic is exact: components are bounded by p**2 times the
 contraction length, and exact_terms is the longest contraction that
 stays below 2**52.  check_exact_range refuses a longer one in mm,
-Subspace.residual, Subspace.coords_of and the eliminator, whose
-Gauss-Jordan rounds make at most exact_terms pivots each.
+Subspace.residual and Subspace.coords_of.  The Eliminator, plain
+Gauss-Jordan one pivot at a time, takes one product of two reduced
+elements per entry and step, so it checks that one product once and is
+exact for every p that passes.
 
 asfield is the one coercion routine: it casts arbitrary input to the
 field's dtype and reduces it, and refuses a nonzero u component headed
@@ -110,133 +112,55 @@ def asfield(field: FieldSpec, a):
     return amod(field, field.array(a))
 
 
-def _unit_triangular_inverse(field: FieldSpec, u):
-    """(I + N)^-1 for a unit upper triangular u = I + N by doubling:
-    the product of the factors I + (-N)^(2^j), taken until the power
-    vanishes.  Its entries must be reduced, and its size within
-    exact_terms."""
-    eye = np.eye(u.shape[0], dtype=field.dtype)
-    power = amod(field, eye - u)
-    inv = eye + power
-    power = amod(field, power @ power)
-    while power.any():
-        inv = amod(field, inv + inv @ power)
-        power = amod(field, power @ power)
-    return inv
-
-
 class Eliminator:
-    """Incremental Gaussian elimination with a fully reduced pivot set.
+    """Incremental Gauss-Jordan elimination with a fully reduced pivot set.
 
-    Rows are fed in blocks.  Each block is first reduced against the
-    accumulated pivot rows with one matmul (valid because the pivot
-    columns of the accumulated rows form an identity).  The surviving
-    rows are absorbed _CHUNK at a time by Gauss-Jordan in rounds: each
-    round makes every distinct leading column of the chunk a pivot at
-    once, up to the exact_terms of the field, and clears those columns
-    from all other rows of the chunk with one matmul each.  One more
-    matmul then clears the new pivot columns from the accumulated rows.
-    The final row set, ordered by pivot column, is the canonical RREF of
-    everything fed in, whatever the feeding order.
+    Each pivot row leads with 1 in its pivot column and is zero in every
+    other pivot column.  add_rows stacks the new rows under the pivot
+    rows and makes pivots one at a time: the old ones first, then each
+    new row still nonzero, scaled to lead 1.  A pivot clears its column
+    from every other row with a nonzero there by one rank-1 update,
+    reduced at once, so every entry takes one product of two reduced
+    elements per step, and add_rows checks once that this product is
+    within the exact range.  Rows that vanish are dropped.  The pivot rows, ordered
+    by pivot column, are the canonical RREF of everything fed in,
+    whatever the feeding order.
     """
-
-    _CHUNK = 128
 
     def __init__(self, field: FieldSpec, ncols: int):
         self.field = field
         self.ncols = ncols
-        self._rows = np.zeros((min(128, max(ncols, 1)), ncols),
-                              dtype=field.dtype)
+        self._rows = np.zeros((0, ncols), dtype=field.dtype)
         self.rank = 0
         self.pivcols: list[int] = []
 
-    # -- internals -------------------------------------------------------
-
-    def _coerce(self, rows):
-        rows = asfield(self.field, rows)
-        return rows[None, :] if rows.ndim == 1 else rows
-
-    def _ensure_capacity(self, need: int):
-        cap = self._rows.shape[0]
-        if need <= cap:
-            return
-        while cap < need:
-            cap = min(max(cap * 2, 128), max(self.ncols, need))
-        grown = np.zeros((cap, self.ncols), dtype=self.field.dtype)
-        grown[:self.rank] = self._rows[:self.rank]
-        self._rows = grown
-
-    def _reduce_block(self, block):
-        if self.rank and block.size:
-            check_exact_range(self.field, self.rank)
-            piv = np.asarray(self.pivcols, dtype=np.intp)
-            block = block - block[:, piv] @ self._rows[:self.rank]
-            block = amod(self.field, block)
-        return block[block.any(axis=1)]
-
-    def _absorb_chunk(self, m):
-        """Gauss-Jordan in rounds on a chunk of reduced nonzero rows.
-
-        A round takes one row per distinct leading column of the rows
-        left, the first such row, at most exact_terms of them, and
-        scales each to lead 1.  On those columns the picked rows form a
-        unit upper triangle I + N; multiplying by its inverse makes them
-        an identity there.  One matmul then clears the columns from the
-        pivot rows of earlier rounds, and one from the rows not picked,
-        of which those that vanish are dropped.  Every contraction has
-        at most one term per picked row.  Returns the pivot rows, fully
-        reduced, and their columns."""
-        field = self.field
-        most = exact_terms(field)
-        piv, cols, rest = m[:0], [], m
-        while rest.shape[0]:
-            lead = (rest != 0).argmax(axis=1)
-            lc, first = np.unique(lead, return_index=True)
-            lc, first = lc[:most], first[:most]
-            s = amod(field, rest[first]
-                     * inverses(field, rest[first, lc])[:, None])
-            if lc.size > 1:
-                s = amod(field, _unit_triangular_inverse(field, s[:, lc]) @ s)
-            if piv.shape[0]:
-                piv = amod(field, piv - piv[:, lc] @ s)
-            rest = np.delete(rest, first, axis=0)
-            if rest.shape[0]:
-                rest = amod(field, rest - rest[:, lc] @ s)
-                rest = rest[rest.any(axis=1)]
-            piv = np.vstack([piv, s])
-            cols.extend(lc.tolist())
-        return piv, cols
-
     def add_rows(self, rows):
-        block = self._reduce_block(self._coerce(rows))
-        for start in range(0, block.shape[0], self._CHUNK):
-            chunk = block[start:start + self._CHUNK]
-            if start:
-                # the pivots of the chunks before this one are new
-                chunk = self._reduce_block(chunk)
-                if not chunk.shape[0]:
+        field = self.field
+        check_exact_range(field, 1)
+        m = np.vstack([self._rows, np.atleast_2d(asfield(field, rows))])
+        live = np.ones(m.shape[0], dtype=bool)
+        for i in range(m.shape[0]):
+            if i < self.rank:
+                c = self.pivcols[i]
+            else:
+                nz = np.flatnonzero(m[i])
+                if not nz.size:
+                    live[i] = False
                     continue
-            newmat, new_cols = self._absorb_chunk(chunk)
-            if self.rank:
-                check_exact_range(self.field, len(new_cols))
-                cols = np.asarray(new_cols, dtype=np.intp)
-                r = self._rows[:self.rank]
-                r -= r[:, cols] @ newmat
-                self._rows[:self.rank] = amod(self.field, r)
-            self._ensure_capacity(self.rank + len(new_cols))
-            self._rows[self.rank:self.rank + len(new_cols)] = newmat
-            self.rank += len(new_cols)
-            self.pivcols.extend(new_cols)
-
-    # -- results ---------------------------------------------------------
+                c = int(nz[0])
+                m[i] = amod(field, m[i] * field.inv(m[i, c]))
+                self.pivcols.append(c)
+            hit = np.flatnonzero(m[:, c])
+            hit = hit[hit != i]
+            if hit.size:
+                m[hit] = amod(field, m[hit] - np.outer(m[hit, c], m[i]))
+        self._rows = m[live]
+        self.rank = len(self.pivcols)
 
     def rref(self):
         """Canonical RREF of everything fed in, and its pivot columns."""
-        order = np.argsort(np.asarray(self.pivcols, dtype=np.intp)) \
-            if self.pivcols else np.zeros(0, dtype=np.intp)
-        out = self._rows[:self.rank][order]
-        piv = [self.pivcols[i] for i in order]
-        return out, piv
+        order = np.argsort(np.asarray(self.pivcols, dtype=np.intp))
+        return self._rows[order], [self.pivcols[i] for i in order]
 
     def kernel_rows(self):
         """Canonical RREF basis of the kernel of the fed row system."""
@@ -257,20 +181,11 @@ class Eliminator:
 
 
 def rref(field: FieldSpec, m):
-    """Canonical RREF; returns (reduced matrix, rank, pivot columns).
-    Only the columns in use reach the eliminator: a zero column never
-    pivots and stays zero in the RREF."""
-    m = np.asarray(m)
-    used = np.flatnonzero(m.any(axis=0))
-    if used.size == m.shape[1]:
-        e = Eliminator(field, m.shape[1])
-        e.add_rows(m)
-        r, piv = e.rref()
-        return r, e.rank, piv
-    r, rk, piv = rref(field, m[:, used])
-    out = np.zeros((rk, m.shape[1]), dtype=field.dtype)
-    out[:, used] = r
-    return out, rk, used[piv].tolist()
+    """Canonical RREF; returns (reduced matrix, rank, pivot columns)."""
+    e = Eliminator(field, np.shape(m)[1])
+    e.add_rows(m)
+    r, piv = e.rref()
+    return r, e.rank, piv
 
 
 def rank(field: FieldSpec, m) -> int:

@@ -197,13 +197,6 @@ class CoordinateAlgebra:
     unital: bool
     change: np.ndarray
 
-    def carrier(self) -> list:
-        """The carrier maps as LinearMaps, built from entries."""
-        return [self.as_map(e) for e in np.eye(self.alg.n)]
-
-    carrier_even = property(lambda self: self.carrier()[:self.alg.dim_even])
-    carrier_odd = property(lambda self: self.carrier()[self.alg.dim_even:])
-
     def as_map(self, coords) -> LinearMap:
         """The derivation a coordinate vector stands for."""
         a = self.component.algebra

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ckder import (DerivationSpace, FieldError, FieldSpec, LinearMap,
                    RunContext, inner_derivation_algebra, kantor_double,
@@ -291,9 +292,8 @@ def assert_rref_matches_oracle(field, a):
 
 @pytest.mark.parametrize("field", [F5, F9], ids=str)
 def test_rref_on_the_columns_in_use_matches_the_oracle(field):
-    """Only the columns in use reach the eliminator, and the zero columns
-    are put back: matrices with zero columns, zero rows, no zero column
-    at all, and the all-zero matrix give the oracle's RREF."""
+    """Matrices with zero columns, zero rows, no zero column at all, and
+    the all-zero matrix give the oracle's RREF."""
     rng = np.random.default_rng(16)
     for _ in range(40):
         m, n = int(rng.integers(1, 12)), int(rng.integers(1, 30))
@@ -372,17 +372,15 @@ def echelon_rows(rng, field, leads, n, dense=False):
     return rows
 
 
-def chunk_system(rng, field, kind, n=100):
-    """Rows made for one kind of first round of the chunk.
+def shaped_system(rng, field, kind, n=100):
+    """Rows of one shape of lead structure.
 
     chain-L: L rows with distinct leads whose entries in the lead
-    columns are all nonzero, so that the round inverts a dense unit
-    upper triangle of size L and needs every doubling factor of it,
-    then 30 rows with leads among those columns, left for later rounds,
-    and 20 combinations of the L rows.  vanish: 24 rows with distinct leads, then 40
-    combinations of them, which vanish in the first round, and 10 rows
-    that survive it.  one-round: 60 rows with distinct leads and
-    nothing else, so that all pivots come in one round."""
+    columns are all nonzero, so that every pivot meets all the others,
+    then 30 rows with leads among those columns and 20 combinations of
+    the L rows.  vanish: 24 rows with distinct leads, then 40
+    combinations of them, which vanish, and 10 rows that survive them.
+    one-round: 60 rows with distinct leads and nothing else."""
     name, _, size = kind.partition("-")
     if name == "chain":
         length = int(size)
@@ -402,29 +400,23 @@ def chunk_system(rng, field, kind, n=100):
     return echelon_rows(rng, field, leads, n)
 
 
-FIRST_ROUND = {"chain-8": 8, "chain-9": 9, "chain-64": 64, "chain-65": 65,
-               "vanish": 24, "one-round": 60}
+SHAPED = ("chain-8", "chain-9", "chain-64", "chain-65", "vanish",
+          "one-round")
 
 
 @pytest.mark.parametrize("field", [F5, F9], ids=str)
-@pytest.mark.parametrize("system", [127, 128, 129, 300, *FIRST_ROUND])
-def test_eliminator_matches_integer_oracle_across_chunks(field, system,
-                                                          monkeypatch):
-    """Systems that cross the chunk size of the eliminator, and chunks
-    built for one kind of round, fed in one block, in several blocks
-    and in shuffled order, give bitwise the rows and pivots of a plain
-    integer Gauss-Jordan."""
-    assert Eliminator._CHUNK == 128
-    sizes = []
-    inverse_of = linalg._unit_triangular_inverse
-    monkeypatch.setattr(linalg, "_unit_triangular_inverse",
-                        lambda f, u: sizes.append(len(u)) or inverse_of(f, u))
+@pytest.mark.parametrize("system", [127, 128, 129, 300, *SHAPED])
+def test_eliminator_matches_integer_oracle_across_chunks(field, system):
+    """Ragged systems of 127 to 300 rows, and systems of one shape of
+    lead structure, fed in one block, in several blocks and in shuffled
+    order, give bitwise the rows and pivots of a plain integer
+    Gauss-Jordan."""
     if isinstance(system, int):
         rng = np.random.default_rng(system)
         rows = ragged_system(rng, field, system)
     else:
         rng = np.random.default_rng(list(system.encode()))
-        rows = chunk_system(rng, field, system)
+        rows = shaped_system(rng, field, system)
     m = rows.shape[0]
     want, want_piv = oracle_rref(field, rows)
     assert 0 < len(want_piv) < rows.shape[1]
@@ -433,7 +425,6 @@ def test_eliminator_matches_integer_oracle_across_chunks(field, system,
              "blocks": np.split(rows, [1, *cuts]),
              "shuffled": np.split(rows[rng.permutation(m)], [m // 3])}
     for how, blocks in feeds.items():
-        sizes.clear()
         elim = Eliminator(field, rows.shape[1])
         for block in blocks:
             elim.add_rows(block)
@@ -441,10 +432,6 @@ def test_eliminator_matches_integer_oracle_across_chunks(field, system,
         assert np.array_equal(got, want), how
         assert got.dtype == field.dtype and list(piv) == want_piv, how
         assert elim.rank == len(want_piv), how
-        if how == "one block" and system in FIRST_ROUND:
-            # the first round picks the rows the system was made for
-            assert sizes[0] == FIRST_ROUND[system], sizes
-            assert system != "one-round" or len(sizes) == 1, sizes
 
 
 def _fed(field, *blocks):
@@ -456,17 +443,25 @@ def _fed(field, *blocks):
 
 def test_eliminator_refuses_contractions_beyond_the_exact_range():
     # (p-1)^2 + p < 2**52 <= 2 (p-1)^2: one product per entry is exact,
-    # two are not, and the contraction length is the rank
+    # two are not.  The eliminator makes one product per entry and step,
+    # so every feed over F_p is exact, whatever the rank
     big = FieldSpec(67108859)
-    elim = _fed(big, [[1, 0, 0], [0, 1, 0]])    # rank 0: no contraction
-    assert elim.rank == 2
+    feeds = ([[[1, 0, 0], [0, 1, 0]], [[1, 1, 1]]],
+             [[[1, 1, 0]], [[big.p - 1, 0, 1]]],
+             [[[1, 1, 1]], [[0, 1, 0], [0, 0, 1]]])
+    for blocks in feeds:
+        want, want_piv = oracle_rref(big, np.vstack(blocks))
+        got, piv = _fed(big, *blocks).rref()
+        assert np.array_equal(got, want) and piv == want_piv
+    # over F_{p^2} one product takes two terms per component, so the
+    # eliminator refuses at once, even a single row
+    ext = FieldSpec(67108859, ext=True)
+    assert exact_terms(ext) == 0
     with pytest.raises(ValueError, match="exact range"):
-        elim.add_rows([[1, 1, 1]])
-    # one pivot row against one new pivot is exact; two new pivots in
-    # the update of the accumulated rows are not
-    assert _fed(big, [[1, 1, 0]], [[big.p - 1, 0, 1]]).rref()[1] == [0, 1]
-    with pytest.raises(ValueError, match="exact range"):
-        _fed(big, [[1, 1, 1]], [[0, 1, 0], [0, 0, 1]])
+        Eliminator(ext, 2).add_rows([[1, 2]])
+    for blocks in feeds:
+        with pytest.raises(ValueError, match="exact range"):
+            _fed(ext, *blocks)
     # the same feeds are exact over a small field
     elim = _fed(FieldSpec(3), [[1, 0, 0], [0, 1, 0]], [[1, 1, 1]])
     assert elim.rank == 3
@@ -474,16 +469,13 @@ def test_eliminator_refuses_contractions_beyond_the_exact_range():
 
 def test_eliminator_rounds_stay_within_a_capped_exact_range(monkeypatch):
     """At p = 38745307 a reduced element takes 3 products and stays
-    exact, so a round makes at most 3 pivots though the chunk has more
-    distinct leads; the result still equals the integer oracle and no
-    value reaching amod leaves the exact range."""
+    exact, fewer than the rank of the system; fed in one block and in
+    two blocks either way round, the result equals the integer oracle
+    and no value reaching amod leaves the exact range."""
     field = FieldSpec(38745307)
-    most = exact_terms(field)
-    assert most == 3
-    sizes, peak = [], []
-    inverse_of, reduce = linalg._unit_triangular_inverse, linalg.amod
-    monkeypatch.setattr(linalg, "_unit_triangular_inverse",
-                        lambda f, u: sizes.append(len(u)) or inverse_of(f, u))
+    assert exact_terms(field) == 3
+    peak = []
+    reduce = linalg.amod
     monkeypatch.setattr(linalg, "amod", lambda f, a: peak.append(
         np.abs(np.asarray(a).view(np.float64)).max(initial=0)) or reduce(f, a))
     # rank 6 in 40 x 12, in Python ints: row r mixes the base rows from
@@ -502,22 +494,57 @@ def test_eliminator_rounds_stay_within_a_capped_exact_range(monkeypatch):
     rows[[7, 32]] = 0
     want, want_piv = oracle_rref(field, rows)
     assert len(want_piv) == 6
-    # one block: six distinct leads, cut into two rounds of three; two
-    # blocks: three new pivots each, against at most three pivot rows
-    for blocks in ([rows], [rows[:20], rows[20:]]):
-        sizes.clear()
+    # the last order feeds a second block against six pivot rows
+    for blocks in ([rows], [rows[:20], rows[20:]], [rows[20:], rows[:20]]):
         elim = Eliminator(field, 12)
         for block in blocks:
             elim.add_rows(block)
         got, piv = elim.rref()
         assert np.array_equal(got, want) and list(piv) == want_piv
-        assert sizes == [most, most], sizes
     assert max(peak) < 2 ** 52
-    # the other way round, the second block meets six pivot rows
-    elim = Eliminator(field, 12)
-    elim.add_rows(rows[20:])
-    with pytest.raises(ValueError, match="exact range"):
-        elim.add_rows(rows[:20])
+
+
+@st.composite
+def fed_systems(draw):
+    """A field, a system of rows of low rank over it, made in Python
+    ints, and a feed of it: the rows in a drawn order, cut into drawn
+    blocks, some of them empty."""
+    field = draw(st.sampled_from(
+        [F5, F9, FieldSpec(38745307), FieldSpec(67108859)]))
+    p = field.p
+    part = st.integers(0, p - 1)
+    scalar = st.one_of(st.just((0, 0)), st.tuples(
+        part, part if field.ext else st.just(0)))
+    n, k, m = draw(st.integers(1, 8)), draw(st.integers(1, 6)), \
+        draw(st.integers(1, 12))
+    base = draw(st.lists(st.lists(scalar, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    coef = draw(st.lists(st.lists(scalar, min_size=k, max_size=k),
+                         min_size=m, max_size=m))
+    rows = [[complex(sum(c[0] * b[j][0] - c[1] * b[j][1]
+                         for c, b in zip(cs, base)) % p,
+                     sum(c[0] * b[j][1] + c[1] * b[j][0]
+                         for c, b in zip(cs, base)) % p)
+             for j in range(n)] for cs in coef]
+    rows = field.array(np.asarray(rows, dtype=np.complex128))
+    order = draw(st.permutations(range(m)))
+    cuts = sorted(draw(st.lists(st.integers(0, m), max_size=4)))
+    return field, rows, np.split(rows[order], cuts)
+
+
+@given(fed_systems())
+def test_eliminator_matches_the_oracle_in_any_feed(system):
+    """Random systems of low rank over F5, F9 and two primes whose
+    reduced elements take 3 and 1 products within the exact range, fed
+    in random blocks and orders, give bitwise the oracle's RREF."""
+    field, rows, blocks = system
+    want, want_piv = oracle_rref(field, rows)
+    elim = Eliminator(field, rows.shape[1])
+    for block in blocks:
+        elim.add_rows(block)
+    got, piv = elim.rref()
+    assert np.array_equal(got, want) and got.dtype == field.dtype
+    assert piv == want_piv and elim.rank == len(want_piv)
 
 
 def test_subspace_and_mm_refuse_contractions_beyond_the_exact_range():

@@ -284,7 +284,7 @@ class PerPairPath:
     def __init__(self, ctx):
         self.f = f = ctx.sqrt
         self.act, self.co, self.phi = ctx.act(), ctx.coord(), ctx.phi()
-        self.maps = self.co.carrier()
+        self.maps = [self.co.as_map(e) for e in np.eye(self.co.alg.n)]
         flat = np.stack([m.flatten() for m in self.maps])
         self.span = Subspace(f, flat.shape[1], flat)
         self.to_carrier = inverse(f, self.span.coords_of(flat))
