@@ -57,6 +57,16 @@ class DerivationSpace:
         space._store(algebra, parities, entries, canonicalize, validate)
         return space
 
+    def over(self, algebra: SuperAlgebra) -> "DerivationSpace":
+        """The same space for algebra, the table of self.algebra over a
+        larger field: a canonical basis stays canonical under extension
+        of scalars, so only its entries are cast, and the Leibniz rule is
+        checked again over the new field."""
+        pars, (u, r, c, v) = self.stack()
+        return DerivationSpace.from_entries(
+            algebra, pars, (u, r, c, asfield(algebra.field, v)),
+            canonicalize=False)
+
     def _store(self, a, parities, entries, canonicalize, validate):
         self.algebra, self._brackets = a, None
         q, r, c, v = entries

@@ -304,6 +304,20 @@ def inverse(field: FieldSpec, m):
     return r[:, n:]
 
 
+def signed_permutation_inverse(field: FieldSpec, m):
+    """The inverse of a signed permutation matrix, its transpose; raises
+    ValueError unless m is square with one nonzero entry, 1 or -1, in
+    every row and every column."""
+    m = asfield(field, m)
+    nz = m != 0
+    if (m.ndim != 2 or m.shape[0] != m.shape[1]
+            or np.any(nz.sum(axis=0) != 1)
+            or np.any(nz.sum(axis=1) != 1)
+            or np.any((m[nz] != 1) & (m[nz] != field.p - 1))):
+        raise ValueError("not a signed permutation matrix")
+    return m.T
+
+
 def matrix_to_json(field: FieldSpec, m) -> list:
     m = asfield(field, m)
     return [[field.scalar_to_json(x) for x in row] for row in m]

@@ -18,7 +18,7 @@ import numpy as np
 from .constructions import ChengKac, KantorDouble
 from .derivations import (DerivationSpace, combination_entries,
                           grade_derivations)
-from .linalg import amod, asfield, inverse, mm
+from .linalg import amod, asfield, inverse, mm, signed_permutation_inverse
 from .superalg import (LinearMap, SuperAlgebra, _brackets, _entries,
                        _product_terms, inner_derivation_entries,
                        is_automorphism, is_homomorphism, sum_per_key)
@@ -123,8 +123,9 @@ def coxeter_witness(act: S4Action) -> dict:
     the order is 24.
     """
     f, n = act.algebra.field, act.algebra.n
+    g = act.phi.matrix
     s1 = act.tau.matrix
-    s2 = conjugate_der(act.phi, act.tau).matrix
+    s2 = mm(f, g, mm(f, s1, signed_permutation_inverse(f, g)))
     s3 = mm(f, act.tau1.matrix, act.tau.matrix)
 
     def is_identity_power(m, e):
@@ -155,8 +156,9 @@ def conjugate_der(g: LinearMap, d: LinearMap) -> LinearMap:
 
 def _conjugate_entries(field, g, entries):
     """The nonzero entries (s, r, c, value) of g M_s g^-1, in (s, r, c)
-    order, for maps M_s given by their nonzero entries: product joins
-    with g^-1 and then with g, each summed per key."""
+    order, for maps M_s given by their nonzero entries and g a signed
+    permutation matrix, an element of the S4 action: product joins with
+    g^-1, the transpose of g, and then with g, each summed per key."""
     n = g.shape[0]
 
     def times(left, right):     # one side is g or g^-1 alone: s + t = s
@@ -165,7 +167,7 @@ def _conjugate_entries(field, g, entries):
         s, rc = np.divmod(keys, n * n)
         return (s, *np.divmod(rc, n), vals)
 
-    ginv = _entries(field, inverse(field, g)[None])
+    ginv = _entries(field, signed_permutation_inverse(field, g)[None])
     return times(_entries(field, g[None]), times(entries, ginv))
 
 

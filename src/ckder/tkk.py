@@ -125,6 +125,13 @@ class ThreeCopyAlgebra(LieSuperAlgebra):
         self.jalg = jalg
         self.dspace = dspace
 
+    def over(self, jalg, dspace):
+        """The same table for jalg and dspace, the lifts of self.jalg and
+        self.dspace to a larger field, through the normalizing
+        constructor."""
+        return type(self)(jalg.field, self.labels, self.coo(), self.grading,
+                          jalg, dspace)
+
     @staticmethod
     def layout(jalg, dspace):
         """Global indices of copy i of basis vector a, as a (3, n)
@@ -333,9 +340,11 @@ def lie_from_derivations(ds: DerivationSpace) -> LieSuperAlgebra:
 def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
                transfer: CoordinateTransfer,
                der_j: DerivationSpace, inder_j: DerivationSpace,
-               bar_k: DerivationSpace, inder_k: DerivationSpace):
+               tits_stable: TitsAlgebra, tits_inner: TitsAlgebra):
     """Realize the big derivation algebra as the tensor construction
-    over the Kantor double K.
+    over the Kantor double K: tits_stable is the one over the stable
+    derivations of K (stable_der_double), tits_inner the one over its
+    inner derivations, both built by tits_construction on kd.alg.
 
     The tensor part sends the i-th matrix unit against z to the
     conjugate, under the cyclic symmetry, of the image phi(z)
@@ -352,8 +361,8 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
     tensor = ((par, first), (par, _conjugate_entries(f, act.phi.matrix,
                                                       first)), (par, images))
 
-    def build(idspace, jspace):
-        tits = tits_construction(kd.alg, idspace, inder=inder_k)
+    def build(tits, jspace):
+        idspace = tits.dspace
         lie = lie_from_derivations(jspace)
         comp = grade_derivations(jspace).component((0, 0))
         _, (q, r, c, x) = transfer.apply(*comp.stack())
@@ -377,4 +386,4 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
         lm = LinearMap(tits, lie, 0, m)
         return ExplicitIso(lm, is_isomorphism(lm))
 
-    return build(bar_k, der_j), build(inder_k, inder_j)
+    return build(tits_stable, der_j), build(tits_inner, inder_j)

@@ -1,8 +1,9 @@
 """Golden bytes: the JSON reports at p = 3 and 5, the reports of the
 dims checks at p = 7 and 11, the report of the tkk checks at p = 11,
 the report of the coord checks at p = 13, the report of the jordan and
-tkk checks at p = 7, the exported tables at p = 3, and the exported
-coefficient algebra, double and Cheng-Kac tables at p = 7.
+tkk checks at p = 7, the whole report at p = 7, the exported tables at
+p = 3, and the exported coefficient algebra, double and Cheng-Kac
+tables at p = 7.
 
 The p = 3 digests below were taken from the code as it stood before
 structure tables were stored as COO arrays (the commit before that
@@ -17,10 +18,14 @@ der_as_tkk, from the code before the 3-graded layer moved onto the
 sparse map engine, and the p = 7 jordan and tkk digest from the code
 before the cyclic sums were keyed at sorted triples only, when the
 Jacobi sums of the 224-dimensional tables ran in 50 ranges of their
-output coordinate and the Jordan sums of J in 18, and the p = 7 export
+output coordinate and the Jordan sums of J in 18, the p = 7 export
 digests from the code before the builders read the table as COO entries
 only, when the double and the Cheng-Kac tables were cut from dense
-products of p x p x p blocks, by running
+products of p x p x p blocks, and the whole p = 7 report, which pins
+the props, s4 and coord groups over F49 too, from the code before the
+derivation spaces of K and J_w and the Tits and 3-graded tables were
+built over F7 only and lifted to F49, and before the symmetry layer
+inverted its signed permutations by transposing them, by running
 
     python -m ckder verify --p P --format json
     python -m ckder verify --p P --checks dims --format json
@@ -41,6 +46,7 @@ from ckder.cli import ALGEBRA_NAMES, main
 
 VERIFY_P3 = "1eb7442d4fba1845fd398255f8197f2f85de117265adc65e057742b722d45122"
 VERIFY_P5 = "d9e855c316fb8ec9f4c43cf4546c5528eb2c78eb4f1b7079f8e8f297adff704a"
+VERIFY_P7 = "264accc7e81322db971547e2ec1c55e7d5717af183b4f7bdab191332a010c8c8"
 VERIFY_P7_DIMS = \
     "1e6832b24b1d56500e4e8aba972893f55a41c3b7b2548a24954dec4e2eb2c6d3"
 VERIFY_P11_DIMS = \
@@ -88,6 +94,11 @@ def test_verify_report_bytes(capsys):
 def test_verify_report_bytes_p5(capsys):
     assert main(["verify", "--p", "5", "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P5
+
+
+def test_verify_report_bytes_p7(capsys):
+    assert main(["verify", "--p", "7", "--format", "json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_P7
 
 
 def test_verify_dims_report_bytes_p7(capsys):

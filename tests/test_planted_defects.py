@@ -23,8 +23,9 @@ from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_odd_part_squares,
                            check_s4_fixes_scalar_component,
                            check_tits_big_lie, check_tits_double_lie,
-                           check_tits_double_stable_lie, check_tkk_big_lie,
-                           check_tkk_sl2_bridge,
+                           check_tits_double_stable_lie,
+                           check_tkk_big_3graded, check_tkk_big_dims,
+                           check_tkk_big_lie, check_tkk_sl2_bridge,
                            check_transfer_eta_identity,
                            check_transfer_extension_identity,
                            check_transfer_inner, check_transfer_iso,
@@ -156,6 +157,51 @@ def test_tkk_sl2_bridge_fails_on_an_altered_column(monkeypatch):
     status, field, witness = check_tkk_sl2_bridge(ctx)
     assert (status, field) == ("fail", "F9")
     assert len(witness["witness"]["pair"]) == 2
+
+
+def test_tkk_big_dims_fails_when_a_derivation_is_lost():
+    ctx = RunContext(3)
+    f = ctx.base
+    assert check_tkk_big_dims(ctx)[0] == "pass"
+    lie = ctx.tkk_big(f)
+    # the last basis vector, the last odd derivation, and its brackets
+    # are lost
+    last = lie.idx_der(1, lie.dspace.dims[1] - 1)
+    assert last == lie.n - 1
+    keep = np.all(np.stack(lie.coo()[:3]) != last, axis=0)
+    ctx._cache[("tkk_big", f.p, f.ext)] = tkk.TkkAlgebra(
+        f, lie.labels[:-1], [x[keep] for x in lie.coo()], lie.grading[:-1],
+        lie.jalg, _short(lie.dspace, 1))
+    assert check_tkk_big_dims(ctx) == (
+        "fail", "F3", {"dim": 95, "even": 48, "odd": 47,
+                       "expected": [96, 48, 48]})
+
+
+@pytest.mark.parametrize("plant", ["term", "tag"])
+def test_tkk_big_3graded_fails_on_a_bracket_off_its_grade(plant):
+    """[1(+), 1(-)] = L[1], in degree 0, gains a term on 1(+); or 1(-)
+    is tagged +1, which puts the same bracket in degree 2, where no
+    bracket may be nonzero.  Either way the first offending pair is
+    (1(+), 1(-))."""
+    ctx = RunContext(3)
+    f = ctx.base
+    assert check_tkk_big_3graded(ctx) == ("pass", "F3", None)
+    lie = ctx.tkk_big(f)
+    u = lie.jalg.unit_index
+    plus, minus = lie.idx_copy(0, u), lie.idx_copy(1, u)
+    table, grading = list(lie.coo()), list(lie.grading)
+    if plant == "term":
+        # both orders: the even [1(+), 1(-)] is antisymmetric
+        table = [np.r_[x, y] for x, y in zip(
+            table, ([plus, minus], [minus, plus], [plus, plus], [1, -1]))]
+        want = {"pair": ("t^0(+)", "t^0(-)"), "lands_on": "t^0(+)"}
+    else:
+        grading[minus] = 1
+        want = {"pair": ("t^0(+)", "t^0(-)"),
+                "reason": "nonzero bracket outside the grading range"}
+    ctx._cache[("tkk_big", f.p, f.ext)] = tkk.TkkAlgebra(
+        f, lie.labels, table, grading, lie.jalg, lie.dspace)
+    assert check_tkk_big_3graded(ctx) == ("fail", "F3", {"witness": want})
 
 
 def test_big_inder_dims_fails_when_the_odd_pairs_are_lost(monkeypatch):

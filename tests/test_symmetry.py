@@ -11,9 +11,9 @@ from ckder import (FieldSpec, LinearMap, Subspace, amod, build_s4,
                    inner_derivation_algebra, inverse, is_automorphism,
                    is_derivation, kantor_double, odd_der_eta, phi_iso,
                    phi_star, super_commutator, truncated_poly)
-from ckder.battery import RunContext, check_transfer_iso
-from ckder.linalg import mm
-from ckder import superalg
+from ckder.battery import RunContext, check_transfer_iso, run_battery
+from ckder.linalg import mm, signed_permutation_inverse
+from ckder import superalg, symmetry, tkk
 from ckder.superalg import _brackets, _chain, _map_stack
 from ckder.symmetry import _carrier_coords, group_closure
 from oracles import tensor
@@ -144,6 +144,52 @@ def test_coxeter_relations_match_a_permutation_model():
     assert w["s1_squared"] and w["s2_squared"] and w["s3_squared"]
     assert w["s1s2_cubed"] and w["s2s3_cubed"] and w["s1s3_squared"]
     assert w["generated_order"] == 24
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_s4_elements_invert_by_transposition(p):
+    """Every element of the action is a signed permutation matrix, whose
+    inverse is its transpose: it equals the Gauss-Jordan inverse."""
+    ctx = RunContext(p)
+    f = ctx.sqrt
+    for g in ctx.act().elements:
+        got = signed_permutation_inverse(f, g.matrix)
+        want = inverse(f, g.matrix)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_only_signed_permutations_invert_by_transposition():
+    ctx = RunContext(3)
+    f = ctx.sqrt
+    g = ctx.act().phi.matrix
+    twice, scaled, dropped = g.copy(), g.copy(), g.copy()
+    twice[0, np.flatnonzero(g[0] == 0)[0]] = 1  # two nonzeros in row 0
+    scaled[g != 0] *= 1 + 1j                # 1 + u, not 1 or -1
+    dropped[:, 0] = 0                       # a zero column
+    for m in (twice, scaled, dropped, g[:-1], ctx.phi().matrix,
+              np.eye(4)[0]):
+        with pytest.raises(ValueError, match="signed permutation"):
+            signed_permutation_inverse(f, m)
+
+
+def test_no_s4_element_is_inverted_by_elimination(monkeypatch):
+    """The symmetry, coordinate and tkk groups invert by Gauss-Jordan
+    only what is no element of the action: the coordinate isomorphism,
+    the carrier change of basis, the sl2 base change and the transfer
+    of the derivations."""
+    elements = {g.matrix.tobytes() for g in RunContext(3).act().elements}
+    seen = []
+
+    def counted(field, m):
+        seen.append(np.array(m))
+        return inverse(field, m)
+
+    for module in (symmetry, tkk):
+        monkeypatch.setattr(module, "inverse", counted)
+    report, _ = run_battery(3, ["s4", "coord", "tkk"])
+    assert report["summary"]["pass"] == 21
+    assert len(seen) == 5
+    assert not elements & {m.tobytes() for m in seen}
 
 
 def test_group_closure_bound():

@@ -381,8 +381,10 @@ def test_big_derivations_from_double_tensor():
     der_k = derivation_algebra(kd.alg)
     inder_k = inner_derivation_algebra(kd.alg)
     bar_k = stable_der_double(kd, der_k, inder_k)
-    full, inner = der_as_tkk(ck, kd, act, transfer, der_j, inder_j, bar_k,
-                             inder_k)
+    full, inner = der_as_tkk(
+        ck, kd, act, transfer, der_j, inder_j,
+        tits_construction(kd.alg, bar_k, inder=inder_k),
+        tits_construction(kd.alg, inder_k, inder=inder_k))
     assert full.verified
     assert inner.verified
     assert full.map.source.n == full.map.target.n == 24
@@ -442,8 +444,8 @@ def test_der_as_tkk_matches_the_dense_path(p):
     ctx = RunContext(p)
     f = ctx.sqrt
     isos = der_as_tkk(ctx.ck(f, "v"), ctx.kd(f), ctx.act(), ctx.transfer(),
-                      ctx.der_j(f, "v"), ctx.inder_j(f, "v"), ctx.bar_k(f),
-                      ctx.inder_k(f))
+                      ctx.der_j(f, "v"), ctx.inder_j(f, "v"),
+                      ctx.tits_double_stable(f), ctx.tits_double(f))
     for iso, want in zip(isos, _der_as_tkk_oracle(ctx), strict=True):
         assert iso.verified
         assert iso.map.matrix.dtype == want.dtype
@@ -511,7 +513,8 @@ def test_der_as_tkk_is_an_isomorphism_in_python_ints(p):
     f = ctx.sqrt
     der, inder = ctx.der_j(f, "v"), ctx.inder_j(f, "v")
     isos = der_as_tkk(ctx.ck(f, "v"), ctx.kd(f), ctx.act(), ctx.transfer(),
-                      der, inder, ctx.bar_k(f), ctx.inder_k(f))
+                      der, inder, ctx.tits_double_stable(f),
+                      ctx.tits_double(f))
     for iso, space in zip(isos, (der, inder), strict=True):
         target = lie_from_derivations(space)
         fmap = LinearMap(iso.map.source, target, 0, iso.map.matrix)
