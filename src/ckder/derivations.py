@@ -184,12 +184,20 @@ def combination_entries(field, n: int, coords, basis):
     return sum_per_key(field, (q[e] * n + c[b]) * n + r[b], x[e] * v[b])
 
 
+def _runs(a: SuperAlgebra, q, lo=0, hi=None):
+    """The start and length of the run of basis vectors of parity q[t]
+    in [lo[t], hi[t]), one run per t since the even basis comes first;
+    lo and hi are scalars or arrays like q."""
+    start = np.maximum(np.where(q == 0, 0, a.dim_even), lo)
+    end = np.where(q == 0, a.dim_even, a.n)
+    if hi is not None:
+        end = np.minimum(end, hi)
+    return start, np.maximum(end - start, 0)
+
+
 def _fan_out(a: SuperAlgebra, q, lo=0, hi=None):
-    """Pairs (t, r) with r over the basis vectors of parity q[t] in [lo,
-    hi): one contiguous run per t, since the even basis comes first."""
-    runs = np.clip([[0, a.dim_even], [a.dim_even, a.n]], lo,
-                   a.n if hi is None else hi)
-    return expand_runs(runs[q, 0], runs[q, 1] - runs[q, 0])
+    """Pairs (t, r) with r over the run of _runs(a, q, lo, hi)[t]."""
+    return expand_runs(*_runs(a, q, lo, hi))
 
 
 def _leibniz_system(a: SuperAlgebra, parity: int, budget=TERM_BUDGET):
@@ -204,7 +212,12 @@ def _leibniz_system(a: SuperAlgebra, parity: int, budget=TERM_BUDGET):
     index arrays from coo().  They are built and summed one range of the
     first index x at a time, each of at most budget terms or a single x
     (superalg._ranges); a key carries its x, so every key is summed
-    whole within its range, and the ranges concatenate in key order."""
+    whole within its range, and the ranges concatenate in key order.
+
+    On a table with a mirror_sign e the equations at (j, x) are e
+    (-1)^(|x||j|) times those at (x, j), so only the pairs x <= j are
+    made: family 1 takes the constants with i <= j, family 2 fans out
+    x <= j and family 3 y >= i, and the weights count these terms."""
     f, n, par = a.field, a.n, a.parities
     allowed = np.flatnonzero((par[None, :] == (par[:, None] + parity) % 2)
                              .ravel())          # c * n + r, column-major
@@ -214,33 +227,42 @@ def _leibniz_system(a: SuperAlgebra, parity: int, budget=TERM_BUDGET):
     i, j, k, c = a.coo()
     # the constants with i = x are rows off[x] to off[x+1] - 1 of coo()
     off = np.searchsorted(i, np.arange(n + 1))
-    size = np.array([a.dim_even, a.dim_odd])
+    # with a mirror_sign only the keys (x, y) with x <= y are made:
+    # constant t feeds family 1 iff i <= last[t], family 2 at the x <=
+    # last[t] and family 3 at the y >= first[t]
+    half = a.mirror_sign is not None
+    first = i if half else np.zeros_like(i)
+    last = j if half else np.full_like(j, n - 1)
     # terms per x: families 1 and 3 fan out the constants with i = x,
-    # and family 2 fans out every constant over the x of parity
-    # |i| + |D|
-    weights = np.bincount(i, size[par[k] ^ parity] + size[par[j] ^ parity],
-                          minlength=n)
-    weights += np.bincount(par[i] ^ parity, minlength=2)[par]
+    # and family 2 fans out every constant t over the x <= last[t] of
+    # parity |i| + |D|: per parity, the constants with last >= x
+    one = (i <= last) * _runs(a, par[k] ^ parity)[1]
+    three = _runs(a, par[j] ^ parity, first)[1]
+    later = np.bincount((par[i] ^ parity) * n + last, minlength=2 * n)
+    later = np.cumsum(later.reshape(2, n)[:, ::-1], axis=1)[:, ::-1]
+    weights = np.bincount(i, one + three, minlength=n) \
+        + later[par, np.arange(n)]
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=f.dtype))]
     for x0, x1 in _ranges(weights, budget):
         keys, cells, vals = [], [], []
         s = slice(off[x0], off[x1])
         # D(e_x e_j): entry (x, j, k, c) adds c at (x, j, r), unknown
         # (r, k)
-        t, r = _fan_out(a, par[k[s]] ^ parity)
-        t += off[x0]
+        u = off[x0] + np.flatnonzero(i[s] <= last[s])
+        t, r = _fan_out(a, par[k[u]] ^ parity)
+        t = u[t]
         keys.append((i[t] * n + j[t]) * n + r)
         cells.append(uidx[k[t] * n + r])
         vals.append(c[t])
         # D(e_x) e_j: entry (m, j, r, c) adds -c at (x, j, r), unknown
         # (m, x)
-        t, x = _fan_out(a, par[i] ^ parity, x0, x1)
+        t, x = _fan_out(a, par[i] ^ parity, x0, np.minimum(x1, last + 1))
         keys.append((x * n + j[t]) * n + k[t])
         cells.append(uidx[x * n + i[t]])
         vals.append(-c[t])
         # s_x e_x D(e_j): entry (x, m, r, c) adds -s_x c at (x, j, r),
         # unknown (m, j)
-        t, y = _fan_out(a, par[j[s]] ^ parity)
+        t, y = _fan_out(a, par[j[s]] ^ parity, first[s])
         t += off[x0]
         keys.append((i[t] * n + y) * n + k[t])
         cells.append(uidx[y * n + j[t]])

@@ -22,14 +22,18 @@ the left factors are the pair rows x <= y of the table, each with its
 mirror (_pairs_by_output), and a product and its mirror are keyed only
 at their sorted rotations (_sorted_terms).  For the 63,774 constants of
 the 416-dimensional Tits table over F13 that is 3.3 M terms, where the
-whole join made 6.6 M.  One engine, _sparse_kernel, solves every
-sparse linear system: the center, the annihilator, the Leibniz system
-and the matrix of is_isomorphism.
+whole join made 6.6 M.  The Leibniz rule has the same mirror: on a
+super(anti)commutative table (mirror_sign) the rule at (j, i) is a
+signed copy of the rule at (i, j), so leibniz_violation and the
+Leibniz system of derivations._leibniz_system key only i <= j.  One
+engine, _sparse_kernel, solves every sparse linear system: the center,
+the annihilator, the Leibniz system and the matrix of is_isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -131,6 +135,17 @@ class SuperAlgebra:
         Indices are int64, values reduced in the field's dtype, and
         entries run in lexicographic (i, j, k) order."""
         return self._coo
+
+    @cached_property
+    def mirror_sign(self):
+        """The sign e with e_i e_j = e (-1)^(|i||j|) e_j e_i on every basis
+        pair: 1.0 on a supercommutative table, -1.0 on a super
+        anticommutative one (1.0 if both), None on any other; checked once
+        (_first_asymmetric_pair), as the table is immutable."""
+        for sign in (1.0, -1.0):
+            if _first_asymmetric_pair(self, sign) is None:
+                return sign
+        return None
 
     @property
     def products(self):
@@ -901,18 +916,35 @@ def leibniz_violation(a: SuperAlgebra, parities, entries):
     -d[m,i] T[m,j,r] and -(-1)^(|d||i|) T[i,m,r] d[m,j].  Each family is
     one join of the nonzero constants with the nonzero entries (s, row,
     column) of the maps, and every term is keyed to (s, i, j, r), so
-    one pass checks the whole stack."""
+    one pass checks the whole stack.
+
+    On a table with a mirror_sign e, the rule at (j, i) is e (-1)^(|i||j|)
+    times the rule at (i, j) for every map whose entries keep its parity,
+    so for such a stack only the pairs i <= j are keyed: a failing (s, i,
+    j) with i > j has the failing mirror (s, j, i) before it, and the
+    witness is the same."""
     n = a.n
     i, j, k, c = a.coo()
     ds, dr, dc, dv = entries
     odd = np.asarray(parities, dtype=np.int64)[ds]
+    half = a.mirror_sign is not None and np.array_equal(
+        a.parities[dr], a.parities[dc] ^ odd)
+
+    def made(t, e, x, y):
+        """The pairs (t, e) of a family whose key (x, y) is made."""
+        keep = x <= y if half else slice(None)
+        return t[keep], e[keep]
+
     t, e = _match(k, dc)                  # d(e_i e_j)
+    t, e = made(t, e, i[t], j[t])
     keys = [((ds[e] * n + i[t]) * n + j[t]) * n + dr[e]]
     vals = [c[t] * dv[e]]
     e, t = _match(dr, i)                  # d(e_i) e_j
+    t, e = made(t, e, dc[e], j[t])
     keys.append(((ds[e] * n + dc[e]) * n + j[t]) * n + k[t])
     vals.append(-dv[e] * c[t])
     t, e = _match(j, dr)                  # e_i d(e_j)
+    t, e = made(t, e, i[t], dc[e])
     keys.append(((ds[e] * n + i[t]) * n + dc[e]) * n + k[t])
     vals.append((2.0 * (odd[e] * a.parities[i[t]]) - 1.0) * c[t] * dv[e])
     key = _first_nonzero_key(a.field, np.concatenate(keys),

@@ -353,7 +353,9 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
     derivations of the double, once; the preimages are one join of those
     coordinates with the component entries.  Returns the verified
     isomorphisms for the full derivation algebra over the stable double
-    and for the inner derivations over the inner double."""
+    and for the inner derivations over the inner double.  When the two
+    spaces are equal, as they are for J at every p, both isomorphisms
+    take the one Lie table of der_j."""
     f, n, nk = ck.alg.field, ck.alg.n, kd.alg.n
     par, images = kd.alg.parities, transfer.images
     first = _conjugate_entries(f, act.phi.matrix, images)
@@ -361,9 +363,8 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
     tensor = ((par, first), (par, _conjugate_entries(f, act.phi.matrix,
                                                       first)), (par, images))
 
-    def build(tits, jspace):
+    def build(tits, jspace, lie):
         idspace = tits.dspace
-        lie = lie_from_derivations(jspace)
         comp = grade_derivations(jspace).component((0, 0))
         _, (q, r, c, x) = transfer.apply(*comp.stack())
         co = idspace.coordinates((q * nk + c) * nk + r, x)
@@ -386,4 +387,8 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
         lm = LinearMap(tits, lie, 0, m)
         return ExplicitIso(lm, is_isomorphism(lm))
 
-    return build(tits_stable, der_j), build(tits_inner, inder_j)
+    lie = lie_from_derivations(der_j)
+    full = build(tits_stable, der_j, lie)
+    if der_j.equals(inder_j):
+        return full, build(tits_inner, der_j, lie)
+    return full, build(tits_inner, inder_j, lie_from_derivations(inder_j))

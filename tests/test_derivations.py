@@ -280,10 +280,12 @@ def test_sparse_kernel_matches_the_dense_kernel_on_random_systems(field):
 # -- the Leibniz system, built one range of equations at a time ---------
 
 
-def whole_leibniz_system(a, parity):
+def whole_leibniz_system(a, parity, mirrored=False):
     """The Leibniz system of a built whole: the three term families of
     every structure constant at once, summed by one sum_per_key call.
-    Returns its keys and sums, the number of terms of each key, and nu."""
+    Returns its keys and sums, the number of terms of each key, and nu.
+    On a table with a mirror_sign only the equations at x <= j are kept,
+    as _leibniz_system makes them, unless mirrored asks for all."""
     n, par = a.n, a.parities
     allowed = np.flatnonzero(
         (par[None, :] == (par[:, None] + parity) % 2).ravel())
@@ -310,9 +312,28 @@ def whole_leibniz_system(a, parity):
     cells.append(uidx[y * n + j[t]])
     vals.append(-(1.0 - 2.0 * parity * par[i[t]]) * c[t])
     keys = np.concatenate(keys) * nu + np.concatenate(cells)
-    uniq, sums = sum_per_key(a.field, keys, np.concatenate(vals))
+    vals = np.concatenate(vals)
+    if a.mirror_sign is not None and not mirrored:
+        x, y = np.divmod(keys // nu // n, n)
+        keys, vals = keys[x <= y], vals[x <= y]
+    uniq, sums = sum_per_key(a.field, keys, vals)
     terms = np.unique(keys, return_counts=True)
     return uniq, sums, terms, nu
+
+
+def assert_mirrored_equations(a, parity):
+    """Every equation at (x, j) with x > j of the whole system is e
+    (-1)^(|x||j|) times the one at (j, x), e = a.mirror_sign."""
+    uniq, sums, _, nu = whole_leibniz_system(a, parity, mirrored=True)
+    n, par = a.n, a.parities
+    (x, j), rest = np.divmod(uniq // nu // n, n), uniq % (nu * n)
+    sign = a.mirror_sign * (1.0 - 2.0 * (par[x] * par[j]))
+    low, high = x < j, x > j
+    mirror = (j[high] * n + x[high]) * n * nu + rest[high]
+    order = np.argsort(mirror)
+    assert np.array_equal(mirror[order], uniq[low])
+    assert np.array_equal(amod(a.field, sign[high] * sums[high])[order],
+                          sums[low])
 
 
 LEIBNIZ_TABLES = {
@@ -329,16 +350,22 @@ def assert_bitwise(got, want):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("budget", [TERM_BUDGET, 1], ids=["default", "1"])
+@pytest.mark.parametrize("budget", [TERM_BUDGET, 2000, 1],
+                         ids=["default", "2000", "1"])
 @pytest.mark.parametrize("name", LEIBNIZ_TABLES)
 def test_ranged_leibniz_system_equals_the_whole_system(name, budget,
                                                        monkeypatch):
     """Built and summed one range of first indices at a time, the system
-    has the keys, sums and per-key term counts of the whole one, so the
-    exact-range guard sees the same counts, and the kernel stack is
-    the one the whole system gives."""
+    has the keys, sums and per-key term counts of the whole one at x <=
+    j, so the exact-range guard sees the same counts; each equation it
+    leaves out is the signed copy of its mirror, and the kernel stack is
+    the one the whole system with every equation gives.  The ranges are
+    cut from exact term counts: each holds at most budget terms or a
+    single x, and the next x would not have fitted."""
     a = LEIBNIZ_TABLES[name]()
+    assert a.mirror_sign == 1.0
     for parity in (0, 1):
+        assert_mirrored_equations(a, parity)
         uniq, sums, terms, nu = whole_leibniz_system(a, parity)
         summed = []
 
@@ -356,11 +383,61 @@ def test_ranged_leibniz_system_equals_the_whole_system(name, budget,
                        terms)
         if budget == 1:
             assert len(summed) == a.n
-        k, x, v = _sparse_kernel(a.field, uniq, sums, nu)
+        xs = [np.unique(x // nu // a.n ** 2, return_counts=True)[1]
+              for x in summed]
+        for got, after in zip(xs, xs[1:] + [[budget]]):
+            assert got.sum() <= budget or got.size == 1
+            assert got.sum() + after[0] > budget
+        whole = whole_leibniz_system(a, parity, mirrored=True)
+        k, x, v = _sparse_kernel(a.field, *whole[:2], nu)
         c, r = np.divmod(allowed[x], a.n)
         got = _leibniz_kernel(a, parity, budget)
         assert_bitwise(got[1], (k, r, c, v))
         assert np.array_equal(got[0], np.full(k.max(initial=-1) + 1, parity))
+
+
+@settings(max_examples=150)
+@given(super_tables())
+def test_ranged_leibniz_system_on_random_tables(table):
+    """On random tables, super symmetric, antisymmetric or neither, at a
+    budget of one term: the ranged system is the whole one, at x <= j
+    when the table has a mirror_sign, and every equation left out is the
+    signed copy of its mirror."""
+    a = table[0]
+    for parity in (0, 1):
+        if a.mirror_sign is not None:
+            assert_mirrored_equations(a, parity)
+        keys, vals, nu, _ = _leibniz_system(a, parity, 1)
+        assert_bitwise((keys, vals), whole_leibniz_system(a, parity)[:2])
+
+
+def test_leibniz_system_of_jw_f5_keys_only_pairs_x_le_j(monkeypatch):
+    """J_w over F5 is supercommutative, so its Leibniz system keys only
+    the pairs x <= j: 39,280 terms over both parities, where the whole
+    system made 76,800 (38,400 each).  Validating Der(J_w) keys 14,656
+    terms, where keying every pair made 28,724."""
+    a = LEIBNIZ_TABLES["Jw_F5"]()
+    sizes = []
+
+    def counted(real):
+        def count(field, keys, vals):
+            sizes.append(keys.size)
+            return real(field, keys, vals)
+        return count
+
+    monkeypatch.setattr(derivations, "sum_per_key",
+                        counted(derivations.sum_per_key))
+    for parity in (0, 1):
+        keys, _, nu, _ = _leibniz_system(a, parity)
+        x, j = np.divmod(keys // nu // a.n, a.n)
+        assert np.all(x <= j)
+    assert sum(sizes) == 39280
+    ds = derivation_algebra(a)
+    sizes.clear()
+    monkeypatch.setattr(superalg, "_first_nonzero_key",
+                        counted(superalg._first_nonzero_key))
+    assert superalg.leibniz_violation(a, *ds.stack()) is None
+    assert sizes == [14656]
 
 
 def peel_resumming_every_cell(field, keys, vals, nu):
@@ -427,7 +504,8 @@ def test_peel_equals_the_peel_that_resums_every_cell_on_random_systems(
 def test_peel_resums_only_the_cells_that_survive(monkeypatch):
     """In the first round of the even Leibniz system of J_w over F5, the
     cells of the one-cell equations, of the links and on the unknowns
-    set to zero are dropped: 10,862 of the 34,898 cells are re-summed."""
+    set to zero are dropped: 5,187 of the 17,634 cells, which are the
+    equations at x <= j only, are re-summed."""
     a = LEIBNIZ_TABLES["Jw_F5"]()
     keys, vals, nu, _ = _leibniz_system(a, 0)
     sizes = []
@@ -438,7 +516,7 @@ def test_peel_resums_only_the_cells_that_survive(monkeypatch):
 
     monkeypatch.setattr(superalg, "sum_per_key", counted)
     _peel(a.field, keys, vals, nu)
-    assert keys.size == 34898 and sizes[0] == 10862
+    assert keys.size == 17634 and sizes[0] == 5187
 
 
 # -- the canonical RREF of a span of sparse rows -------------------------

@@ -17,9 +17,10 @@ from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_big_w_jordan_identity,
                            check_coordinate_constants,
                            check_der_as_tits_double, check_double_der_dims,
-                           check_double_odd_split,
+                           check_double_inder_dims, check_double_odd_split,
                            check_double_jordan_identity,
-                           check_dzzx_vanishes, check_graded_named_spans,
+                           check_dzzx_vanishes, check_graded_component_dims,
+                           check_graded_named_spans,
                            check_odd_part_squares,
                            check_s4_fixes_scalar_component,
                            check_tits_big_lie, check_tits_double_lie,
@@ -212,6 +213,36 @@ def test_big_inder_dims_fails_when_the_odd_pairs_are_lost(monkeypatch):
     status, field, witness = check_big_inder_dims(RunContext(3))
     assert (status, field) == ("fail", "F3")
     assert witness["dims"][1] == 0 and witness["expected"] == [12, 12]
+
+
+def test_double_inder_dims_fails_when_the_odd_odd_pairs_are_lost(
+        monkeypatch):
+    # the inner span of K loses every D(u, v) with u and v both odd, the
+    # maps that span its even part
+    assert check_double_inder_dims(RunContext(3)) == (
+        "pass", "F3", {"dims": [3, 3], "expected": [3, 3]})
+    monkeypatch.setattr(derivations, "inner_derivation_entries", _dropping(
+        derivations.inner_derivation_entries,
+        lambda a, u, v: (a.parities[u] & a.parities[v]) == 1))
+    assert check_double_inder_dims(RunContext(3)) == (
+        "fail", "F3", {"dims": [0, 3], "expected": [3, 3]})
+
+
+@pytest.mark.parametrize("parity,grade", [(0, "(1, 0)"), (1, "(0, 0)")])
+def test_graded_component_dims_fails_when_a_derivation_is_lost(parity,
+                                                                 grade):
+    """Der(J_w) over F3 without the last basis map of one parity: the
+    fine component that map lay in is one short."""
+    ctx = RunContext(3)
+    f = ctx.base
+    assert check_graded_component_dims(ctx)[0] == "pass"
+    ctx = RunContext(3)
+    ctx._cache[("der_j", f.p, f.ext, "w")] = _short(ctx.der_j(f, "w"),
+                                                    parity)
+    table = {str(g): [3, 3] for g in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    table[grade][parity] = 2
+    assert check_graded_component_dims(ctx) == (
+        "fail", "F3", {"table": table})
 
 
 def test_odd_part_squares_to_even_fails_when_one_even_vector_is_missed():

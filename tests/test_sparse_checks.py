@@ -39,10 +39,11 @@ from hypothesis import given, settings, strategies as st
 import ckder
 from ckder import (DerivationSpace, FieldSpec, LinearMap, Subspace,
                    SuperAlgebra, check_jordan_super, check_super_lie,
-                   check_supercommutative, cheng_kac, is_derivation,
-                   is_homomorphism, odd_part_squares_to_even,
-                   sl2_identification, so3, super_commutator, tkk_3graded,
-                   truncated_poly, w_to_v_change)
+                   check_supercommutative, cheng_kac, derivation_algebra,
+                   is_derivation, is_homomorphism, kantor_double,
+                   odd_part_squares_to_even, sl2_identification, so3,
+                   super_commutator, tkk_3graded, truncated_poly,
+                   w_to_v_change)
 from ckder.battery import (RunContext, check_der_as_tits_double,
                            check_graded_named_spans,
                            check_s4_fixes_scalar_component)
@@ -662,6 +663,43 @@ def test_validation_checks_the_whole_stack_in_one_pass(ctx3):
         DerivationSpace(a, maps, ds.odd_basis, canonicalize=False)
 
 
+# e0 e1 = e1 but e1 e0 = e0: neither super symmetric nor antisymmetric
+NO_MIRROR = ([0, 1], [1, 0], [1, 0], [1, 1])
+
+
+def test_mirror_sign_of_the_tables():
+    """+1 on a supercommutative table, -1 on a super anticommutative one,
+    None on a table that is neither."""
+    assert kantor_double(truncated_poly(F3)).alg.mirror_sign == 1.0
+    assert so3(F3).mirror_sign == -1.0
+    assert SuperAlgebra(F3, 2, 0, ["e0", "e1"], NO_MIRROR).mirror_sign is None
+
+
+def test_leibniz_check_keys_every_pair_on_a_table_without_mirror():
+    """On e0 e1 = e1, e1 e0 = e0 the map e0 -> 0, e1 -> e1 keeps the rule
+    at (e0, e0), (e0, e1) and (e1, e1), and breaks it only at (e1, e0):
+    d(e1 e0) = 0, but d(e1) e0 + e1 d(e0) = e0.  The rule at a pair i > j
+    is no copy of another here, so the check must key it."""
+    a = SuperAlgebra(F3, 2, 0, ["e0", "e1"], NO_MIRROR)
+    d = LinearMap(a, a, 0, [[0, 0], [0, 1]])
+    v = is_derivation(a, d)
+    assert v.witness == {"pair": [1, 0], "labels": ["e1", "e0"]}
+    assert_same(v, dense_is_derivation(a, d))
+
+
+def test_leibniz_check_keys_every_pair_for_a_map_off_its_parity():
+    """A map declared odd whose entries t -> 2 t^2 and t x -> 2 t^2 x are
+    even has no mirror rule on the supercommutative K, and breaks the
+    rule first at (t^0 x, t^1), a pair i > j."""
+    a = kantor_double(truncated_poly(F3)).alg
+    m = np.zeros((6, 6))
+    m[2, 1] = m[5, 4] = 2
+    d = LinearMap(a, a, 1, m, check=False)
+    v = is_derivation(a, d)
+    assert v.witness == {"pair": [3, 1], "labels": ["t^0*x", "t^1"]}
+    assert_same(v, dense_is_derivation(a, d))
+
+
 BIG = FieldSpec(67108859)
 
 
@@ -792,6 +830,30 @@ def test_random_symmetric_tables_agree_with_the_jordan_oracle(table):
     a, _ = table
     assert_same(check_jordan_super(a), dense_jordan_super(a))
     assert_same(jordan_at(a, 1), dense_jordan_super(a))
+
+
+@settings(max_examples=200)
+@given(super_tables(), st.data())
+def test_random_maps_agree_with_the_leibniz_oracle(table, data):
+    """Derivations of random tables, super symmetric, antisymmetric or
+    neither, with one entry raised, and random maps that may leave their
+    parity: the witness is the dense oracle's first failing pair."""
+    a = table[0]
+    f, n = a.field, a.n
+    ds = derivation_algebra(a)
+    maps = ds.even_basis + ds.odd_basis
+    for d in maps[:3]:
+        r, c = np.argwhere(d.matrix)[0]
+        bad = _bumped(d, r, c)
+        assert_same(is_derivation(a, bad), dense_is_derivation(a, bad))
+    cells = data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2)),
+        max_size=4))
+    m = np.zeros((n, n), dtype=f.dtype)
+    for r, c, x in cells:
+        m[r, c] = x
+    d = LinearMap(a, a, data.draw(st.integers(0, 1)), m, check=False)
+    assert_same(is_derivation(a, d), dense_is_derivation(a, d))
 
 
 def assert_tensor_scatters_coo(a):

@@ -14,6 +14,7 @@ from ckder import (FieldSpec, DerivationSpace, LinearMap, amod, build_s4,
                    sl2_identification, so3, solve_right, stable_der_double,
                    super_commutator, tits_construction, tkk_3graded,
                    truncated_poly)
+from ckder import tkk
 from ckder.battery import RunContext
 from ckder.linalg import mm
 from ckder.superalg import _entries
@@ -436,13 +437,13 @@ def _der_as_tkk_oracle(ctx):
     return out
 
 
-@pytest.mark.parametrize("p", [3, 7], ids=["F9", "F49"])
-def test_der_as_tkk_matches_the_dense_path(p):
-    """Both isomorphisms of der_as_tkk, whose tensor block conjugates
-    the transfer images as one stack and whose derivation block inverts
-    the transfer once, equal the dense path bitwise."""
-    ctx = RunContext(p)
+def _der_as_tkk_lies(ctx, monkeypatch):
+    """der_as_tkk over ctx.sqrt, checked bitwise against the dense path,
+    and the spaces it built a Lie table of."""
     f = ctx.sqrt
+    lies = []
+    monkeypatch.setattr(tkk, "lie_from_derivations", lambda ds: lies.append(
+        ds) or lie_from_derivations(ds))
     isos = der_as_tkk(ctx.ck(f, "v"), ctx.kd(f), ctx.act(), ctx.transfer(),
                       ctx.der_j(f, "v"), ctx.inder_j(f, "v"),
                       ctx.tits_double_stable(f), ctx.tits_double(f))
@@ -450,6 +451,28 @@ def test_der_as_tkk_matches_the_dense_path(p):
         assert iso.verified
         assert iso.map.matrix.dtype == want.dtype
         assert iso.map.matrix.tobytes() == want.tobytes()
+    return lies
+
+
+@pytest.mark.parametrize("p", [3, 7], ids=["F9", "F49"])
+def test_der_as_tkk_matches_the_dense_path(p, monkeypatch):
+    """Both isomorphisms of der_as_tkk, whose tensor block conjugates
+    the transfer images as one stack and whose derivation block inverts
+    the transfer once, equal the dense path bitwise.  Der(J_v) equals
+    Inder(J_v) at p = 3 and 7, and one Lie table serves both."""
+    ctx = RunContext(p)
+    assert _der_as_tkk_lies(ctx, monkeypatch) == [ctx.der_j(ctx.sqrt, "v")]
+
+
+def test_der_as_tkk_builds_a_lie_table_per_space_when_they_differ(
+        monkeypatch):
+    """With the equality of Der(J_v) and Inder(J_v) not seen, each space
+    gets its own Lie table, and the isomorphisms are the same maps."""
+    ctx = RunContext(3)
+    monkeypatch.setattr(DerivationSpace, "equals", lambda *_: False)
+    f = ctx.sqrt
+    assert _der_as_tkk_lies(ctx, monkeypatch) == [ctx.der_j(f, "v"),
+                                                  ctx.inder_j(f, "v")]
 
 
 def _ints(field, x):
