@@ -23,8 +23,8 @@ from .derivations import (DerivationSpace, combination_entries,
                           odd_der_eta, stable_der_double)
 from .field import FieldSpec, is_odd_prime
 from .linalg import Subspace, amod, asfield
-from .superalg import (LinearMap, _brackets, _chain, _first_difference,
-                       _map_stack, annihilator, center_even,
+from .superalg import (LinearMap, _brackets, _canonical, _chain,
+                       _first_difference, _map_stack, annihilator, center_even,
                        check_jordan_super, check_super_lie,
                        check_supercommutative, grading_violation,
                        inner_derivation_entries, is_automorphism,
@@ -406,22 +406,29 @@ def check_graded_named_spans(ctx):
         (1, (1, 1), [(e(3, 0), o(0, k)) for k in zs]),
         (1, (0, 0), [(e(0, i), o(0, j)) for i in zs for j in zs]),
     ]
-    # every D(u, v) named, one map per pair, in one join
+    # every D(u, v) named, one map per pair, in one join, and the eight
+    # spans in one canonical RREF: span t on the cells t 2n^2 + (|D| n +
+    # c) n + r, so that no two share a cell and its rows are its RREF
     every = [pair for *_, pairs in named for pair in pairs]
     keys, vals = inner_derivation_entries(a, every)
-    q, cell = np.divmod(keys, a.n * a.n)
-    ends = np.cumsum([len(pairs) for *_, pairs in named])
-    for (parity, grade, pairs), end in zip(named, ends):
-        start = end - len(pairs)
-        sel = (q >= start) & (q < end)
-        span = _span(a, np.full(len(pairs), parity),
-                     (q[sel] - start, cell[sel] % a.n, cell[sel] // a.n,
-                      vals[sel]))
+    nn = a.n * a.n
+    q, cell = np.divmod(keys, nn)
+    span = np.repeat(np.arange(len(named)), [len(x) for *_, x in named])[q]
+    odd = np.array([parity for parity, *_ in named])[span]
+    row, cell, vals = _canonical(f, q, (2 * span + odd) * nn + cell, vals)
+    span, cell = np.divmod(cell, 2 * nn)
+    c, r = np.divmod(cell % nn, a.n)
+    for t, (parity, grade, _) in enumerate(named):
+        sel = span == t
+        rows, at = np.unique(row[sel], return_inverse=True)
+        got = DerivationSpace.from_entries(
+            a, np.full(rows.size, parity), (at, r[sel], c[sel], vals[sel]),
+            canonicalize=False, validate=False)
         comp = g.component(grade).part(parity)
-        if not span.equals(comp):
+        if not got.equals(comp):
             return ("fail", field_label(f),
                     {"grade": list(grade), "parity": parity,
-                     "span_dim": span.dim, "component_dim": comp.dim})
+                     "span_dim": got.dim, "component_dim": comp.dim})
     return ("pass", field_label(f), None)
 
 

@@ -7,9 +7,12 @@ bitwise equal, and a coordinate over the basis is the entry at a pivot.
 derivation_algebra solves the super Leibniz rule as one sparse system
 per parity, built and summed one range of equations at a time
 (_leibniz_system) and solved by superalg._sparse_kernel;
-inner_derivation_algebra spans the supercommutators of left
-multiplications, one join over the structure constants;
-grade_derivations splits a basis by fine degree.
+inner_derivation_algebra spans the supercommutators D(e_u, e_v) of left
+multiplications, joined only at the pairs u <= v, one range of u at a
+time (_inner_span), and keeps the coordinates of every D(e_u, e_v);
+the bracket of a space is joined the same way, at the pairs s <= t of
+its basis (_bracket_coordinates); grade_derivations splits a basis by
+fine degree.
 
 The named derivations of the double K = Z + Zx and their forced
 extensions to the big superalgebra are built from the closed formulas
@@ -26,7 +29,8 @@ from .constructions import ChengKac, KantorDouble, _delta_table
 from .linalg import amod, asfield, solve_right
 from .superalg import (TERM_BUDGET, LinearMap, SuperAlgebra, _brackets,
                        _canonical, _chain, _first_difference, _map_stack,
-                       _match, _ranges, _sparse_kernel, expand_runs,
+                       _match, _ranges, _sparse_kernel, _upper_pairs,
+                       _upper_weights, expand_runs,
                        inner_derivation_entries, is_derivation,
                        leibniz_violation, sum_per_key)
 
@@ -38,8 +42,8 @@ class DerivationSpace:
     The constructor takes lists of LinearMaps and from_entries a stack
     of maps (superalg._chain); with canonicalize off they must already
     be canonical, even maps first.  Every basis map is checked against
-    the Leibniz rule in one join (leibniz_violation).  even_basis and
-    odd_basis are dense views, built on each read."""
+    the Leibniz rule (leibniz_violation, in ranges of maps).  even_basis
+    and odd_basis are dense views, built on each read."""
 
     def __init__(self, algebra: SuperAlgebra, even_maps, odd_maps,
                  canonicalize: bool = True, validate: bool = True):
@@ -69,6 +73,9 @@ class DerivationSpace:
 
     def _store(self, a, parities, entries, canonicalize, validate):
         self.algebra, self._brackets = a, None
+        # the coordinates (a n + b, u, x) of every D(e_a, e_b) over the
+        # basis, kept by inner_derivation_algebra, which has them
+        self.inner_coordinates = None
         q, r, c, v = entries
         odd = np.asarray(parities, dtype=bool)
         # odd maps on the cells past n^2: their pivots follow the even ones
@@ -125,14 +132,11 @@ class DerivationSpace:
     def bracket_coordinates(self):
         """The bracket of the space in its own basis, as coordinates()
         gives them: (s m + t, u, value), the coordinate on u of the super
-        commutator of basis elements s and t, m = dim; computed once,
-        read-only.  Raises when the space is not bracket closed."""
+        commutator of basis elements s and t, m = dim; computed once
+        (_bracket_coordinates), read-only.  Raises when the space is not
+        bracket closed."""
         if self._brackets is None:
-            a = self.algebra
-            self._brackets = self.coordinates(*_brackets(
-                a.field, a.n, self.stack(), self.stack()))
-            if self._brackets is None:
-                raise ValueError("derivation space is not bracket closed")
+            self._brackets = _bracket_coordinates(self)
             for x in self._brackets:
                 x.flags.writeable = False
         return self._brackets
@@ -182,6 +186,39 @@ def combination_entries(field, n: int, coords, basis):
     (q, u, x), (bu, r, c, v) = coords, basis
     e, b = _match(u, bu)
     return sum_per_key(field, (q[e] * n + c[b]) * n + r[b], x[e] * v[b])
+
+
+def _mirrored(field, k: int, parities, s, t, u, x):
+    """Coordinates (s k + t, u, x) of the commutators of every ordered
+    pair of k maps of the given parities, sorted, from those (s, t, u, x)
+    of the pairs s <= t: [M_t, M_s] = -(-1)^(|s||t|) [M_s, M_t]."""
+    off = s != t
+    sign = 2.0 * (parities[s[off]] * parities[t[off]]) - 1.0
+    q = np.concatenate([s * k + t, t[off] * k + s[off]])
+    u = np.concatenate([u, u[off]])
+    x = np.concatenate([x, amod(field, sign * x[off])])
+    order = np.lexsort((u, q))
+    return q[order], u[order], x[order]
+
+
+def _bracket_coordinates(ds: DerivationSpace, budget=TERM_BUDGET):
+    """DerivationSpace.bracket_coordinates: the brackets of the pairs s
+    <= t of basis maps only, in ranges of s of at most budget terms or a
+    single s (superalg._ranges, _upper_weights), each range put in
+    coordinates (DerivationSpace.coordinates); the pairs t > s are their
+    mirrors (_mirrored)."""
+    a, m = ds.algebra, ds.dim
+    par, _ = stack = ds.stack()
+    parts = [(np.zeros(0, dtype=np.int64),) * 3
+             + (np.zeros(0, dtype=a.field.dtype),)]
+    for s0, s1 in _ranges(_upper_weights(a.n, stack), budget):
+        pairs = _upper_pairs(s0, s1, m)
+        co = ds.coordinates(*_brackets(a.field, a.n, stack, stack, pairs))
+        if co is None:
+            raise ValueError("derivation space is not bracket closed")
+        parts.append((*pairs[co[0]].T, *co[1:]))
+    return _mirrored(a.field, m, par,
+                     *(np.concatenate(x) for x in zip(*parts)))
 
 
 def _runs(a: SuperAlgebra, q, lo=0, hi=None):
@@ -284,26 +321,78 @@ def _leibniz_kernel(a: SuperAlgebra, parity: int, budget=TERM_BUDGET):
     return np.full(k.max(initial=-1) + 1, parity), (k, r, c, v)
 
 
-def derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
+def derivation_algebra(a: SuperAlgebra,
+                       budget=TERM_BUDGET) -> DerivationSpace:
     """All superderivations of a, by solving the Leibniz system."""
-    return DerivationSpace.from_entries(
-        a, *_chain(_leibniz_kernel(a, 0), _leibniz_kernel(a, 1)))
+    return DerivationSpace.from_entries(a, *_chain(
+        _leibniz_kernel(a, 0, budget), _leibniz_kernel(a, 1, budget)))
 
 
-def inner_derivation_algebra(a: SuperAlgebra) -> DerivationSpace:
-    """Span of all D(e_i, e_j) = [L_i, L_j]: the maps of _inner_span,
-    canonicalized per parity."""
-    return DerivationSpace.from_entries(a, *_inner_span(a))
+def inner_derivation_algebra(a: SuperAlgebra,
+                             budget=TERM_BUDGET) -> DerivationSpace:
+    """Span of all D(e_i, e_j) = [L_i, L_j], canonical (_inner_span),
+    keeping the coordinates of every D(e_i, e_j) over its basis as
+    inner_coordinates."""
+    stack, coords = _inner_span(a, budget)
+    ds = DerivationSpace.from_entries(a, *stack, canonicalize=False)
+    ds.inner_coordinates = coords
+    for x in coords:
+        x.flags.writeable = False
+    return ds
 
 
-def _inner_span(a: SuperAlgebra):
-    """The maps D(e_i, e_j), q = i n + j, as a stack (superalg._chain),
-    from one join (inner_derivation_entries)."""
-    keys, vals = inner_derivation_entries(a)
-    q, cell = np.divmod(keys, a.n * a.n)
-    c, r = np.divmod(cell, a.n)
-    return np.bitwise_xor.outer(a.parities, a.parities).ravel(), \
-        (q, r, c, vals)
+def _inner_span(a: SuperAlgebra, budget=TERM_BUDGET):
+    """The canonical basis of the span of the D(e_u, e_v), as a stack
+    (superalg._chain), and the coordinates (u n + v, b, x) of every
+    D(e_u, e_v) over it, sorted.
+
+    D(e_v, e_u) = -(-1)^(|u||v|) D(e_u, e_v), so only the pairs u <= v
+    are joined (inner_derivation_entries), in ranges of u of at most
+    budget terms or a single u (superalg._ranges, _upper_weights).  Each
+    range is canonicalized with the basis found so far (_canonical), on
+    the cells (|D| n + c) n + r of DerivationSpace.  The coordinates of
+    a map are its entries at the pivots, kept keyed by pivot cell.  The
+    pivots of a span are pivots of every larger span, so when a range
+    adds pivots, a map joined before has on them the entries sum_b x_b
+    B_b[p] of the basis rows b it has coordinates on."""
+    f, n, nn = a.field, a.n, a.n * a.n
+    par = a.parities
+    i, j, k, c = a.coo()
+    row, cell = np.zeros((2, 0), dtype=np.int64)
+    val = np.zeros(0, dtype=f.dtype)
+    pivots = cell
+    coords = [(cell, cell, val)]      # (u n + v, pivot cell, x)
+    for u0, u1 in _ranges(_upper_weights(n, (par, (i, k, j, c))), budget):
+        pairs = _upper_pairs(u0, u1, n)
+        keys, vals = inner_derivation_entries(a, pairs)
+        if not keys.size:
+            continue
+        q, at = np.divmod(keys, nn)
+        u, v = pairs[q].T
+        at += (par[u] ^ par[v]) * nn
+        basis = row, cell, val
+        row, cell, val = _canonical(
+            f, np.concatenate([row, pivots.size + q]),
+            np.concatenate([cell, at]), np.concatenate([val, vals]))
+        # rows come in the order of their pivots, their least cells
+        old, pivots = pivots, np.full(row.max() + 1, 2 * nn)
+        np.minimum.at(pivots, row, cell)
+        fresh = np.zeros(2 * nn, dtype=bool)
+        fresh[pivots] = True
+        on = fresh[at]
+        fresh[old] = False
+        hit = fresh[basis[1]]
+        if hit.any():
+            pk, pc, x = (np.concatenate(y) for y in zip(*coords))
+            b, bc, bv = (y[hit] for y in basis)
+            e, h = _match(pc, old[b])
+            add = sum_per_key(f, pk[e] * 2 * nn + bc[h], x[e] * bv[h])
+            coords = [(pk, pc, x), (*np.divmod(add[0], 2 * nn), add[1])]
+        coords.append((u[on] * n + v[on], at[on], vals[on]))
+    pk, pc, x = (np.concatenate(y) for y in zip(*coords))
+    c, r = np.divmod(cell % nn, n)
+    return (pivots >= nn, (row, r, c, val)), _mirrored(
+        f, n, par, *np.divmod(pk, n), np.searchsorted(pivots, pc), x)
 
 
 # -- named derivations of the double K = Z + Zx --------------------------

@@ -25,9 +25,14 @@ the 416-dimensional Tits table over F13 that is 3.3 M terms, where the
 whole join made 6.6 M.  The Leibniz rule has the same mirror: on a
 super(anti)commutative table (mirror_sign) the rule at (j, i) is a
 signed copy of the rule at (i, j), so leibniz_violation and the
-Leibniz system of derivations._leibniz_system key only i <= j.  One
-engine, _sparse_kernel, solves every sparse linear system: the center,
-the annihilator, the Leibniz system and the matrix of is_isomorphism.
+Leibniz system of derivations._leibniz_system key only i <= j, and
+leibniz_violation runs in ranges of maps.  The commutators of maps have
+a mirror on every table, [M_t, M_s] = -(-1)^(|s||t|) [M_s, M_t], so the
+inner span and the bracket of a derivation space join only the pairs s
+<= t (_upper_pairs), in ranges of s weighed exactly (_upper_weights).
+One engine, _sparse_kernel, solves every sparse linear system: the
+center, the annihilator, the Leibniz system and the matrix of
+is_isomorphism.
 """
 
 from __future__ import annotations
@@ -42,9 +47,11 @@ from .field import FieldSpec
 from .linalg import (Eliminator, Subspace, amod, asfield, check_exact_range,
                      inverses, iszero, mm, rref)
 
-# The most terms one range of a cyclic-sum join (_cyclic_verdict) or of
-# the Leibniz system (derivations._leibniz_system) holds: about 3 MB of
-# keys and values, whatever the size of the table.
+# The most terms one range of a join holds: a cyclic sum
+# (_cyclic_verdict), the Leibniz system (derivations._leibniz_system) or
+# check (leibniz_violation), or a pair join at the mirror (the inner span
+# and the bracket of a derivation space); about 3 MB of keys and values,
+# whatever the size of the table.
 TERM_BUDGET = 1 << 15
 
 
@@ -332,24 +339,12 @@ def inner_derivation_entries(a: SuperAlgebra, pairs=None):
     """The nonzero entries of D(e_u, e_v), keyed q n^2 + c n + r (the
     cell column-major, as in LinearMap.flatten), with reduced values: q
     indexes pairs, or every pair as q = u n + v when pairs is None.
-    L_u[r, c] = T[u, c, r] is read from coo() for each basis vector
-    named, and all commutators of them come from _brackets."""
-    n = a.n
+    L_u[r, c] = T[u, c, r], so coo() read as (i, k, j, c) is the stack
+    of left multiplications, and the commutators of the pairs come from
+    one bracket join of it with itself (_brackets)."""
     i, j, k, c = a.coo()
-    if pairs is None:
-        every = (a.parities, (i, k, j, c))
-        return _brackets(a.field, n, every, every)
-    named = np.zeros(n, dtype=bool)
-    named[np.asarray(pairs, dtype=np.int64)] = True
-    index = np.flatnonzero(named)
-    pos = np.searchsorted(index, np.asarray(pairs).reshape(-1, 2))
-    sel = named[i]
-    some = (a.parities[index],
-            (np.searchsorted(index, i[sel]), k[sel], j[sel], c[sel]))
-    keys, vals = _brackets(a.field, n, some, some)
-    st, cell = np.divmod(keys, n * n)
-    e, q = _match(st, pos[:, 0] * index.size + pos[:, 1])
-    return q * n * n + cell[e], vals[e]
+    every = (a.parities, (i, k, j, c))
+    return _brackets(a.field, a.n, every, every, pairs)
 
 
 def _product_terms(left, right):
@@ -363,14 +358,19 @@ def _product_terms(left, right):
     return s[a], t[b], r[a], c[b], v[a] * w[b]
 
 
-def _brackets(field: FieldSpec, n: int, left, right):
+def _brackets(field: FieldSpec, n: int, left, right, pairs=None):
     """The supercommutators [M_s, N_t] = M_s N_t - (-1)^(|s||t|) N_t M_s
-    of the maps of two stacks (see _chain) of parity-homogeneous n x n
-    maps, as sum_per_key returns them: keys (s k + t) n^2 + c n + r, k
-    the number of maps N_t.  Two product joins, left with right and
-    right with left, make every term and no other; a key takes at most
-    2n terms."""
+    of pairs of maps of two stacks (see _chain) of parity-homogeneous
+    n x n maps, as sum_per_key returns them: keys q n^2 + c n + r, q the
+    index of (s, t) in pairs, or q = s k + t over every pair when pairs
+    is None, k the number of maps N_t.  Every pair takes two product
+    joins, left with right and right with left (_product_terms), which
+    make every term and no other; a key takes at most 2n terms.  Named
+    pairs go through _named_pair_terms instead."""
     (lp, le), (rp, re) = left, right
+    if pairs is not None:
+        keys, vals = _named_pair_terms(n, left, right, pairs)
+        return sum_per_key(field, keys, vals)
     k = len(rp)
     s, t, r, c, st = _product_terms(le, re)
     t2, s2, r2, c2, ts = _product_terms(re, le)
@@ -379,6 +379,66 @@ def _brackets(field: FieldSpec, n: int, left, right):
         field, np.concatenate([((s * k + t) * n + c) * n + r,
                                ((s2 * k + t2) * n + c2) * n + r2]),
         np.concatenate([st, -sign * ts]))
+
+
+def _named_pair_terms(n: int, left, right, pairs):
+    """The keys and values of the terms of _brackets for the named pairs
+    (s, t), unsummed.  Consecutive pairs (s, t), (s, t + 1), ... form a
+    run, and the right entries are sorted by (row, map) and by (column,
+    map): an entry M_s[r, m] meets the entries N_t[m, c] of row m and a
+    map of its run, and the entries N_t[r', r] of column r, each a
+    contiguous run there found through offsets.  So the pairs (s, t), t
+    >= s, of a stack make one run per s, and each left entry is read
+    once per run."""
+    (lp, (s, r, m, v)), (rp, (t, rr, rc, w)) = left, right
+    lp, rp = np.asarray(lp), np.asarray(rp)
+    k = rp.size
+    ps, pt = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    q0 = np.flatnonzero(np.diff(ps, prepend=-1) | (np.diff(pt, prepend=-1)
+                                                   != 1))
+    size, s0, t0 = np.diff(q0, append=ps.size), ps[q0], pt[q0]
+    order = np.argsort(s, kind="stable")
+    off = _offsets(s, lp.size)
+    x, e = expand_runs(off[s0], off[s0 + 1] - off[s0])
+    e = order[e]
+
+    def meet(at, by):
+        """(q, e, f): each left entry e of run x with every right entry f
+        whose index at is by[e] and whose map is in the run."""
+        key = at * k + t
+        rank, roff = np.argsort(key, kind="stable"), _offsets(key, n * k)
+        z = by[e] * k + t0[x]
+        y, f = expand_runs(roff[z], roff[z + size[x]] - roff[z])
+        f = rank[f]
+        return q0[x[y]] + t[f] - t0[x[y]], e[y], f
+
+    q1, e1, f1 = meet(rr, m)          # M_s[r, m] N_t[m, c]
+    q2, e2, f2 = meet(rc, r)          # N_t[r', m'] M_s[m', c], m' = r
+    sign = 1.0 - 2.0 * (lp[s[e2]] * rp[t[f2]])
+    return (np.concatenate([(q1 * n + rc[f1]) * n + r[e1],
+                            (q2 * n + m[e2]) * n + rr[f2]]),
+            np.concatenate([v[e1] * w[f1], -sign * (w[f2] * v[e2])]))
+
+
+def _upper_weights(n: int, stack):
+    """weights[s], the exact number of terms that _brackets makes for
+    the pairs (s, t), t >= s, of a stack with itself: an entry M_s[r, m]
+    meets the entries of row m and those of column r of the maps t >=
+    s, counted from offsets over (row, map) and (column, map)."""
+    par, (s, r, c, _) = stack
+    k = len(par)
+    row, col = _offsets(r * k + s, n * k), _offsets(c * k + s, n * k)
+    later = (row[(c + 1) * k] - row[c * k + s]
+             + col[(r + 1) * k] - col[r * k + s])
+    return np.bincount(s, later, minlength=k)
+
+
+def _upper_pairs(s0: int, s1: int, k: int):
+    """The pairs (s, t) with s0 <= s < s1 and s <= t < k, in
+    lexicographic order, as an (m, 2) array."""
+    s = np.arange(s0, s1)
+    x, t = expand_runs(s, k - s)
+    return np.stack([s[x], t], axis=1)
 
 
 # -- identity checks: joins over the nonzero structure constants ---------
@@ -907,52 +967,74 @@ def check_super_lie(lie) -> Verdict:
     return _cyclic_verdict(lie, _jacobi_join, {"identity": "jacobi"})
 
 
-def leibniz_violation(a: SuperAlgebra, parities, entries):
+def leibniz_violation(a: SuperAlgebra, parities, entries,
+                      budget=TERM_BUDGET):
     """The first (s, i, j) in lexicographic order where map s of a stack
     (see _chain) breaks the super Leibniz rule on (e_i, e_j), or None.
 
     For d = d_s, coordinate r of d(e_i e_j) - d(e_i) e_j
     - (-1)^(|d||i|) e_i d(e_j) has the terms T[i,j,k] d[r,k],
-    -d[m,i] T[m,j,r] and -(-1)^(|d||i|) T[i,m,r] d[m,j].  Each family is
-    one join of the nonzero constants with the nonzero entries (s, row,
-    column) of the maps, and every term is keyed to (s, i, j, r), so
-    one pass checks the whole stack.
+    -d[m,i] T[m,j,r] and -(-1)^(|d||i|) T[i,m,r] d[m,j], all keyed to
+    (s, i, j, r).  So an entry (s, r, m) of the maps meets the constants
+    of output m, those of first index r and those of second index r:
+    three runs of coo() sorted by k, by (i, j) and by (j, i), found
+    once.
 
     On a table with a mirror_sign e, the rule at (j, i) is e (-1)^(|i||j|)
     times the rule at (i, j) for every map whose entries keep its parity,
     so for such a stack only the pairs i <= j are keyed: a failing (s, i,
     j) with i > j has the failing mirror (s, j, i) before it, and the
-    witness is the same."""
-    n = a.n
+    witness is the same.  The runs then stop at i <= j, at j >= m and at
+    i <= m.  The runs are expanded and summed one range of maps at a
+    time, each of at most budget terms or a single map (_ranges); s is
+    outermost in the key, so the first range that fails holds the
+    witness."""
+    n, par = a.n, a.parities
     i, j, k, c = a.coo()
-    ds, dr, dc, dv = entries
+    order = np.argsort(entries[0], kind="stable")
+    ds, dr, dc, dv = (x[order] for x in entries)
     odd = np.asarray(parities, dtype=np.int64)[ds]
     half = a.mirror_sign is not None and np.array_equal(
-        a.parities[dr], a.parities[dc] ^ odd)
+        par[dr], par[dc] ^ odd)
+    lo, hi = (dc, dc) if half else (0, n - 1)
+    by_k = np.flatnonzero(i <= j) if half else np.arange(i.size)
+    by_k = by_k[np.argsort(k[by_k], kind="stable")]
+    koff = _offsets(k[by_k], n)
+    ji = j * n + i
+    by_j = np.argsort(ji, kind="stable")
+    ij, ji = i * n + j, ji[by_j]
+    views = (by_k, np.arange(i.size), by_j)
+    starts = (koff[dc], np.searchsorted(ij, dr * n + lo),
+              np.searchsorted(ji, dr * n))
+    ends = (koff[dc + 1], np.searchsorted(ij, dr * n + n),
+            np.searchsorted(ji, dr * n + hi, "right"))
+    count = sum(end - start for start, end in zip(starts, ends))
+    maps = len(parities)
+    at = np.searchsorted(ds, np.arange(maps + 1))
 
-    def made(t, e, x, y):
-        """The pairs (t, e) of a family whose key (x, y) is made."""
-        keep = x <= y if half else slice(None)
-        return t[keep], e[keep]
+    def first_key(e0, e1):
+        """The least failing key ((s n + i) n + j) n + r of the entries
+        e0 to e1 - 1, or None."""
+        fams = []
+        for view, start, end in zip(views, starts, ends):
+            y, x = expand_runs(start[e0:e1], end[e0:e1] - start[e0:e1])
+            fams.append((e0 + y, view[x]))
+        (e, t), (e2, t2), (e3, t3) = fams
+        keys = np.concatenate([
+            ((ds[e] * n + i[t]) * n + j[t]) * n + dr[e],          # d(e_i e_j)
+            ((ds[e2] * n + dc[e2]) * n + j[t2]) * n + k[t2],      # d(e_i) e_j
+            ((ds[e3] * n + i[t3]) * n + dc[e3]) * n + k[t3]])     # e_i d(e_j)
+        vals = np.concatenate([
+            c[t] * dv[e], -dv[e2] * c[t2],
+            (2.0 * (odd[e3] * par[i[t3]]) - 1.0) * c[t3] * dv[e3]])
+        return _first_nonzero_key(a.field, keys, vals)
 
-    t, e = _match(k, dc)                  # d(e_i e_j)
-    t, e = made(t, e, i[t], j[t])
-    keys = [((ds[e] * n + i[t]) * n + j[t]) * n + dr[e]]
-    vals = [c[t] * dv[e]]
-    e, t = _match(dr, i)                  # d(e_i) e_j
-    t, e = made(t, e, dc[e], j[t])
-    keys.append(((ds[e] * n + dc[e]) * n + j[t]) * n + k[t])
-    vals.append(-dv[e] * c[t])
-    t, e = _match(j, dr)                  # e_i d(e_j)
-    t, e = made(t, e, i[t], dc[e])
-    keys.append(((ds[e] * n + i[t]) * n + dc[e]) * n + k[t])
-    vals.append((2.0 * (odd[e] * a.parities[i[t]]) - 1.0) * c[t] * dv[e])
-    key = _first_nonzero_key(a.field, np.concatenate(keys),
-                             np.concatenate(vals))
-    if key is None:
-        return None
-    s, ij = divmod(key // n, n * n)
-    return (s, *divmod(ij, n))
+    for s0, s1 in _ranges(np.bincount(ds, count, minlength=maps), budget):
+        key = first_key(at[s0], at[s1])
+        if key is not None:
+            s, pair = divmod(key // n, n * n)
+            return (s, *divmod(pair, n))
+    return None
 
 
 def is_derivation(a: SuperAlgebra, d: LinearMap) -> Verdict:

@@ -8,7 +8,8 @@ realization of the big derivation algebra as such a construction over
 the Kantor double K.
 
 Maps are their nonzero entries here: an inner block is checked against
-a derivation space by its coordinates (DerivationSpace.coordinates),
+a derivation space by its coordinates (DerivationSpace.coordinates, or
+those the inner span kept when the space is the inner span),
 the bridges are judged by is_isomorphism, and der_as_tkk builds its map
 by joins on the entries of the bracket transfer.
 """
@@ -185,8 +186,11 @@ def _three_copy_lie(cls, jalg: SuperAlgebra, ds: DerivationSpace, copies,
     ji, jj, jk, jc = jalg.coo()
     for (i, j), (k, s) in copies.items():
         parts.append((copy[i, ji], copy[j, jj], copy[k, jk], s * jc))
-    # D(a, b) in coordinates (ab, u, x) over ds, keyed ab = a n + b
-    co = ds.coordinates(*inner_derivation_entries(jalg))
+    # D(a, b) in coordinates (ab, u, x) over ds, keyed ab = a n + b: kept
+    # by the inner span that built ds, or from one join of every pair
+    co = ds.inner_coordinates if ds.algebra is jalg else None
+    if co is None:
+        co = ds.coordinates(*inner_derivation_entries(jalg))
     if co is None:
         raise ValueError("inner derivation escapes the derivation space")
     for (i, j), c in dcoef.items():

@@ -14,11 +14,14 @@ from ckder.superalg import _chain
 from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_big_inder_dims,
                            check_big_v_jordan_identity,
+                           check_big_v_supercommutative,
                            check_big_w_jordan_identity,
+                           check_big_w_supercommutative,
                            check_coordinate_constants,
                            check_der_as_tits_double, check_double_der_dims,
                            check_double_inder_dims, check_double_odd_split,
                            check_double_jordan_identity,
+                           check_double_supercommutative,
                            check_dzzx_vanishes, check_graded_component_dims,
                            check_graded_named_spans,
                            check_odd_part_squares,
@@ -30,10 +33,12 @@ from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_transfer_eta_identity,
                            check_transfer_extension_identity,
                            check_transfer_inner, check_transfer_iso,
-                           check_w_v_equivalence, run_battery)
+                           check_w_v_equivalence, field_label,
+                           run_battery)
 from oracles import tensor
 from test_sparse_checks import (_perturbed, _symmetric_perturbation,
-                                dense_jordan_super, dense_super_lie)
+                                dense_jordan_super, dense_super_lie,
+                                dense_supercommutative)
 
 
 def _dropping(real, lost):
@@ -128,6 +133,36 @@ def test_jordan_checks_fail_on_a_perturbed_constant(check, key, sqrt,
     triple = witness["witness"]["triple"]
     assert triple == sorted(triple)
     assert witness["witness"] == dense_jordan_super(bad)[1]
+
+
+@pytest.mark.parametrize("check,key,sqrt", [
+    (check_double_supercommutative, ("kd",), False),
+    (check_big_w_supercommutative, ("ck", "w"), False),
+    (check_big_v_supercommutative, ("ck", "v"), True)],
+    ids=["double_supercommutative", "big_w_supercommutative",
+         "big_v_supercommutative"])
+def test_supercommutative_checks_fail_on_one_flipped_constant(check, key,
+                                                              sqrt):
+    """The constant e_i e_j, i < j, halfway down the table and away from
+    the unit, changes sign in this order only: the check fails with the
+    pair (i, j), the first asymmetric pair, as the dense oracle finds."""
+    ctx = RunContext(3)
+    f = ctx.sqrt if sqrt else ctx.base
+    assert check(ctx) == ("pass", field_label(f), None)
+    cache = (key[0], f.p, f.ext, *key[1:])
+    obj = ctx._cache[cache]
+    a = obj.alg
+    i, j, k, c = a.coo()
+    off = np.flatnonzero((i < j) & (i != a.unit_index) & (j != a.unit_index))
+    t = off[off.size // 2]
+    bad = SuperAlgebra(f, a.dim_even, a.dim_odd, a.labels,
+                       (i, j, k, np.where(np.arange(c.size) == t, -c, c)),
+                       a.unit_index, a.fine_label)
+    ctx._cache[cache] = dataclasses.replace(obj, alg=bad)
+    status, field, witness = check(ctx)
+    assert (status, field) == ("fail", field_label(f))
+    assert witness == {"witness": dense_supercommutative(bad)[1]}
+    assert witness["witness"]["pair"] == [i[t], j[t]]
 
 
 def test_w_v_equivalence_fails_on_two_swapped_columns(monkeypatch):

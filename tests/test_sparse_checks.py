@@ -47,12 +47,17 @@ from ckder import (DerivationSpace, FieldSpec, LinearMap, Subspace,
 from ckder.battery import (RunContext, check_der_as_tits_double,
                            check_graded_named_spans,
                            check_s4_fixes_scalar_component)
-from ckder.derivations import _inner_span, _leibniz_kernel
+from ckder import derivations, tkk
+from ckder.derivations import (_bracket_coordinates, _inner_span,
+                               _leibniz_kernel, inner_derivation_algebra)
 from ckder.linalg import Eliminator, amod, kernel
 from ckder.superalg import (TERM_BUDGET, _brackets, _cyclic_verdict,
                             _entries, _first_nonzero_key,
-                            _jacobi_join, _jordan_join, _ranges, annihilator,
-                            center_even, inner_derivation_entries)
+                            _jacobi_join, _jordan_join, _map_stack,
+                            _named_pair_terms, _ranges, _upper_pairs,
+                            _upper_weights, annihilator, center_even,
+                            inner_derivation_entries, leibniz_violation)
+from ckder.battery import CHECKS
 from ckder.tkk import LieSuperAlgebra
 from oracles import tensor
 
@@ -1143,7 +1148,9 @@ def test_commutator_entries_match_super_commutator(field, seed):
 def test_random_tables_give_the_dense_brackets(table):
     a, _ = table
     # D(e_a, e_b) need not be a derivation of a random table
-    ds = DerivationSpace.from_entries(a, *_inner_span(a), validate=False)
+    stack, _ = _inner_span(a)
+    ds = DerivationSpace.from_entries(a, *stack, canonicalize=False,
+                                      validate=False)
     assert_inner_span_matches(a, ds.even_basis, ds.odd_basis)
     assert_bitwise(sparse_inner_coordinates(a, ds),
                    dense_inner_coordinates(a, ds))
@@ -1154,3 +1161,195 @@ def test_random_tables_give_the_dense_brackets(table):
             ds.structure_constants()
     else:
         assert_bitwise(ds.structure_constants(), want)
+
+
+# -- pair joins at the mirror --------------------------------------------
+#
+# D(e_v, e_u) = -(-1)^(|u||v|) D(e_u, e_v) and [d_t, d_s] =
+# -(-1)^(|s||t|) [d_s, d_t] on every table, so the inner span joins only
+# the pairs u <= v and the bracket of a space only s <= t, each in
+# ranges of its first index; the Leibniz check runs in ranges of maps.
+# At a budget of one term every range holds a single index.
+
+
+def dense_coordinates_of(ds, coords, count):
+    """Sparse coordinates (q, u, x) as a dense (count, dim) array."""
+    out = np.zeros((count, ds.dim), dtype=ds.algebra.field.dtype)
+    out[coords[0], coords[1]] = coords[2]
+    return out
+
+
+@settings(max_examples=150)
+@given(super_tables())
+def test_mirror_inner_span_agrees_with_the_whole_pair_oracle(table):
+    """The pairs u <= v make as many terms per u as their weights count,
+    and the span of their D(e_u, e_v), canonicalized range by range, has
+    the canonical entries of the span of every D(e_u, e_v); the
+    coordinates it keeps are those of every ordered pair."""
+    a, _ = table
+    n = a.n
+    i, j, k, c = a.coo()
+    left = (a.parities, (i, k, j, c))
+    keys, _ = _named_pair_terms(n, left, left, _upper_pairs(0, n, n))
+    made = np.bincount(_upper_pairs(0, n, n)[keys // n ** 2, 0], minlength=n)
+    assert np.array_equal(_upper_weights(n, left), made)
+    for budget in (1, TERM_BUDGET):
+        stack, co = _inner_span(a, budget)
+        ds = DerivationSpace.from_entries(a, *stack, canonicalize=False,
+                                          validate=False)
+        assert_inner_span_matches(a, ds.even_basis, ds.odd_basis)
+        assert_bitwise(dense_coordinates_of(ds, co, n * n).reshape(
+            n, n, ds.dim), dense_inner_coordinates(a, ds))
+
+
+@settings(max_examples=150)
+@given(super_tables())
+def test_mirror_bracket_agrees_with_the_whole_pair_oracle(table):
+    """The brackets of the pairs s <= t, in ranges of s, give the
+    coordinates of every pair, or refuse a space that is not closed,
+    on the derivations and on the inner span of a random table."""
+    a, _ = table
+    stack, _ = _inner_span(a)
+    spaces = (derivation_algebra(a), DerivationSpace.from_entries(
+        a, *stack, canonicalize=False, validate=False))
+    for ds, budget in ((ds, b) for ds in spaces for b in (1, TERM_BUDGET)):
+        try:
+            want = dense_structure_constants(ds)
+        except ValueError:
+            with pytest.raises(ValueError, match="not bracket closed"):
+                _bracket_coordinates(ds, budget)
+            continue
+        got = dense_coordinates_of(ds, _bracket_coordinates(ds, budget),
+                                   ds.dim ** 2)
+        assert_bitwise(got.reshape(want.shape), want)
+
+
+def dense_leibniz_violation(a, maps):
+    """The first map of a list, and its first pair, that break the
+    Leibniz rule by the dense oracle, as (s, i, j), or None."""
+    for s, d in enumerate(maps):
+        ok, w = dense_is_derivation(a, d)
+        if not ok:
+            return (s, *w["pair"])
+    return None
+
+
+@settings(max_examples=150)
+@given(super_tables(), st.data())
+def test_ranged_leibniz_check_gives_the_whole_pair_witness(table, data):
+    """The derivations of a random table, some raised at one entry, and
+    a random map that may leave its parity: the ranged check names the
+    first failing map and pair of the dense oracle at both budgets."""
+    a = table[0]
+    n = a.n
+    ds = derivation_algebra(a)
+    maps = ds.even_basis + ds.odd_basis
+    for s in data.draw(st.lists(st.integers(0, max(len(maps) - 1, 0)),
+                                max_size=2)) if maps else []:
+        r, c = np.argwhere(maps[s].matrix)[0]
+        maps[s] = _bumped(maps[s], r, c)
+    m = np.zeros((n, n), dtype=a.field.dtype)
+    for r, c, x in data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2)),
+            max_size=3)):
+        m[r, c] = x
+    maps.insert(data.draw(st.integers(0, len(maps))),
+                LinearMap(a, a, data.draw(st.integers(0, 1)), m, check=False))
+    want = dense_leibniz_violation(a, maps)
+    stack = _map_stack(a.field, maps)
+    for budget in (1, TERM_BUDGET):
+        assert leibniz_violation(a, *stack, budget=budget) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pair_joins_are_bitwise_equal_across_budgets(p):
+    """The entries of Inder and Der of K and J_w, the coordinates that
+    the inner span keeps and the bracket of Inder(J_w), over F_p and the
+    field with sqrt(-1), do not depend on the budget: a budget of one
+    term gives the default's bits."""
+    ctx = RunContext(p)
+    for f in dict.fromkeys((ctx.base, ctx.sqrt)):
+        for a in (ctx.kd(f).alg, ctx.ck(f, "w").alg):
+            one, whole = (inner_derivation_algebra(a, b)
+                          for b in (1, TERM_BUDGET))
+            for x, y in zip(one.entries() + one.inner_coordinates,
+                            whole.entries() + whole.inner_coordinates):
+                assert_bitwise(x, y)
+            for x, y in zip(derivation_algebra(a, 1).entries(),
+                            derivation_algebra(a).entries()):
+                assert_bitwise(x, y)
+        for x, y in zip(_bracket_coordinates(whole, 1),
+                        whole.bracket_coordinates()):
+            assert_bitwise(x, y)
+
+
+@pytest.fixture(scope="module")
+def j_w_23():
+    """J_w over F23 (n = 184, 11,872 constants) and its inner span."""
+    a = cheng_kac(truncated_poly(FieldSpec(23))).alg
+    return a, inner_derivation_algebra(a)
+
+
+def traced_peak_mib(step):
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_inner_span_holds_one_range_of_terms(j_w_23):
+    """The inner span of J_w over F23, with its validation, traced 99.6
+    MiB as one join of every ordered pair (114.6 MiB at most per join in
+    a p = 23 battery); in ranges of u over the pairs u <= v it stays
+    below a quarter of the latter (about 6 MiB here)."""
+    a, _ = j_w_23
+    assert traced_peak_mib(lambda: inner_derivation_algebra(a)) \
+        < 114.6 / 4
+
+
+def test_bracket_holds_one_range_of_terms(j_w_23):
+    """bracket_coordinates of Inder(J_w) over F23 traced 156.5 MiB as one
+    join of every ordered pair (180.1 MiB at most in a p = 23 battery);
+    in ranges of s over the pairs s <= t it stays below a quarter of the
+    latter (about 4 MiB here)."""
+    _, ds = j_w_23
+    assert traced_peak_mib(lambda: _bracket_coordinates(ds)) < 180.1 / 4
+
+
+def test_leibniz_check_holds_one_range_of_terms(j_w_23):
+    """The Leibniz check of the 184 basis maps of Inder(J_w) over F23
+    traced 72.9 MiB as one join (87.0 MiB at most in a p = 23 battery);
+    in ranges of maps it stays below a quarter of the latter (about 4
+    MiB here)."""
+    a, ds = j_w_23
+    assert traced_peak_mib(lambda: leibniz_violation(a, *ds.stack())) \
+        < 87.0 / 4
+
+
+def test_the_inner_join_of_j_w_runs_once_per_field(monkeypatch):
+    """Over a whole battery at p = 3 the derivation and Lie layers join
+    each pair u <= v of basis vectors of J_w once over F3 and never over
+    F9, where Inder(J_w) and its Lie tables are lifts: the Tits and
+    3-graded tables read the coordinates that the inner span kept."""
+    joined = {}
+
+    for mod in (derivations, tkk):
+        def counted(a, pairs=None, real=mod.inner_derivation_entries):
+            got = np.divmod(np.arange(a.n ** 2), a.n) if pairs is None \
+                else np.asarray(pairs).reshape(-1, 2).T
+            joined.setdefault(id(a), []).append(np.sort(got, axis=0))
+            return real(a, pairs)
+        monkeypatch.setattr(mod, "inner_derivation_entries", counted)
+    ctx = RunContext(3)
+    for cd in CHECKS:
+        assert cd.fn(ctx)[0] == "pass"
+    for f in (ctx.base, ctx.sqrt):
+        a = ctx.ck(f, "w").alg
+        u, v = np.concatenate(joined.get(id(a), [np.zeros((2, 0), int)]),
+                              axis=1)
+        count = np.bincount(u * a.n + v, minlength=a.n * a.n)
+        upper = np.triu(np.ones((a.n, a.n), dtype=bool)).ravel()
+        assert not count[~upper].any()
+        assert np.all(count[upper] == (0 if f.ext else 1))
