@@ -29,8 +29,8 @@ from .superalg import (LinearMap, _brackets, _canonical, _chain,
                        check_supercommutative, grading_violation,
                        inner_derivation_entries, is_automorphism,
                        is_isomorphism)
-from .symmetry import (build_s4, coordinate_algebra, coxeter_witness,
-                       phi_iso, phi_star)
+from .symmetry import (_relabeling, build_s4, coordinate_algebra,
+                       coxeter_witness, phi_iso, phi_star)
 from .tkk import (check_3grading, der_as_tkk, so3,
                   sl2_identification, tits_construction, tkk_3graded)
 
@@ -469,15 +469,25 @@ def check_s4_coxeter(ctx):
 
 
 def check_s4_fixes_scalar_component(ctx):
-    """g D = D g for every group element g and every map D of the scalar
-    component: every [D, g] = D g - g D comes from one commutator join of
-    the entries of the maps with those of the elements, and none may
-    have a nonzero entry."""
+    """g D g^-1 = D for every group element g and every map D of the
+    scalar component.  Each element is a signed permutation, so g D g^-1
+    moves the entry D[r, c] to (to[r], to[c]) times sign[r] sign[c]
+    (_relabeling); the relabelings of every map by every element are
+    compared with the maps in one _first_difference.  An element that
+    is not a signed permutation fails."""
     f = ctx.sqrt
     comp = ctx.graded_j(f, "v").component((0, 0))
-    keys, _ = _brackets(f, comp.algebra.n, comp.stack(),
-                        _map_stack(f, ctx.act().elements))
-    if keys.size:
+    n, (par, (s, r, c, v)) = comp.algebra.n, comp.stack()
+    try:
+        to, sign = _relabeling(
+            f, np.stack([g.matrix for g in ctx.act().elements]))
+    except ValueError:
+        return ("fail", field_label(f), {"how": "not a signed permutation"})
+    q = np.arange(len(to))[:, None] * len(par) + s  # map s under element
+    moved = (((q * n + to[:, r]) * n + to[:, c]).ravel(),
+             (sign[:, r] * sign[:, c] * v).ravel())
+    fixed = ((q * n + r) * n + c).ravel(), np.tile(v, len(to))
+    if _first_difference(f, moved, fixed) is not None:
         return ("fail", field_label(f), {"how": "solved"})
     return ("pass", field_label(f),
             {"component_dims": list(comp.dims), "how": "solved"})

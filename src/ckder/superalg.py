@@ -347,38 +347,17 @@ def inner_derivation_entries(a: SuperAlgebra, pairs=None):
     return _brackets(a.field, a.n, every, every, pairs)
 
 
-def _product_terms(left, right):
-    """The terms of every product M_s N_t of two stacks of sparse maps,
-    given by their nonzero entries (s, r, m, M_s[r, m]) and (t, m, c,
-    N_t[m, c]): one join on the shared index m.  Returns s, t, r, c and
-    the products, unsummed, each a product of two reduced elements."""
-    s, r, m, v = left
-    t, m2, c, w = right
-    a, b = _match(m, m2)
-    return s[a], t[b], r[a], c[b], v[a] * w[b]
-
-
 def _brackets(field: FieldSpec, n: int, left, right, pairs=None):
     """The supercommutators [M_s, N_t] = M_s N_t - (-1)^(|s||t|) N_t M_s
     of pairs of maps of two stacks (see _chain) of parity-homogeneous
     n x n maps, as sum_per_key returns them: keys q n^2 + c n + r, q the
     index of (s, t) in pairs, or q = s k + t over every pair when pairs
-    is None, k the number of maps N_t.  Every pair takes two product
-    joins, left with right and right with left (_product_terms), which
-    make every term and no other; a key takes at most 2n terms.  Named
-    pairs go through _named_pair_terms instead."""
-    (lp, le), (rp, re) = left, right
-    if pairs is not None:
-        keys, vals = _named_pair_terms(n, left, right, pairs)
-        return sum_per_key(field, keys, vals)
-    k = len(rp)
-    s, t, r, c, st = _product_terms(le, re)
-    t2, s2, r2, c2, ts = _product_terms(re, le)
-    sign = 1.0 - 2.0 * (np.asarray(lp)[s2] * np.asarray(rp)[t2])
-    return sum_per_key(
-        field, np.concatenate([((s * k + t) * n + c) * n + r,
-                               ((s2 * k + t2) * n + c2) * n + r2]),
-        np.concatenate([st, -sign * ts]))
+    is None, k the number of maps N_t.  The terms come from one
+    _named_pair_terms join, which makes every term and no other; a key
+    takes at most 2n terms."""
+    if pairs is None:
+        pairs = np.indices((len(left[0]), len(right[0]))).reshape(2, -1).T
+    return sum_per_key(field, *_named_pair_terms(n, left, right, pairs))
 
 
 def _named_pair_terms(n: int, left, right, pairs):

@@ -6,9 +6,10 @@ carried by one fine component of the derivation algebra, and the
 transfer of derivations between the big algebra and its rank-2
 subalgebra through that coordinate structure.
 
-The last two hold maps as their nonzero entries: brackets and
-conjugates are product joins, and a map is read in carrier coordinates
-through its coordinates over the component and one change of basis.
+The last two hold maps as their nonzero entries: a bracket is one
+named-pair join, a conjugate by a group element is a relabeling of the
+entries, and a map is read in carrier coordinates through its
+coordinates over the component and one change of basis.
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from .derivations import (DerivationSpace, combination_entries,
                           grade_derivations)
 from .linalg import amod, asfield, inverse, mm, signed_permutation_inverse
 from .superalg import (LinearMap, SuperAlgebra, _brackets, _entries,
-                       _product_terms, inner_derivation_entries,
-                       is_automorphism, is_homomorphism, sum_per_key)
+                       inner_derivation_entries, is_automorphism,
+                       is_homomorphism)
 
 
 @dataclass
@@ -154,21 +155,27 @@ def conjugate_der(g: LinearMap, d: LinearMap) -> LinearMap:
         f, g.matrix, mm(f, d.matrix, inverse(f, g.matrix))))
 
 
+def _relabeling(field, g):
+    """(to, sign) with g e_j = sign[j] e_to[j], for g a signed
+    permutation matrix or, along the leading axes, a stack of them.
+    Raises ValueError (signed_permutation_inverse) for any other g."""
+    gt = signed_permutation_inverse(field, g)   # gt[j, to[j]] = sign[j]
+    to = np.argmax(gt != 0, axis=-1)
+    sign = np.take_along_axis(gt, to[..., None], axis=-1)[..., 0]
+    return to, np.where(sign == 1, 1.0, -1.0)
+
+
 def _conjugate_entries(field, g, entries):
     """The nonzero entries (s, r, c, value) of g M_s g^-1, in (s, r, c)
     order, for maps M_s given by their nonzero entries and g a signed
-    permutation matrix, an element of the S4 action: product joins with
-    g^-1, the transpose of g, and then with g, each summed per key."""
-    n = g.shape[0]
-
-    def times(left, right):     # one side is g or g^-1 alone: s + t = s
-        s, t, r, c, x = _product_terms(left, right)
-        keys, vals = sum_per_key(field, ((s + t) * n + r) * n + c, x)
-        s, rc = np.divmod(keys, n * n)
-        return (s, *np.divmod(rc, n), vals)
-
-    ginv = _entries(field, signed_permutation_inverse(field, g)[None])
-    return times(_entries(field, g[None]), times(entries, ginv))
+    permutation matrix, an element of the S4 action: the entry M_s[r, c]
+    moves to (to[r], to[c]) times sign[r] sign[c] (_relabeling)."""
+    to, sign = _relabeling(field, g)
+    s, r, c, v = entries
+    n = len(to)
+    order = np.argsort((s * n + to[r]) * n + to[c], kind="stable")
+    s, r, c, v = s[order], r[order], c[order], v[order]
+    return s, to[r], to[c], amod(field, sign[r] * sign[c] * v)
 
 
 def _carrier_coords(comp: DerivationSpace, change, keys, vals, count: int):

@@ -352,14 +352,14 @@ def der_as_tkk(ck: ChengKac, kd: KantorDouble, act: S4Action,
 
     The tensor part sends the i-th matrix unit against z to the
     conjugate, under the cyclic symmetry, of the image phi(z)
-    (transfer.images), by product joins.  The derivation part inverts
-    the transfer of the [0,0] fine component, in coordinates over the
-    derivations of the double, once; the preimages are one join of those
-    coordinates with the component entries.  Returns the verified
-    isomorphisms for the full derivation algebra over the stable double
-    and for the inner derivations over the inner double.  When the two
-    spaces are equal, as they are for J at every p, both isomorphisms
-    take the one Lie table of der_j."""
+    (transfer.images), a relabeling of its entries.  The derivation
+    part inverts the transfer of the [0,0] fine component, in
+    coordinates over the derivations of the double, once; the
+    preimages are one join of those coordinates with the component
+    entries.  Returns the verified isomorphisms for the full derivation
+    algebra over the stable double and for the inner derivations over
+    the inner double.  When the two spaces are equal, as they are for J
+    at every p, both isomorphisms take the one Lie table of der_j."""
     f, n, nk = ck.alg.field, ck.alg.n, kd.alg.n
     par, images = kd.alg.parities, transfer.images
     first = _conjugate_entries(f, act.phi.matrix, images)

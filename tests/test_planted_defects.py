@@ -25,6 +25,7 @@ from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_dzzx_vanishes, check_graded_component_dims,
                            check_graded_named_spans,
                            check_odd_part_squares,
+                           check_s4_closure, check_s4_coxeter,
                            check_s4_fixes_scalar_component,
                            check_tits_big_lie, check_tits_double_lie,
                            check_tits_double_stable_lie,
@@ -378,6 +379,40 @@ def test_s4_fixes_scalar_component_fails_on_an_altered_element():
     status, field, witness = check_s4_fixes_scalar_component(ctx)
     assert (status, field) == ("fail", "F9")
     assert witness == {"how": "solved"}
+
+
+def test_s4_fixes_scalar_component_fails_on_a_scaled_element():
+    # sqrt(-1) times the identity commutes with every map, but it is not
+    # a signed permutation, so it cannot be an element of the action
+    ctx = RunContext(3)
+    act = ctx.act()
+    scaled = amod(ctx.sqrt, ctx.sqrt.sqrt_minus_one() * np.eye(act.algebra.n))
+    elements = list(act.elements)
+    elements[5] = LinearMap(act.algebra, act.algebra, 0, scaled)
+    ctx._cache[("act",)] = dataclasses.replace(act, elements=elements)
+    assert check_s4_fixes_scalar_component(ctx) == (
+        "fail", "F9", {"how": "not a signed permutation"})
+
+
+def test_s4_closure_order_fails_on_a_missing_element():
+    ctx = RunContext(3)
+    assert check_s4_closure(ctx) == ("pass", "F9", {"order": 24})
+    act = ctx.act()
+    ctx._cache[("act",)] = dataclasses.replace(act,
+                                               elements=act.elements[:23])
+    assert check_s4_closure(ctx) == ("fail", "F9", {"order": 23})
+
+
+def test_s4_coxeter_relations_fail_on_an_identity_generator():
+    ctx = RunContext(3)
+    assert check_s4_coxeter(ctx)[0] == "pass"
+    # tau1 = 1 makes s3 = tau1 tau = s1, and s1, s2 generate S3
+    act = ctx.act()
+    one = LinearMap(act.algebra, act.algebra, 0, np.eye(act.algebra.n))
+    ctx._cache[("act",)] = dataclasses.replace(act, tau1=one)
+    status, field, witness = check_s4_coxeter(ctx)
+    assert (status, field) == ("fail", "F9")
+    assert witness["generated_order"] == 6
 
 
 def test_coordinate_constants_match_fails_on_a_zero_isomorphism(monkeypatch):

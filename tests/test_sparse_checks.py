@@ -1113,34 +1113,48 @@ def random_stack(rng, field):
     dim_even = int(rng.integers(0, n + 1))
     carrier = SuperAlgebra(field, dim_even, n - dim_even,
                            [f"e{i}" for i in range(n)], ([], [], [], []))
-    par = carrier.parities
+    return n, random_maps(rng, carrier, int(rng.integers(1, 7)))
+
+
+def random_maps(rng, carrier, k):
+    """k random sparse maps of mixed parity on carrier, each entry
+    nonzero with a drawn density."""
+    field, n, par = carrier.field, carrier.n, carrier.parities
     maps = []
-    for _ in range(int(rng.integers(1, 7))):
+    for _ in range(k):
         parity = int(rng.integers(0, 2))
         allowed = par[:, None] == (par[None, :] + parity) % 2
         vals = rng.integers(0, field.p, (n, n)) + (
             1j * rng.integers(0, field.p, (n, n)) if field.ext else 0)
         vals = vals * (allowed & (rng.random((n, n)) < rng.random()))
         maps.append(LinearMap(carrier, carrier, parity, vals))
-    return n, maps
+    return maps
 
 
 @pytest.mark.parametrize("field", [F3, F5, F9], ids=["F3", "F5", "F9"])
 @pytest.mark.parametrize("seed", range(20))
 def test_commutator_entries_match_super_commutator(field, seed):
-    n, maps = random_stack(np.random.default_rng(seed), field)
-    k = len(maps)
-    par = np.asarray([d.parity for d in maps])
-    stack = (par, _entries(field, np.stack([d.matrix for d in maps])))
-    keys, vals = _brackets(field, n, stack, stack)
-    assert np.all(np.diff(keys) > 0) and np.all(vals != 0)
-    got = np.zeros((k, k, n * n), dtype=field.dtype)
-    got.flat[keys] = vals
-    for s in range(k):
-        for t in range(k):
-            want = super_commutator(maps[s], maps[t])
-            assert want.parity == (par[s] + par[t]) % 2
-            assert_bitwise(got[s, t], want.flatten())
+    """_brackets of a stack with itself, and of a stack with another one
+    of a different length, key q = s k + t, gives every dense
+    super_commutator of the pair (s, t)."""
+    rng = np.random.default_rng(seed)
+    n, maps = random_stack(rng, field)
+    other = random_maps(rng, maps[0].source, len(maps) + 1)
+
+    def stack(maps):
+        return (np.asarray([d.parity for d in maps]),
+                _entries(field, np.stack([d.matrix for d in maps])))
+
+    for left, right in ((maps, maps), (maps, other)):
+        keys, vals = _brackets(field, n, stack(left), stack(right))
+        assert np.all(np.diff(keys) > 0) and np.all(vals != 0)
+        got = np.zeros((len(left), len(right), n * n), dtype=field.dtype)
+        got.flat[keys] = vals
+        for s, ms in enumerate(left):
+            for t, mt in enumerate(right):
+                want = super_commutator(ms, mt)
+                assert want.parity == (ms.parity + mt.parity) % 2
+                assert_bitwise(got[s, t], want.flatten())
 
 
 @settings(max_examples=150)

@@ -14,9 +14,10 @@ from ckder import (FieldSpec, LinearMap, Subspace, amod, build_s4,
 from ckder.battery import RunContext, check_transfer_iso, run_battery
 from ckder.linalg import mm, signed_permutation_inverse
 from ckder import superalg, symmetry, tkk
-from ckder.superalg import _brackets, _chain, _map_stack
-from ckder.symmetry import _carrier_coords, group_closure
+from ckder.superalg import _brackets, _chain, _entries, _map_stack
+from ckder.symmetry import _carrier_coords, _conjugate_entries, group_closure
 from oracles import tensor
+from test_sparse_checks import assert_bitwise, random_stack
 
 F5 = FieldSpec(5)
 F9 = FieldSpec(3, ext=True)
@@ -149,13 +150,17 @@ def test_coxeter_relations_match_a_permutation_model():
 @pytest.mark.parametrize("p", [3, 7, 13])
 def test_s4_elements_invert_by_transposition(p):
     """Every element of the action is a signed permutation matrix, whose
-    inverse is its transpose: it equals the Gauss-Jordan inverse."""
+    inverse is its transpose: it equals the Gauss-Jordan inverse, alone
+    and in the stack of all elements."""
     ctx = RunContext(p)
     f = ctx.sqrt
-    for g in ctx.act().elements:
-        got = signed_permutation_inverse(f, g.matrix)
-        want = inverse(f, g.matrix)
+    elements = [g.matrix for g in ctx.act().elements]
+    stacked = signed_permutation_inverse(f, np.stack(elements))
+    for g, inv in zip(elements, stacked):
+        got = signed_permutation_inverse(f, g)
+        want = inverse(f, g)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert inv.tobytes() == want.tobytes()
 
 
 def test_only_signed_permutations_invert_by_transposition():
@@ -167,7 +172,7 @@ def test_only_signed_permutations_invert_by_transposition():
     scaled[g != 0] *= 1 + 1j                # 1 + u, not 1 or -1
     dropped[:, 0] = 0                       # a zero column
     for m in (twice, scaled, dropped, g[:-1], ctx.phi().matrix,
-              np.eye(4)[0]):
+              np.eye(4)[0], np.stack([g, g, twice])):
         with pytest.raises(ValueError, match="signed permutation"):
             signed_permutation_inverse(f, m)
 
@@ -212,6 +217,43 @@ def test_conjugating_inner_derivations_permutes_their_arguments():
     v2 = a.basis_vector(ck.even_index(2, 0))
     tv3 = a.basis_vector(ck.even_index(3, 1))
     assert np.array_equal(got.matrix, inner_derivation(a, v2, tv3).matrix)
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
+@pytest.mark.parametrize("seed", range(20))
+def test_conjugate_entries_relabel_like_the_dense_conjugate(field, seed):
+    """Conjugation by a signed permutation moves and signs the entries:
+    the same entries, bitwise and in (s, r, c) order, as the dense
+    conjugates g M g^-1 on random sparse maps of mixed parity."""
+    rng = np.random.default_rng(seed)
+    n, maps = random_stack(rng, field)
+    carrier = maps[0].source
+    # an even map, so the conjugates keep their parities
+    to = np.arange(n)
+    for part in (carrier.parities == 0, carrier.parities == 1):
+        to[part] = rng.permutation(to[part])
+    g = np.zeros((n, n), dtype=field.dtype)
+    g[to, np.arange(n)] = rng.choice([1, field.p - 1], n)
+    gm = LinearMap(carrier, carrier, 0, g)
+    got = _conjugate_entries(
+        field, g, _entries(field, np.stack([d.matrix for d in maps])))
+    want = _entries(field, np.stack([conjugate_der(gm, d).matrix
+                                     for d in maps]))
+    for x, y in zip(got, want):
+        assert_bitwise(x, y)
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
+def test_conjugate_entries_refuse_other_matrices(field):
+    entries = _entries(field, np.eye(3, dtype=field.dtype)[None])
+    # sqrt(-1), 2 over F5 and u over F9, is neither 1 nor -1
+    scaled = np.eye(3, dtype=field.dtype)
+    scaled[1, 1] = field.sqrt_minus_one()
+    crowded = np.eye(3, dtype=field.dtype)
+    crowded[2, 0] = 1           # two nonzeros in column 0
+    for g in (scaled, crowded):
+        with pytest.raises(ValueError, match="signed permutation"):
+            _conjugate_entries(field, g, entries)
 
 
 @pytest.fixture(scope="module")
@@ -438,18 +480,19 @@ def test_list_transfer_matches_the_per_map_transfer(p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_cross_joins_make_only_the_terms_they_keep(p, monkeypatch):
-    """The transfer's bracket join of the scalar component with the
-    images matches only maps against images: every product term it
-    makes is summed into a kept key, where one self-join of the chained
-    stack would also pair maps with maps and images with images."""
+    """The transfer's bracket of the scalar component with the images
+    is one named-pair join that matches only maps against images: every
+    term it makes is summed into a kept key, where one self-join of the
+    chained stack would also pair maps with maps and images with
+    images."""
     ctx = RunContext(p)
     f, tr = ctx.sqrt, ctx.transfer()
     comp = ctx.graded_j(f, "v").component((0, 0))
     images = (tr.kd.alg.parities, tr.images)
     made, summed = [], []
 
-    def terms(left, right):
-        out = real_terms(left, right)
+    def terms(n, left, right, pairs):
+        out = real_terms(n, left, right, pairs)
         made.append(out[0].size)
         return out
 
@@ -457,15 +500,15 @@ def test_cross_joins_make_only_the_terms_they_keep(p, monkeypatch):
         summed.append(keys.size)
         return real_sum(field, keys, vals)
 
-    real_terms, real_sum = superalg._product_terms, superalg.sum_per_key
-    monkeypatch.setattr(superalg, "_product_terms", terms)
+    real_terms, real_sum = superalg._named_pair_terms, superalg.sum_per_key
+    monkeypatch.setattr(superalg, "_named_pair_terms", terms)
     monkeypatch.setattr(superalg, "sum_per_key", sums)
     keys, _ = _brackets(f, tr.ck.alg.n, comp.stack(), images)
     monkeypatch.undo()
-    assert len(made) == 2 and summed == [sum(made)] and keys.size
+    assert len(made) == 1 and summed == made and keys.size
     # one self-join of the chained stack matches every M[r, m] N[m, c]
     # and makes two terms of each
     n = tr.ck.alg.n
     _, r, c, _ = _chain(comp.stack(), images)[1]
     pairs = np.bincount(c, minlength=n) @ np.bincount(r, minlength=n)
-    assert sum(made) < 2 * pairs
+    assert made[0] < 2 * pairs
