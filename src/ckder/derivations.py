@@ -5,8 +5,8 @@ basis: per parity, the flattened (column-major) basis maps form a
 reduced-row-echelon set (superalg._canonical), so equal spaces are
 bitwise equal, and a coordinate over the basis is the entry at a pivot.
 derivation_algebra solves the super Leibniz rule as one sparse system
-per parity, built and summed one range of equations at a time
-(_leibniz_system) and solved by superalg._sparse_kernel;
+per parity, the Leibniz join of the unit maps (_leibniz_system), summed
+one range of equations at a time and solved by superalg._sparse_kernel;
 inner_derivation_algebra spans the supercommutators D(e_u, e_v) of left
 multiplications, joined only at the pairs u <= v, one range of u at a
 time (_inner_span), and keeps the coordinates of every D(e_u, e_v);
@@ -28,9 +28,9 @@ import numpy as np
 from .constructions import ChengKac, KantorDouble, _delta_table
 from .linalg import amod, asfield, solve_right
 from .superalg import (TERM_BUDGET, LinearMap, SuperAlgebra, _brackets,
-                       _canonical, _chain, _first_difference, _map_stack,
-                       _match, _ranges, _sparse_kernel, _upper_pairs,
-                       _upper_weights, expand_runs,
+                       _canonical, _chain, _first_difference,
+                       _leibniz_terms, _map_stack, _match, _ranges,
+                       _sparse_kernel, _upper_pairs, _upper_weights,
                        inner_derivation_entries, is_derivation,
                        leibniz_violation, sum_per_key)
 
@@ -42,8 +42,9 @@ class DerivationSpace:
     The constructor takes lists of LinearMaps and from_entries a stack
     of maps (superalg._chain); with canonicalize off they must already
     be canonical, even maps first.  Every basis map is checked against
-    the Leibniz rule (leibniz_violation, in ranges of maps).  even_basis
-    and odd_basis are dense views, built on each read."""
+    the Leibniz rule (leibniz_violation, in ranges of the first index x
+    of the equations).  even_basis and odd_basis are dense views, built
+    on each read."""
 
     def __init__(self, algebra: SuperAlgebra, even_maps, odd_maps,
                  canonicalize: bool = True, validate: bool = True):
@@ -221,92 +222,29 @@ def _bracket_coordinates(ds: DerivationSpace, budget=TERM_BUDGET):
                      *(np.concatenate(x) for x in zip(*parts)))
 
 
-def _runs(a: SuperAlgebra, q, lo=0, hi=None):
-    """The start and length of the run of basis vectors of parity q[t]
-    in [lo[t], hi[t]), one run per t since the even basis comes first;
-    lo and hi are scalars or arrays like q."""
-    start = np.maximum(np.where(q == 0, 0, a.dim_even), lo)
-    end = np.where(q == 0, a.dim_even, a.n)
-    if hi is not None:
-        end = np.minimum(end, hi)
-    return start, np.maximum(end - start, 0)
-
-
-def _fan_out(a: SuperAlgebra, q, lo=0, hi=None):
-    """Pairs (t, r) with r over the run of _runs(a, q, lo, hi)[t]."""
-    return expand_runs(*_runs(a, q, lo, hi))
-
-
 def _leibniz_system(a: SuperAlgebra, parity: int, budget=TERM_BUDGET):
     """The Leibniz system of the parity-homogeneous derivations of a, as
     sum_per_key returns it, keys e nu + u, with nu and the cells c n + r
     of the nu unknowns.
 
     The unknowns are the parity-allowed entries (r, c) of the map, in
-    column-major order; the equation e at (x, j, r) is coordinate r of
-    D(e_x e_j) - D(e_x) e_j - s_x e_x D(e_j) = 0, s_x = (-1)^(|D||x|).
-    Every structure constant feeds three term families of it, built as
-    index arrays from coo().  They are built and summed one range of the
-    first index x at a time, each of at most budget terms or a single x
-    (superalg._ranges); a key carries its x, so every key is summed
-    whole within its range, and the ranges concatenate in key order.
-
-    On a table with a mirror_sign e the equations at (j, x) are e
-    (-1)^(|x||j|) times those at (x, j), so only the pairs x <= j are
-    made: family 1 takes the constants with i <= j, family 2 fans out
-    x <= j and family 3 y >= i, and the weights count these terms."""
+    column-major order, and the coefficient of unknown u in equation e
+    is the Leibniz rule at e of the map whose only entry is a 1 at u.
+    So the system is the Leibniz join (superalg._leibniz_terms) of those
+    nu unit maps, whose keys e nu + u are already the system's: each
+    range of the first index x is summed on its own, and the ranges
+    concatenate in key order.  On a table with a mirror_sign only the
+    equations at x <= j are made."""
     f, n, par = a.field, a.n, a.parities
     allowed = np.flatnonzero((par[None, :] == (par[:, None] + parity) % 2)
                              .ravel())          # c * n + r, column-major
     nu = allowed.size
-    uidx = np.full(n * n, -1, dtype=np.int64)
-    uidx[allowed] = np.arange(nu)
-    i, j, k, c = a.coo()
-    # the constants with i = x are rows off[x] to off[x+1] - 1 of coo()
-    off = np.searchsorted(i, np.arange(n + 1))
-    # with a mirror_sign only the keys (x, y) with x <= y are made:
-    # constant t feeds family 1 iff i <= last[t], family 2 at the x <=
-    # last[t] and family 3 at the y >= first[t]
-    half = a.mirror_sign is not None
-    first = i if half else np.zeros_like(i)
-    last = j if half else np.full_like(j, n - 1)
-    # terms per x: families 1 and 3 fan out the constants with i = x,
-    # and family 2 fans out every constant t over the x <= last[t] of
-    # parity |i| + |D|: per parity, the constants with last >= x
-    one = (i <= last) * _runs(a, par[k] ^ parity)[1]
-    three = _runs(a, par[j] ^ parity, first)[1]
-    later = np.bincount((par[i] ^ parity) * n + last, minlength=2 * n)
-    later = np.cumsum(later.reshape(2, n)[:, ::-1], axis=1)[:, ::-1]
-    weights = np.bincount(i, one + three, minlength=n) \
-        + later[par, np.arange(n)]
+    c, r = np.divmod(allowed, n)
+    units = (np.arange(nu), r, c, np.ones(nu, dtype=f.dtype))
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=f.dtype))]
-    for x0, x1 in _ranges(weights, budget):
-        keys, cells, vals = [], [], []
-        s = slice(off[x0], off[x1])
-        # D(e_x e_j): entry (x, j, k, c) adds c at (x, j, r), unknown
-        # (r, k)
-        u = off[x0] + np.flatnonzero(i[s] <= last[s])
-        t, r = _fan_out(a, par[k[u]] ^ parity)
-        t = u[t]
-        keys.append((i[t] * n + j[t]) * n + r)
-        cells.append(uidx[k[t] * n + r])
-        vals.append(c[t])
-        # D(e_x) e_j: entry (m, j, r, c) adds -c at (x, j, r), unknown
-        # (m, x)
-        t, x = _fan_out(a, par[i] ^ parity, x0, np.minimum(x1, last + 1))
-        keys.append((x * n + j[t]) * n + k[t])
-        cells.append(uidx[x * n + i[t]])
-        vals.append(-c[t])
-        # s_x e_x D(e_j): entry (x, m, r, c) adds -s_x c at (x, j, r),
-        # unknown (m, j)
-        t, y = _fan_out(a, par[j[s]] ^ parity, first[s])
-        t += off[x0]
-        keys.append((i[t] * n + y) * n + k[t])
-        cells.append(uidx[y * n + j[t]])
-        vals.append(-(1.0 - 2.0 * parity * par[i[t]]) * c[t])
-        parts.append(sum_per_key(
-            f, np.concatenate(keys) * nu + np.concatenate(cells),
-            np.concatenate(vals)))
+    for keys, vals in _leibniz_terms(a, np.full(nu, parity), units, budget):
+        parts.append(sum_per_key(f, keys, vals))
+        del keys, vals  # freed before the next range is built
     uniq, sums = (np.concatenate(x) for x in zip(*parts))
     return uniq, sums, nu, allowed
 

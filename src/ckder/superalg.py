@@ -22,11 +22,13 @@ the left factors are the pair rows x <= y of the table, each with its
 mirror (_pairs_by_output), and a product and its mirror are keyed only
 at their sorted rotations (_sorted_terms).  For the 63,774 constants of
 the 416-dimensional Tits table over F13 that is 3.3 M terms, where the
-whole join made 6.6 M.  The Leibniz rule has the same mirror: on a
-super(anti)commutative table (mirror_sign) the rule at (j, i) is a
-signed copy of the rule at (i, j), so leibniz_violation and the
-Leibniz system of derivations._leibniz_system key only i <= j, and
-leibniz_violation runs in ranges of maps.  The commutators of maps have
+whole join made 6.6 M.  The Leibniz rule has one join, _leibniz_terms,
+over a stack of maps, in ranges of the first index; leibniz_violation
+checks given maps with it, and the Leibniz system of
+derivations._leibniz_system is the join of its unit maps, one per
+unknown.  The rule has the same mirror: on a super(anti)commutative
+table (mirror_sign) the rule at (j, i) is a signed copy of the rule at
+(i, j), so the join keys only i <= j.  The commutators of maps have
 a mirror on every table, [M_t, M_s] = -(-1)^(|s||t|) [M_s, M_t], so the
 inner span and the bracket of a derivation space join only the pairs s
 <= t (_upper_pairs), in ranges of s weighed exactly (_upper_weights).
@@ -48,10 +50,10 @@ from .linalg import (Eliminator, Subspace, amod, asfield, check_exact_range,
                      inverses, iszero, mm, rref)
 
 # The most terms one range of a join holds: a cyclic sum
-# (_cyclic_verdict), the Leibniz system (derivations._leibniz_system) or
-# check (leibniz_violation), or a pair join at the mirror (the inner span
-# and the bracket of a derivation space); about 3 MB of keys and values,
-# whatever the size of the table.
+# (_cyclic_verdict), the Leibniz join (_leibniz_terms) of the Leibniz
+# system or check, or a pair join at the mirror (the inner span and the
+# bracket of a derivation space); about 3 MB of keys and values, whatever
+# the size of the table.
 TERM_BUDGET = 1 << 15
 
 
@@ -946,74 +948,95 @@ def check_super_lie(lie) -> Verdict:
     return _cyclic_verdict(lie, _jacobi_join, {"identity": "jacobi"})
 
 
+def _leibniz_terms(a: SuperAlgebra, parities, entries, budget):
+    """The terms of the super Leibniz rule for a stack of maps (see
+    _chain), one range of the first index x at a time: pairs (keys,
+    values), keys e m + s with m = len(parities), the map s and the
+    equation e = (x n + j) n + r, coordinate r of d(e_x e_j) - d(e_x) e_j
+    - (-1)^(|d||x|) e_x d(e_j) for d = d_s.
+
+    A structure constant T[i,j,k] meets three sets of entries of the
+    maps: each entry d[r,k] of column k gives T[i,j,k] d[r,k] at (i, j,
+    r), each entry d[i,x] of row i gives -d[i,x] T[i,j,k] at (x, j, k),
+    and each entry d[j,y] of row j gives -(-1)^(|d||i|) T[i,j,k] d[j,y]
+    at (i, y, k).  So a constant meets a run of the entries sorted by
+    column and one of the entries sorted by (row, column), and an entry
+    d[r,x] a run of coo(), the constants of first index r; all are found
+    through offsets (_offsets).
+
+    On a table with a mirror_sign e, the rule at (j, x) is e
+    (-1)^(|x||j|) times the rule at (x, j) for every map whose entries
+    keep its parity, so for such a stack only the equations x <= j are
+    made: the constants with i <= j, the entries d[i,x] with x <= j and
+    the entries d[j,y] with y >= i.  The ranges are cut by _ranges from
+    the exact term counts, per constant for the first and third families
+    and per entry for the second; each holds at most budget terms or a
+    single x, so every key is made within one range, and the ranges come
+    out in key order.  Each range is built in a function of its own, so
+    that none of its temporaries is alive while the caller sums it."""
+    n, m, par = a.n, len(parities), a.parities
+    i, j, k, c = a.coo()
+    order = np.argsort(entries[2], kind="stable")
+    s, r, x, v = (e[order] for e in entries)          # sorted by column
+    odd = np.asarray(parities, dtype=np.int64)[s]
+    half = a.mirror_sign is not None and np.array_equal(par[r], par[x] ^ odd)
+    xoff, ijoff = _offsets(x, n), _offsets(i * n + j, n * n)
+    by_row = np.argsort(r * n + x, kind="stable")
+    rxoff = _offsets(r * n + x, n * n)
+    # the runs met: the entries of column k, the constants of first index
+    # r from second index x (or 0) on, and the entries of row j from
+    # column i (or 0) on
+    start1, count1 = xoff[k], np.diff(xoff)[k] * (i <= j if half else 1)
+    start2 = ijoff[r * n + (x if half else 0)]
+    count2 = ijoff[r * n + n] - start2
+    start3 = rxoff[j * n + (i if half else 0)]
+    count3 = rxoff[j * n + n] - start3
+    toff = ijoff[::n]
+
+    def batch(x0, x1):
+        t0, e0 = toff[x0], xoff[x0]
+        t, e = expand_runs(start1[t0:toff[x1]], count1[t0:toff[x1]])
+        e2, t2 = expand_runs(start2[e0:xoff[x1]], count2[e0:xoff[x1]])
+        t3, e3 = expand_runs(start3[t0:toff[x1]], count3[t0:toff[x1]])
+        t, e2, t3, e3 = t + t0, e2 + e0, t3 + t0, by_row[e3]
+        keys = np.concatenate([
+            ((i[t] * n + j[t]) * n + r[e]) * m + s[e],        # d(e_i e_j)
+            ((x[e2] * n + j[t2]) * n + k[t2]) * m + s[e2],    # d(e_x) e_j
+            ((i[t3] * n + x[e3]) * n + k[t3]) * m + s[e3]])   # e_i d(e_j)
+        vals = np.concatenate([
+            c[t] * v[e], -v[e2] * c[t2],
+            (2.0 * (odd[e3] * par[i[t3]]) - 1.0) * c[t3] * v[e3]])
+        return keys, vals
+
+    weights = (np.bincount(i, count1 + count3, minlength=n)
+               + np.bincount(x, count2, minlength=n))
+    for x0, x1 in _ranges(weights, budget):
+        yield batch(x0, x1)
+
+
 def leibniz_violation(a: SuperAlgebra, parities, entries,
                       budget=TERM_BUDGET):
     """The first (s, i, j) in lexicographic order where map s of a stack
     (see _chain) breaks the super Leibniz rule on (e_i, e_j), or None.
 
-    For d = d_s, coordinate r of d(e_i e_j) - d(e_i) e_j
-    - (-1)^(|d||i|) e_i d(e_j) has the terms T[i,j,k] d[r,k],
-    -d[m,i] T[m,j,r] and -(-1)^(|d||i|) T[i,m,r] d[m,j], all keyed to
-    (s, i, j, r).  So an entry (s, r, m) of the maps meets the constants
-    of output m, those of first index r and those of second index r:
-    three runs of coo() sorted by k, by (i, j) and by (j, i), found
-    once.
-
-    On a table with a mirror_sign e, the rule at (j, i) is e (-1)^(|i||j|)
-    times the rule at (i, j) for every map whose entries keep its parity,
-    so for such a stack only the pairs i <= j are keyed: a failing (s, i,
-    j) with i > j has the failing mirror (s, j, i) before it, and the
-    witness is the same.  The runs then stop at i <= j, at j >= m and at
-    i <= m.  The runs are expanded and summed one range of maps at a
-    time, each of at most budget terms or a single map (_ranges); s is
-    outermost in the key, so the first range that fails holds the
-    witness."""
-    n, par = a.n, a.parities
-    i, j, k, c = a.coo()
-    order = np.argsort(entries[0], kind="stable")
-    ds, dr, dc, dv = (x[order] for x in entries)
-    odd = np.asarray(parities, dtype=np.int64)[ds]
-    half = a.mirror_sign is not None and np.array_equal(
-        par[dr], par[dc] ^ odd)
-    lo, hi = (dc, dc) if half else (0, n - 1)
-    by_k = np.flatnonzero(i <= j) if half else np.arange(i.size)
-    by_k = by_k[np.argsort(k[by_k], kind="stable")]
-    koff = _offsets(k[by_k], n)
-    ji = j * n + i
-    by_j = np.argsort(ji, kind="stable")
-    ij, ji = i * n + j, ji[by_j]
-    views = (by_k, np.arange(i.size), by_j)
-    starts = (koff[dc], np.searchsorted(ij, dr * n + lo),
-              np.searchsorted(ji, dr * n))
-    ends = (koff[dc + 1], np.searchsorted(ij, dr * n + n),
-            np.searchsorted(ji, dr * n + hi, "right"))
-    count = sum(end - start for start, end in zip(starts, ends))
-    maps = len(parities)
-    at = np.searchsorted(ds, np.arange(maps + 1))
-
-    def first_key(e0, e1):
-        """The least failing key ((s n + i) n + j) n + r of the entries
-        e0 to e1 - 1, or None."""
-        fams = []
-        for view, start, end in zip(views, starts, ends):
-            y, x = expand_runs(start[e0:e1], end[e0:e1] - start[e0:e1])
-            fams.append((e0 + y, view[x]))
-        (e, t), (e2, t2), (e3, t3) = fams
-        keys = np.concatenate([
-            ((ds[e] * n + i[t]) * n + j[t]) * n + dr[e],          # d(e_i e_j)
-            ((ds[e2] * n + dc[e2]) * n + j[t2]) * n + k[t2],      # d(e_i) e_j
-            ((ds[e3] * n + i[t3]) * n + dc[e3]) * n + k[t3]])     # e_i d(e_j)
-        vals = np.concatenate([
-            c[t] * dv[e], -dv[e2] * c[t2],
-            (2.0 * (odd[e3] * par[i[t3]]) - 1.0) * c[t3] * dv[e3]])
-        return _first_nonzero_key(a.field, keys, vals)
-
-    for s0, s1 in _ranges(np.bincount(ds, count, minlength=maps), budget):
-        key = first_key(at[s0], at[s1])
-        if key is not None:
-            s, pair = divmod(key // n, n * n)
-            return (s, *divmod(pair, n))
-    return None
+    The terms of the rule (_leibniz_terms) are summed one range of the
+    first index at a time, and the witness is the least failing (s, e)
+    over all ranges.  On a table with a mirror_sign only the equations
+    at i <= j are made: a failing (s, i, j) with i > j has the failing
+    mirror (s, j, i) before it, and the witness is the same."""
+    m, cube = len(parities), a.n ** 3
+    best = None
+    for keys, vals in _leibniz_terms(a, parities, entries, budget):
+        uniq, _ = sum_per_key(a.field, keys, vals)
+        del keys, vals  # freed before the next range is built
+        if uniq.size:
+            e, s = np.divmod(uniq, m)
+            key = int((s * cube + e).min())
+            best = key if best is None else min(best, key)
+    if best is None:
+        return None
+    s, e = divmod(best, cube)
+    return (s, *divmod(e // a.n, a.n))
 
 
 def is_derivation(a: SuperAlgebra, d: LinearMap) -> Verdict:

@@ -415,7 +415,8 @@ def test_leibniz_system_of_jw_f5_keys_only_pairs_x_le_j(monkeypatch):
     """J_w over F5 is supercommutative, so its Leibniz system keys only
     the pairs x <= j: 39,280 terms over both parities, where the whole
     system made 76,800 (38,400 each).  Validating Der(J_w) keys 14,656
-    terms, where keying every pair made 28,724."""
+    terms, where keying every pair made 28,724; the check sums them
+    through sum_per_key, in one range."""
     a = LEIBNIZ_TABLES["Jw_F5"]()
     sizes = []
 
@@ -434,8 +435,8 @@ def test_leibniz_system_of_jw_f5_keys_only_pairs_x_le_j(monkeypatch):
     assert sum(sizes) == 39280
     ds = derivation_algebra(a)
     sizes.clear()
-    monkeypatch.setattr(superalg, "_first_nonzero_key",
-                        counted(superalg._first_nonzero_key))
+    monkeypatch.setattr(superalg, "sum_per_key",
+                        counted(superalg.sum_per_key))
     assert superalg.leibniz_violation(a, *ds.stack()) is None
     assert sizes == [14656]
 

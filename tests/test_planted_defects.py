@@ -27,6 +27,7 @@ from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_odd_part_squares,
                            check_s4_closure, check_s4_coxeter,
                            check_s4_fixes_scalar_component,
+                           check_so3_structure,
                            check_tits_big_lie, check_tits_double_lie,
                            check_tits_double_stable_lie,
                            check_tkk_big_3graded, check_tkk_big_dims,
@@ -34,8 +35,8 @@ from ckder.battery import (RunContext, check_big_der_equals_inder,
                            check_transfer_eta_identity,
                            check_transfer_extension_identity,
                            check_transfer_inner, check_transfer_iso,
-                           check_w_v_equivalence, field_label,
-                           run_battery)
+                           check_w_annihilator, check_w_v_equivalence,
+                           field_label, run_battery)
 from oracles import tensor
 from test_sparse_checks import (_perturbed, _symmetric_perturbation,
                                 dense_jordan_super, dense_super_lie,
@@ -196,6 +197,23 @@ def test_tkk_sl2_bridge_fails_on_an_altered_column(monkeypatch):
     assert len(witness["witness"]["pair"]) == 2
 
 
+def test_so3_structure_fails_on_a_wrong_trace_form(monkeypatch):
+    """so3 with its trace form taken as -1, not -2, times the identity
+    is still a Lie algebra, so only trace_form_ok fails."""
+    real = battery.so3
+
+    def scaled(field):
+        lie = real(field)
+        lie.trace_form = amod(field, -np.eye(3))
+        return lie
+
+    ctx = RunContext(3)
+    assert check_so3_structure(ctx) == ("pass", "F3", None)
+    monkeypatch.setattr(battery, "so3", scaled)
+    assert check_so3_structure(ctx) == ("fail", "F3",
+                                        {"trace_form_ok": False})
+
+
 def test_tkk_big_dims_fails_when_a_derivation_is_lost():
     ctx = RunContext(3)
     f = ctx.base
@@ -300,6 +318,29 @@ def test_odd_part_squares_to_even_fails_when_one_even_vector_is_missed():
     # the span of the dense odd-odd block of the table agrees
     odd = tensor(bad)[n0:, n0:].reshape(-1, a.n)
     assert Subspace(f, a.n, odd).dim == n0 - 1
+
+
+def test_w_annihilator_is_zx_fails_when_an_odd_family_loses_its_w_products():
+    ctx = RunContext(3)
+    f = ctx.base
+    ck = ctx.ck(f, "w")
+    a = ck.alg
+    assert check_w_annihilator(ctx) == (
+        "pass", "F3", {"dim": ck.dz, "expected_dim": ck.dz})
+    # the products of Z x_2 with w_1, w_2 and w_3, in both orders, are
+    # dropped, so the w_a annihilate Z x_2 as well as Zx
+    i, j, _, _ = a.coo()
+    ws, xs = ([ck.even_index(fam, 0) for fam in (1, 2, 3)],
+              ck.odd_family(2))
+    lost = (np.isin(i, ws) & np.isin(j, xs)) | (np.isin(i, xs)
+                                                & np.isin(j, ws))
+    assert lost.any()
+    bad = SuperAlgebra(f, a.dim_even, a.dim_odd, a.labels,
+                       [x[~lost] for x in a.coo()], a.unit_index,
+                       a.fine_label)
+    ctx._cache[("ck", f.p, f.ext, "w")] = dataclasses.replace(ck, alg=bad)
+    assert check_w_annihilator(ctx) == (
+        "fail", "F3", {"dim": 2 * ck.dz, "expected_dim": ck.dz})
 
 
 def dense_dzzx_witness(ck):

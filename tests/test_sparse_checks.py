@@ -47,7 +47,7 @@ from ckder import (DerivationSpace, FieldSpec, LinearMap, Subspace,
 from ckder.battery import (RunContext, check_der_as_tits_double,
                            check_graded_named_spans,
                            check_s4_fixes_scalar_component)
-from ckder import derivations, tkk
+from ckder import derivations, superalg, tkk
 from ckder.derivations import (_bracket_coordinates, _inner_span,
                                _leibniz_kernel, inner_derivation_algebra)
 from ckder.linalg import Eliminator, amod, kernel
@@ -56,7 +56,8 @@ from ckder.superalg import (TERM_BUDGET, _brackets, _cyclic_verdict,
                             _jacobi_join, _jordan_join, _map_stack,
                             _named_pair_terms, _ranges, _upper_pairs,
                             _upper_weights, annihilator, center_even,
-                            inner_derivation_entries, leibniz_violation)
+                            inner_derivation_entries, leibniz_violation,
+                            sum_per_key)
 from ckder.battery import CHECKS
 from ckder.tkk import LieSuperAlgebra
 from oracles import tensor
@@ -1275,6 +1276,34 @@ def test_ranged_leibniz_check_gives_the_whole_pair_witness(table, data):
         assert leibniz_violation(a, *stack, budget=budget) == want
 
 
+def test_leibniz_witness_is_the_least_map_over_all_ranges(monkeypatch):
+    """At a budget of one term the check sums each first index x of K
+    over F3 on its own.  Map 1 of the stack fails at x = 0, in the first
+    range, and map 0 only at a larger x, in a later range: the witness is
+    map 0 with its first failing pair by the dense oracle, not the first
+    failure summed."""
+    ctx = RunContext(3)
+    a, ds = ctx.kd(F3).alg, ctx.der_k(F3)
+    assert a.unit_index == 0
+    d0, d1 = ds.even_basis[:2]
+    # d0 raised off the unit's column still kills the unit, so it fails at
+    # no pair (0, j); d1 raised at (t, 1) sends 1 to t, so it fails at
+    # (0, 0).  Both keep their parity, so only the pairs i <= j are keyed.
+    maps = [_bumped(d0, 0, 1), _bumped(d1, 1, 0)]
+    (ok0, w0), (ok1, w1) = (dense_is_derivation(a, d) for d in maps)
+    assert not (ok0 or ok1) and w1["pair"][0] == 0 < w0["pair"][0]
+    summed = []
+
+    def recorded(field, keys, vals):
+        summed.append(np.unique(keys // len(maps) // a.n ** 2).tolist())
+        return sum_per_key(field, keys, vals)
+
+    monkeypatch.setattr(superalg, "sum_per_key", recorded)
+    stack = _map_stack(a.field, maps)
+    assert leibniz_violation(a, *stack, budget=1) == (0, *w0["pair"])
+    assert summed == [[x] for x in range(a.n)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_pair_joins_are_bitwise_equal_across_budgets(p):
     """The entries of Inder and Der of K and J_w, the coordinates that
@@ -1335,8 +1364,8 @@ def test_bracket_holds_one_range_of_terms(j_w_23):
 def test_leibniz_check_holds_one_range_of_terms(j_w_23):
     """The Leibniz check of the 184 basis maps of Inder(J_w) over F23
     traced 72.9 MiB as one join (87.0 MiB at most in a p = 23 battery);
-    in ranges of maps it stays below a quarter of the latter (about 4
-    MiB here)."""
+    in ranges of the first index x it stays below a quarter of the latter
+    (about 4 MiB here)."""
     a, ds = j_w_23
     assert traced_peak_mib(lambda: leibniz_violation(a, *ds.stack())) \
         < 87.0 / 4
